@@ -640,7 +640,7 @@ impl Device {
             let micro = model::micro_cost(&self.config, kind, dtype, &layout).map(Into::into);
             let start_ms = self.tracer.advance(cost.time_ms);
             self.tracer.emit(TraceEvent::Cmd {
-                name: name.clone(),
+                name: name.to_string(),
                 category: kind.category().label(),
                 start_ms,
                 time_ms: cost.time_ms,
@@ -662,7 +662,7 @@ impl Device {
         self.system
             .distribute_cmd(costed_on, &name, kind.category(), cost);
         self.stats
-            .record_cmd(name, kind.category(), cost, layout.cores_used);
+            .record_cmd(&name, kind.category(), cost, layout.cores_used);
         Ok(())
     }
 
@@ -1359,7 +1359,7 @@ impl Device {
         if self.tracer.enabled() {
             let start_ms = self.tracer.advance(cost.time_ms);
             self.tracer.emit(TraceEvent::Cmd {
-                name: name.clone(),
+                name: name.to_string(),
                 category: OpKind::RedSum.category().label(),
                 start_ms,
                 time_ms: cost.time_ms,
@@ -1381,7 +1381,7 @@ impl Device {
         self.system
             .distribute_cmd(a, &name, OpKind::RedSum.category(), cost);
         self.stats
-            .record_cmd(name, OpKind::RedSum.category(), cost, layout.cores_used);
+            .record_cmd(&name, OpKind::RedSum.category(), cost, layout.cores_used);
         Ok(sum)
     }
 }

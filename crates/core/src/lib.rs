@@ -80,7 +80,7 @@ pub use metrics::{
 };
 pub use model::{target_model, OpCost, TargetModel};
 pub use object::{DataLayout, ObjId, ObjectLayout, PimObject};
-pub use ops::{OpCategory, OpKind};
+pub use ops::{OpCategory, OpKind, StatName};
 pub use pim_dram::{RowPattern, TimingBackend, TimingCounters, TimingModel};
 pub use stats::{
     CmdStat, CopyStats, DramProtocolStats, FusionStats, InterconnectStats, OptimizerStats,

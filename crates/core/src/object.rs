@@ -1,6 +1,8 @@
 //! PIM data objects and their physical layouts.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::DeviceConfig;
 use crate::dtype::DataType;
@@ -13,6 +15,49 @@ pub struct ObjId(pub(crate) u64);
 impl fmt::Display for ObjId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "obj#{}", self.0)
+    }
+}
+
+/// A per-object table keyed by [`ObjId`]: the resource catalog, each
+/// shard's object set, and the shard maps all use it. Every command
+/// looks its operands up here, so lookups must be cheap, and its memory
+/// must follow the *live* object count.
+///
+/// Two invariants make a hash table sound here:
+///
+/// * **Nothing iterates it.** Hash order is unspecified, so any output
+///   built by walking the table would depend on it. Only point lookups,
+///   inserts, removals and `len` are allowed; code that needs an order
+///   must keep its own.
+/// * **Ids are never reused.** The allocator hands out monotone ids, so
+///   a freed id stays absent forever and a lookup through it reports
+///   [`PimError::UnknownObject`] instead of reaching a newer object.
+///   This is also why the table is not a `Vec` indexed by id: such a
+///   slab would grow with every object ever allocated, not with the
+///   live ones.
+pub(crate) type IdMap<V> = HashMap<ObjId, V, BuildHasherDefault<IdHasher>>;
+
+/// Hasher for [`IdMap`]: one Fibonacci multiply of the id. Consecutive
+/// ids land in distinct buckets (the multiplier is odd, so the low bits
+/// are a bijection) and the high bits the table uses as tags are well
+/// mixed. Not collision-resistant, which is fine for ids the simulator
+/// assigns itself.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 

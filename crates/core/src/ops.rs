@@ -1,6 +1,9 @@
 //! PIM operation descriptors: the vocabulary shared by the functional
 //! executor, the performance/energy models, and the statistics engine.
 
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
+
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::dtype::DataType;
@@ -197,31 +200,38 @@ impl OpKind {
     }
 
     /// Statistics key in the artifact's style, e.g. `add.int32`.
-    pub fn stat_name(&self, dtype: DataType) -> String {
-        let base = match self {
-            OpKind::Binary(b) => b.mnemonic().to_string(),
-            OpKind::BinaryScalar(b, _) => format!("{}_scalar", b.mnemonic()),
-            OpKind::Cmp(c) => c.mnemonic().to_string(),
-            OpKind::CmpScalar(c, _) => format!("{}_scalar", c.mnemonic()),
-            OpKind::Min => "min".into(),
-            OpKind::Max => "max".into(),
-            OpKind::MinScalar(_) => "min_scalar".into(),
-            OpKind::MaxScalar(_) => "max_scalar".into(),
-            OpKind::Not => "not".into(),
-            OpKind::Abs => "abs".into(),
-            OpKind::Popcount => "popcount".into(),
-            OpKind::ShiftL(k) => format!("shl{k}"),
-            OpKind::ShiftR(k) => format!("shr{k}"),
-            OpKind::Select => "select".into(),
-            OpKind::ScaledAdd(_) => "scaled_add".into(),
-            OpKind::FusedCmpSelect(c) => format!("{}_select", c.mnemonic()),
-            OpKind::Broadcast(_) => "broadcast".into(),
-            OpKind::RedSum => "redsum".into(),
-            OpKind::RedMin => "redmin".into(),
-            OpKind::RedMax => "redmax".into(),
-            OpKind::Copy => "copy".into(),
+    /// Scalar immediates are not part of the name (shift amounts are).
+    pub fn stat_name(&self, dtype: DataType) -> StatName {
+        let mut name = StatName {
+            buf: [0; StatName::CAP],
+            len: 0,
         };
-        format!("{base}.{}", dtype.short_name())
+        let base = match self {
+            OpKind::Binary(b) => name.write_str(b.mnemonic()),
+            OpKind::BinaryScalar(b, _) => write!(name, "{}_scalar", b.mnemonic()),
+            OpKind::Cmp(c) => name.write_str(c.mnemonic()),
+            OpKind::CmpScalar(c, _) => write!(name, "{}_scalar", c.mnemonic()),
+            OpKind::Min => name.write_str("min"),
+            OpKind::Max => name.write_str("max"),
+            OpKind::MinScalar(_) => name.write_str("min_scalar"),
+            OpKind::MaxScalar(_) => name.write_str("max_scalar"),
+            OpKind::Not => name.write_str("not"),
+            OpKind::Abs => name.write_str("abs"),
+            OpKind::Popcount => name.write_str("popcount"),
+            OpKind::ShiftL(k) => write!(name, "shl{k}"),
+            OpKind::ShiftR(k) => write!(name, "shr{k}"),
+            OpKind::Select => name.write_str("select"),
+            OpKind::ScaledAdd(_) => name.write_str("scaled_add"),
+            OpKind::FusedCmpSelect(c) => write!(name, "{}_select", c.mnemonic()),
+            OpKind::Broadcast(_) => name.write_str("broadcast"),
+            OpKind::RedSum => name.write_str("redsum"),
+            OpKind::RedMin => name.write_str("redmin"),
+            OpKind::RedMax => name.write_str("redmax"),
+            OpKind::Copy => name.write_str("copy"),
+        };
+        base.and_then(|()| write!(name, ".{}", dtype.short_name()))
+            .expect("statistics names fit StatName::CAP");
+        name
     }
 
     /// ALU cycles per element on a bit-parallel target whose popcount
@@ -237,6 +247,64 @@ impl OpKind {
             OpKind::ScaledAdd(_) | OpKind::FusedCmpSelect(_) => 2,
             _ => 1,
         }
+    }
+}
+
+/// A statistics key such as `add.int32` ([`OpKind::stat_name`]),
+/// formatted into an inline buffer so charging a command allocates
+/// nothing. Dereferences to `str`.
+#[derive(Clone, Copy)]
+pub struct StatName {
+    buf: [u8; StatName::CAP],
+    len: u8,
+}
+
+impl StatName {
+    /// Room for the longest name, `shl4294967295.uint64` (20 bytes).
+    const CAP: usize = 24;
+
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..usize::from(self.len)]).expect("written from str pieces")
+    }
+}
+
+impl fmt::Write for StatName {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let start = usize::from(self.len);
+        let end = start + s.len();
+        self.buf
+            .get_mut(start..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end as u8;
+        Ok(())
+    }
+}
+
+impl Deref for StatName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for StatName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for StatName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<&str> for StatName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
     }
 }
 
@@ -262,6 +330,14 @@ mod tests {
             "lt_scalar.uint8"
         );
         assert_eq!(OpKind::ShiftR(2).stat_name(DataType::Int32), "shr2.int32");
+        assert_eq!(
+            OpKind::ShiftL(u32::MAX).stat_name(DataType::UInt64),
+            "shl4294967295.uint64"
+        );
+        assert_eq!(
+            OpKind::BinaryScalar(BinaryOp::Xnor, -1).stat_name(DataType::UInt64),
+            "xnor_scalar.uint64"
+        );
     }
 
     #[test]

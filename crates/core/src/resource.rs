@@ -1,12 +1,10 @@
 //! PIM resource manager: object allocation, association, and capacity
 //! tracking (§V-A "PIM Resource Mgr").
 
-use std::collections::BTreeMap;
-
 use crate::config::{DeviceConfig, SimMode};
 use crate::dtype::DataType;
 use crate::error::{PimError, Result};
-use crate::object::{ObjId, ObjectLayout, PimObject};
+use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
 
 /// Tracks live objects and device row capacity.
 ///
@@ -18,7 +16,9 @@ use crate::object::{ObjId, ObjectLayout, PimObject};
 /// (§V-E notes its allocation strategy is approximate).
 #[derive(Debug)]
 pub struct ResourceManager {
-    objects: BTreeMap<u64, PimObject>,
+    /// Live objects. Never iterated, and ids are never reused: see
+    /// [`IdMap`].
+    objects: IdMap<PimObject>,
     next_id: u64,
     /// Row-core units in use (Σ rows_per_core × cores_used).
     rows_in_use: u64,
@@ -45,7 +45,7 @@ impl ResourceManager {
             ))
         })?;
         Ok(ResourceManager {
-            objects: BTreeMap::new(),
+            objects: IdMap::default(),
             next_id: 0,
             rows_in_use: 0,
             rows_per_core,
@@ -90,7 +90,7 @@ impl ResourceManager {
             SimMode::ModelOnly => None,
         };
         self.objects.insert(
-            id.0,
+            id,
             PimObject {
                 id,
                 dtype,
@@ -131,7 +131,7 @@ impl ResourceManager {
     pub fn free(&mut self, id: ObjId) -> Result<()> {
         let obj = self
             .objects
-            .remove(&id.0)
+            .remove(&id)
             .ok_or(PimError::UnknownObject(id))?;
         self.rows_in_use -= obj.layout.rows_per_core * obj.layout.cores_used as u64;
         Ok(())
@@ -143,7 +143,7 @@ impl ResourceManager {
     ///
     /// [`PimError::UnknownObject`] if the ID is not live.
     pub fn get(&self, id: ObjId) -> Result<&PimObject> {
-        self.objects.get(&id.0).ok_or(PimError::UnknownObject(id))
+        self.objects.get(&id).ok_or(PimError::UnknownObject(id))
     }
 
     /// Mutably borrows an object.
@@ -152,9 +152,7 @@ impl ResourceManager {
     ///
     /// [`PimError::UnknownObject`] if the ID is not live.
     pub fn get_mut(&mut self, id: ObjId) -> Result<&mut PimObject> {
-        self.objects
-            .get_mut(&id.0)
-            .ok_or(PimError::UnknownObject(id))
+        self.objects.get_mut(&id).ok_or(PimError::UnknownObject(id))
     }
 
     /// Number of live objects.
@@ -204,13 +202,13 @@ impl ResourceManager {
         layout: ObjectLayout,
         materialize: bool,
     ) {
-        debug_assert!(!self.objects.contains_key(&id.0), "install over live id");
+        debug_assert!(!self.objects.contains_key(&id), "install over live id");
         self.next_id = self.next_id.max(id.0 + 1);
         self.rows_in_use += layout.rows_per_core * layout.cores_used as u64;
         self.peak_rows = self.peak_rows.max(self.rows_in_use);
         let data = materialize.then(|| vec![0i64; count as usize]);
         self.objects.insert(
-            id.0,
+            id,
             PimObject {
                 id,
                 dtype,

@@ -262,18 +262,24 @@ impl SimStats {
         SimStats::default()
     }
 
-    /// Records one PIM command invocation.
+    /// Records one PIM command invocation. The name is copied into the
+    /// map only the first time it is seen.
     pub fn record_cmd(
         &mut self,
-        name: String,
+        name: &str,
         category: OpCategory,
         cost: OpCost,
         cores_used: usize,
     ) {
-        let e = self.cmds.entry(name).or_default();
-        e.count += 1;
-        e.time_ms += cost.time_ms;
-        e.energy_mj += cost.energy_mj;
+        let add = |e: &mut CmdStat| {
+            e.count += 1;
+            e.time_ms += cost.time_ms;
+            e.energy_mj += cost.energy_mj;
+        };
+        match self.cmds.get_mut(name) {
+            Some(e) => add(e),
+            None => add(self.cmds.entry(name.to_owned()).or_default()),
+        }
         *self.categories.entry(category).or_default() += 1;
         self.max_cores_used = self.max_cores_used.max(cores_used);
     }
@@ -583,7 +589,7 @@ mod tests {
         s.record_copy(1024, 0, 0.5, 0.1);
         s.record_host_ms(0.25);
         s.record_cmd(
-            "add.int32".into(),
+            "add.int32",
             OpCategory::Add,
             OpCost {
                 time_ms: 0.25,
@@ -607,7 +613,7 @@ mod tests {
         let mut s = SimStats::new();
         for _ in 0..3 {
             s.record_cmd(
-                "mul.int32".into(),
+                "mul.int32",
                 OpCategory::Mul,
                 OpCost {
                     time_ms: 1.0,
@@ -628,7 +634,7 @@ mod tests {
         let cfg = DeviceConfig::new(PimTarget::Fulcrum, 4);
         let mut s = SimStats::new();
         s.record_cmd(
-            "add.int32".into(),
+            "add.int32",
             OpCategory::Add,
             OpCost {
                 time_ms: 0.00166,
@@ -663,7 +669,7 @@ mod tests {
         let cfg = DeviceConfig::new(PimTarget::BitSerial, 1);
         let mut s = SimStats::new();
         s.record_cmd(
-            "add.int32".into(),
+            "add.int32",
             OpCategory::Add,
             OpCost {
                 time_ms: 100.0,

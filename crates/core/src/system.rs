@@ -32,8 +32,6 @@
 //! to the aggregate) while interconnect time/energy is accounted
 //! *separately* and never folded into kernel time.
 
-use std::collections::BTreeMap;
-
 use pim_dram::exec;
 use pim_dram::{make_timing_model, CopyReplay, TimingBackend, TimingCounters, TimingModel};
 
@@ -41,7 +39,7 @@ use crate::config::{DeviceConfig, ShardPolicy, SimMode};
 use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
 use crate::model::OpCost;
-use crate::object::{ObjId, ObjectLayout};
+use crate::object::{IdMap, ObjId, ObjectLayout};
 use crate::ops::OpCategory;
 use crate::resource::ResourceManager;
 use crate::stats::{ResourceStats, ShardResourceStats, SimStats};
@@ -292,6 +290,48 @@ pub(crate) fn par_sum(data: &[i64], dtype: DataType) -> i128 {
     .unwrap_or(0)
 }
 
+/// Shards holding at least one element of `costed`, ascending; shard 0
+/// alone when the device has one shard or the object is unmapped
+/// (whole-device attribution).
+fn holders(
+    maps: &IdMap<ShardMap>,
+    shards: usize,
+    costed: ObjId,
+) -> impl Iterator<Item = usize> + '_ {
+    let counts: &[u64] = match maps.get(&costed) {
+        Some(map) if shards > 1 && map.counts.iter().any(|&c| c > 0) => &map.counts,
+        _ => &[1],
+    };
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(s, _)| s)
+}
+
+/// Splits `value` over the shards with a non-zero element count,
+/// proportionally to `counts`, as `(shard, share)` in ascending shard
+/// order. The last such shard absorbs the rounding remainder, so the
+/// shares sum back to `value` up to float re-association.
+fn proportional_shares(counts: &[u64], value: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let total: u64 = counts.iter().sum();
+    let last = counts.iter().rposition(|&c| c > 0);
+    let mut acc = 0.0f64;
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(move |(s, &c)| {
+            let share = if Some(s) == last {
+                (value - acc).max(0.0)
+            } else {
+                value * (c as f64 / total as f64)
+            };
+            acc += share;
+            (s, share)
+        })
+}
+
 /// The sharded execution substrate behind [`crate::Device`].
 ///
 /// Owns a metadata catalog (the authoritative global [`ObjectLayout`]s
@@ -302,7 +342,9 @@ pub(crate) fn par_sum(data: &[i64], dtype: DataType) -> i128 {
 pub struct PimSystem {
     meta: ResourceManager,
     shards: Vec<Shard>,
-    maps: BTreeMap<u64, ShardMap>,
+    /// Per-object shard maps. Never iterated, and ids are never
+    /// reused: see [`IdMap`].
+    maps: IdMap<ShardMap>,
     policy: ShardPolicy,
     interconnect: InterconnectModel,
     functional: bool,
@@ -346,7 +388,7 @@ impl PimSystem {
         Ok(PimSystem {
             meta,
             shards,
-            maps: BTreeMap::new(),
+            maps: IdMap::default(),
             policy: config.shard_policy,
             interconnect: InterconnectModel::from_config(config),
             functional: matches!(config.mode, SimMode::Functional),
@@ -375,17 +417,17 @@ impl PimSystem {
 
     /// The shard map of a live object, if any.
     pub fn shard_map(&self, id: ObjId) -> Option<&ShardMap> {
-        self.maps.get(&id.0)
+        self.maps.get(&id)
     }
 
     /// True when both `reference` and every id in `ids` are live and
     /// share the exact same shard map (so shard-local buffers align
     /// positionwise and no realignment traffic is needed).
     pub(crate) fn maps_equal(&self, ids: &[ObjId], reference: ObjId) -> bool {
-        let Some(rmap) = self.maps.get(&reference.0) else {
+        let Some(rmap) = self.maps.get(&reference) else {
             return false;
         };
-        ids.iter().all(|id| self.maps.get(&id.0) == Some(rmap))
+        ids.iter().all(|id| self.maps.get(id) == Some(rmap))
     }
 
     // ------------------------------------------------------------------
@@ -481,7 +523,7 @@ impl PimSystem {
                     .install(id, dtype, map.count_on(s), l, self.functional);
             }
         }
-        self.maps.insert(id.0, map);
+        self.maps.insert(id, map);
         Ok(id)
     }
 
@@ -496,7 +538,7 @@ impl PimSystem {
             // Shards with no range of this object never installed it.
             let _ = shard.rm.free(id);
         }
-        self.maps.remove(&id.0);
+        self.maps.remove(&id);
         Ok(())
     }
 
@@ -536,7 +578,7 @@ impl PimSystem {
     /// model-only mode.
     pub(crate) fn gather_full(&self, id: ObjId) -> Result<Vec<i64>> {
         let count = self.meta.get(id)?.count as usize;
-        let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
+        let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
         let mut out = vec![0i64; count];
         for r in &map.ranges {
             let obj = self.shards[r.shard].rm.get(id)?;
@@ -558,7 +600,7 @@ impl PimSystem {
     ///
     /// As [`PimSystem::gather_full`].
     pub(crate) fn gather_to_host<T: PimScalar>(&self, id: ObjId, out: &mut [T]) -> Result<()> {
-        let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
+        let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
         for r in &map.ranges {
             let obj = self.shards[r.shard].rm.get(id)?;
             let data = obj
@@ -591,11 +633,7 @@ impl PimSystem {
         if !self.functional {
             return Ok(());
         }
-        let map = self
-            .maps
-            .get(&id.0)
-            .ok_or(PimError::UnknownObject(id))?
-            .clone();
+        let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
         for (s, shard) in self.shards.iter_mut().enumerate() {
             let c = map.count_on(s) as usize;
             if c == 0 {
@@ -636,16 +674,15 @@ impl PimSystem {
         inputs: &[ObjId],
         dst: ObjId,
     ) -> Result<u64> {
-        let dst_map = self
-            .maps
-            .get(&dst.0)
-            .ok_or(PimError::UnknownObject(dst))?
-            .clone();
+        let dst_map = self.maps.get(&dst).ok_or(PimError::UnknownObject(dst))?;
         let mut realign_bytes = 0u64;
-        let mut rebuilt: Vec<Option<Vec<Vec<i64>>>> = vec![None; inputs.len()];
+        // `(input index, per-shard pieces)` for every input re-dealt by
+        // the destination's map. Stays empty, and so allocates nothing,
+        // when every operand is aligned with the destination.
+        let mut realigned: Vec<(usize, Vec<Vec<i64>>)> = Vec::new();
         for (j, &id) in inputs.iter().enumerate() {
-            let map = self.maps.get(&id.0).ok_or(PimError::UnknownObject(id))?;
-            if *map == dst_map {
+            let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
+            if map == dst_map {
                 continue;
             }
             realign_bytes += self.meta.get(id)?.bytes();
@@ -655,87 +692,58 @@ impl PimSystem {
                 for r in &dst_map.ranges {
                     per_shard[r.shard].extend_from_slice(&full[r.start as usize..r.end as usize]);
                 }
-                rebuilt[j] = Some(per_shard);
+                realigned.push((j, per_shard));
             }
         }
         if !self.functional {
             return Ok(realign_bytes);
         }
-        let rebuilt = &rebuilt;
-        let dst_map = &dst_map;
-        // Steady-state ops write into the destination's existing buffer
-        // through the `par_*_into` primitives instead of allocating a
-        // fresh output per op — the dominant wall-clock cost at large
-        // element counts. When an input aliases the destination the
-        // buffer cannot be taken out from under the reads, so that
-        // (rare) shape keeps the allocate-then-swap path.
         let aliased = inputs.contains(&dst);
         Self::on_shards(&mut self.shards, |s, shard| {
             let n = dst_map.count_on(s) as usize;
             if n == 0 {
                 return Ok(());
             }
-            let reuse = if aliased {
-                None
+            // Steady-state ops write into the destination's existing
+            // buffer instead of allocating a fresh output per op. When
+            // an input aliases the destination the buffer cannot be
+            // taken out from under the reads, so that (rare) shape
+            // computes into a new buffer.
+            let mut out = if aliased {
+                vec![0; n]
             } else {
-                Some(shard.rm.get_mut(dst)?.data.take().unwrap_or_default())
+                let mut buf = shard.rm.get_mut(dst)?.data.take().unwrap_or_default();
+                buf.resize(n, 0);
+                buf
             };
-            let out = {
-                let mut ins: Vec<&[i64]> = Vec::with_capacity(inputs.len());
+            {
+                let mut ins: [&[i64]; 4] = [&[]; 4];
                 for (j, &id) in inputs.iter().enumerate() {
-                    ins.push(match &rebuilt[j] {
-                        Some(per) => &per[s],
+                    ins[j] = match realigned.iter().find(|(k, _)| *k == j) {
+                        Some((_, per)) => &per[s],
                         None => shard
                             .rm
                             .get(id)?
                             .data
                             .as_deref()
                             .expect("functional object has data"),
-                    });
+                    };
                 }
-                match reuse {
-                    Some(mut buf) => {
-                        buf.resize(n, 0);
-                        match *ins.as_slice() {
-                            [a] => exec::par_map_into(a, &mut buf, |&x| {
-                                crate::cmd::eval(kind, dtype, &[x])
-                            }),
-                            [a, b] => exec::par_zip_map_into(a, b, &mut buf, |&x, &y| {
-                                crate::cmd::eval(kind, dtype, &[x, y])
-                            }),
-                            [a, b, c] => {
-                                exec::par_zip3_map_into(a, b, c, &mut buf, |&x, &y, &z| {
-                                    crate::cmd::eval(kind, dtype, &[x, y, z])
-                                })
-                            }
-                            [a, b, c, d] => {
-                                exec::par_zip4_map_into(a, b, c, d, &mut buf, |&x, &y, &z, &u| {
-                                    crate::cmd::eval(kind, dtype, &[x, y, z, u])
-                                })
-                            }
-                            _ => unreachable!("element-wise arity is 1..=4"),
-                        }
-                        buf
+                let eval = |args: &[i64]| crate::cmd::eval(kind, dtype, args);
+                match ins[..inputs.len()] {
+                    [a] => exec::par_map_into(a, &mut out, |&x| eval(&[x])),
+                    [a, b] => exec::par_zip_map_into(a, b, &mut out, |&x, &y| eval(&[x, y])),
+                    [a, b, c] => {
+                        exec::par_zip3_map_into(a, b, c, &mut out, |&x, &y, &z| eval(&[x, y, z]))
                     }
-                    None => match *ins.as_slice() {
-                        [a] => exec::par_map(a, |&x| crate::cmd::eval(kind, dtype, &[x])),
-                        [a, b] => {
-                            exec::par_zip_map(a, b, |&x, &y| crate::cmd::eval(kind, dtype, &[x, y]))
-                        }
-                        [a, b, c] => exec::par_zip3_map(a, b, c, |&x, &y, &z| {
-                            crate::cmd::eval(kind, dtype, &[x, y, z])
-                        }),
-                        [a, b, c, d] => {
-                            let chunks = exec::par_chunks(a.len(), |r| {
-                                r.map(|i| crate::cmd::eval(kind, dtype, &[a[i], b[i], c[i], d[i]]))
-                                    .collect::<Vec<i64>>()
-                            });
-                            chunks.concat()
-                        }
-                        _ => unreachable!("element-wise arity is 1..=4"),
-                    },
+                    [a, b, c, d] => {
+                        exec::par_zip4_map_into(a, b, c, d, &mut out, |&x, &y, &z, &u| {
+                            eval(&[x, y, z, u])
+                        })
+                    }
+                    _ => unreachable!("element-wise arity is 1..=4"),
                 }
-            };
+            }
             shard.rm.get_mut(dst)?.data = Some(out);
             Ok(())
         })?;
@@ -751,8 +759,8 @@ impl PimSystem {
     ///
     /// [`PimError::UnknownObject`] for dead operands.
     pub(crate) fn copy_data(&mut self, src: ObjId, dst: ObjId) -> Result<u64> {
-        let src_map = self.maps.get(&src.0).ok_or(PimError::UnknownObject(src))?;
-        let dst_map = self.maps.get(&dst.0).ok_or(PimError::UnknownObject(dst))?;
+        let src_map = self.maps.get(&src).ok_or(PimError::UnknownObject(src))?;
+        let dst_map = self.maps.get(&dst).ok_or(PimError::UnknownObject(dst))?;
         if src_map == dst_map {
             if self.functional && src != dst {
                 Self::on_shards(&mut self.shards, |_s, shard| {
@@ -787,7 +795,6 @@ impl PimSystem {
         let bytes = self.meta.get(src)?.bytes();
         if self.functional {
             let full = self.gather_full(src)?;
-            let dst_map = dst_map.clone();
             for (s, shard) in self.shards.iter_mut().enumerate() {
                 let c = dst_map.count_on(s) as usize;
                 if c == 0 {
@@ -845,7 +852,7 @@ impl PimSystem {
     ///
     /// [`PimError::UnknownObject`].
     pub(crate) fn red_sum(&self, a: ObjId, dtype: DataType) -> Result<i128> {
-        let map = self.maps.get(&a.0).ok_or(PimError::UnknownObject(a))?;
+        let map = self.maps.get(&a).ok_or(PimError::UnknownObject(a))?;
         let mut total = 0i128;
         for r in &map.ranges {
             let obj = self.shards[r.shard].rm.get(a)?;
@@ -869,7 +876,7 @@ impl PimSystem {
     ///
     /// [`PimError::UnknownObject`].
     pub(crate) fn red_extreme(&self, a: ObjId, dtype: DataType, want_min: bool) -> Result<i64> {
-        let map = self.maps.get(&a.0).ok_or(PimError::UnknownObject(a))?;
+        let map = self.maps.get(&a).ok_or(PimError::UnknownObject(a))?;
         let keep_first = |x: i64, y: i64| {
             let ord = dtype.compare(x, y);
             if if want_min { ord.is_le() } else { ord.is_ge() } {
@@ -920,7 +927,7 @@ impl PimSystem {
         start: u64,
         end: u64,
     ) -> Result<i128> {
-        let map = self.maps.get(&a.0).ok_or(PimError::UnknownObject(a))?;
+        let map = self.maps.get(&a).ok_or(PimError::UnknownObject(a))?;
         let mut total = 0i128;
         for r in &map.ranges {
             let s = start.max(r.start);
@@ -1027,26 +1034,6 @@ impl PimSystem {
             .unwrap_or_default()
     }
 
-    /// Shards holding at least one element of `costed`, ascending; shard
-    /// 0 when unmapped or single-shard (whole-device attribution).
-    fn holders_of(&self, costed: ObjId) -> Vec<usize> {
-        if self.shards.len() > 1 {
-            if let Some(map) = self.maps.get(&costed.0) {
-                let holders: Vec<usize> = map
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(s, _)| s)
-                    .collect();
-                if !holders.is_empty() {
-                    return holders;
-                }
-            }
-        }
-        vec![0]
-    }
-
     /// Prices one command through the timing backends of every shard
     /// holding `costed`, in ascending shard order (deterministic at any
     /// thread count). Shards execute the broadcast in lockstep, so each
@@ -1065,7 +1052,7 @@ impl PimSystem {
     {
         let mut agg: Option<OpCost> = None;
         let mut delta = TimingCounters::default();
-        for s in self.holders_of(costed) {
+        for s in holders(&self.maps, self.shards.len(), costed) {
             let shard = &mut self.shards[s];
             let before = shard.timing.counters();
             let cost = price(shard.timing.as_mut());
@@ -1102,7 +1089,7 @@ impl PimSystem {
         let mut time_ms: Option<f64> = None;
         let mut replay: Option<CopyReplay> = None;
         let mut delta = TimingCounters::default();
-        for s in self.holders_of(obj) {
+        for s in holders(&self.maps, self.shards.len(), obj) {
             let shard = &mut self.shards[s];
             let t = shard.timing.charge_host_copy(represented_bytes, ranks);
             time_ms = Some(match time_ms {
@@ -1153,47 +1140,17 @@ impl PimSystem {
         if self.shards.len() <= 1 {
             return;
         }
-        let Some(map) = self.maps.get(&costed.0) else {
+        let Some(map) = self.maps.get(&costed) else {
             return;
         };
-        let counts = map.counts.clone();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return;
-        }
-        let Some(last) = counts.iter().rposition(|&c| c > 0) else {
-            return;
-        };
-        let (mut acc_t, mut acc_e) = (0.0f64, 0.0f64);
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (t, e) = if s == last {
-                (
-                    (cost.time_ms - acc_t).max(0.0),
-                    (cost.energy_mj - acc_e).max(0.0),
-                )
-            } else {
-                let frac = c as f64 / total as f64;
-                (cost.time_ms * frac, cost.energy_mj * frac)
-            };
-            acc_t += t;
-            acc_e += e;
-            let cores = self.shards[s]
-                .rm
-                .get(costed)
-                .map(|o| o.layout.cores_used)
-                .unwrap_or(0);
-            self.shards[s].stats.record_cmd(
-                name.to_string(),
-                category,
-                OpCost {
-                    time_ms: t,
-                    energy_mj: e,
-                },
-                cores,
-            );
+        let shares = proportional_shares(&map.counts, cost.time_ms)
+            .zip(proportional_shares(&map.counts, cost.energy_mj));
+        for ((s, time_ms), (_, energy_mj)) in shares {
+            let shard = &mut self.shards[s];
+            let cores = shard.rm.get(costed).map_or(0, |o| o.layout.cores_used);
+            shard
+                .stats
+                .record_cmd(name, category, OpCost { time_ms, energy_mj }, cores);
         }
     }
 
@@ -1212,39 +1169,22 @@ impl PimSystem {
         if self.shards.len() <= 1 {
             return;
         }
-        let Some(map) = self.maps.get(&obj.0) else {
+        let Some(map) = self.maps.get(&obj) else {
             return;
         };
-        let counts = map.counts.clone();
+        let counts = &map.counts;
         let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return;
-        }
-        let Some(last) = counts.iter().rposition(|&c| c > 0) else {
-            return;
-        };
-        let (mut acc_b, mut acc_t, mut acc_e) = (0u64, 0.0f64, 0.0f64);
-        for (s, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (b, t, e) = if s == last {
-                (
-                    bytes - acc_b,
-                    (time_ms - acc_t).max(0.0),
-                    (energy_mj - acc_e).max(0.0),
-                )
+        let holders = counts.iter().filter(|&&c| c > 0).count();
+        let mut bytes_left = bytes;
+        let shares =
+            proportional_shares(counts, time_ms).zip(proportional_shares(counts, energy_mj));
+        for (i, ((s, t), (_, e))) in shares.enumerate() {
+            let b = if i + 1 == holders {
+                bytes_left
             } else {
-                let frac = c as f64 / total as f64;
-                (
-                    (bytes as u128 * c as u128 / total as u128) as u64,
-                    time_ms * frac,
-                    energy_mj * frac,
-                )
+                (bytes as u128 * counts[s] as u128 / total as u128) as u64
             };
-            acc_b += b;
-            acc_t += t;
-            acc_e += e;
+            bytes_left -= b;
             self.shards[s].stats.record_copy(b, direction, t, e);
         }
     }
@@ -1259,31 +1199,9 @@ impl PimSystem {
         if self.shards.len() <= 1 {
             return Vec::new();
         }
-        let Some(map) = self.maps.get(&costed.0) else {
-            return Vec::new();
-        };
-        let total: u64 = map.counts.iter().sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let Some(last) = map.counts.iter().rposition(|&c| c > 0) else {
-            return Vec::new();
-        };
-        let mut shares = Vec::new();
-        let mut acc = 0.0f64;
-        for (s, &c) in map.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let t = if s == last {
-                (time_ms - acc).max(0.0)
-            } else {
-                time_ms * (c as f64 / total as f64)
-            };
-            acc += t;
-            shares.push((s, t));
-        }
-        shares
+        self.maps.get(&costed).map_or_else(Vec::new, |map| {
+            proportional_shares(&map.counts, time_ms).collect()
+        })
     }
 
     /// Critical-path and total byte loads of scattering/gathering `id`:
@@ -1293,7 +1211,7 @@ impl PimSystem {
             return (0, 0);
         };
         let bpe = (obj.dtype.bits() as u64 / 8).max(1);
-        match self.maps.get(&id.0) {
+        match self.maps.get(&id) {
             Some(map) => {
                 let max_c = map.counts.iter().copied().max().unwrap_or(0);
                 (max_c * bpe, obj.count * bpe)

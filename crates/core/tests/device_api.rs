@@ -1,7 +1,10 @@
 //! Integration tests for the Device API: functional correctness on all
 //! three targets, aliasing, error paths, statistics, and the report.
 
-use pimeval::{DataType, Device, PimError, PimTarget, SimMode};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use pimeval::pim_microcode::gen::{BinaryOp, CmpOp};
+use pimeval::{DataType, Device, ObjId, OpKind, PimCommand, PimError, PimTarget, SimMode};
 
 fn devices() -> Vec<Device> {
     PimTarget::ALL
@@ -235,12 +238,93 @@ fn error_paths() {
         dev.copy_to_device(&[1i64, 2, 3], a),
         Err(PimError::DTypeMismatch { .. })
     ));
-    dev.free(b).unwrap();
-    assert!(matches!(dev.add(a, b, d), Err(PimError::UnknownObject(_))));
     assert!(matches!(
         dev.alloc(0, DataType::Int32),
         Err(PimError::InvalidArg(_))
     ));
+}
+
+/// Runs one misuse case, failing with its name on a panic or on any
+/// result other than `UnknownObject(dead)`.
+fn expect_unknown(case: &str, dead: ObjId, f: impl FnOnce() -> pimeval::Result<()>) {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Err(PimError::UnknownObject(id))) => assert_eq!(id, dead, "{case}"),
+        Ok(other) => panic!("{case}: expected UnknownObject, got {other:?}"),
+        Err(_) => panic!("{case}: panicked"),
+    }
+}
+
+#[test]
+fn dead_ids_are_unknown_objects_everywhere() {
+    let kinds = [
+        OpKind::Binary(BinaryOp::Add),
+        OpKind::BinaryScalar(BinaryOp::Mul, 3),
+        OpKind::Cmp(CmpOp::Lt),
+        OpKind::CmpScalar(CmpOp::Eq, 1),
+        OpKind::Min,
+        OpKind::Max,
+        OpKind::MinScalar(0),
+        OpKind::MaxScalar(0),
+        OpKind::Not,
+        OpKind::Abs,
+        OpKind::Popcount,
+        OpKind::ShiftL(2),
+        OpKind::ShiftR(2),
+        OpKind::Select,
+        OpKind::ScaledAdd(5),
+        OpKind::FusedCmpSelect(CmpOp::Gt),
+        OpKind::Broadcast(9),
+        OpKind::RedSum,
+        OpKind::RedMin,
+        OpKind::RedMax,
+        OpKind::Copy,
+    ];
+    let data: Vec<i32> = (0..5000).collect();
+    for shards in [1, 4] {
+        let config = pimeval::DeviceConfig::new(PimTarget::Fulcrum, 4).with_shards(shards);
+        let mut dev = Device::new(config).unwrap();
+        let a = dev.alloc_vec(&data).unwrap();
+        let b = dev.alloc_vec(&data).unwrap();
+        let dst = dev.alloc_associated(a, DataType::Int32).unwrap();
+        let dead = dev.alloc_associated(a, DataType::Int32).unwrap();
+        dev.free(dead).unwrap();
+
+        // Every command kind with the dead id in each operand position
+        // in turn (inputs first, then the destination).
+        for kind in kinds {
+            let live_inputs = &[a, b, a, b][..kind.input_operands() as usize];
+            let live_dst = kind.writes_output().then_some(dst);
+            for pos in 0..live_inputs.len() + usize::from(live_dst.is_some()) {
+                let mut command = PimCommand {
+                    kind,
+                    inputs: live_inputs.to_vec(),
+                    dst: live_dst,
+                };
+                match command.inputs.get_mut(pos) {
+                    Some(input) => *input = dead,
+                    None => command.dst = Some(dead),
+                }
+                let case = format!("shards={shards} {kind:?} operand {pos}");
+                expect_unknown(&case, dead, || dev.issue(command).map(drop));
+            }
+        }
+        let case = |name: &str| format!("shards={shards} {name}");
+        expect_unknown(&case("copy_to_device"), dead, || {
+            dev.copy_to_device(&data, dead)
+        });
+        expect_unknown(&case("copy_to_host"), dead, || {
+            dev.copy_to_host(dead, &mut vec![0i32; data.len()])
+        });
+        expect_unknown(&case("double free"), dead, || dev.free(dead));
+        expect_unknown(&case("alloc_associated"), dead, || {
+            dev.alloc_associated(dead, DataType::Int32).map(drop)
+        });
+
+        // The misuse left the live objects intact.
+        dev.add(a, b, dst).unwrap();
+        let got = dev.to_vec::<i32>(dst).unwrap();
+        assert!(got.iter().zip(&data).all(|(g, x)| *g == 2 * x));
+    }
 }
 
 #[test]

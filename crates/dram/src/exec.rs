@@ -898,11 +898,20 @@ pub fn par_chunks_weighted<R: Send>(
 /// Chunk-ordered parallel reduction: maps each chunk of `0..len` with
 /// `map`, then folds the partials left-to-right in chunk order on the
 /// calling thread, so the result is bit-identical to a sequential fold.
+/// A loop that stays on the calling thread maps `0..len` as one chunk
+/// and allocates nothing.
 pub fn par_fold<R: Send>(
     len: usize,
     map: impl Fn(Range<usize>) -> R + Sync,
     fold: impl FnMut(R, R) -> R,
 ) -> Option<R> {
+    if len == 0 {
+        return None;
+    }
+    if plan_weighted(len, 1).0 <= 1 {
+        pool::note_sequential();
+        return Some(map(0..len));
+    }
     par_chunks(len, map).into_iter().reduce(fold)
 }
 
@@ -1082,47 +1091,6 @@ pub fn par_zip4_map_into<A: Sync, B: Sync, C: Sync, D: Sync, T: Send>(
     });
 }
 
-/// Parallel map into a fresh buffer.
-pub fn par_map<S: Sync, T: Send + Default + Clone>(
-    src: &[S],
-    f: impl Fn(&S) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); src.len()];
-    par_map_into(src, &mut out, f);
-    out
-}
-
-/// Parallel zip-map into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip_map<A: Sync, B: Sync, T: Send + Default + Clone>(
-    a: &[A],
-    b: &[B],
-    f: impl Fn(&A, &B) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); a.len()];
-    par_zip_map_into(a, b, &mut out, f);
-    out
-}
-
-/// Parallel three-way zip-map into a fresh buffer.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip3_map<A: Sync, B: Sync, C: Sync, T: Send + Default + Clone>(
-    a: &[A],
-    b: &[B],
-    c: &[C],
-    f: impl Fn(&A, &B, &C) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); a.len()];
-    par_zip3_map_into(a, b, c, &mut out, f);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1183,7 +1151,10 @@ mod tests {
         let src: Vec<i64> = (0..100_000).map(|i| i * 7 - 50_000).collect();
         let seq: Vec<i64> = src.iter().map(|&x| x.wrapping_mul(3) ^ 1).collect();
         for threads in [1, 2, 8] {
-            let par = with_thread_count(threads, || par_map(&src, |&x| x.wrapping_mul(3) ^ 1));
+            let mut par = vec![0; src.len()];
+            with_thread_count(threads, || {
+                par_map_into(&src, &mut par, |&x| x.wrapping_mul(3) ^ 1)
+            });
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -1199,9 +1170,16 @@ mod tests {
             .zip(b.iter().zip(&c))
             .map(|(x, (y, z))| if *z != 0 { *x } else { *y })
             .collect();
-        let par2 = with_thread_count(4, || par_zip_map(&a, &b, |x, y| x - y));
-        let par3 = with_thread_count(4, || {
-            par_zip3_map(&c, &a, &b, |z, x, y| if *z != 0 { *x } else { *y })
+        let (mut par2, mut par3) = (vec![0; a.len()], vec![0; a.len()]);
+        with_thread_count(4, || {
+            par_zip_map_into(&a, &b, &mut par2, |x, y| x - y);
+            par_zip3_map_into(
+                &c,
+                &a,
+                &b,
+                &mut par3,
+                |z, x, y| if *z != 0 { *x } else { *y },
+            );
         });
         assert_eq!(par2, seq2);
         assert_eq!(par3, seq3);

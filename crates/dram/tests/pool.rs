@@ -24,7 +24,9 @@ fn map_once(threads: usize, len: usize) -> Vec<i64> {
 }
 
 fn par_sq(src: &[i64]) -> Vec<i64> {
-    exec::par_map(src, |&x| x.wrapping_mul(x) ^ 0x5a)
+    let mut out = vec![0; src.len()];
+    exec::par_map_into(src, &mut out, |&x| x.wrapping_mul(x) ^ 0x5a);
+    out
 }
 
 /// Steady state spawns nothing; shutdown joins every worker and the

@@ -154,8 +154,10 @@ impl SboxCircuit {
             dev.copy_object(src, fresh)?;
             *out = fresh;
         }
-        for (_, obj) in memo {
-            dev.free(obj)?;
+        // Free in node order, not hash order, so the trace's free events
+        // are the same on every run.
+        for n in &reachable {
+            dev.free(memo[n])?;
         }
         Ok(outputs)
     }
