@@ -3,7 +3,7 @@
 
 use pim_bench_harness::microbench::{bench, bench_throughput, group};
 use pim_dram::BitMatrix;
-use pim_microcode::cache::{self, ProgKey};
+use pim_microcode::analog;
 use pim_microcode::encode::encode_vertical;
 use pim_microcode::gen::{self, BinaryOp};
 use pim_microcode::vm::{Region, Vm};
@@ -13,10 +13,6 @@ fn bench_codegen() {
     for bits in [8u32, 32, 64] {
         bench(&format!("add/{bits}"), || gen::binary(BinaryOp::Add, bits));
         bench(&format!("mul/{bits}"), || gen::binary(BinaryOp::Mul, bits));
-        // The cached path the VM hot loops actually take.
-        bench(&format!("add/{bits} (cached)"), || {
-            cache::program(ProgKey::Binary(BinaryOp::Add, bits))
-        });
     }
 }
 
@@ -26,35 +22,19 @@ fn bench_vm() {
     group("vm_row_wide");
     let values: Vec<i64> = (0..cols as i64).collect();
     for (name, prog) in [
-        (
-            "add32",
-            cache::program(ProgKey::Binary(BinaryOp::Add, bits)),
-        ),
-        (
-            "mul32",
-            cache::program(ProgKey::Binary(BinaryOp::Mul, bits)),
-        ),
-        ("redsum32", cache::program(ProgKey::RedSum(bits, true))),
+        ("add32", gen::binary(BinaryOp::Add, bits)),
+        ("mul32", gen::binary(BinaryOp::Mul, bits)),
+        ("redsum32", gen::red_sum(bits, true)),
     ] {
         let mut mat = BitMatrix::new(3 * bits as usize, cols);
         encode_vertical(&mut mat, 0, bits, &values);
         encode_vertical(&mut mat, bits as usize, bits, &values);
-        // `run` dispatches to the word-packed compiled kernel; the
-        // `(interp)` row forces the reference interpreter for contrast.
         bench_throughput(name, cols as u64, || {
             let mut vm = Vm::new(&mut mat, 3);
             vm.bind(0, Region::new(0, bits));
             vm.bind(1, Region::new(bits as usize, bits));
             vm.bind(2, Region::new(2 * bits as usize, bits));
             vm.run(&prog).unwrap();
-            vm.accumulator()
-        });
-        bench_throughput(&format!("{name} (interp)"), cols as u64, || {
-            let mut vm = Vm::new(&mut mat, 3);
-            vm.bind(0, Region::new(0, bits));
-            vm.bind(1, Region::new(bits as usize, bits));
-            vm.bind(2, Region::new(2 * bits as usize, bits));
-            vm.run_interpreted(&prog).unwrap();
             vm.accumulator()
         });
     }
@@ -65,7 +45,7 @@ fn bench_analog() {
     let bits = 32u32;
     group("analog_vm");
     let values: Vec<i64> = (0..cols as i64).collect();
-    let prog = cache::program(ProgKey::AnalogBinary(BinaryOp::Add, bits));
+    let prog = analog::binary(BinaryOp::Add, bits);
     let rows = 3 * bits as usize + prog.temp_rows() as usize;
     let mut mat = BitMatrix::new(rows, cols);
     encode_vertical(&mut mat, 0, bits, &values);

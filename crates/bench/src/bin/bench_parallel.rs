@@ -23,16 +23,15 @@
 //! engine headroom shows on multi-core runners (see the CI bench job).
 
 use pim_bench_harness::export::{
-    parallel_runs_to_json, FanoutOverhead, FidelityRun, ImbalanceRun, OptimizerRun, ParallelRun,
-    RankScalingRun, StreamVsEager,
+    parallel_runs_to_json, FanoutOverhead, FidelityRun, ImbalanceRun, ParallelRun, RankScalingRun,
+    StreamVsEager,
 };
 use pim_bench_harness::microbench::{bench, bench_throughput, group};
 use pim_bench_harness::run_one;
 use pimbench::Params;
 use pimeval::pim_dram::DramGeometry;
 use pimeval::{
-    exec, DataType, Device, DeviceConfig, OptLevel, PimTarget, RowPattern, ShardPolicy,
-    TimingBackend,
+    exec, DataType, Device, DeviceConfig, PimTarget, RowPattern, ShardPolicy, TimingBackend,
 };
 
 /// Elements per device object: large enough that every op fans out
@@ -100,59 +99,6 @@ fn engine_runs(threads: usize, out: &mut Vec<ParallelRun>) {
             mean_ns: m.mean.as_nanos(),
             min_ns: m.min.as_nanos(),
         });
-    });
-}
-
-/// Raw bit-serial VM throughput on compiled kernels: binds one matrix
-/// per program (regions sized from the kernel signature) and times
-/// `Vm::run`, which dispatches to the word-packed compiled path. One
-/// element per column, so throughput is columns per run.
-fn vm_kernel_runs(threads: usize, out: &mut Vec<ParallelRun>) {
-    use pim_dram::BitMatrix;
-    use pim_microcode::cache::{self, ProgKey};
-    use pim_microcode::gen::BinaryOp;
-    use pim_microcode::vm::{Region, Vm};
-
-    const COLS: usize = 1 << 20;
-    exec::with_thread_count(threads, || {
-        group(&format!(
-            "compiled VM kernels, {COLS} × int32 columns, {threads} thread(s)"
-        ));
-        for (name, key) in [
-            ("vm_add32", ProgKey::Binary(BinaryOp::Add, 32)),
-            ("vm_mul32", ProgKey::Binary(BinaryOp::Mul, 32)),
-            ("vm_red_sum32", ProgKey::RedSum(32, true)),
-        ] {
-            let prog = cache::program(key);
-            let sig = prog.kernel().signature().clone();
-            let slots = prog.operand_slots() as usize;
-            let slot_rows = |s: usize| -> u32 { sig.slot_rows.get(s).copied().unwrap_or(0).max(1) };
-            let temp_rows = prog.temp_rows().max(sig.temp_rows).max(1);
-            let total: u32 = (0..slots).map(slot_rows).sum::<u32>() + temp_rows;
-            let mut mat = BitMatrix::new(total as usize, COLS);
-            for (i, w) in mat.words_mut().iter_mut().enumerate() {
-                *w = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
-            let mut vm = Vm::new(&mut mat, slots);
-            let mut base = 0usize;
-            for s in 0..slots {
-                vm.bind(s, Region::new(base, slot_rows(s)));
-                base += slot_rows(s) as usize;
-            }
-            vm.bind_temp(Region::new(base, temp_rows));
-            let m = bench_throughput(name, COLS as u64, || vm.run(&prog).unwrap());
-            assert!(
-                vm.last_run_compiled(),
-                "{name} fell back to the interpreter"
-            );
-            out.push(ParallelRun {
-                name: name.into(),
-                threads,
-                elems: COLS as u64,
-                mean_ns: m.mean.as_nanos(),
-                min_ns: m.min.as_nanos(),
-            });
-        }
     });
 }
 
@@ -229,92 +175,54 @@ fn stream_vs_eager_runs(threads: usize, out: &mut Vec<StreamVsEager>) {
                 s.flush().unwrap();
             },
         );
-    });
-}
-
-/// Peephole vs. dataflow optimizer on a pipeline the adjacent-pair
-/// peephole structurally cannot improve: a K-means-style distance
-/// chain whose weighted sum is consumed *non-adjacently* (an unrelated
-/// mask sits between the scalar multiply and the add) and whose
-/// distance is recomputed verbatim later in the stream. The graph
-/// passes fuse across the gap and rewrite the recompute into copies;
-/// level 0 executes all seven commands as recorded.
-fn optimizer_runs(threads: usize, out: &mut Vec<OptimizerRun>) {
-    exec::with_thread_count(threads, || {
-        let mut dev = Device::new(DeviceConfig::new(PimTarget::Fulcrum, 2)).unwrap();
-        let host: Vec<i32> = (0..N as i32)
-            .map(|i| i.wrapping_mul(2654435761u32 as i32))
-            .collect();
-        let x = dev.alloc(N, DataType::Int32).unwrap();
-        let c = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let b = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let d1 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let a1 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let s = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let msk = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let o = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let d2 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let a2 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        dev.copy_to_device(&host, x).unwrap();
+        // A K-means-style distance chain whose weighted sum is consumed
+        // non-adjacently (an unrelated mask sits between the scalar
+        // multiply and the add) and whose distance is recomputed
+        // verbatim later: the flush fuses across the gap and rewrites
+        // the recompute into copies, so its modeled cost is strictly
+        // below eager issue's.
+        let [c, d1, a1, sc, msk, o, d2, a2] =
+            [(); 8].map(|_| dev.alloc_associated(a, DataType::Int32).unwrap());
         dev.copy_to_device(&host, c).unwrap();
-        dev.copy_to_device(&host, b).unwrap();
-
-        let pipeline = |d: &mut Device, level: OptLevel| {
+        let eager = |d: &mut Device| {
+            d.sub(a, c, d1).unwrap();
+            d.abs(d1, a1).unwrap();
+            d.mul_scalar(a1, 3, sc).unwrap();
+            d.lt(a, c, msk).unwrap();
+            d.add(sc, b, o).unwrap();
+            d.sub(a, c, d2).unwrap();
+            d.abs(d2, a2).unwrap();
+        };
+        let stream = |d: &mut Device| {
             let mut st = d.stream();
-            st.set_opt(level);
-            st.sub(x, c, d1).abs(d1, a1);
-            st.mul_scalar(a1, 3, s); // producer …
-            st.lt(x, c, msk); // … separated from its consumer
-            st.add(s, b, o); // → graph-only scaled-add fusion
-            st.sub(x, c, d2).abs(d2, a2); // verbatim recompute → CSE
+            st.sub(a, c, d1).abs(d1, a1);
+            st.mul_scalar(a1, 3, sc); // producer …
+            st.lt(a, c, msk); // … separated from its consumer
+            st.add(sc, b, o); // → scaled-add fusion across the gap
+            st.sub(a, c, d2).abs(d2, a2); // verbatim recompute → CSE
             st.flush().unwrap()
         };
-
-        group(&format!(
-            "optimizer: peephole vs dataflow, {N} × int32, {threads} thread(s)"
-        ));
-        let mp = bench_throughput("kmeans-dist-reuse (opt 0)", N, || {
-            pipeline(&mut dev, OptLevel::O0);
+        record("kmeans-dist-reuse", &mut dev, &mut |d| eager(d), &mut |d| {
+            stream(d);
         });
-        let md = bench_throughput("kmeans-dist-reuse (opt 2)", N, || {
-            pipeline(&mut dev, OptLevel::O2);
-        });
-
-        dev.reset_stats();
-        let sp = pipeline(&mut dev, OptLevel::O0);
-        let peephole_modeled_ms = dev.stats().kernel_time_ms();
-        let peep: Vec<Vec<i32>> = [o, d2, a2]
-            .iter()
-            .map(|&id| dev.to_vec(id).unwrap())
-            .collect();
-        dev.reset_stats();
-        let sd = pipeline(&mut dev, OptLevel::O2);
-        let dataflow_modeled_ms = dev.stats().kernel_time_ms();
-        let flow: Vec<Vec<i32>> = [o, d2, a2]
-            .iter()
-            .map(|&id| dev.to_vec(id).unwrap())
-            .collect();
-        assert_eq!(peep, flow, "optimizer levels must be bit-identical");
-        assert_eq!(sp.fused_scaled_add + sp.fused_cmp_select, 0);
-        assert!(sd.cse_hits >= 2, "recompute must CSE into copies");
+        let outputs = |d: &mut Device| -> Vec<Vec<i32>> {
+            [o, d2, a2]
+                .iter()
+                .map(|&id| d.to_vec(id).unwrap())
+                .collect()
+        };
+        eager(&mut dev);
+        let eager_out = outputs(&mut dev);
+        let summary = stream(&mut dev);
+        assert_eq!(eager_out, outputs(&mut dev), "stream must be bit-identical");
+        assert!(summary.cse_hits >= 2, "recompute must CSE into copies");
+        let row = out.last().unwrap();
         assert!(
-            dataflow_modeled_ms < peephole_modeled_ms,
-            "dataflow must strictly beat the peephole: {dataflow_modeled_ms} ms \
-             vs {peephole_modeled_ms} ms"
+            row.stream_modeled_ms < row.eager_modeled_ms,
+            "the stream must strictly beat eager issue: {} ms vs {} ms",
+            row.stream_modeled_ms,
+            row.eager_modeled_ms
         );
-        out.push(OptimizerRun {
-            name: "kmeans-dist-reuse".into(),
-            threads,
-            elems: N,
-            peephole_mean_ns: mp.mean.as_nanos(),
-            peephole_min_ns: mp.min.as_nanos(),
-            dataflow_mean_ns: md.mean.as_nanos(),
-            dataflow_min_ns: md.min.as_nanos(),
-            peephole_modeled_ms,
-            dataflow_modeled_ms,
-            cse_hits: sd.cse_hits,
-            graph_fusions: sd.fused_scaled_add + sd.fused_cmp_select,
-        });
     });
 }
 
@@ -618,14 +526,13 @@ fn main() {
     let mut runs = Vec::new();
     for &threads in &threads_list {
         engine_runs(threads, &mut runs);
-        vm_kernel_runs(threads, &mut runs);
     }
 
+    // One thread on every host: the rows are keyed by `(name, threads)`,
+    // so a fixed count keeps `bench_regress`'s hard-fail modeled-cost
+    // gate matching them against the committed baseline.
     let mut stream_runs = Vec::new();
-    stream_vs_eager_runs(default_threads, &mut stream_runs);
-
-    let mut optimizer = Vec::new();
-    optimizer_runs(default_threads, &mut optimizer);
+    stream_vs_eager_runs(1, &mut stream_runs);
 
     let mut rank_runs = Vec::new();
     rank_scaling_runs(&ranks_list, &mut rank_runs);
@@ -645,7 +552,6 @@ fn main() {
         std::slice::from_ref(&imbalance),
         Some(&overhead),
         &fidelity,
-        &optimizer,
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("\nwrote {} measurement(s) to {out_path}", runs.len()),
@@ -699,23 +605,6 @@ fn main() {
             s.eager_modeled_ms,
             s.stream_modeled_ms,
             s.modeled_cost_ratio()
-        );
-    }
-
-    group("optimizer (peephole vs dataflow)");
-    println!(
-        "{:<20} {:>18} {:>19} {:>12} {:>9} {:>8}",
-        "pipeline", "peephole ms", "dataflow ms", "cost ratio", "cse", "fusions"
-    );
-    for r in &optimizer {
-        println!(
-            "{:<20} {:>18.6} {:>19.6} {:>12.4} {:>9} {:>8}",
-            r.name,
-            r.peephole_modeled_ms,
-            r.dataflow_modeled_ms,
-            r.modeled_cost_ratio(),
-            r.cse_hits,
-            r.graph_fusions
         );
     }
 

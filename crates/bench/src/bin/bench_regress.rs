@@ -17,11 +17,10 @@
 //!   shared runners make wall time untrustworthy while the modeled-cost
 //!   columns below stay deterministic and hard-fail.
 //! * **Modeled cost** (`rank_scaling`, matched by `(name, ranks)`;
-//!   `stream_vs_eager` and `optimizer`, matched by `(name, threads)`):
-//!   simulated `kernel_ms` / `stream_modeled_ms` /
-//!   `dataflow_modeled_ms` may grow by at most `--max-cost-increase`
-//!   percent (default 1 — the cost model is deterministic, so any
-//!   growth is a real model change).
+//!   `stream_vs_eager`, matched by `(name, threads)`): simulated
+//!   `kernel_ms` / `stream_modeled_ms` may grow by at most
+//!   `--max-cost-increase` percent (default 1 — the cost model is
+//!   deterministic, so any growth is a real model change).
 //!
 //! The diff is additive-tolerant by design: unknown fields are ignored,
 //! runs present on only one side are reported but never fail the gate,
@@ -258,23 +257,6 @@ fn main() -> ExitCode {
             "stream_vs_eager",
             &["name", "threads"],
             "stream_modeled_ms",
-        ),
-        cli.max_cost_increase,
-        false,
-    );
-    regressions += compare(
-        "optimizer",
-        &extract(
-            &base,
-            "optimizer",
-            &["name", "threads"],
-            "dataflow_modeled_ms",
-        ),
-        &extract(
-            &cur,
-            "optimizer",
-            &["name", "threads"],
-            "dataflow_modeled_ms",
         ),
         cli.max_cost_increase,
         false,

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pimeval::trace::json::Json;
+use pimeval::trace::json::{Json, STATS_SCHEMA_VERSION};
 
 /// Accumulates violations with a document-relative path for each.
 struct Checker {
@@ -144,7 +144,14 @@ fn check_stats(c: &mut Checker, doc: &Json) {
             continue;
         };
         let spath = format!("{path}.stats");
-        c.require_num(stats, &spath, "schema_version");
+        if let Some(v) = c.require_num(stats, &spath, "schema_version") {
+            if v as u32 > STATS_SCHEMA_VERSION {
+                c.fail(
+                    &spath,
+                    &format!("schema_version {v} is newer than {STATS_SCHEMA_VERSION}"),
+                );
+            }
+        }
         c.require_str(stats, &spath, "target");
         if let Some(totals) = c.require_object(stats, &spath, "totals") {
             c.require_num(totals, &format!("{spath}.totals"), "kernel_time_ms");
@@ -168,19 +175,11 @@ fn check_stats(c: &mut Checker, doc: &Json) {
                 c.require_num(dp, &dpath, key);
             }
         }
-        // optimizer is optional (present only when the dataflow
-        // optimizer fired), but when present it must carry every counter.
+        // optimizer is optional (present only when a stream flush found
+        // a common subexpression), but when present it must carry the
+        // counter.
         if let Some(opt) = stats.get("optimizer") {
-            let opath = format!("{spath}.optimizer");
-            for key in [
-                "cse_hits",
-                "dead_objects_removed",
-                "subgraphs",
-                "target_switches",
-                "inferred_layouts",
-            ] {
-                c.require_num(opt, &opath, key);
-            }
+            c.require_num(opt, &format!("{spath}.optimizer"), "cse_hits");
         }
     }
 }
@@ -248,25 +247,6 @@ fn check_bench(c: &mut Checker, doc: &Json) {
                 "row_hits",
                 "row_misses",
                 "row_hit_rate",
-            ] {
-                c.require_num(e, &path, key);
-            }
-        }
-    }
-    // optimizer is optional (older exports predate the dataflow
-    // optimizer), but when present each entry must carry both cost axes
-    // and the rewrite counters.
-    if let Some(entries) = doc.get("optimizer").and_then(Json::as_array) {
-        for (i, e) in entries.iter().enumerate() {
-            let path = format!("optimizer[{i}]");
-            c.require_str(e, &path, "name");
-            for key in [
-                "threads",
-                "peephole_modeled_ms",
-                "dataflow_modeled_ms",
-                "modeled_cost_ratio",
-                "cse_hits",
-                "graph_fusions",
             ] {
                 c.require_num(e, &path, key);
             }

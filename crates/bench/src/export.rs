@@ -15,6 +15,14 @@ use crate::SuiteRecord;
 /// golden-results CI diff) must tolerate fields they do not know.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
+/// Recorded in every `BENCH_parallel.json` as `"schema_note"`: rows
+/// older documents carry that current ones no longer write. Consumers
+/// already treat a row present on one side only as unmatched, so the
+/// removal does not bump [`BENCH_SCHEMA_VERSION`].
+pub const BENCH_SCHEMA_NOTE: &str = "removed: the optimizer section (stream levels 0/2 \
+     are gone; kmeans-dist-reuse is a stream_vs_eager row) and the vm_add32, vm_mul32 \
+     and vm_red_sum32 runs (the compiled VM kernels are gone)";
+
 /// Renders one run record as a JSON object, embedding the full
 /// Listing-3 statistics plus the baseline comparisons the figures plot.
 pub fn record_to_json(r: &SuiteRecord) -> String {
@@ -116,7 +124,7 @@ impl ParallelRun {
 
 /// One command pipeline measured twice by `bench_parallel`: issued
 /// eagerly (one [`pimeval::Device::issue`] per call) and recorded
-/// through a [`pimeval::CommandStream`] whose flush runs the peephole
+/// through a [`pimeval::CommandStream`] whose flush runs the optimization
 /// passes. Captures both host wall-clock and the modeled device cost so
 /// the export shows what fusion buys on each axis.
 #[derive(Debug, Clone)]
@@ -414,83 +422,6 @@ impl FidelityRun {
     }
 }
 
-/// One optimizer comparison from `bench_parallel`: a command pipeline
-/// flushed at level 0 (the legacy adjacent-pair peephole) and at level
-/// 2 (dataflow graph fusion + CSE + placement), capturing both host
-/// wall-clock and modeled device cost. Workloads are chosen so the
-/// graph passes find rewrites — e.g. a recomputed K-means distance —
-/// that the adjacent-pair peephole structurally cannot express.
-#[derive(Debug, Clone)]
-pub struct OptimizerRun {
-    /// Pipeline label (`kmeans-dist-reuse`, …).
-    pub name: String,
-    /// Worker threads the execution engine was pinned to.
-    pub threads: usize,
-    /// Elements processed per iteration.
-    pub elems: u64,
-    /// Mean wall time per peephole (level 0) iteration, nanoseconds.
-    pub peephole_mean_ns: u128,
-    /// Best wall time per peephole iteration, nanoseconds.
-    pub peephole_min_ns: u128,
-    /// Mean wall time per dataflow (level 2) iteration, nanoseconds.
-    pub dataflow_mean_ns: u128,
-    /// Best wall time per dataflow iteration, nanoseconds.
-    pub dataflow_min_ns: u128,
-    /// Modeled device kernel time for one peephole pass, milliseconds.
-    pub peephole_modeled_ms: f64,
-    /// Modeled device kernel time for one dataflow pass, milliseconds.
-    pub dataflow_modeled_ms: f64,
-    /// CSE rewrites the dataflow pass performed per flush.
-    pub cse_hits: u64,
-    /// Graph fusions (scaled-add + cmp-select) per dataflow flush.
-    pub graph_fusions: u64,
-}
-
-impl OptimizerRun {
-    /// Modeled-cost ratio dataflow/peephole — ≤ 1.0 always (the graph
-    /// passes are gated to never cost more than the peephole), < 1.0
-    /// when a cross-command rewrite fired.
-    pub fn modeled_cost_ratio(&self) -> f64 {
-        if self.peephole_modeled_ms == 0.0 {
-            return 0.0;
-        }
-        self.dataflow_modeled_ms / self.peephole_modeled_ms
-    }
-
-    /// Host wall-clock speedup of the dataflow path (best-time ratio),
-    /// or 0 when the dataflow time was unmeasurably small.
-    pub fn wall_speedup(&self) -> f64 {
-        if self.dataflow_min_ns == 0 {
-            return 0.0;
-        }
-        self.peephole_min_ns as f64 / self.dataflow_min_ns as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"threads\":{},\"elems\":{},\
-             \"peephole_mean_ns\":{},\"peephole_min_ns\":{},\
-             \"dataflow_mean_ns\":{},\"dataflow_min_ns\":{},\
-             \"peephole_modeled_ms\":{},\"dataflow_modeled_ms\":{},\
-             \"modeled_cost_ratio\":{},\"wall_speedup\":{},\
-             \"cse_hits\":{},\"graph_fusions\":{}}}",
-            string(&self.name),
-            self.threads,
-            self.elems,
-            self.peephole_mean_ns,
-            self.peephole_min_ns,
-            self.dataflow_mean_ns,
-            self.dataflow_min_ns,
-            num(self.peephole_modeled_ms),
-            num(self.dataflow_modeled_ms),
-            num(self.modeled_cost_ratio()),
-            num(self.wall_speedup()),
-            self.cse_hits,
-            self.graph_fusions,
-        )
-    }
-}
-
 /// Renders the `bench_parallel` report: host parallelism, every
 /// measurement, per-op speedups of the widest measured thread count
 /// over the single-threaded run (best-time ratio, paired by op name),
@@ -510,7 +441,6 @@ pub fn parallel_runs_to_json(
     imbalance: &[ImbalanceRun],
     fanout_overhead: Option<&FanoutOverhead>,
     fidelity: &[FidelityRun],
-    optimizer: &[OptimizerRun],
 ) -> String {
     let measured: Vec<String> = runs.iter().map(ParallelRun::to_json).collect();
     let mut speedups = Vec::new();
@@ -540,13 +470,13 @@ pub fn parallel_runs_to_json(
     let skewed: Vec<String> = imbalance.iter().map(ImbalanceRun::to_json).collect();
     let overhead = fanout_overhead.map_or_else(|| "null".into(), FanoutOverhead::to_json);
     let fidelity: Vec<String> = fidelity.iter().map(FidelityRun::to_json).collect();
-    let optimizer: Vec<String> = optimizer.iter().map(OptimizerRun::to_json).collect();
     format!(
-        "{{\"schema_version\":{BENCH_SCHEMA_VERSION},\
+        "{{\"schema_version\":{BENCH_SCHEMA_VERSION},\"schema_note\":{},\
          \"threads_default\":{},\"runs\":[\n{}\n],\"speedups\":[{}],\
          \"stream_vs_eager\":[\n{}\n],\"rank_scaling\":[\n{}\n],\
          \"imbalance\":[{}],\"fanout_overhead\":{},\
-         \"fidelity\":[\n{}\n],\"optimizer\":[\n{}\n]}}\n",
+         \"fidelity\":[\n{}\n]}}\n",
+        string(BENCH_SCHEMA_NOTE),
         default_threads,
         measured.join(",\n"),
         speedups.join(","),
@@ -555,7 +485,6 @@ pub fn parallel_runs_to_json(
         skewed.join(",\n"),
         overhead,
         fidelity.join(",\n"),
-        optimizer.join(",\n"),
     )
 }
 
@@ -613,11 +542,15 @@ mod tests {
                 min_ns: 1000,
             },
         ];
-        let json = parallel_runs_to_json(8, &runs, &[], &[], &[], None, &[], &[]);
+        let json = parallel_runs_to_json(8, &runs, &[], &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         assert_eq!(
             doc.get("schema_version").unwrap().as_f64().unwrap() as u32,
             BENCH_SCHEMA_VERSION
+        );
+        assert_eq!(
+            doc.get("schema_note").unwrap().as_str(),
+            Some(BENCH_SCHEMA_NOTE)
         );
         assert_eq!(
             doc.get("threads_default").unwrap().as_f64().unwrap() as usize,
@@ -650,7 +583,7 @@ mod tests {
             min_ns,
         };
         let runs = vec![mk(1, 6000), mk(2, 3500), mk(4, 2000)];
-        let json = parallel_runs_to_json(1, &runs, &[], &[], &[], None, &[], &[]);
+        let json = parallel_runs_to_json(1, &runs, &[], &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let speedups = doc.get("speedups").unwrap().as_array().unwrap();
         assert_eq!(speedups.len(), 1);
@@ -681,16 +614,8 @@ mod tests {
             spawn_min_ns: 8000,
         };
         assert!((fo.dispatch_speedup() - 8.0).abs() < 1e-9);
-        let json = parallel_runs_to_json(
-            4,
-            &[],
-            &[],
-            &[],
-            std::slice::from_ref(&imb),
-            Some(&fo),
-            &[],
-            &[],
-        );
+        let json =
+            parallel_runs_to_json(4, &[], &[], &[], std::slice::from_ref(&imb), Some(&fo), &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("imbalance").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -716,16 +641,7 @@ mod tests {
             interconnect_bytes: 4096,
         };
         assert!((point.melem_per_s() - 1000.0).abs() < 1e-9);
-        let json = parallel_runs_to_json(
-            1,
-            &[],
-            &[],
-            std::slice::from_ref(&point),
-            &[],
-            None,
-            &[],
-            &[],
-        );
+        let json = parallel_runs_to_json(1, &[], &[], std::slice::from_ref(&point), &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("rank_scaling").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -752,8 +668,7 @@ mod tests {
         assert_eq!(f.delta_pct(), 0.0);
         assert!((f.thrash_slowdown() - 2.5).abs() < 1e-12);
         assert!((f.hit_rate() - 0.75).abs() < 1e-12);
-        let json =
-            parallel_runs_to_json(1, &[], &[], &[], &[], None, std::slice::from_ref(&f), &[]);
+        let json = parallel_runs_to_json(1, &[], &[], &[], &[], None, std::slice::from_ref(&f));
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("fidelity").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -764,7 +679,7 @@ mod tests {
         assert!((e.get("thrash_slowdown").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);
         assert!((e.get("row_hit_rate").unwrap().as_f64().unwrap() - 0.75).abs() < 1e-9);
         // An empty fidelity section still parses (schema presence check).
-        let empty = parallel_runs_to_json(1, &[], &[], &[], &[], None, &[], &[]);
+        let empty = parallel_runs_to_json(1, &[], &[], &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&empty).unwrap();
         assert!(doc.get("fidelity").unwrap().as_array().unwrap().is_empty());
     }
@@ -784,8 +699,7 @@ mod tests {
         };
         assert!((cmp.wall_speedup() - 2.0).abs() < 1e-9);
         assert!((cmp.modeled_cost_ratio() - 0.75).abs() < 1e-9);
-        let json =
-            parallel_runs_to_json(1, &[], std::slice::from_ref(&cmp), &[], &[], None, &[], &[]);
+        let json = parallel_runs_to_json(1, &[], std::slice::from_ref(&cmp), &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("stream_vs_eager").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -795,40 +709,5 @@ mod tests {
         assert!((e.get("modeled_cost_ratio").unwrap().as_f64().unwrap() - 0.75).abs() < 1e-9);
         assert!((e.get("eager_modeled_ms").unwrap().as_f64().unwrap() - 4.0).abs() < 1e-9);
         assert!((e.get("stream_modeled_ms").unwrap().as_f64().unwrap() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn optimizer_export_carries_both_cost_axes_and_counters() {
-        let run = OptimizerRun {
-            name: "kmeans-dist-reuse".into(),
-            threads: 1,
-            elems: 1 << 16,
-            peephole_mean_ns: 2200,
-            peephole_min_ns: 2000,
-            dataflow_mean_ns: 1100,
-            dataflow_min_ns: 1000,
-            peephole_modeled_ms: 8.0,
-            dataflow_modeled_ms: 6.0,
-            cse_hits: 4,
-            graph_fusions: 2,
-        };
-        assert!((run.modeled_cost_ratio() - 0.75).abs() < 1e-9);
-        assert!((run.wall_speedup() - 2.0).abs() < 1e-9);
-        let json =
-            parallel_runs_to_json(1, &[], &[], &[], &[], None, &[], std::slice::from_ref(&run));
-        let doc = pimeval::trace::json::Json::parse(&json).unwrap();
-        let entries = doc.get("optimizer").unwrap().as_array().unwrap();
-        assert_eq!(entries.len(), 1);
-        let e = &entries[0];
-        assert_eq!(e.get("name").unwrap().as_str(), Some("kmeans-dist-reuse"));
-        assert!((e.get("peephole_modeled_ms").unwrap().as_f64().unwrap() - 8.0).abs() < 1e-9);
-        assert!((e.get("dataflow_modeled_ms").unwrap().as_f64().unwrap() - 6.0).abs() < 1e-9);
-        assert!((e.get("modeled_cost_ratio").unwrap().as_f64().unwrap() - 0.75).abs() < 1e-9);
-        assert_eq!(e.get("cse_hits").unwrap().as_f64(), Some(4.0));
-        assert_eq!(e.get("graph_fusions").unwrap().as_f64(), Some(2.0));
-        // An empty optimizer section still parses (schema presence check).
-        let empty = parallel_runs_to_json(1, &[], &[], &[], &[], None, &[], &[]);
-        let doc = pimeval::trace::json::Json::parse(&empty).unwrap();
-        assert!(doc.get("optimizer").unwrap().as_array().unwrap().is_empty());
     }
 }

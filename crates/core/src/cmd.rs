@@ -7,11 +7,7 @@
 //! executes, and charges one command; the eager `Device::add`/`mul`/…
 //! methods are thin wrappers that build a command and issue it.
 //!
-//! The deferred recorder and its optimizer live in [`crate::stream`];
-//! [`CommandStream`] and [`FlushSummary`] are re-exported here so code
-//! written against the pre-split module paths
-//! (`pimeval::cmd::CommandStream`) keeps compiling. New code should
-//! import them from [`crate::stream`] (or the crate root).
+//! The deferred recorder and its optimizer live in [`crate::stream`].
 
 use std::collections::HashMap;
 
@@ -20,10 +16,6 @@ use pim_microcode::gen::{BinaryOp, CmpOp};
 use crate::dtype::DataType;
 use crate::object::ObjId;
 use crate::ops::OpKind;
-
-// Deprecated locations — the deferred stream moved to `crate::stream`;
-// these aliases keep the old `pimeval::cmd::*` paths source-compatible.
-pub use crate::stream::{CommandStream, FlushSummary};
 
 // ---------------------------------------------------------------------
 // Command IR

@@ -86,67 +86,6 @@ pub enum ShardPolicy {
     RoundRobin,
 }
 
-/// How hard the deferred [`crate::CommandStream`] optimizes a recorded
-/// program at flush time (the `--opt` pimbench flag / `PIM_OPT` env).
-///
-/// Every level is bit-identical to eager execution and never charges
-/// more modeled cost than the legacy peephole; the levels only differ
-/// in which rewrites they are allowed to discover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OptLevel {
-    /// Legacy peephole only: dead-write elimination plus adjacent-pair
-    /// mul+add / cmp+select fusion. Reproduces the historical stream
-    /// behavior exactly.
-    O0,
-    /// Dataflow optimizer (the default): builds the SSA-style command
-    /// graph and additionally runs cross-command fusion (non-adjacent
-    /// producer/consumer pairs) and value-numbering CSE with
-    /// whole-stream dead-object elimination.
-    #[default]
-    O1,
-    /// Everything in level 1 plus cost-driven placement analysis: the
-    /// graph is partitioned into subgraphs, each priced against every
-    /// target model plus interconnect transfer cost, and per-object
-    /// layout / shard-policy inferences are reported (advisory — the
-    /// device target still executes, keeping results bit-identical).
-    O2,
-}
-
-/// Environment variable consulted by [`OptLevel::env_override`].
-pub const PIM_OPT_ENV: &str = "PIM_OPT";
-
-impl OptLevel {
-    /// Parses a level as accepted by `PIM_OPT` and the `--opt` CLI
-    /// flag. Returns `None` for an unknown name.
-    pub fn parse(s: &str) -> Option<OptLevel> {
-        match s.trim() {
-            "0" => Some(OptLevel::O0),
-            "1" => Some(OptLevel::O1),
-            "2" => Some(OptLevel::O2),
-            _ => None,
-        }
-    }
-
-    /// Applies the `PIM_OPT` environment override, if set to a valid
-    /// level; otherwise returns `self` unchanged.
-    pub fn env_override(self) -> OptLevel {
-        match std::env::var(PIM_OPT_ENV) {
-            Ok(v) if !v.is_empty() => OptLevel::parse(&v).unwrap_or(self),
-            _ => self,
-        }
-    }
-}
-
-impl std::fmt::Display for OptLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OptLevel::O0 => write!(f, "0"),
-            OptLevel::O1 => write!(f, "1"),
-            OptLevel::O2 => write!(f, "2"),
-        }
-    }
-}
-
 /// Whether operations execute functionally or only through the models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
@@ -292,11 +231,6 @@ pub struct DeviceConfig {
     /// banks) or `Thrashing` (every access re-opens a row in one bank —
     /// only meaningful under the `BankFsm` backend).
     pub row_pattern: RowPattern,
-    /// Stream optimization level applied by [`crate::CommandStream`]
-    /// flushes. The `PIM_OPT` environment variable overrides this at
-    /// [`crate::Device::new`] time; individual streams can override it
-    /// again with `CommandStream::set_opt`.
-    pub opt: OptLevel,
 }
 
 impl DeviceConfig {
@@ -316,15 +250,7 @@ impl DeviceConfig {
             profile: false,
             timing_backend: TimingBackend::Analytical,
             row_pattern: RowPattern::Streaming,
-            opt: OptLevel::default(),
         }
-    }
-
-    /// Selects the stream optimization level (overridable by `PIM_OPT`).
-    #[must_use]
-    pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.opt = level;
-        self
     }
 
     /// Selects the timing backend (overridable by `PIM_TIMING`).
@@ -505,17 +431,5 @@ mod tests {
     fn active_subarrays_counts_whole_banks() {
         let cfg = DeviceConfig::new(PimTarget::BankLevel, 1);
         assert_eq!(cfg.active_subarrays(3), 96);
-    }
-
-    #[test]
-    fn opt_level_parses_and_displays() {
-        assert_eq!(OptLevel::parse("0"), Some(OptLevel::O0));
-        assert_eq!(OptLevel::parse(" 1 "), Some(OptLevel::O1));
-        assert_eq!(OptLevel::parse("2"), Some(OptLevel::O2));
-        assert_eq!(OptLevel::parse("max"), None);
-        assert_eq!(OptLevel::default(), OptLevel::O1);
-        assert_eq!(OptLevel::O2.to_string(), "2");
-        let cfg = DeviceConfig::new(PimTarget::Fulcrum, 1).with_opt_level(OptLevel::O0);
-        assert_eq!(cfg.opt, OptLevel::O0);
     }
 }

@@ -23,7 +23,7 @@ use crate::object::{ObjId, PimObject};
 use crate::ops::OpKind;
 use crate::resource::ResourceManager;
 use crate::stats::SimStats;
-use crate::stream::{CommandStream, FlushSummary, PlacementPlan};
+use crate::stream::{CommandStream, FlushSummary};
 use crate::system::PimSystem;
 use crate::trace::{
     CopyDirection, ProtocolCounters, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY,
@@ -54,7 +54,6 @@ pub struct Device {
     stats: SimStats,
     tracer: Tracer,
     metrics: Option<Box<MetricsRegistry>>,
-    last_plan: Option<PlacementPlan>,
 }
 
 impl Device {
@@ -72,9 +71,6 @@ impl Device {
         // `PIM_TIMING=analytical|fsm` overrides the configured timing
         // backend at device creation (unknown values are ignored).
         config.timing_backend = config.timing_backend.env_override();
-        // `PIM_OPT=0|1|2` overrides the stream optimization level the
-        // same way.
-        config.opt = config.opt.env_override();
         let system = PimSystem::new(&config)?;
         pim_info!(
             "device created: target={} cores={} ranks={} shards={}",
@@ -92,7 +88,6 @@ impl Device {
             stats: SimStats::new(),
             tracer: Tracer::default(),
             metrics,
-            last_plan: None,
         };
         dev.sync_resources();
         Ok(dev)
@@ -708,23 +703,11 @@ impl Device {
     }
 
     /// Opens a deferred [`CommandStream`] on this device. Recorded
-    /// commands run at [`CommandStream::flush`], after the configured
-    /// [`crate::OptLevel`]'s optimization pipeline (fusion, dead-write
-    /// elimination, CSE, batching).
+    /// commands run at [`CommandStream::flush`], after the stream's
+    /// optimization pipeline (fusion, dead-write elimination, CSE,
+    /// batching).
     pub fn stream(&mut self) -> CommandStream<'_> {
         CommandStream::new(self)
-    }
-
-    /// The placement plan computed by the most recent level-2 stream
-    /// flush, if any. Advisory: execution stayed on the configured
-    /// target; the plan reports what a cost-driven cross-substrate
-    /// mapper would have chosen.
-    pub fn placement_plan(&self) -> Option<&PlacementPlan> {
-        self.last_plan.as_ref()
-    }
-
-    pub(crate) fn set_placement_plan(&mut self, plan: PlacementPlan) {
-        self.last_plan = Some(plan);
     }
 
     /// Checks a command's shape against its [`OpKind`] contract and its
@@ -919,10 +902,6 @@ impl Device {
         f.batched_commands += summary.batched_commands;
         let o = &mut self.stats.optimizer;
         o.cse_hits += summary.cse_hits;
-        o.dead_objects_removed += summary.dead_objects_removed;
-        o.subgraphs += summary.subgraphs;
-        o.target_switches += summary.target_switches;
-        o.inferred_layouts += summary.inferred_layouts;
         if let Some(m) = &mut self.metrics {
             m.record_flush();
         }
@@ -1224,7 +1203,7 @@ impl Device {
     }
 
     /// `dst = (a OP b) ? x : y` in one fused pass — the explicit form of
-    /// what the [`CommandStream`] cmp+select peephole produces.
+    /// what the [`CommandStream`] cmp+select fusion produces.
     ///
     /// # Errors
     ///

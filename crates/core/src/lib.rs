@@ -70,7 +70,7 @@ pub mod system;
 pub mod trace;
 
 pub use cmd::{CmdValue, PimCommand};
-pub use config::{DeviceConfig, OptLevel, PeParams, PimTarget, ShardPolicy, SimMode};
+pub use config::{DeviceConfig, PeParams, PimTarget, ShardPolicy, SimMode};
 pub use device::Device;
 pub use dtype::{DataType, PimScalar};
 pub use error::{PimError, Result};
@@ -86,7 +86,7 @@ pub use stats::{
     CmdStat, CopyStats, DramProtocolStats, FusionStats, InterconnectStats, OptimizerStats,
     ResourceStats, ShardResourceStats, SimStats,
 };
-pub use stream::{CommandStream, FlushSummary, PlacementPlan, SubgraphPlan};
+pub use stream::{CommandStream, FlushSummary};
 pub use system::{InterconnectModel, PimSystem, Shard, ShardMap, ShardRange};
 pub use trace::{CopyDirection, Recorder, TraceEvent, TraceSink, Tracer};
 

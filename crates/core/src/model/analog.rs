@@ -11,8 +11,7 @@
 //! quantitative by the `ablation_analog` harness binary.
 
 use pim_dram::{RowPattern, TimingModel};
-use pim_microcode::cache::{self, ProgKey};
-use pim_microcode::{gen, Cost};
+use pim_microcode::{analog, gen, Cost};
 
 use crate::config::DeviceConfig;
 use crate::dtype::DataType;
@@ -31,44 +30,33 @@ pub(crate) fn program_cost(kind: OpKind, dtype: DataType) -> Cost {
     MEMO.get_or_generate((kind, dtype), || program_cost_uncached(kind, dtype))
 }
 
-/// Fetches `key` through the process-wide [`cache::program`] store
-/// (pre-compiling its kernel) and returns its cost — same routing as
-/// the digital model, so model and functional paths share programs.
-fn cached_cost(key: ProgKey) -> Cost {
-    cache::program(key).cost()
-}
-
 fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
     let bits = dtype.bits();
     let signed = dtype.is_signed();
-    let scalar_setup = |c: Cost| cached_cost(ProgKey::Broadcast(bits, 0)) + c;
+    let scalar_setup = |c: Cost| gen::broadcast(bits, 0).cost() + c;
     match kind {
-        OpKind::Binary(b) => cached_cost(ProgKey::AnalogBinary(b, bits)),
-        OpKind::BinaryScalar(b, _) => scalar_setup(cached_cost(ProgKey::AnalogBinary(b, bits))),
+        OpKind::Binary(b) => analog::binary(b, bits).cost(),
+        OpKind::BinaryScalar(b, _) => scalar_setup(analog::binary(b, bits).cost()),
         OpKind::Cmp(c) => {
-            let mut cost = cached_cost(ProgKey::AnalogCmp(c, bits, signed));
+            let mut cost = analog::cmp(c, bits, signed).cost();
             cost.aap_ops += (bits - 1) as u64; // zero-fill upper result rows
             cost
         }
         OpKind::CmpScalar(c, _) => {
-            let mut cost = scalar_setup(cached_cost(ProgKey::AnalogCmp(c, bits, signed)));
+            let mut cost = scalar_setup(analog::cmp(c, bits, signed).cost());
             cost.aap_ops += (bits - 1) as u64;
             cost
         }
-        OpKind::Min => cached_cost(ProgKey::AnalogMinMax(false, bits, signed)),
-        OpKind::Max => cached_cost(ProgKey::AnalogMinMax(true, bits, signed)),
-        OpKind::MinScalar(_) => {
-            scalar_setup(cached_cost(ProgKey::AnalogMinMax(false, bits, signed)))
-        }
-        OpKind::MaxScalar(_) => {
-            scalar_setup(cached_cost(ProgKey::AnalogMinMax(true, bits, signed)))
-        }
+        OpKind::Min => analog::min_max(false, bits, signed).cost(),
+        OpKind::Max => analog::min_max(true, bits, signed).cost(),
+        OpKind::MinScalar(_) => scalar_setup(analog::min_max(false, bits, signed).cost()),
+        OpKind::MaxScalar(_) => scalar_setup(analog::min_max(true, bits, signed).cost()),
         // Fused multiply-scalar + add: the eager pair AAP-copies the
         // product into a temporary row group and back; fused, the adder
         // consumes the product rows in place, eliding one AAP per bit.
         OpKind::ScaledAdd(_) => {
-            let fused = scalar_setup(cached_cost(ProgKey::AnalogBinary(gen::BinaryOp::Mul, bits)))
-                + cached_cost(ProgKey::AnalogBinary(gen::BinaryOp::Add, bits));
+            let fused = scalar_setup(analog::binary(gen::BinaryOp::Mul, bits).cost())
+                + analog::binary(gen::BinaryOp::Add, bits).cost();
             Cost {
                 aap_ops: fused.aap_ops.saturating_sub(bits as u64),
                 ..fused
@@ -78,37 +66,35 @@ fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
         // (the eager Cmp surcharge) and the mask's final AAP write-back
         // is consumed directly by the select.
         OpKind::FusedCmpSelect(c) => {
-            let fused = cached_cost(ProgKey::AnalogCmp(c, bits, signed))
-                + cached_cost(ProgKey::AnalogSelect(bits));
+            let fused = analog::cmp(c, bits, signed).cost() + analog::select(bits).cost();
             Cost {
                 aap_ops: fused.aap_ops.saturating_sub(1),
                 ..fused
             }
         }
-        OpKind::Not => cached_cost(ProgKey::AnalogNot(bits)),
+        OpKind::Not => analog::not(bits).cost(),
         // abs = conditional negate: subtract-from-zero + masked select.
         OpKind::Abs => {
-            cached_cost(ProgKey::AnalogBinary(gen::BinaryOp::Sub, bits))
-                + cached_cost(ProgKey::AnalogSelect(bits))
+            analog::binary(gen::BinaryOp::Sub, bits).cost() + analog::select(bits).cost()
         }
-        OpKind::Popcount => cached_cost(ProgKey::AnalogPopcount(bits)),
-        OpKind::ShiftL(k) => cached_cost(ProgKey::AnalogShiftLeft(bits, k)),
+        OpKind::Popcount => analog::popcount(bits).cost(),
+        OpKind::ShiftL(k) => analog::shift_left(bits, k).cost(),
         // Right shift is the same AAP row remapping in the other
         // direction (plus one DCC pass for the arithmetic fill).
-        OpKind::ShiftR(k) => cached_cost(ProgKey::AnalogShiftLeft(bits, k)),
-        OpKind::Select => cached_cost(ProgKey::AnalogSelect(bits)),
-        OpKind::Broadcast(v) => cached_cost(ProgKey::AnalogBroadcast(bits, v as u64)),
-        OpKind::RedSum => cached_cost(ProgKey::AnalogRedSum(bits, signed)),
+        OpKind::ShiftR(k) => analog::shift_left(bits, k).cost(),
+        OpKind::Select => analog::select(bits).cost(),
+        OpKind::Broadcast(v) => analog::broadcast(bits, v as u64).cost(),
+        OpKind::RedSum => analog::red_sum(bits, signed).cost(),
         // Associative min/max: the candidate-mask narrowing needs an AND
         // per bit plus the popcount survival test.
         OpKind::RedMin | OpKind::RedMax => {
-            cached_cost(ProgKey::AnalogBinary(gen::BinaryOp::And, bits))
+            analog::binary(gen::BinaryOp::And, bits).cost()
                 + Cost {
                     popcount_reads: bits as u64,
                     ..Cost::default()
                 }
         }
-        OpKind::Copy => cached_cost(ProgKey::AnalogCopy(bits)),
+        OpKind::Copy => analog::copy(bits).cost(),
     }
 }
 

@@ -8,7 +8,6 @@
 //! the busiest core holds.
 
 use pim_dram::{RowPattern, TimingModel};
-use pim_microcode::cache::{self, ProgKey};
 use pim_microcode::gen;
 use pim_microcode::Cost;
 
@@ -32,37 +31,29 @@ pub(crate) fn program_cost(kind: OpKind, dtype: DataType) -> Cost {
     MEMO.get_or_generate((kind, dtype), || program_cost_uncached(kind, dtype))
 }
 
-/// Fetches `key` through the process-wide [`cache::program`] store and
-/// returns its cost. Routing the model through the same cache the
-/// functional VM uses means the first charged command also leaves the
-/// program *and its compiled kernel* warm for any later execution.
-fn cached_cost(key: ProgKey) -> Cost {
-    cache::program(key).cost()
-}
-
 fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
     let bits = dtype.bits();
     let signed = dtype.is_signed();
     match kind {
-        OpKind::Binary(b) => cached_cost(ProgKey::Binary(b, bits)),
-        OpKind::BinaryScalar(b, k) => cached_cost(ProgKey::BinaryScalar(b, bits, k as u64)),
+        OpKind::Binary(b) => gen::binary(b, bits).cost(),
+        OpKind::BinaryScalar(b, k) => gen::binary_scalar(b, bits, k as u64).cost(),
         OpKind::Cmp(c) => {
-            let mut cost = cached_cost(ProgKey::Cmp(c, bits, signed));
+            let mut cost = gen::cmp(c, bits, signed).cost();
             cost.row_writes += (bits - 1) as u64;
             cost
         }
         OpKind::CmpScalar(c, k) => {
-            let mut cost = cached_cost(ProgKey::CmpScalar(c, bits, signed, k as u64));
+            let mut cost = gen::cmp_scalar(c, bits, signed, k as u64).cost();
             cost.row_writes += (bits - 1) as u64;
             cost
         }
-        OpKind::Min => cached_cost(ProgKey::MinMax(false, bits, signed)),
-        OpKind::Max => cached_cost(ProgKey::MinMax(true, bits, signed)),
+        OpKind::Min => gen::min_max(false, bits, signed).cost(),
+        OpKind::Max => gen::min_max(true, bits, signed).cost(),
         // Scalar min/max: compare against a broadcast constant, then
         // conditionally select; the constant side needs no row reads, so
         // charge the comparison-with-scalar plus the select sweep.
         OpKind::MinScalar(k) | OpKind::MaxScalar(k) => {
-            let cmp = cached_cost(ProgKey::CmpScalar(gen::CmpOp::Lt, bits, signed, k as u64));
+            let cmp = gen::cmp_scalar(gen::CmpOp::Lt, bits, signed, k as u64).cost();
             // Select sweep: one read of A plus one write per bit (the
             // scalar alternative is Set, not a row read).
             let sweep = Cost {
@@ -81,20 +72,20 @@ fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
         // destination from the addend and accumulates the partial
         // products on top — the eager pair's temporary write sweep and
         // read-back sweep never happen.
-        OpKind::ScaledAdd(k) => cached_cost(ProgKey::ScaledAdd(bits, k as u64)),
+        OpKind::ScaledAdd(k) => gen::scaled_add(bits, k as u64).cost(),
         // Fused compare + select: the 0/1 verdict stays in R0 between
         // the two phases, so the comparison's write-back, the eager
         // `bits − 1` zero-fill, and the select's condition read all
         // vanish.
-        OpKind::FusedCmpSelect(c) => cached_cost(ProgKey::CmpSelect(c, bits, signed)),
-        OpKind::Not => cached_cost(ProgKey::Not(bits)),
-        OpKind::Abs => cached_cost(ProgKey::Abs(bits)),
-        OpKind::Popcount => cached_cost(ProgKey::Popcount(bits)),
-        OpKind::ShiftL(k) => cached_cost(ProgKey::ShiftLeft(bits, k)),
-        OpKind::ShiftR(k) => cached_cost(ProgKey::ShiftRight(bits, k, signed)),
-        OpKind::Select => cached_cost(ProgKey::Select(bits)),
-        OpKind::Broadcast(v) => cached_cost(ProgKey::Broadcast(bits, v as u64)),
-        OpKind::RedSum => cached_cost(ProgKey::RedSum(bits, signed)),
+        OpKind::FusedCmpSelect(c) => gen::cmp_select(c, bits, signed).cost(),
+        OpKind::Not => gen::not(bits).cost(),
+        OpKind::Abs => gen::abs(bits, signed).cost(),
+        OpKind::Popcount => gen::popcount(bits).cost(),
+        OpKind::ShiftL(k) => gen::shift_left(bits, k).cost(),
+        OpKind::ShiftR(k) => gen::shift_right(bits, k, signed).cost(),
+        OpKind::Select => gen::select(bits).cost(),
+        OpKind::Broadcast(v) => gen::broadcast(bits, v as u64).cost(),
+        OpKind::RedSum => gen::red_sum(bits, signed).cost(),
         // Associative min/max search: one MSB-to-LSB sweep narrowing the
         // candidate mask — per bit, one row read, a mask update, and a
         // row-wide popcount telling the controller whether any candidate
@@ -105,7 +96,7 @@ fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
             popcount_reads: bits as u64,
             ..Cost::default()
         },
-        OpKind::Copy => cached_cost(ProgKey::Copy(bits)),
+        OpKind::Copy => gen::copy(bits).cost(),
     }
 }
 

@@ -127,13 +127,13 @@ pub enum OpKind {
     /// `dst = cond ? a : b`.
     Select,
     /// Fused multiply-by-constant + add, `dst = a * k + b`. Produced by
-    /// the [`crate::stream::CommandStream`] peephole that rewrites an
-    /// adjacent scalar multiply into a dead temporary followed by an
-    /// addition; targets charge less than the eager pair because the
+    /// the [`crate::stream::CommandStream`] fusion that rewrites a
+    /// scalar multiply into a temporary read only by an addition;
+    /// targets charge less than the eager pair because the
     /// product never round-trips through an operand.
     ScaledAdd(i64),
     /// Fused compare + select, `dst = (a OP b) ? x : y`. Produced by the
-    /// cmp+select peephole; the 0/1 mask stays in a register instead of
+    /// stream's cmp+select fusion; the 0/1 mask stays in a register instead of
     /// being materialized as an operand.
     FusedCmpSelect(CmpOp),
     /// Fill with a constant.

@@ -42,7 +42,7 @@ impl CopyStats {
     }
 }
 
-/// Counters for the [`crate::stream::CommandStream`] peephole passes,
+/// Counters for the [`crate::stream::CommandStream`] optimization passes,
 /// accumulated across every flush on the device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
@@ -67,7 +67,7 @@ pub struct FusionStats {
 }
 
 impl FusionStats {
-    /// Commands removed by the peephole passes (each fusion replaces two
+    /// Commands removed by the stream passes (each fusion replaces two
     /// commands with one; each dead write removes one).
     pub fn commands_eliminated(&self) -> u64 {
         self.fused_scaled_add + self.fused_cmp_select + self.dead_writes_eliminated
@@ -79,29 +79,19 @@ impl FusionStats {
     }
 }
 
-/// Counters for the dataflow optimizer (stream optimization levels
-/// 1+), accumulated across every flush on the device. All zero for
-/// eager-only runs and for level-0 (legacy peephole) streams, so the
-/// stats report and JSON omit the section in those cases.
+/// Counters for the stream's dataflow optimizer beyond the fusion
+/// counters, accumulated across every flush on the device. All zero
+/// for eager-only runs, so the stats report and JSON omit the section
+/// in that case.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizerStats {
     /// Value-numbering CSE hits: recomputes deleted outright or
     /// rewritten to copies of an object already holding the value.
     pub cse_hits: u64,
-    /// Commands removed by whole-stream dead-object elimination.
-    pub dead_objects_removed: u64,
-    /// Placement subgraphs priced (level 2 only).
-    pub subgraphs: u64,
-    /// Adjacent placement subgraphs assigned different targets.
-    pub target_switches: u64,
-    /// Objects whose placement-inferred layout differs from their
-    /// current layout.
-    pub inferred_layouts: u64,
 }
 
 impl OptimizerStats {
-    /// True when the dataflow optimizer never ran (eager-only or
-    /// level-0 devices).
+    /// True when no flush found a common subexpression.
     pub fn is_empty(&self) -> bool {
         *self == OptimizerStats::default()
     }
@@ -242,10 +232,9 @@ pub struct SimStats {
     pub host_time_ms: f64,
     /// Most cores kept busy by any single command (for background energy).
     pub max_cores_used: usize,
-    /// Command-stream peephole counters (all zero for eager-only runs).
+    /// Command-stream pass counters (all zero for eager-only runs).
     pub fusion: FusionStats,
-    /// Dataflow-optimizer counters (all zero for eager-only and
-    /// level-0 runs).
+    /// Dataflow-optimizer counters (all zero for eager-only runs).
     pub optimizer: OptimizerStats,
     /// Cross-shard interconnect accounting (empty for single-shard runs).
     pub interconnect: InterconnectStats,
@@ -506,18 +495,7 @@ impl SimStats {
         if !self.optimizer.is_empty() {
             let o = &self.optimizer;
             let _ = writeln!(out, "Dataflow Optimizer Stats:");
-            let _ = writeln!(
-                out,
-                "  CSE hits         : {} ({} dead object write(s) removed)",
-                o.cse_hits, o.dead_objects_removed
-            );
-            if o.subgraphs > 0 {
-                let _ = writeln!(
-                    out,
-                    "  Placement        : {} subgraph(s), {} target switch(es), {} layout inference(s)",
-                    o.subgraphs, o.target_switches, o.inferred_layouts
-                );
-            }
+            let _ = writeln!(out, "  CSE hits         : {}", o.cse_hits);
         }
         let r = &self.resources;
         let _ = writeln!(out, "Resource Stats:");

@@ -3,27 +3,18 @@
 //! [`CommandStream`] defers issue: commands are *recorded* and only run
 //! at [`CommandStream::flush`], which first optimizes the recorded
 //! program and then executes adjacent same-length element-wise commands
-//! in one batched parallel sweep. The optimization pipeline depends on
-//! the [`OptLevel`] (device config `opt`,
-//! `PIM_OPT` env, or [`CommandStream::set_opt`]):
+//! in one batched parallel sweep. The optimizer builds the SSA-style
+//! dataflow graph (`graph`) and runs the rewrites in `passes`:
+//! dead-write elimination, mul+add → [`OpKind::ScaledAdd`](crate::OpKind)
+//! and cmp+select → [`OpKind::FusedCmpSelect`](crate::OpKind) fusion
+//! across non-adjacent commands, and value-numbering CSE.
 //!
-//! * **Level 0** — the legacy peephole: dead-write elimination plus
-//!   adjacent-pair mul+add → [`OpKind::ScaledAdd`](crate::OpKind) and
-//!   cmp+select → [`OpKind::FusedCmpSelect`](crate::OpKind) fusion.
-//! * **Level 1** (default) — builds the SSA-style dataflow graph
-//!   (`graph`) and runs the rewrites in `passes`: fusion across
-//!   non-adjacent commands, value-numbering CSE, and whole-stream
-//!   dead-object elimination.
-//! * **Level 2** — level 1 plus [`place`]: subgraph partitioning with
-//!   cost-driven target, layout, and shard-policy inference (advisory;
-//!   see [`crate::Device::placement_plan`]).
-//!
-//! Functional results are bit-identical to eager issue at every level
-//! (fusion preserves per-element semantics including intermediate
-//! truncation; CSE only replaces values that are provably already
-//! materialized), and the charged cost is never higher than the legacy
-//! peephole's, because rewrites only remove commands or substitute a
-//! copy the cost model prices no higher.
+//! Functional results are bit-identical to eager issue (fusion
+//! preserves per-element semantics including intermediate truncation;
+//! CSE only replaces values that are provably already materialized),
+//! and the charged cost is never higher than eager issue's, because
+//! rewrites only remove commands or substitute a copy the cost model
+//! prices no higher.
 //!
 //! One documented deviation: a temporary that only carried a fused-away
 //! intermediate (the product of a `mul_scalar` or a comparison bitmap)
@@ -42,19 +33,15 @@
 
 pub(crate) mod graph;
 pub(crate) mod passes;
-pub mod place;
 
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::cmd::PimCommand;
-use crate::config::OptLevel;
 use crate::device::Device;
 use crate::error::Result;
 use crate::object::ObjId;
 use crate::ops::OpKind;
 use crate::pim_debug;
-
-pub use place::{PlacementPlan, SubgraphPlan};
 
 /// What one [`CommandStream::flush`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,18 +60,9 @@ pub struct FlushSummary {
     pub batched_sweeps: u64,
     /// Commands executed inside those sweeps.
     pub batched_commands: u64,
-    /// Value-numbering CSE hits (levels 1+): recomputes deleted or
-    /// rewritten to copies.
+    /// Value-numbering CSE hits: recomputes deleted or rewritten to
+    /// copies.
     pub cse_hits: u64,
-    /// Commands the graph pipeline removed as dead (levels 1+).
-    pub dead_objects_removed: u64,
-    /// Placement subgraphs priced (level 2).
-    pub subgraphs: u64,
-    /// Adjacent placement subgraphs assigned different targets (level 2).
-    pub target_switches: u64,
-    /// Objects whose placement-inferred layout differs from their
-    /// current layout (level 2).
-    pub inferred_layouts: u64,
 }
 
 /// A deferred command recorder bound to one device.
@@ -120,7 +98,6 @@ pub struct FlushSummary {
 pub struct CommandStream<'d> {
     dev: &'d mut Device,
     pending: Vec<PimCommand>,
-    opt: Option<OptLevel>,
 }
 
 macro_rules! record2 {
@@ -146,20 +123,7 @@ impl<'d> CommandStream<'d> {
         CommandStream {
             dev,
             pending: Vec::new(),
-            opt: None,
         }
-    }
-
-    /// Overrides the device's configured optimization level for this
-    /// stream's flushes.
-    pub fn set_opt(&mut self, level: OptLevel) -> &mut Self {
-        self.opt = Some(level);
-        self
-    }
-
-    /// The optimization level the next flush will run at.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt.unwrap_or(self.dev.config().opt)
     }
 
     /// Appends an arbitrary command.
@@ -288,11 +252,11 @@ impl<'d> CommandStream<'d> {
 
     /// Optimizes and executes everything recorded since the last flush.
     ///
-    /// Pass order: the level's optimization pipeline (see the module
-    /// docs), then validation of every surviving command, then — at
-    /// level 2 — the placement analysis, then execution: runs of two or
-    /// more adjacent commands over objects with the same element count
-    /// go through one batched parallel sweep; the rest execute singly.
+    /// Pass order: the optimization pipeline (see the module docs), then
+    /// validation of every surviving command, then execution: runs of
+    /// two or more adjacent commands over objects with the same element
+    /// count go through one batched parallel sweep; the rest execute
+    /// singly.
     /// Each executed command is charged to the cost model exactly as an
     /// eager issue would be.
     ///
@@ -303,11 +267,7 @@ impl<'d> CommandStream<'d> {
     pub fn flush(&mut self) -> Result<FlushSummary> {
         let mut cmds = std::mem::take(&mut self.pending);
         let recorded = cmds.len() as u64;
-        let level = self.opt_level();
-        let outcome = match level {
-            OptLevel::O0 => passes::run_peephole(self.dev, &mut cmds),
-            OptLevel::O1 | OptLevel::O2 => passes::run_graph(self.dev, &mut cmds),
-        };
+        let outcome = passes::run_graph(self.dev, &mut cmds);
         for cmd in &cmds {
             self.dev.validate_cmd(cmd)?;
         }
@@ -318,16 +278,8 @@ impl<'d> CommandStream<'d> {
             fused_cmp_select: outcome.fused_cmp_select,
             dead_writes_eliminated: outcome.dead_writes_eliminated,
             cse_hits: outcome.cse_hits,
-            dead_objects_removed: outcome.dead_objects_removed,
             ..FlushSummary::default()
         };
-        if level == OptLevel::O2 {
-            let plan = place::plan(self.dev, &cmds);
-            summary.subgraphs = plan.subgraphs.len() as u64;
-            summary.target_switches = plan.target_switches;
-            summary.inferred_layouts = plan.inferred_layouts;
-            self.dev.set_placement_plan(plan);
-        }
         let counts: Vec<Option<u64>> = cmds
             .iter()
             .map(|c| c.dst.and_then(|d| self.dev.object(d).ok().map(|o| o.count)))

@@ -1,16 +1,9 @@
 //! Optimization passes over a recorded command list.
 //!
-//! Two pipelines share these passes, selected by
-//! [`crate::OptLevel`](crate::config::OptLevel):
-//!
-//! * **Peephole** (level 0) — the legacy behavior: dead-write
-//!   elimination followed by adjacent-pair fusion. Liveness now comes
-//!   from a one-pass last-read index instead of rescanning the tail per
-//!   command, so a flush is linear in the stream length.
-//! * **Graph** (levels 1+) — dead-write elimination, then the
-//!   [`Graph`]-based rewrites: fusion generalized to non-adjacent
-//!   producer/consumer pairs, value-numbering CSE, and a final
-//!   dead-write sweep that collects writes orphaned by CSE.
+//! [`run_graph`] is the one pipeline: dead-write elimination, then the
+//! [`Graph`]-based rewrites — fusion of producer/consumer pairs at any
+//! distance, value-numbering CSE — and a final dead-write sweep that
+//! collects writes orphaned by CSE.
 //!
 //! Legality rules shared by every graph rewrite:
 //!
@@ -51,12 +44,10 @@ pub(crate) struct PassOutcome {
     /// Value-numbering hits: recomputes deleted outright or rewritten
     /// to copies of an object already holding the value.
     pub cse_hits: u64,
-    /// Commands the graph pipeline removed as dead (0 at level 0).
-    pub dead_objects_removed: u64,
 }
 
 // ---------------------------------------------------------------------
-// Dead-write elimination (shared by both pipelines)
+// Dead-write elimination
 // ---------------------------------------------------------------------
 
 /// Removes commands whose destination is overwritten by a later command
@@ -90,128 +81,7 @@ pub(crate) fn eliminate_dead_writes(cmds: &mut Vec<PimCommand>) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Level-0 peephole (adjacent pairs, linear liveness)
-// ---------------------------------------------------------------------
-
-/// `mul_scalar(a, k) → t ; add(t, b) → d` becomes `scaled_add(a, b, k) → d`
-/// when `t` carries nothing else. `unread_later(t)` answers "does no
-/// later command read `t`?" for the tail after the pair.
-fn try_fuse_scaled_add(
-    first: &PimCommand,
-    second: &PimCommand,
-    unread_later: impl Fn(ObjId) -> bool,
-) -> Option<PimCommand> {
-    let OpKind::BinaryScalar(BinaryOp::Mul, k) = first.kind else {
-        return None;
-    };
-    let OpKind::Binary(BinaryOp::Add) = second.kind else {
-        return None;
-    };
-    let (a, t) = (first.inputs[0], first.dst?);
-    let (p, q) = (second.inputs[0], second.inputs[1]);
-    let d = second.dst?;
-    // The product must feed exactly one side of the add.
-    let b = match (p == t, q == t) {
-        (true, false) => q,
-        (false, true) => p,
-        _ => return None,
-    };
-    // If the product object outlives the pair, the fusion would leave it
-    // stale for the later reader.
-    if t != d && !unread_later(t) {
-        return None;
-    }
-    Some(PimCommand::scaled_add(a, b, d, k))
-}
-
-/// `cmp(a, b) → m ; select(m, x, y) → d` becomes
-/// `fused_cmp_select(a, b, x, y) → d` when the mask carries nothing else.
-///
-/// Needs the device to gate on dtype: eager validation ties `a`/`b`/`m`
-/// together and `x`/`y`/`d` together but never across, and the fused
-/// command evaluates both halves under one dtype.
-fn try_fuse_cmp_select(
-    dev: &Device,
-    first: &PimCommand,
-    second: &PimCommand,
-    unread_later: impl Fn(ObjId) -> bool,
-) -> Option<PimCommand> {
-    let OpKind::Cmp(op) = first.kind else {
-        return None;
-    };
-    if second.kind != OpKind::Select {
-        return None;
-    }
-    let (a, b, m) = (first.inputs[0], first.inputs[1], first.dst?);
-    let (cond, x, y) = (second.inputs[0], second.inputs[1], second.inputs[2]);
-    let d = second.dst?;
-    if cond != m || m == x || m == y {
-        return None;
-    }
-    if m != d && !unread_later(m) {
-        return None;
-    }
-    let (da, dx) = (dev.object(a).ok()?.dtype, dev.object(x).ok()?.dtype);
-    if da != dx {
-        return None;
-    }
-    Some(PimCommand::fused_cmp_select(op, a, b, x, y, d))
-}
-
-/// Rewrites adjacent fusible pairs in place. Returns
-/// `(scaled_add_fusions, cmp_select_fusions)`.
-///
-/// Liveness is a one-pass index of each object's greatest reading
-/// command — `last_read[t] < i + 2` is exactly the old "no command in
-/// `cmds[i + 2..]` reads `t`" rescan, minus the quadratic blowup.
-pub(crate) fn fuse(dev: &Device, cmds: &mut Vec<PimCommand>) -> (u64, u64) {
-    let mut last_read: HashMap<ObjId, usize> = HashMap::new();
-    for (i, cmd) in cmds.iter().enumerate() {
-        for id in &cmd.inputs {
-            last_read.insert(*id, i);
-        }
-    }
-    let mut out = Vec::with_capacity(cmds.len());
-    let (mut scaled, mut cmp_select) = (0u64, 0u64);
-    let mut i = 0;
-    while i < cmds.len() {
-        if i + 1 < cmds.len() {
-            let unread_later = |id: ObjId| last_read.get(&id).is_none_or(|&p| p < i + 2);
-            if let Some(f) = try_fuse_scaled_add(&cmds[i], &cmds[i + 1], unread_later) {
-                out.push(f);
-                scaled += 1;
-                i += 2;
-                continue;
-            }
-            if let Some(f) = try_fuse_cmp_select(dev, &cmds[i], &cmds[i + 1], unread_later) {
-                out.push(f);
-                cmp_select += 1;
-                i += 2;
-                continue;
-            }
-        }
-        out.push(cmds[i].clone());
-        i += 1;
-    }
-    *cmds = out;
-    (scaled, cmp_select)
-}
-
-/// The level-0 pipeline: dead-write elimination, then adjacent fusion.
-pub(crate) fn run_peephole(dev: &Device, cmds: &mut Vec<PimCommand>) -> PassOutcome {
-    let dead_writes_eliminated = eliminate_dead_writes(cmds);
-    let (fused_scaled_add, fused_cmp_select) = fuse(dev, cmds);
-    PassOutcome {
-        fused_scaled_add,
-        fused_cmp_select,
-        dead_writes_eliminated,
-        cse_hits: 0,
-        dead_objects_removed: 0,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Graph fusion (levels 1+): producer/consumer pairs at any distance
+// Graph fusion: producer/consumer pairs at any distance
 // ---------------------------------------------------------------------
 
 /// Resolves an operand's def to its producer node index, when the
@@ -286,7 +156,9 @@ fn fuse_graph(dev: &Device, g: &mut Graph) -> (u64, u64) {
                 if g.write_in_open_interval(a, i, j) || g.write_in_open_interval(b, i, j) {
                     continue;
                 }
-                // Same cross-half dtype gate as the peephole.
+                // Eager validation ties `a`/`b`/`m` together and
+                // `x`/`y`/`d` together but never across, and the fused
+                // command evaluates both halves under one dtype.
                 let Some(da) = dev.object(a).ok().map(|o| o.dtype) else {
                     continue;
                 };
@@ -308,7 +180,7 @@ fn fuse_graph(dev: &Device, g: &mut Graph) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------
-// Value-numbering CSE (levels 1+)
+// Value-numbering CSE
 // ---------------------------------------------------------------------
 
 /// A value number key: what is computed, over which value numbers, into
@@ -429,9 +301,9 @@ fn cse_graph(dev: &Device, g: &mut Graph) -> u64 {
     hits
 }
 
-/// The graph pipeline (levels 1+): dead-write elimination, graph
-/// fusion, value-numbering CSE, and a final dead-write sweep over
-/// whatever CSE orphaned.
+/// The flush pipeline: dead-write elimination, graph fusion,
+/// value-numbering CSE, and a final dead-write sweep over whatever CSE
+/// orphaned.
 pub(crate) fn run_graph(dev: &Device, cmds: &mut Vec<PimCommand>) -> PassOutcome {
     let mut dead = eliminate_dead_writes(cmds);
     let mut g = Graph::build(cmds);
@@ -446,7 +318,6 @@ pub(crate) fn run_graph(dev: &Device, cmds: &mut Vec<PimCommand>) -> PassOutcome
         fused_cmp_select,
         dead_writes_eliminated: dead,
         cse_hits,
-        dead_objects_removed: dead,
     }
 }
 
@@ -489,33 +360,47 @@ mod tests {
         assert_eq!(eliminate_dead_writes(&mut cmds), 0);
     }
 
+    /// Runs graph fusion alone over `cmds`; returns the fusion counts
+    /// and the rebuilt command list.
+    fn fuse(cmds: &[PimCommand]) -> ((u64, u64), Vec<PimCommand>) {
+        let dev = Device::fulcrum(1).unwrap();
+        let mut g = Graph::build(cmds);
+        let fused = fuse_graph(&dev, &mut g);
+        (fused, g.rebuild())
+    }
+
     #[test]
     fn scaled_add_fusion_guards_temporary_lifetime() {
-        let (a, b, t, d) = (id(1), id(2), id(3), id(4));
-        let pair = |k| {
-            vec![
-                PimCommand::elementwise1(OpKind::BinaryScalar(BinaryOp::Mul, k), a, t),
-                PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), t, b, d),
-            ]
-        };
+        let (a, b, t, d, e) = (id(1), id(2), id(3), id(4), id(5));
+        let pair = vec![
+            PimCommand::elementwise1(OpKind::BinaryScalar(BinaryOp::Mul, 7), a, t),
+            PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), t, b, d),
+        ];
         assert_eq!(
-            try_fuse_scaled_add(&pair(7)[0], &pair(7)[1], |_| true),
-            Some(PimCommand::scaled_add(a, b, d, 7))
+            fuse(&pair),
+            ((1, 0), vec![PimCommand::scaled_add(a, b, d, 7)])
         );
         // A later read of the temporary blocks fusion.
-        assert_eq!(
-            try_fuse_scaled_add(&pair(7)[0], &pair(7)[1], |_| false),
-            None
-        );
+        let mut read_later = pair.clone();
+        read_later.push(PimCommand::elementwise2(
+            OpKind::Binary(BinaryOp::Add),
+            t,
+            b,
+            e,
+        ));
+        assert_eq!(fuse(&read_later), ((0, 0), read_later.clone()));
         // t + t is not a scaled add.
-        let tt = PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), t, t, d);
-        assert_eq!(try_fuse_scaled_add(&pair(7)[0], &tt, |_| true), None);
+        let tt = vec![
+            pair[0].clone(),
+            PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), t, t, d),
+        ];
+        assert_eq!(fuse(&tt), ((0, 0), tt.clone()));
     }
 
     #[test]
     fn graph_fusion_reaches_across_unrelated_commands() {
-        // mul_scalar → (unrelated op) → add: the peephole misses this
-        // pair, the graph pipeline fuses it.
+        // mul_scalar → (unrelated op) → add: an adjacent-pair rewrite
+        // misses this pair, the graph pipeline fuses it.
         let (a, b, u, v, t, d, w) = (id(1), id(2), id(3), id(4), id(5), id(6), id(7));
         let cmds = vec![
             PimCommand::elementwise1(OpKind::BinaryScalar(BinaryOp::Mul, 3), a, t),
@@ -541,25 +426,22 @@ mod tests {
 
     #[test]
     fn fuse_liveness_index_matches_tail_rescan() {
-        // The closure form of the liveness oracle must agree with the
-        // legacy "rescan the tail" definition on a stream whose
-        // temporary is read again later.
+        // The graph's per-node use count is the liveness oracle: it must
+        // agree with the "rescan the tail for reads" definition on a
+        // stream whose temporary is read again later.
         let (a, b, t, d, e) = (id(1), id(2), id(3), id(4), id(5));
         let cmds = [
             PimCommand::elementwise1(OpKind::BinaryScalar(BinaryOp::Mul, 7), a, t),
             PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), t, b, d),
             PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), t, b, e),
         ];
-        let mut last_read: HashMap<ObjId, usize> = HashMap::new();
-        for (i, cmd) in cmds.iter().enumerate() {
-            for id in &cmd.inputs {
-                last_read.insert(*id, i);
-            }
-        }
-        // Pair at (0, 1): t is read at index 2 >= 2, so fusion is
-        // blocked, exactly as the tail rescan would conclude.
-        let unread = |id: ObjId| last_read.get(&id).is_none_or(|&p| p < 2);
-        assert!(!unread(t));
-        assert_eq!(try_fuse_scaled_add(&cmds[0], &cmds[1], unread), None);
+        let tail_reads = cmds[1..]
+            .iter()
+            .flat_map(|c| &c.inputs)
+            .filter(|&&id| id == t)
+            .count();
+        assert_eq!(Graph::build(&cmds).nodes[0].uses as usize, tail_reads);
+        // Two uses: fusing the pair would leave `t` stale for index 2.
+        assert_eq!(fuse(&cmds), ((0, 0), cmds.to_vec()));
     }
 }

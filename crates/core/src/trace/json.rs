@@ -15,7 +15,7 @@ use crate::stats::SimStats;
 /// Version stamp of the stats-JSON layout. Bumped on any
 /// field-removing or field-renaming change; purely additive fields do
 /// not bump it (consumers must tolerate unknown keys).
-pub const STATS_SCHEMA_VERSION: u32 = 2;
+pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Writer helpers
@@ -153,21 +153,12 @@ pub fn stats_to_json_full(
         f.batched_sweeps,
         f.batched_commands
     );
-    // The dataflow optimizer populates these only at stream levels 1+;
-    // the section is omitted when all counters are zero so eager-only
-    // goldens stay byte-identical.
+    // Only streams populate the optimizer counters; the section is
+    // omitted when they are all zero so eager-only goldens stay
+    // byte-identical.
     let opt = &stats.optimizer;
     if !opt.is_empty() {
-        let _ = writeln!(
-            out,
-            "  \"optimizer\": {{\"cse_hits\": {}, \"dead_objects_removed\": {}, \
-             \"subgraphs\": {}, \"target_switches\": {}, \"inferred_layouts\": {}}},",
-            opt.cse_hits,
-            opt.dead_objects_removed,
-            opt.subgraphs,
-            opt.target_switches,
-            opt.inferred_layouts
-        );
+        let _ = writeln!(out, "  \"optimizer\": {{\"cse_hits\": {}}},", opt.cse_hits);
     }
     let r = &stats.resources;
     out.push_str("  \"resources\": {");

@@ -216,7 +216,7 @@ pub enum TraceEvent {
         time_ms: f64,
     },
     /// A [`crate::stream::CommandStream`] flush: instantaneous marker with
-    /// the peephole-pass counters for this flush (the executed commands
+    /// the optimization-pass counters for this flush (the executed commands
     /// emit their own [`TraceEvent::Cmd`] spans).
     StreamFlush {
         /// Simulated timestamp.

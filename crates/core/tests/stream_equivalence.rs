@@ -9,7 +9,7 @@
 //! counters in [`pimeval::SimStats`] and a `StreamFlush` trace event.
 
 use pimeval::{
-    DataType, Device, DeviceConfig, OpKind, OptLevel, PimCommand, PimScalar, PimTarget, TraceEvent,
+    DataType, Device, DeviceConfig, OpKind, PimCommand, PimScalar, PimTarget, TraceEvent,
 };
 
 const TARGETS: [PimTarget; 5] = [
@@ -236,12 +236,11 @@ fn batched_sweeps_match_eager_results() {
     assert!((dev.stats().kernel_time_ms() - eager_ms).abs() < 1e-12);
 }
 
-/// Runs the fused-equivalence program at one explicit optimization
-/// level; checks bit-identity with the eager reference and that the
-/// modeled cost never exceeds it.
-fn check_level_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
+/// Runs the fused-equivalence program through the stream; checks
+/// bit-identity with the eager reference and that the modeled cost
+/// never exceeds it.
+fn check_stream_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     target: PimTarget,
-    level: OptLevel,
     seed: u64,
 ) {
     const K: i64 = 7;
@@ -269,87 +268,69 @@ fn check_level_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     let mask = dev.alloc_associated(x, T::DTYPE).unwrap();
     let out = dev.alloc_associated(x, T::DTYPE).unwrap();
     let mut stream = dev.stream();
-    stream.set_opt(level);
     stream.mul_scalar(x, K, t).add(t, y, y);
     stream.lt(x, y, mask).select(mask, x, y, out);
     let summary = stream.flush().unwrap();
     drop(stream);
-    // This program fuses identically at every level (the pairs are
-    // adjacent), so the counters are level-invariant.
-    assert_eq!(summary.fused_scaled_add, 1, "{target:?} opt {level}");
-    assert_eq!(summary.fused_cmp_select, 1, "{target:?} opt {level}");
-    assert_eq!(summary.executed, 2, "{target:?} opt {level}");
-    if level == OptLevel::O2 {
-        assert!(summary.subgraphs >= 1, "{target:?}: no placement subgraphs");
-        let plan = dev.placement_plan().expect("level 2 retains a plan");
-        assert_eq!(plan.subgraphs.len() as u64, summary.subgraphs);
-    } else {
-        assert_eq!(summary.subgraphs, 0, "{target:?} opt {level}");
-        assert!(dev.placement_plan().is_none());
-    }
+    assert_eq!(summary.fused_scaled_add, 1, "{target:?}");
+    assert_eq!(summary.fused_cmp_select, 1, "{target:?}");
+    assert_eq!(summary.executed, 2, "{target:?}");
 
     let streamed_y: Vec<T> = dev.to_vec(y).unwrap();
     let streamed_out: Vec<T> = dev.to_vec(out).unwrap();
-    assert_eq!(streamed_y, eager_y, "{target:?} opt {level} {:?}", T::DTYPE);
-    assert_eq!(
-        streamed_out,
-        eager_out,
-        "{target:?} opt {level} {:?}",
-        T::DTYPE
-    );
-    let opt_ms = dev.stats().kernel_time_ms();
+    assert_eq!(streamed_y, eager_y, "{target:?} {:?}", T::DTYPE);
+    assert_eq!(streamed_out, eager_out, "{target:?} {:?}", T::DTYPE);
+    let stream_ms = dev.stats().kernel_time_ms();
     assert!(
-        opt_ms <= eager_ms * (1.0 + 1e-12),
-        "{target:?} opt {level} {:?}: {opt_ms} ms > eager {eager_ms} ms",
+        stream_ms <= eager_ms * (1.0 + 1e-12),
+        "{target:?} {:?}: {stream_ms} ms > eager {eager_ms} ms",
         T::DTYPE
     );
 }
 
 #[test]
-fn every_opt_level_matches_eager_on_every_target_and_dtype() {
+fn the_stream_pipeline_matches_eager_on_every_target_and_dtype() {
     for (i, target) in TARGETS.into_iter().enumerate() {
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-            let seed = 0x0127 + i as u64;
-            check_level_equivalence::<i8>(target, level, seed);
-            check_level_equivalence::<i32>(target, level, seed);
-            check_level_equivalence::<i64>(target, level, seed);
-            check_level_equivalence::<u16>(target, level, seed);
-        }
+        let seed = 0x0127 + i as u64;
+        check_stream_equivalence::<i8>(target, seed);
+        check_stream_equivalence::<i32>(target, seed);
+        check_stream_equivalence::<i64>(target, seed);
+        check_stream_equivalence::<u16>(target, seed);
     }
 }
 
 #[test]
 fn cse_rewrites_repeated_subexpressions_to_copies() {
     // The same subexpression computed twice into different objects: the
-    // dataflow optimizer must rewrite the recomputes into copies (the
-    // adjacent-pair peephole cannot see this), with bit-identical
-    // buffers and strictly less modeled kernel time than level 0.
+    // optimizer must rewrite the recomputes into copies, with
+    // bit-identical buffers and strictly less modeled kernel time than
+    // eager issue.
     let (xs, ys) = data::<i32>(512, 0xC5E);
-    let program = |dev: &mut Device, level: OptLevel| {
+    let alloc = |dev: &mut Device| {
         let x = dev.alloc_vec(&xs).unwrap();
         let y = dev.alloc_vec(&ys).unwrap();
-        let d1 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let a1 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let d2 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let a2 = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let mut stream = dev.stream();
-        stream.set_opt(level);
-        stream.sub(x, y, d1).abs(d1, a1);
-        stream.sub(x, y, d2).abs(d2, a2);
-        let summary = stream.flush().unwrap();
-        drop(stream);
-        (summary, [d1, a1, d2, a2])
+        let [d1, a1, d2, a2] = [(); 4].map(|_| dev.alloc_associated(x, DataType::Int32).unwrap());
+        (x, y, [d1, a1, d2, a2])
     };
 
     let mut base = device(PimTarget::Fulcrum);
-    let (s0, objs0) = program(&mut base, OptLevel::O0);
-    assert_eq!(s0.cse_hits, 0);
-    assert_eq!(s0.executed, 4);
+    let (x, y, objs0) = alloc(&mut base);
+    let [d1, a1, d2, a2] = objs0;
+    base.sub(x, y, d1).unwrap();
+    base.abs(d1, a1).unwrap();
+    base.sub(x, y, d2).unwrap();
+    base.abs(d2, a2).unwrap();
     let base_bufs: Vec<Vec<i32>> = objs0.iter().map(|&o| base.to_vec(o).unwrap()).collect();
     let base_ms = base.stats().kernel_time_ms();
 
     let mut dev = device(PimTarget::Fulcrum);
-    let (s1, objs1) = program(&mut dev, OptLevel::O1);
+    let (x, y, objs1) = alloc(&mut dev);
+    let [d1, a1, d2, a2] = objs1;
+    let mut stream = dev.stream();
+    stream.sub(x, y, d1).abs(d1, a1);
+    stream.sub(x, y, d2).abs(d2, a2);
+    let s1 = stream.flush().unwrap();
+    drop(stream);
     assert_eq!(s1.cse_hits, 2, "both recomputes become copies");
     assert_eq!(s1.executed, 4);
     let opt_bufs: Vec<Vec<i32>> = objs1.iter().map(|&o| dev.to_vec(o).unwrap()).collect();
@@ -357,7 +338,7 @@ fn cse_rewrites_repeated_subexpressions_to_copies() {
     let opt_ms = dev.stats().kernel_time_ms();
     assert!(
         opt_ms < base_ms,
-        "CSE must strictly beat the peephole: {opt_ms} ms vs {base_ms} ms"
+        "CSE must strictly beat eager issue: {opt_ms} ms vs {base_ms} ms"
     );
     // The optimizer section reaches the report and the stats JSON.
     assert!(dev.report().contains("Dataflow Optimizer Stats"));
@@ -383,7 +364,6 @@ fn host_visible_reads_are_cse_barriers() {
         let d1 = dev.alloc_associated(x, DataType::Int32).unwrap();
         let d2 = dev.alloc_associated(x, DataType::Int32).unwrap();
         let mut stream = dev.stream();
-        stream.set_opt(OptLevel::O1);
         stream.add(x, y, d1);
         if barrier {
             stream.record(PimCommand::reduce(OpKind::RedSum, d1));
@@ -406,32 +386,12 @@ fn host_visible_reads_are_cse_barriers() {
 #[test]
 fn ten_thousand_command_stream_flushes_linearly() {
     // Regression for the old O(n²) `never_read_later` tail rescan: a
-    // 10k-command stream must flush in linear time at every level. The
-    // program reuses one temporary across 5 000 mul+add pairs — the
-    // object-granular peephole liveness refuses to fuse (the temp is
-    // re-read every iteration), while the SSA graph proves each
-    // product has exactly one consumer and fuses all of them.
+    // 10k-command stream must flush in linear time. The program reuses
+    // one temporary across 5 000 mul+add pairs — the temp is re-read
+    // every iteration, yet the SSA graph proves each product has
+    // exactly one consumer and fuses all of them.
     let n = 64usize;
     let (xs, ys) = data::<i32>(n, 0x10_000);
-    let run = |level: OptLevel| {
-        let mut dev = device(PimTarget::Fulcrum);
-        let x = dev.alloc_vec(&xs).unwrap();
-        let t = dev.alloc_associated(x, DataType::Int32).unwrap();
-        let out = dev.alloc_vec(&ys).unwrap();
-        let mut stream = dev.stream();
-        stream.set_opt(level);
-        for i in 0..5_000 {
-            let k = (i % 7) + 1;
-            stream.mul_scalar(x, k, t).add(t, out, out);
-        }
-        let summary = stream.flush().unwrap();
-        drop(stream);
-        (
-            summary,
-            dev.to_vec::<i32>(out).unwrap(),
-            dev.stats().kernel_time_ms(),
-        )
-    };
 
     // Eager reference.
     let mut eager = device(PimTarget::Fulcrum);
@@ -446,55 +406,29 @@ fn ten_thousand_command_stream_flushes_linearly() {
     let eager_out: Vec<i32> = eager.to_vec(out).unwrap();
     let eager_ms = eager.stats().kernel_time_ms();
 
-    let (s0, out0, ms0) = run(OptLevel::O0);
-    assert_eq!(s0.recorded, 10_000);
-    // The temp is re-read by every later iteration, so the peephole
-    // only fuses the final pair (where the tail rescan finds no reads).
-    assert_eq!(s0.fused_scaled_add, 1);
-    assert_eq!(s0.executed, 9_999);
-    assert_eq!(out0, eager_out);
-    assert!(ms0 <= eager_ms * (1.0 + 1e-12));
-
-    let (s1, out1, ms1) = run(OptLevel::O1);
-    assert_eq!(s1.fused_scaled_add, 5_000, "SSA liveness fuses every pair");
-    assert_eq!(s1.executed, 5_000);
-    assert_eq!(out1, eager_out);
-    assert!(ms1 < ms0, "graph fusion must strictly beat the peephole");
-}
-
-#[test]
-fn placement_plan_reports_subgraphs_and_layouts() {
-    // Two disjoint dataflow components flush as two placement
-    // subgraphs; layouts are inferred per winning target and the plan
-    // survives on the device for inspection.
-    let (xs, ys) = data::<i32>(512, 0x9A7);
-    let mut dev = device(PimTarget::BitSerial);
+    let mut dev = device(PimTarget::Fulcrum);
     let x = dev.alloc_vec(&xs).unwrap();
-    let y = dev.alloc_vec(&ys).unwrap();
-    let a = dev.alloc_associated(x, DataType::Int32).unwrap();
-    let p = dev.alloc_vec(&ys).unwrap();
-    let q = dev.alloc_vec(&xs).unwrap();
-    let b = dev.alloc_associated(p, DataType::Int32).unwrap();
+    let t = dev.alloc_associated(x, DataType::Int32).unwrap();
+    let out = dev.alloc_vec(&ys).unwrap();
     let mut stream = dev.stream();
-    stream.set_opt(OptLevel::O2);
-    stream.add(x, y, a); // component 1
-    stream.mul(p, q, b); // component 2 (no shared objects)
+    for i in 0..5_000 {
+        let k = (i % 7) + 1;
+        stream.mul_scalar(x, k, t).add(t, out, out);
+    }
     let summary = stream.flush().unwrap();
     drop(stream);
-    assert_eq!(summary.subgraphs, 2);
-    let plan = dev.placement_plan().unwrap().clone();
-    assert_eq!(plan.subgraphs.len(), 2);
-    for sg in &plan.subgraphs {
-        assert!(!sg.commands.is_empty());
-        assert!(!sg.layouts.is_empty());
-        assert!(sg.est_kernel_ms >= 0.0);
-    }
-    // Results are unaffected by the (advisory) plan.
-    let mut expect = Vec::with_capacity(xs.len());
-    for i in 0..xs.len() {
-        expect.push(xs[i].wrapping_add(ys[i]));
-    }
-    assert_eq!(dev.to_vec::<i32>(a).unwrap(), expect);
+    assert_eq!(summary.recorded, 10_000);
+    assert_eq!(
+        summary.fused_scaled_add, 5_000,
+        "SSA liveness fuses every pair"
+    );
+    assert_eq!(summary.executed, 5_000);
+    assert_eq!(dev.to_vec::<i32>(out).unwrap(), eager_out);
+    let stream_ms = dev.stats().kernel_time_ms();
+    assert!(
+        stream_ms < eager_ms,
+        "graph fusion must strictly beat eager issue: {stream_ms} ms vs {eager_ms} ms"
+    );
 }
 
 #[test]

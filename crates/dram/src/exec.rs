@@ -39,7 +39,7 @@
 //! Two narrow `unsafe` regions, both contained here: the pool erases
 //! the borrow lifetime of a fan-out's closure (sound because the
 //! caller's stack frame outlives every participant, enforced by the
-//! participant-count protocol in [`pool`]), and [`SharedSlice`] hands
+//! participant-count protocol in [`pool`]), and `SharedSlice` hands
 //! disjoint output indices to concurrent chunks (sound because chunk
 //! ranges partition `0..len`). Everything above those two primitives is
 //! safe code.
@@ -751,19 +751,22 @@ fn chunk_bounds(len: usize, parts: usize, i: usize) -> Range<usize> {
     chunk_start(len, parts, i)..chunk_start(len, parts, i + 1)
 }
 
-/// Lanes (`workers`) and chunk count for a fan-out over `len` items
-/// whose per-item cost is `weight`× the baseline element. Returns
-/// `(1, 1)` when the loop should stay on the calling thread.
-fn plan_weighted(len: usize, weight: usize) -> (usize, usize) {
-    let floor = (MIN_CHUNK / weight.max(1)).max(64);
-    if len < 2 * floor {
+/// Lanes (`workers`) and chunk count for a fan-out over `len` items,
+/// each chunk at least [`MIN_CHUNK`] long. Returns `(1, 1)` when the
+/// loop should stay on the calling thread.
+fn plan(len: usize) -> (usize, usize) {
+    if len < 2 * MIN_CHUNK {
         return (1, 1);
     }
-    let lanes = thread_count().min(len / floor).clamp(1, pool::MAX_LANES);
+    let lanes = thread_count()
+        .min(len / MIN_CHUNK)
+        .clamp(1, pool::MAX_LANES);
     if lanes <= 1 {
         return (1, 1);
     }
-    let chunks = (lanes * chunks_per_worker()).min(len / floor).max(lanes);
+    let chunks = (lanes * chunks_per_worker())
+        .min(len / MIN_CHUNK)
+        .max(lanes);
     (lanes, chunks)
 }
 
@@ -772,7 +775,7 @@ fn plan_weighted(len: usize, weight: usize) -> (usize, usize) {
 /// planner partitions `0..len`, each chunk touches only its own
 /// indices, and the borrow the view was created from outlives the
 /// fan-out (the caller blocks until every chunk completes).
-pub struct SharedSlice<T> {
+pub(crate) struct SharedSlice<T> {
     ptr: *mut T,
     len: usize,
 }
@@ -794,36 +797,6 @@ impl<T> SharedSlice<T> {
     /// Number of elements in the underlying slice.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads element `i`. Bounds-checked.
-    ///
-    /// # Safety
-    ///
-    /// No other thread may be writing element `i` concurrently, and the
-    /// slice this view was created from must still be borrowed.
-    pub unsafe fn get(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        assert!(i < self.len, "SharedSlice::get out of bounds");
-        unsafe { *self.ptr.add(i) }
-    }
-
-    /// Writes element `i`. Bounds-checked.
-    ///
-    /// # Safety
-    ///
-    /// No other thread may be accessing element `i` concurrently, and
-    /// the slice this view was created from must still be borrowed.
-    pub unsafe fn set(&self, i: usize, value: T) {
-        assert!(i < self.len, "SharedSlice::set out of bounds");
-        unsafe { *self.ptr.add(i) = value }
     }
 
     /// A mutable reference to element `i`. Bounds-checked.
@@ -859,23 +832,10 @@ impl<T> SharedSlice<T> {
 /// order** regardless of which worker ran each chunk. With one worker
 /// (or a short input) this is exactly `vec![work(0..len)]`.
 pub fn par_chunks<R: Send>(len: usize, work: impl Fn(Range<usize>) -> R + Sync) -> Vec<R> {
-    par_chunks_weighted(len, 1, work)
-}
-
-/// [`par_chunks`] with a per-element cost hint: the fan-out floor
-/// shrinks by `weight` so loops whose elements each do `weight`× the
-/// work of a plain element-wise op (e.g. a compiled VM kernel running
-/// `weight` steps per word column) still parallelize at realistic
-/// lengths.
-pub fn par_chunks_weighted<R: Send>(
-    len: usize,
-    weight: usize,
-    work: impl Fn(Range<usize>) -> R + Sync,
-) -> Vec<R> {
     if len == 0 {
         return Vec::new();
     }
-    let (lanes, chunks) = plan_weighted(len, weight);
+    let (lanes, chunks) = plan(len);
     if lanes <= 1 {
         pool::note_sequential();
         return vec![work(0..len)];
@@ -908,7 +868,7 @@ pub fn par_fold<R: Send>(
     if len == 0 {
         return None;
     }
-    if plan_weighted(len, 1).0 <= 1 {
+    if plan(len).0 <= 1 {
         pool::note_sequential();
         return Some(map(0..len));
     }
@@ -960,7 +920,7 @@ pub fn par_each_mut<T: Send, R: Send>(
 /// Panics if the slices differ in length.
 pub fn par_map_into<S: Sync, T: Send>(src: &[S], out: &mut [T], f: impl Fn(&S) -> T + Sync) {
     assert_eq!(src.len(), out.len(), "par_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
+    let (lanes, chunks) = plan(out.len());
     if lanes <= 1 {
         pool::note_sequential();
         for (o, s) in out.iter_mut().zip(src) {
@@ -992,7 +952,7 @@ pub fn par_zip_map_into<A: Sync, B: Sync, T: Send>(
 ) {
     assert_eq!(a.len(), b.len(), "par_zip_map_into length mismatch");
     assert_eq!(a.len(), out.len(), "par_zip_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
+    let (lanes, chunks) = plan(out.len());
     if lanes <= 1 {
         pool::note_sequential();
         for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
@@ -1026,7 +986,7 @@ pub fn par_zip3_map_into<A: Sync, B: Sync, C: Sync, T: Send>(
     assert_eq!(a.len(), b.len(), "par_zip3_map_into length mismatch");
     assert_eq!(a.len(), c.len(), "par_zip3_map_into length mismatch");
     assert_eq!(a.len(), out.len(), "par_zip3_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
+    let (lanes, chunks) = plan(out.len());
     if lanes <= 1 {
         pool::note_sequential();
         for (((o, x), y), z) in out.iter_mut().zip(a).zip(b).zip(c) {
@@ -1067,7 +1027,7 @@ pub fn par_zip4_map_into<A: Sync, B: Sync, C: Sync, D: Sync, T: Send>(
     assert_eq!(a.len(), c.len(), "par_zip4_map_into length mismatch");
     assert_eq!(a.len(), d.len(), "par_zip4_map_into length mismatch");
     assert_eq!(a.len(), out.len(), "par_zip4_map_into length mismatch");
-    let (lanes, chunks) = plan_weighted(out.len(), 1);
+    let (lanes, chunks) = plan(out.len());
     if lanes <= 1 {
         pool::note_sequential();
         for ((((o, x), y), z), u) in out.iter_mut().zip(a).zip(b).zip(c).zip(d) {
@@ -1114,22 +1074,18 @@ mod tests {
     fn plan_oversubscribes_long_inputs() {
         with_thread_count(4, || {
             // Long input: 4 lanes, 4x chunks for the thieves.
-            let (lanes, chunks) = plan_weighted(64 * MIN_CHUNK, 1);
+            let (lanes, chunks) = plan(64 * MIN_CHUNK);
             assert_eq!(lanes, 4);
             assert_eq!(chunks, 16);
             // Short input: stays sequential.
-            assert_eq!(plan_weighted(MIN_CHUNK, 1), (1, 1));
+            assert_eq!(plan(MIN_CHUNK), (1, 1));
             // Medium input: chunk count capped by the per-chunk floor.
-            let (lanes, chunks) = plan_weighted(4 * MIN_CHUNK, 1);
+            let (lanes, chunks) = plan(4 * MIN_CHUNK);
             assert_eq!(lanes, 4);
             assert_eq!(chunks, 4);
-            // Weight shrinks the floor: the same element count yields
-            // more (finer) chunks when each element is 64x the work.
-            let (_, weighted) = plan_weighted(4 * MIN_CHUNK, 64);
-            assert!(weighted > chunks);
             // The oversubscription override is scoped and restored.
             with_chunks_per_worker(1, || {
-                assert_eq!(plan_weighted(64 * MIN_CHUNK, 1), (4, 4));
+                assert_eq!(plan(64 * MIN_CHUNK), (4, 4));
             });
             assert_eq!(chunks_per_worker(), CHUNKS_PER_WORKER);
         });

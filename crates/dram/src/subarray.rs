@@ -115,14 +115,9 @@ impl BitMatrix {
         &mut self.bits[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
-    /// The whole backing store as one flat word slice, row-major
-    /// (`rows × words_per_row`); row `r` starts at `r * words_per_row`.
-    /// Lets compiled kernels sweep many rows in a single pass.
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Mutable access to the flat backing store (see [`BitMatrix::words`]).
+    /// Mutable access to the whole backing store as one flat word
+    /// slice, row-major (`rows × words_per_row`); row `r` starts at
+    /// `r * words_per_row`.
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.bits
     }

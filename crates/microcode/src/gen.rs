@@ -535,13 +535,17 @@ pub fn shift_right(bits: u32, k: u32, arithmetic: bool) -> MicroProgram {
     asm.finish(format!("{kind}{k}.i{bits}"), 2)
 }
 
-/// Absolute value of signed elements. Slots: 0 = A, 1 = Dst.
-/// Uses `bits` scratch rows for the negated value. Safe in place.
-pub fn abs(bits: u32) -> MicroProgram {
+/// Absolute value. Slots: 0 = A, 1 = Dst. Signed elements use `bits`
+/// scratch rows for the negated value; an unsigned element is its own
+/// absolute value, so that program is [`copy`]. Safe in place.
+pub fn abs(bits: u32, signed: bool) -> MicroProgram {
     assert!(
         (1..=64).contains(&bits),
         "element width must be 1..=64 bits"
     );
+    if !signed {
+        return copy(bits);
+    }
     let mut asm = Asm::new();
     asm.need_temp(bits);
     // Phase 1: temp = -a (two's complement: ~a + 1).
@@ -725,8 +729,10 @@ mod tests {
 
     #[test]
     fn abs_reserves_temp_rows() {
-        let p = abs(32);
+        let p = abs(32, true);
         assert_eq!(p.temp_rows(), 32);
+        // Unsigned elements are their own absolute value.
+        assert_eq!(abs(32, false), copy(32));
     }
 
     #[test]

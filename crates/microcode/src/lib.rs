@@ -17,13 +17,12 @@
 //! * [`gen`] — generators that lower every PIM API operation (§V-B) to a
 //!   microprogram: logical ops, add/sub/mul, comparisons, min/max/select,
 //!   shifts, abs, popcount, reduction and broadcast.
-//! * [`vm`] — a row-wide executor over a [`pim_dram::BitMatrix`]: one logic
-//!   step applies to *all* bitlines at once (the bit-slice parallelism that
-//!   makes bit-serial PIM fast for low-complexity ops).
-//! * [`compile`] — SIMDRAM-style word-packed compilation: programs lower
-//!   once into [`CompiledKernel`]s (interned rows, peephole-fused adder
-//!   sweeps, columnar zero-allocation execution) that [`Vm::run`]
-//!   dispatches to whenever the bindings match the kernel signature.
+//! * [`vm`] — the reference executor, an op-by-op interpreter over a
+//!   [`pim_dram::BitMatrix`]: one logic step applies to *all* bitlines at
+//!   once (the bit-slice parallelism that makes bit-serial PIM fast for
+//!   low-complexity ops). `pimeval::Device` computes results natively;
+//!   the VM exists to check that every generated program computes the
+//!   same values.
 //! * [`encode`] — vertical data layout helpers (bit *b* of element *e*
 //!   lives at row `base + b`, column `e`).
 //!
@@ -59,15 +58,12 @@
 #![warn(missing_docs)]
 
 pub mod analog;
-pub mod cache;
-pub mod compile;
 pub mod encode;
 pub mod gen;
 pub mod isa;
 pub mod program;
 pub mod vm;
 
-pub use compile::{CompiledKernel, KernelSignature};
 pub use isa::{Loc, MicroOp, RowRef};
 pub use program::{Cost, MicroProgram};
 pub use vm::{Region, Vm, VmError};

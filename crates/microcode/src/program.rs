@@ -1,12 +1,9 @@
 //! Microprogram container and cost accounting.
 
+use crate::isa::MicroOp;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use crate::compile::CompiledKernel;
-use crate::isa::MicroOp;
 
 /// Process-wide count of [`MicroProgram`] constructions (every `gen::*`
 /// and `analog::*` generator builds its result through
@@ -126,29 +123,13 @@ impl fmt::Display for Cost {
 /// assert_eq!(c.row_reads, 64);
 /// assert_eq!(c.row_writes, 32);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MicroProgram {
     name: String,
     ops: Vec<MicroOp>,
     operands: u8,
     temp_rows: u32,
-    /// Lazily-built word-packed form (see [`MicroProgram::kernel`]).
-    /// Derived entirely from the fields above, so it is excluded from
-    /// equality: a freshly generated program equals its cached twin
-    /// whether or not either has been compiled yet.
-    kernel: OnceLock<Box<CompiledKernel>>,
 }
-
-impl PartialEq for MicroProgram {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.ops == other.ops
-            && self.operands == other.operands
-            && self.temp_rows == other.temp_rows
-    }
-}
-
-impl Eq for MicroProgram {}
 
 impl MicroProgram {
     /// Creates a program from parts. `operands` is the number of binding
@@ -160,17 +141,7 @@ impl MicroProgram {
             ops,
             operands,
             temp_rows,
-            kernel: OnceLock::new(),
         }
-    }
-
-    /// The word-packed compiled form of this program, built on first
-    /// use and shared by every subsequent caller. [`crate::cache`]
-    /// calls this eagerly at insert time so `Vm::run` never compiles
-    /// in the steady state.
-    pub fn kernel(&self) -> &CompiledKernel {
-        self.kernel
-            .get_or_init(|| Box::new(CompiledKernel::compile(self)))
     }
 
     /// Total microprograms generated so far in this process, across all

@@ -120,14 +120,11 @@ pub struct Vm<'a> {
     acc: i128,
     stats: Cost,
     last_run_cost: Cost,
-    last_run_compiled: bool,
     row_sweeps: u64,
     words_swept: u64,
     /// Reusable row-width buffer for interpreter logic ops — the
     /// steady-state interpreter allocates nothing per micro-op.
     scratch: Vec<u64>,
-    /// Reusable per-run row-base table for compiled-kernel execution.
-    kernel_row_bases: Vec<usize>,
 }
 
 impl<'a> Vm<'a> {
@@ -156,11 +153,9 @@ impl<'a> Vm<'a> {
             acc: 0,
             stats: Cost::default(),
             last_run_cost: Cost::default(),
-            last_run_compiled: false,
             row_sweeps: 0,
             words_swept: 0,
             scratch: vec![0; words],
-            kernel_row_bases: Vec::new(),
         }
     }
 
@@ -207,14 +202,6 @@ impl<'a> Vm<'a> {
     /// (the delta the run added to [`Vm::stats`]). Zero before any run.
     pub fn last_run_cost(&self) -> Cost {
         self.last_run_cost
-    }
-
-    /// True when the most recent [`Vm::run`] executed the word-packed
-    /// [`CompiledKernel`](crate::compile::CompiledKernel) rather than the reference interpreter (i.e.
-    /// the bindings satisfied the kernel signature). False before any
-    /// run and after interpreter fallbacks.
-    pub fn last_run_compiled(&self) -> bool {
-        self.last_run_compiled
     }
 
     /// Total full-row activations swept across all `run` calls: one per
@@ -300,122 +287,15 @@ impl<'a> Vm<'a> {
         self.scratch = buf;
     }
 
-    /// Executes `program` against the bound regions.
-    ///
-    /// When the bindings satisfy the program's compiled-kernel
-    /// signature (see [`MicroProgram::kernel`]) this dispatches to the
-    /// word-packed [`CompiledKernel`](crate::compile::CompiledKernel) — bit-identical results and
-    /// identical [`Cost`]/sweep accounting, one columnar pass over the
-    /// matrix. Any mismatch (unbound or undersized slot, row outside
-    /// the matrix, aliased TRA rows) falls back to
-    /// [`Vm::run_interpreted`], which reports the precise error.
+    /// Executes `program` against the bound regions, op by op.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] if a referenced slot is unbound, a row falls
     /// outside its region or the matrix, the scratch region is too
     /// small, or TRA rows alias. The matrix may be partially modified on
-    /// error (errors only ever surface on the interpreter path; the
-    /// compiled path runs only when validation proves it cannot fail).
+    /// error.
     pub fn run(&mut self, program: &MicroProgram) -> Result<(), VmError> {
-        if self.try_run_compiled(program) {
-            return Ok(());
-        }
-        self.run_interpreted(program)
-    }
-
-    /// Validates the compiled kernel's signature against the current
-    /// bindings and, on success, executes it and charges the identical
-    /// cost/sweep accounting. Returns false (leaving all state
-    /// untouched) when the bindings don't satisfy the signature.
-    fn try_run_compiled(&mut self, program: &MicroProgram) -> bool {
-        self.last_run_compiled = false;
-        // Same up-front check as the interpreter: the *declared* temp
-        // requirement must be satisfiable, else the interpreter path
-        // must raise TempTooSmall.
-        let temp_bound = self.temp.map_or(0, |r| r.rows);
-        if program.temp_rows() > temp_bound {
-            return false;
-        }
-        let kernel = program.kernel();
-        let sig = kernel.signature();
-        let mat_rows = self.mat.rows();
-        for (slot, &need) in sig.slot_rows.iter().enumerate() {
-            if need == 0 {
-                continue;
-            }
-            let Some(Some(region)) = self.slots.get(slot).copied() else {
-                return false;
-            };
-            if region.rows < need || region.base_row + need as usize > mat_rows {
-                return false;
-            }
-        }
-        if sig.temp_rows > 0 {
-            let Some(region) = self.temp else {
-                return false;
-            };
-            if region.rows < sig.temp_rows || region.base_row + sig.temp_rows as usize > mat_rows {
-                return false;
-            }
-        }
-        // All row references are in bounds: resolve them once into
-        // absolute word offsets.
-        let words = self.mat.words_per_row();
-        let slots = &self.slots;
-        let temp = self.temp;
-        self.kernel_row_bases.clear();
-        self.kernel_row_bases
-            .extend(kernel.rows().iter().map(|r| match *r {
-                RowRef::Operand { operand, bit } => {
-                    // Validated above; unwrap is unreachable.
-                    let region = slots[operand as usize].unwrap();
-                    (region.base_row + bit as usize) * words
-                }
-                RowRef::Temp { index } => {
-                    let region = temp.unwrap();
-                    (region.base_row + index as usize) * words
-                }
-            }));
-        for [a, b, c] in kernel.tra_triples() {
-            let (ra, rb, rc) = (
-                self.kernel_row_bases[*a as usize],
-                self.kernel_row_bases[*b as usize],
-                self.kernel_row_bases[*c as usize],
-            );
-            if ra == rb || rb == rc || ra == rc {
-                // Aliased TRA rows: let the interpreter report
-                // TraRowsNotDistinct with the resolved rows.
-                return false;
-            }
-        }
-        kernel.execute(
-            &mut *self.mat,
-            &mut self.sa,
-            &mut self.regs,
-            self.tail_mask,
-            &mut self.acc,
-            &self.kernel_row_bases,
-        );
-        let cost = kernel.cost();
-        self.stats += cost;
-        self.last_run_cost = cost;
-        self.row_sweeps += kernel.sweeps();
-        self.words_swept += kernel.sweeps() * words as u64;
-        self.last_run_compiled = true;
-        true
-    }
-
-    /// Executes `program` through the reference op-by-op interpreter,
-    /// bypassing the compiled kernel. [`Vm::run`] and this method are
-    /// bit-identical in results and accounting; the differential suite
-    /// in `tests/compiled_equivalence.rs` holds them to that.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Vm::run`].
-    pub fn run_interpreted(&mut self, program: &MicroProgram) -> Result<(), VmError> {
-        self.last_run_compiled = false;
         let temp_bound = self.temp.map_or(0, |r| r.rows);
         if program.temp_rows() > temp_bound {
             return Err(VmError::TempTooSmall {
@@ -595,7 +475,7 @@ mod tests {
     #[test]
     fn temp_too_small_is_reported() {
         let mut mat = BitMatrix::new(64, 64);
-        let prog = gen::abs(8); // needs 8 temp rows
+        let prog = gen::abs(8, true); // needs 8 temp rows
         let mut vm = Vm::new(&mut mat, 2);
         vm.bind(0, Region::new(0, 8));
         vm.bind(1, Region::new(8, 8));
@@ -645,14 +525,13 @@ mod tests {
             vm.run(&prog),
             Err(VmError::TraRowsNotDistinct { a: 2, b: 3, c: 2 })
         );
-        assert!(!vm.last_run_compiled(), "aliased TRA must fall back");
     }
 
     #[test]
     fn tra_alias_across_regions_is_detected_per_binding() {
         // The same symbolic refs are fine or erroneous depending on the
-        // bindings — distinctness is a run-time property, so the
-        // compiled path re-checks it per run.
+        // bindings — distinctness is a run-time property, checked per
+        // run.
         let mut mat = BitMatrix::new(8, 64);
         let prog = MicroProgram::new(
             "t",
@@ -677,28 +556,6 @@ mod tests {
         vm.bind(0, Region::new(0, 2));
         vm.bind(1, Region::new(4, 2));
         vm.run(&prog).unwrap();
-        assert!(vm.last_run_compiled());
-    }
-
-    #[test]
-    fn run_dispatches_compiled_and_falls_back() {
-        let mut mat = BitMatrix::new(96, 128);
-        let prog = gen::binary(BinaryOp::Add, 32);
-        let mut vm = Vm::new(&mut mat, 3);
-        vm.bind(0, Region::new(0, 32));
-        vm.bind(1, Region::new(32, 32));
-        vm.bind(2, Region::new(64, 32));
-        assert!(!vm.last_run_compiled());
-        vm.run(&prog).unwrap();
-        assert!(vm.last_run_compiled(), "matching bindings must compile");
-        assert_eq!(vm.last_run_cost(), prog.cost());
-        // Undersized region: interpreter fallback reports the error.
-        let mut vm = Vm::new(&mut mat, 3);
-        vm.bind(0, Region::new(0, 32));
-        vm.bind(1, Region::new(32, 16));
-        vm.bind(2, Region::new(64, 32));
-        assert!(matches!(vm.run(&prog), Err(VmError::RowOutOfRegion { .. })));
-        assert!(!vm.last_run_compiled());
     }
 
     #[test]

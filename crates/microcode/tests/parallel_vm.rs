@@ -5,9 +5,8 @@
 //! accumulator value.
 
 use pim_dram::{exec, BitMatrix};
-use pim_microcode::cache::{self, ProgKey};
 use pim_microcode::encode::{decode_vertical, encode_vertical, truncate};
-use pim_microcode::gen::BinaryOp;
+use pim_microcode::gen::{self, BinaryOp};
 use pim_microcode::vm::{Region, Vm};
 use pim_microcode::Cost;
 
@@ -35,7 +34,7 @@ fn inputs(seed: u64, n: usize) -> Vec<i64> {
 fn run_add(threads: usize, a: &[i64], b: &[i64]) -> (Vec<i64>, BitMatrix, Cost) {
     exec::with_thread_count(threads, || {
         let bits = 8u32;
-        let prog = cache::program(ProgKey::Binary(BinaryOp::Add, bits));
+        let prog = gen::binary(BinaryOp::Add, bits);
         let rows = 4 * bits as usize + prog.temp_rows() as usize;
         let mut mat = BitMatrix::new(rows, COLS);
         encode_vertical(&mut mat, 0, bits, a);
@@ -56,7 +55,7 @@ fn run_add(threads: usize, a: &[i64], b: &[i64]) -> (Vec<i64>, BitMatrix, Cost) 
 fn run_red_sum(threads: usize, a: &[i64]) -> (i128, Cost) {
     exec::with_thread_count(threads, || {
         let bits = 16u32;
-        let prog = cache::program(ProgKey::RedSum(bits, true));
+        let prog = gen::red_sum(bits, true);
         let mut mat = BitMatrix::new(bits as usize, COLS);
         encode_vertical(&mut mat, 0, bits, a);
         let mut vm = Vm::new(&mut mat, 1);

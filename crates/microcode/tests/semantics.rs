@@ -253,7 +253,7 @@ fn cmp_scalar_matches() {
 fn not_and_abs_match() {
     for_cases(0x5EED_0009, |_, bits, a, _b| {
         let got_not = run_unary(&gen::not(bits), bits, a, true);
-        let got_abs = run_unary(&gen::abs(bits), bits, a, true);
+        let got_abs = run_unary(&gen::abs(bits, true), bits, a, true);
         for i in 0..a.len() {
             assert_eq!(got_not[i], truncate(!a[i], bits, true));
             let ta = truncate(a[i], bits, true);

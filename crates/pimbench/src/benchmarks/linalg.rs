@@ -101,7 +101,7 @@ impl Benchmark for Axpy {
         let ox = dev.alloc_vec(&x)?;
         let oy = dev.alloc_vec(&y)?;
         if params.stream {
-            // Record the eager pair; the flush's peephole pass fuses it
+            // Record the eager pair; the flush's fusion pass fuses it
             // into one `scaled_add` command (the temporary dies unread).
             let t = dev.alloc_associated(ox, DataType::Int32)?;
             let mut stream = dev.stream();

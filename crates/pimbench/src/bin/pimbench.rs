@@ -4,7 +4,7 @@
 //! ```text
 //! pimbench [--bench <name>|all|extensions] [--target <t>|all]
 //!          [--ranks N] [--shards N] [--timing analytical|fsm]
-//!          [--opt 0|1|2] [--scale F] [--seed S] [--threads N]
+//!          [--scale F] [--seed S] [--threads N]
 //!          [--stream] [--report] [--trace <file>] [--stats-json <file>]
 //!          [--metrics-json <file>] [--profile]
 //! ```
@@ -38,17 +38,16 @@
 //! replay that also populates the `dram_protocol` statistics section).
 //! The `PIM_TIMING` environment variable, when set, wins over the flag.
 //!
-//! `--opt <level>` selects the command-stream optimization level for
-//! `--stream` runs: `0` (legacy adjacent-pair peephole), `1` (dataflow
-//! graph fusion + CSE, the default), or `2` (level 1 plus cost-driven
-//! placement planning). Results are bit-identical at every level. The
-//! `PIM_OPT` environment variable, when set, wins over the flag.
+//! `--stream` issues through the deferred command stream, whose flush
+//! runs the dataflow optimizer (graph fusion, CSE, dead-write
+//! elimination) before executing. Results are bit-identical to eager
+//! issue; the optimizer's counters appear in the statistics.
 
 use pimbench::{all_benchmarks, extension_benchmarks, Benchmark, Params};
 use pimeval::metrics::METRICS_SCHEMA_VERSION;
 use pimeval::trace::chrome::ChromeTraceBuilder;
 use pimeval::trace::json::stats_to_json_full;
-use pimeval::{pim_info, Device, DeviceConfig, OptLevel, PimTarget, TimingBackend};
+use pimeval::{pim_info, Device, DeviceConfig, PimTarget, TimingBackend};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -58,7 +57,6 @@ struct Cli {
     ranks: usize,
     shards: Option<usize>,
     timing: TimingBackend,
-    opt: OptLevel,
     params: Params,
     report: bool,
     trace: Option<PathBuf>,
@@ -87,7 +85,6 @@ fn parse() -> Result<Cli, String> {
         ranks: 4,
         shards: None,
         timing: TimingBackend::default(),
-        opt: OptLevel::default(),
         params: Params::default(),
         report: false,
         trace: None,
@@ -129,11 +126,6 @@ fn parse() -> Result<Cli, String> {
                     .ok_or_else(|| format!("unknown timing backend {}", args[i + 1]))?;
                 i += 1;
             }
-            "--opt" => {
-                cli.opt = OptLevel::parse(need(i)?)
-                    .ok_or_else(|| format!("unknown optimization level {}", args[i + 1]))?;
-                i += 1;
-            }
             "--scale" => {
                 cli.params.scale = need(i)?.parse().map_err(|e| format!("--scale: {e}"))?;
                 i += 1;
@@ -170,7 +162,7 @@ fn parse() -> Result<Cli, String> {
                     "pimbench --bench <name>|all|extensions --target \
                      bitserial|fulcrum|bank|analog|upmem|all|extended \
                      [--ranks N] [--shards N] [--timing analytical|fsm] \
-                     [--opt 0|1|2] [--scale F] [--seed S] [--threads N] \
+                     [--scale F] [--seed S] [--threads N] \
                      [--stream] [--report] [--trace <file>] \
                      [--stats-json <file>] [--metrics-json <file>] \
                      [--profile]"
@@ -219,9 +211,7 @@ fn main() -> ExitCode {
     let mut metrics_runs: Vec<String> = Vec::new();
     for target in &cli.targets {
         for bench in &benches {
-            let mut config = DeviceConfig::new(*target, cli.ranks)
-                .with_timing_backend(cli.timing)
-                .with_opt_level(cli.opt);
+            let mut config = DeviceConfig::new(*target, cli.ranks).with_timing_backend(cli.timing);
             if let Some(shards) = cli.shards {
                 config = config.with_shards(shards);
             }
