@@ -10,7 +10,12 @@
 //! split by the destination's shard map, run per shard, and
 //! re-aggregated; cross-shard traffic is charged to the interconnect
 //! ledger separately from kernel time.
+//!
+//! Every modeled cost is built once as a `Charge` and folded by one
+//! fan-out into statistics, shard ledgers, metrics, trace and log. That
+//! fan-out alone advances the device's simulated clock, the only one.
 
+use pim_dram::{CopyReplay, TimingCounters};
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::cmd::{self, CmdValue, PimCommand};
@@ -19,15 +24,13 @@ use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::model::{self, OpCost};
-use crate::object::{ObjId, PimObject};
+use crate::object::{ObjId, ObjectLayout, PimObject};
 use crate::ops::OpKind;
 use crate::resource::ResourceManager;
 use crate::stats::SimStats;
 use crate::stream::{CommandStream, FlushSummary};
 use crate::system::PimSystem;
-use crate::trace::{
-    CopyDirection, ProtocolCounters, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY,
-};
+use crate::trace::{CopyDirection, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY};
 use crate::{pim_debug, pim_info, pim_trace};
 
 /// A simulated PIM device.
@@ -54,6 +57,9 @@ pub struct Device {
     stats: SimStats,
     tracer: Tracer,
     metrics: Option<Box<MetricsRegistry>>,
+    /// The simulated clock (ms since creation): the critical-path time
+    /// of every charge so far. Only [`Device::charge`] advances it.
+    clock_ms: f64,
 }
 
 impl Device {
@@ -88,6 +94,7 @@ impl Device {
             stats: SimStats::new(),
             tracer: Tracer::default(),
             metrics,
+            clock_ms: 0.0,
         };
         dev.sync_resources();
         Ok(dev)
@@ -148,7 +155,8 @@ impl Device {
     }
 
     /// Clears all statistics, including every shard sub-ledger (objects
-    /// stay allocated; the resource snapshot is refreshed).
+    /// stay allocated; the resource snapshot is refreshed). The
+    /// simulated clock, the metrics registry and the trace keep running.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new();
         self.system.reset_shard_stats();
@@ -209,17 +217,7 @@ impl Device {
 
     /// Adds modeled host-side execution time (PIM + Host benchmarks).
     pub fn record_host_ms(&mut self, ms: f64) {
-        self.stats.record_host_ms(ms);
-        if let Some(m) = &mut self.metrics {
-            m.record_host(ms);
-        }
-        if self.tracer.enabled() {
-            let start_ms = self.tracer.advance(ms);
-            self.tracer.emit(TraceEvent::HostPhase {
-                start_ms,
-                time_ms: ms,
-            });
-        }
+        self.charge(Charge::Host { time_ms: ms });
     }
 
     // ------------------------------------------------------------------
@@ -248,8 +246,9 @@ impl Device {
         self.emit_device_created();
     }
 
-    /// Disables tracing; subsequent events are discarded. The simulated
-    /// clock keeps running so a re-enabled trace stays monotonic.
+    /// Disables tracing; subsequent events are discarded. The device's
+    /// simulated clock keeps running, so a re-enabled trace resumes at
+    /// the true simulated time.
     pub fn disable_tracing(&mut self) {
         self.tracer.disable();
     }
@@ -278,7 +277,8 @@ impl Device {
     /// [`DeviceConfig::with_metrics`] for enabling at construction).
     /// With `profile` the registry additionally retains occupancy spans
     /// for the time-binned utilization series. Replaces any existing
-    /// registry, so instruments restart from zero.
+    /// registry, so instruments restart from zero; the clock they are
+    /// stamped with is the device's, which keeps counting from creation.
     pub fn enable_metrics(&mut self, profile: bool) {
         self.metrics = Some(Box::new(MetricsRegistry::new(
             self.system.shard_count(),
@@ -298,6 +298,7 @@ impl Device {
     pub fn metrics_snapshot(&mut self) -> Option<MetricsSnapshot> {
         let dropped = self.tracer.dropped();
         let shards = self.system.shards();
+        let clock_ms = self.clock_ms;
         let m = self.metrics.as_mut()?;
         if dropped > 0 {
             m.record_trace_dropped(dropped);
@@ -305,15 +306,14 @@ impl Device {
         // Summarize each shard sub-ledger's kernel-busy share of the
         // run (modeled quantities, so this stays deterministic).
         if shards.len() > 1 {
-            let window = m.clock_ms();
             for (i, shard) in shards.iter().enumerate() {
-                let frac = shard.stats().busy_fraction(window);
+                let frac = shard.stats().busy_fraction(clock_ms);
                 if let Some(set) = m.shard_instruments(i) {
                     set.gauge_set("kernel_busy_fraction", frac);
                 }
             }
         }
-        Some(m.snapshot())
+        Some(m.snapshot(clock_ms))
     }
 
     /// Events the ring-buffer trace recorder has overwritten so far (0
@@ -323,9 +323,8 @@ impl Device {
     }
 
     fn emit_device_created(&mut self) {
-        let at_ms = self.tracer.clock_ms();
         self.tracer.emit(TraceEvent::DeviceCreated {
-            at_ms,
+            at_ms: self.clock_ms,
             target: self.config.target.to_string(),
             cores: self.config.core_count(),
             ranks: self.config.geometry.ranks,
@@ -377,7 +376,7 @@ impl Device {
             );
             if self.tracer.enabled() {
                 let event = TraceEvent::Alloc {
-                    at_ms: self.tracer.clock_ms(),
+                    at_ms: self.clock_ms,
                     id: id.0,
                     count: obj.count,
                     dtype: obj.dtype.short_name().to_string(),
@@ -409,10 +408,8 @@ impl Device {
         self.system.free(id)?;
         self.sync_resources();
         pim_debug!("free {id}");
-        if self.tracer.enabled() {
-            let at_ms = self.tracer.clock_ms();
-            self.tracer.emit(TraceEvent::Free { at_ms, id: id.0 });
-        }
+        let at_ms = self.clock_ms;
+        self.tracer.emit(TraceEvent::Free { at_ms, id: id.0 });
         Ok(())
     }
 
@@ -429,87 +426,51 @@ impl Device {
     // Data movement
     // ------------------------------------------------------------------
 
+    /// Prices one host↔device copy through the holders' timing backends
+    /// and charges it, then the interconnect scatter or gather it implies.
     fn charge_copy(&mut self, obj: ObjId, bytes: u64, direction: CopyDirection) {
         // Under decimation the functional buffer stands for `decimation`
         // times as much paper-scale data; charge transfer time/energy for
         // the represented bytes (recorded byte counts stay functional).
         let represented = bytes * self.config.decimation.max(1);
-        let (time_ms, replay, delta) = self.system.charge_copy_with_backends(
+        let (time_ms, replay, dram) = self.system.charge_copy_with_backends(
             obj,
             represented,
             bytes,
             self.config.geometry.ranks,
             self.tracer.enabled(),
         );
-        if !delta.is_empty() {
-            self.stats.record_protocol(&delta);
-        }
-        let is_read = matches!(direction, CopyDirection::DeviceToHost);
+        let is_read = direction == CopyDirection::DeviceToHost;
         let energy_mj = self.config.power.transfer_energy_mj(time_ms, is_read);
-        self.stats
-            .record_copy(bytes, direction.code(), time_ms, energy_mj);
-        self.system
-            .distribute_copy(obj, direction.code(), bytes, time_ms, energy_mj);
-        if let Some(m) = &mut self.metrics {
-            m.record_copy(direction.label(), bytes, time_ms, energy_mj);
-        }
-        pim_debug!(
-            "copy {}: {bytes} bytes in {time_ms:.6} ms",
-            direction.label()
-        );
-        if self.tracer.enabled() {
-            let protocol = replay.map(ProtocolCounters::from);
-            let start_ms = self.tracer.advance(time_ms);
-            self.tracer.emit(TraceEvent::Copy {
-                direction,
-                bytes,
-                start_ms,
-                time_ms,
-                energy_mj,
-                protocol,
-            });
-        }
+        self.charge(Charge::Copy {
+            direction,
+            obj,
+            bytes,
+            cost: OpCost { time_ms, energy_mj },
+            replay,
+            dram,
+        });
+        let (max_b, tot_b) = self.system.shard_byte_split(obj);
+        self.charge_interconnect(if is_read { "gather" } else { "scatter" }, max_b, tot_b);
     }
 
     /// Charges cross-shard interconnect traffic: time for the critical
     /// path (busiest channel), energy for the total bytes. A no-op with
     /// one shard or zero bytes, so single-shard runs are bit-identical
-    /// to the pre-sharding device. Interconnect cost is tracked
-    /// separately from kernel/copy time and never advances the
-    /// simulated clock.
+    /// to the pre-sharding device.
     fn charge_interconnect(&mut self, kind: &'static str, max_bytes: u64, total_bytes: u64) {
         if self.system.shard_count() <= 1 || total_bytes == 0 {
             return;
         }
         // As with copies, decimated runs charge the represented bytes.
         let decim = self.config.decimation.max(1);
-        let (max_b, tot_b) = (max_bytes * decim, total_bytes * decim);
-        let time_ms = self.system.interconnect().transfer_ms(max_b);
-        let energy_mj = self.system.interconnect().energy_mj(tot_b);
-        let ic = &mut self.stats.interconnect;
-        match kind {
-            "scatter" => ic.scatter_bytes += tot_b,
-            "gather" => ic.gather_bytes += tot_b,
-            "realign" => ic.realign_bytes += tot_b,
-            _ => ic.combine_bytes += tot_b,
-        }
-        ic.transfers += 1;
-        ic.time_ms += time_ms;
-        ic.energy_mj += energy_mj;
-        if let Some(m) = &mut self.metrics {
-            m.record_interconnect(kind, tot_b, time_ms, energy_mj);
-        }
-        if self.tracer.enabled() {
-            let at_ms = self.tracer.clock_ms();
-            self.tracer.emit(TraceEvent::Interconnect {
-                kind,
-                bytes: tot_b,
-                shards: self.system.shard_count(),
-                at_ms,
-                time_ms,
-                energy_mj,
-            });
-        }
+        let ic = self.system.interconnect();
+        let cost = OpCost {
+            time_ms: ic.transfer_ms(max_bytes * decim),
+            energy_mj: ic.energy_mj(total_bytes * decim),
+        };
+        let bytes = total_bytes * decim;
+        self.charge(Charge::Interconnect { kind, bytes, cost });
     }
 
     /// Copies host data into an object (`pimCopyHostToDevice`).
@@ -520,25 +481,9 @@ impl Device {
     /// object's element count; [`PimError::DTypeMismatch`] if `T` does not
     /// match the object's dtype.
     pub fn copy_to_device<T: PimScalar>(&mut self, data: &[T], id: ObjId) -> Result<()> {
-        let obj = self.rm().get(id)?;
-        if data.len() as u64 != obj.count {
-            return Err(PimError::CountMismatch {
-                expected: obj.count,
-                actual: data.len() as u64,
-            });
-        }
-        if obj.dtype != T::DTYPE {
-            return Err(PimError::DTypeMismatch {
-                expected: obj.dtype,
-                actual: T::DTYPE,
-            });
-        }
-        let bytes = obj.bytes();
-        let dtype = obj.dtype;
-        self.system.scatter_to_device(data, id, dtype)?;
+        let bytes = self.check_host_buffer::<T>(id, data.len())?;
+        self.system.scatter_to_device(data, id, T::DTYPE)?;
         self.charge_copy(id, bytes, CopyDirection::HostToDevice);
-        let (max_b, tot_b) = self.system.shard_byte_split(id);
-        self.charge_interconnect("scatter", max_b, tot_b);
         Ok(())
     }
 
@@ -549,11 +494,20 @@ impl Device {
     /// As [`Device::copy_to_device`]; additionally
     /// [`PimError::NotSupported`] in model-only mode.
     pub fn copy_to_host<T: PimScalar>(&mut self, id: ObjId, out: &mut [T]) -> Result<()> {
+        let bytes = self.check_host_buffer::<T>(id, out.len())?;
+        self.system.gather_to_host(id, out)?;
+        self.charge_copy(id, bytes, CopyDirection::DeviceToHost);
+        Ok(())
+    }
+
+    /// Checks a host buffer of `len` elements of `T` against object `id`
+    /// and returns the object's size in bytes.
+    fn check_host_buffer<T: PimScalar>(&self, id: ObjId, len: usize) -> Result<u64> {
         let obj = self.rm().get(id)?;
-        if out.len() as u64 != obj.count {
+        if len as u64 != obj.count {
             return Err(PimError::CountMismatch {
                 expected: obj.count,
-                actual: out.len() as u64,
+                actual: len as u64,
             });
         }
         if obj.dtype != T::DTYPE {
@@ -562,12 +516,7 @@ impl Device {
                 actual: T::DTYPE,
             });
         }
-        let bytes = obj.bytes();
-        self.system.gather_to_host(id, out)?;
-        self.charge_copy(id, bytes, CopyDirection::DeviceToHost);
-        let (max_b, tot_b) = self.system.shard_byte_split(id);
-        self.charge_interconnect("gather", max_b, tot_b);
-        Ok(())
+        Ok(obj.bytes())
     }
 
     /// Convenience: copies an object out into a fresh `Vec`.
@@ -613,51 +562,35 @@ impl Device {
         Ok(())
     }
 
-    fn charge_op(&mut self, kind: OpKind, costed_on: ObjId) -> Result<()> {
+    /// Prices `kind` on `costed` through the holders' timing backends
+    /// and charges it. `covered` scales the cost to the fraction of
+    /// elements a ranged reduction spans; such a charge carries no
+    /// microcode counters.
+    fn charge_op(&mut self, kind: OpKind, costed: ObjId, covered: Option<f64>) -> Result<()> {
         let (dtype, layout) = {
-            let obj = self.rm().get(costed_on)?;
+            let obj = self.rm().get(costed)?;
             (obj.dtype, obj.layout)
         };
         let config = &self.config;
-        let (cost, delta) = self.system.price_with_backends(costed_on, |tm| {
+        let (full, dram) = self.system.price_with_backends(costed, |tm| {
             model::op_cost_with(config, tm, kind, dtype, &layout)
         });
-        if !delta.is_empty() {
-            self.stats.record_protocol(&delta);
-        }
-        let name = kind.stat_name(dtype);
-        pim_trace!(
-            "cmd {name}: {:.6} ms on {} cores",
-            cost.time_ms,
-            layout.cores_used
-        );
-        if self.tracer.enabled() {
-            let micro = model::micro_cost(&self.config, kind, dtype, &layout).map(Into::into);
-            let start_ms = self.tracer.advance(cost.time_ms);
-            self.tracer.emit(TraceEvent::Cmd {
-                name: name.to_string(),
-                category: kind.category().label(),
-                start_ms,
-                time_ms: cost.time_ms,
-                energy_mj: cost.energy_mj,
-                cores_used: layout.cores_used,
-                micro,
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            let shares = self.system.shard_time_shares(costed_on, cost.time_ms);
-            m.record_cmd(
-                &name,
-                kind.category().label(),
-                cost.time_ms,
-                cost.energy_mj,
-                &shares,
-            );
-        }
-        self.system
-            .distribute_cmd(costed_on, &name, kind.category(), cost);
-        self.stats
-            .record_cmd(&name, kind.category(), cost, layout.cores_used);
+        let cost = match covered {
+            None => full,
+            Some(frac) => OpCost {
+                time_ms: full.time_ms * frac,
+                energy_mj: full.energy_mj * frac,
+            },
+        };
+        self.charge(Charge::Cmd {
+            kind,
+            costed,
+            dtype,
+            layout,
+            cost,
+            micro: covered.is_none(),
+            dram,
+        });
         Ok(())
     }
 
@@ -821,26 +754,20 @@ impl Device {
     /// engine, and the trace.
     pub(crate) fn charge_cmd(&mut self, command: &PimCommand) -> Result<()> {
         let costed = command.dst.unwrap_or_else(|| command.inputs[0]);
-        self.charge_op(command.kind, costed)?;
+        self.charge_op(command.kind, costed, None)?;
         if command.kind == OpKind::Copy {
-            let bytes = self.rm().get(command.inputs[0])?.bytes();
-            self.stats.record_copy(bytes, 2, 0.0, 0.0);
-            self.system
-                .distribute_copy(command.inputs[0], 2, bytes, 0.0, 0.0);
-            if let Some(m) = &mut self.metrics {
-                m.record_copy(CopyDirection::DeviceToDevice.label(), bytes, 0.0, 0.0);
-            }
-            if self.tracer.enabled() {
-                let start_ms = self.tracer.clock_ms();
-                self.tracer.emit(TraceEvent::Copy {
-                    direction: CopyDirection::DeviceToDevice,
-                    bytes,
-                    start_ms,
-                    time_ms: 0.0,
-                    energy_mj: 0.0,
-                    protocol: None,
-                });
-            }
+            // The copy's time is the command's; the copy ledger counts
+            // its bytes.
+            let src = command.inputs[0];
+            let bytes = self.rm().get(src)?.bytes();
+            self.charge(Charge::Copy {
+                direction: CopyDirection::DeviceToDevice,
+                obj: src,
+                bytes,
+                cost: OpCost::default(),
+                replay: None,
+                dram: TimingCounters::default(),
+            });
         }
         if matches!(
             command.kind,
@@ -888,41 +815,162 @@ impl Device {
         self.system.exec_batch(&slots, &steps, dst0)
     }
 
-    /// Accumulates one flush's counters into [`SimStats`] and emits the
-    /// stream-flush trace instant.
+    /// Charges one stream flush's optimizer counters.
     pub(crate) fn finish_flush(&mut self, summary: &FlushSummary) {
-        let f = &mut self.stats.fusion;
-        f.flushes += 1;
-        f.recorded_commands += summary.recorded;
-        f.executed_commands += summary.executed;
-        f.fused_scaled_add += summary.fused_scaled_add;
-        f.fused_cmp_select += summary.fused_cmp_select;
-        f.dead_writes_eliminated += summary.dead_writes_eliminated;
-        f.batched_sweeps += summary.batched_sweeps;
-        f.batched_commands += summary.batched_commands;
-        let o = &mut self.stats.optimizer;
-        o.cse_hits += summary.cse_hits;
-        if let Some(m) = &mut self.metrics {
-            m.record_flush();
-        }
-        pim_debug!(
-            "stream flush: {} recorded -> {} executed ({} fused, {} dead)",
-            summary.recorded,
-            summary.executed,
-            summary.fused_scaled_add + summary.fused_cmp_select,
-            summary.dead_writes_eliminated
-        );
-        if self.tracer.enabled() {
-            let at_ms = self.tracer.clock_ms();
-            self.tracer.emit(TraceEvent::StreamFlush {
-                at_ms,
-                recorded: summary.recorded,
-                executed: summary.executed,
-                fused_scaled_add: summary.fused_scaled_add,
-                fused_cmp_select: summary.fused_cmp_select,
-                dead_writes_eliminated: summary.dead_writes_eliminated,
-                batched_sweeps: summary.batched_sweeps,
-            });
+        self.charge(Charge::Flush(*summary));
+    }
+
+    /// The one charge fan-out: advances the simulated clock by the
+    /// charge's critical-path time and folds the charge into every
+    /// enabled view: the trace (one event stamped at the span start),
+    /// [`SimStats`], the shard ledgers and the metrics (fed the same
+    /// shard shares), and the log.
+    fn charge(&mut self, charge: Charge) {
+        let start_ms = self.clock_ms;
+        self.clock_ms += match &charge {
+            Charge::Cmd { cost, .. } | Charge::Copy { cost, .. } => cost.time_ms.max(0.0),
+            Charge::Host { time_ms } => time_ms.max(0.0),
+            Charge::Interconnect { .. } | Charge::Flush(_) => 0.0,
+        };
+        let mut metrics = self.metrics.as_deref_mut();
+        match charge {
+            Charge::Cmd {
+                kind,
+                costed,
+                dtype,
+                layout,
+                cost,
+                micro,
+                dram,
+            } => {
+                let (name, category) = (kind.stat_name(dtype), kind.category());
+                self.tracer.emit_with(|| TraceEvent::Cmd {
+                    name: name.to_string(),
+                    category: category.label(),
+                    start_ms,
+                    time_ms: cost.time_ms,
+                    energy_mj: cost.energy_mj,
+                    cores_used: layout.cores_used,
+                    micro: micro
+                        .then(|| model::micro_cost(&self.config, kind, dtype, &layout))
+                        .flatten()
+                        .map(Into::into),
+                });
+                pim_trace!(
+                    "cmd {name}: {:.6} ms on {} cores",
+                    cost.time_ms,
+                    layout.cores_used
+                );
+                self.stats.record_protocol(&dram);
+                self.stats
+                    .record_cmd(&name, category, cost, layout.cores_used);
+                if let Some(m) = metrics.as_deref_mut() {
+                    m.record_cmd(&name, category.label(), cost.time_ms, cost.energy_mj);
+                }
+                let split =
+                    self.system
+                        .split_charge(costed, cost, 0, |s, part, _, cores, ledger| {
+                            ledger.record_cmd(&name, category, part, cores);
+                            if let Some(m) = metrics.as_deref_mut() {
+                                m.record_shard_busy(s, start_ms, cost.time_ms, part.time_ms);
+                            }
+                        });
+                if let (false, Some(m)) = (split, metrics) {
+                    m.record_shard_busy(0, start_ms, cost.time_ms, cost.time_ms);
+                }
+            }
+            Charge::Copy {
+                direction,
+                obj,
+                bytes,
+                cost,
+                replay,
+                dram,
+            } => {
+                let OpCost { time_ms, energy_mj } = cost;
+                self.tracer.emit_with(|| TraceEvent::Copy {
+                    direction,
+                    bytes,
+                    start_ms,
+                    time_ms,
+                    energy_mj,
+                    protocol: replay.map(Into::into),
+                });
+                let (label, code) = (direction.label(), direction.code());
+                pim_debug!("copy {label}: {bytes} bytes in {time_ms:.6} ms");
+                self.stats.record_protocol(&dram);
+                self.stats.record_copy(bytes, code, time_ms, energy_mj);
+                self.system
+                    .split_charge(obj, cost, bytes, |_, part, bytes, _, ledger| {
+                        ledger.record_copy(bytes, code, part.time_ms, part.energy_mj);
+                    });
+                if let Some(m) = metrics {
+                    m.record_copy(label, bytes, time_ms, energy_mj);
+                }
+            }
+            Charge::Interconnect { kind, bytes, cost } => {
+                let OpCost { time_ms, energy_mj } = cost;
+                self.tracer.emit_with(|| TraceEvent::Interconnect {
+                    kind,
+                    bytes,
+                    shards: self.system.shard_count(),
+                    at_ms: start_ms,
+                    time_ms,
+                    energy_mj,
+                });
+                let ic = &mut self.stats.interconnect;
+                match kind {
+                    "scatter" => ic.scatter_bytes += bytes,
+                    "gather" => ic.gather_bytes += bytes,
+                    "realign" => ic.realign_bytes += bytes,
+                    _ => ic.combine_bytes += bytes,
+                }
+                ic.transfers += 1;
+                ic.time_ms += time_ms;
+                ic.energy_mj += energy_mj;
+                if let Some(m) = metrics {
+                    m.record_interconnect(kind, start_ms, bytes, time_ms, energy_mj);
+                }
+            }
+            Charge::Host { time_ms } => {
+                self.tracer
+                    .emit_with(|| TraceEvent::HostPhase { start_ms, time_ms });
+                self.stats.record_host_ms(time_ms);
+                if let Some(m) = metrics {
+                    m.record_host(time_ms);
+                }
+            }
+            Charge::Flush(summary) => {
+                self.tracer.emit_with(|| TraceEvent::StreamFlush {
+                    at_ms: start_ms,
+                    recorded: summary.recorded,
+                    executed: summary.executed,
+                    fused_scaled_add: summary.fused_scaled_add,
+                    fused_cmp_select: summary.fused_cmp_select,
+                    dead_writes_eliminated: summary.dead_writes_eliminated,
+                    batched_sweeps: summary.batched_sweeps,
+                });
+                pim_debug!(
+                    "stream flush: {} recorded -> {} executed ({} fused, {} dead)",
+                    summary.recorded,
+                    summary.executed,
+                    summary.fused_scaled_add + summary.fused_cmp_select,
+                    summary.dead_writes_eliminated
+                );
+                let f = &mut self.stats.fusion;
+                f.flushes += 1;
+                f.recorded_commands += summary.recorded;
+                f.executed_commands += summary.executed;
+                f.fused_scaled_add += summary.fused_scaled_add;
+                f.fused_cmp_select += summary.fused_cmp_select;
+                f.dead_writes_eliminated += summary.dead_writes_eliminated;
+                f.batched_sweeps += summary.batched_sweeps;
+                f.batched_commands += summary.batched_commands;
+                self.stats.optimizer.cse_hits += summary.cse_hits;
+                if let Some(m) = metrics {
+                    m.record_flush();
+                }
+            }
         }
     }
 
@@ -1312,9 +1360,9 @@ impl Device {
     ///
     /// [`PimError::InvalidArg`] for an out-of-bounds or empty range.
     pub fn red_sum_range(&mut self, a: ObjId, start: u64, end: u64) -> Result<i128> {
-        let (count, dtype, layout) = {
+        let (count, dtype) = {
             let obj = self.rm().get(a)?;
-            (obj.count, obj.dtype, obj.layout)
+            (obj.count, obj.dtype)
         };
         if start >= end || end > count {
             return Err(PimError::InvalidArg(format!(
@@ -1322,45 +1370,46 @@ impl Device {
             )));
         }
         let sum = self.system.red_sum_range(a, dtype, start, end)?;
-        let config = &self.config;
-        let (full, delta) = self.system.price_with_backends(a, |tm| {
-            model::op_cost_with(config, tm, OpKind::RedSum, dtype, &layout)
-        });
-        if !delta.is_empty() {
-            self.stats.record_protocol(&delta);
-        }
-        let frac = (end - start) as f64 / count as f64;
-        let cost = OpCost {
-            time_ms: full.time_ms * frac,
-            energy_mj: full.energy_mj * frac,
-        };
-        let name = OpKind::RedSum.stat_name(dtype);
-        if self.tracer.enabled() {
-            let start_ms = self.tracer.advance(cost.time_ms);
-            self.tracer.emit(TraceEvent::Cmd {
-                name: name.to_string(),
-                category: OpKind::RedSum.category().label(),
-                start_ms,
-                time_ms: cost.time_ms,
-                energy_mj: cost.energy_mj,
-                cores_used: layout.cores_used,
-                micro: None,
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            let shares = self.system.shard_time_shares(a, cost.time_ms);
-            m.record_cmd(
-                &name,
-                OpKind::RedSum.category().label(),
-                cost.time_ms,
-                cost.energy_mj,
-                &shares,
-            );
-        }
-        self.system
-            .distribute_cmd(a, &name, OpKind::RedSum.category(), cost);
-        self.stats
-            .record_cmd(&name, OpKind::RedSum.category(), cost, layout.cores_used);
+        self.charge_op(OpKind::RedSum, a, Some((end - start) as f64 / count as f64))?;
         Ok(sum)
     }
+}
+
+/// One modeled charge, built once by a pricing site and folded into
+/// every enabled view by [`Device::charge`]. Never retained.
+enum Charge {
+    /// One PIM command, costed on `costed`.
+    Cmd {
+        kind: OpKind,
+        costed: ObjId,
+        dtype: DataType,
+        layout: ObjectLayout,
+        cost: OpCost,
+        /// Whether the trace event carries microcode counters (ranged
+        /// reductions do not).
+        micro: bool,
+        /// DRAM protocol counters the timing backends issued.
+        dram: TimingCounters,
+    },
+    /// One data movement of `obj`.
+    Copy {
+        direction: CopyDirection,
+        obj: ObjId,
+        bytes: u64,
+        cost: OpCost,
+        /// The protocol replay for the trace, when one ran.
+        replay: Option<CopyReplay>,
+        dram: TimingCounters,
+    },
+    /// One cross-shard transfer, off the critical path: ledgered apart
+    /// from kernel and copy time, it does not advance the clock.
+    Interconnect {
+        kind: &'static str,
+        bytes: u64,
+        cost: OpCost,
+    },
+    /// One modeled host-execution phase.
+    Host { time_ms: f64 },
+    /// One command-stream flush's optimizer counters (no modeled time).
+    Flush(FlushSummary),
 }

@@ -392,10 +392,11 @@ impl ProfileSnapshot {
 ///
 /// See the module docs for the instrument taxonomy and the determinism
 /// contract. All quantities are modeled (simulated-clock) values; the
-/// registry never reads wall time.
+/// registry never reads wall time. It keeps no clock of its own: the
+/// device owns the only simulated clock and passes its position in
+/// (span starts, sample stamps, and the snapshot window).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
-    clock_ms: f64,
     device: InstrumentSet,
     shards: Vec<InstrumentSet>,
     profile: Option<ProfileRecorder>,
@@ -406,18 +407,10 @@ impl MetricsRegistry {
     /// keeps the raw occupancy spans for [`ProfileSnapshot`] binning.
     pub fn new(shards: usize, profile: bool) -> Self {
         MetricsRegistry {
-            clock_ms: 0.0,
             device: InstrumentSet::default(),
             shards: vec![InstrumentSet::default(); shards.max(1)],
             profile: profile.then(ProfileRecorder::default),
         }
-    }
-
-    /// The registry's simulated clock (sum of every timed quantity it
-    /// recorded, in ms). Advances independently of the tracer so
-    /// metrics work with tracing disabled.
-    pub fn clock_ms(&self) -> f64 {
-        self.clock_ms
     }
 
     /// True when the profiler is retaining occupancy spans.
@@ -425,65 +418,44 @@ impl MetricsRegistry {
         self.profile.is_some()
     }
 
-    /// Records one PIM command: `time_ms`/`energy_mj` are the aggregate
-    /// modeled cost, `shares` the per-shard `(shard, busy_ms)` split
-    /// (empty on single-shard devices).
+    /// Records one PIM command's device-level instruments:
+    /// `time_ms`/`energy_mj` are the aggregate modeled cost. Each shard's
+    /// part follows through [`MetricsRegistry::record_shard_busy`].
     ///
     /// Device-level and per-shard sets use distinct counter keys
     /// (`cmds` vs `shard_cmds`) so the merged aggregate keeps `cmds`
     /// as the true command count — invariant across shard counts —
     /// while `shard_cmds` counts command-shard occurrences.
-    pub fn record_cmd(
-        &mut self,
-        name: &str,
-        category: &str,
-        time_ms: f64,
-        energy_mj: f64,
-        shares: &[(usize, f64)],
-    ) {
-        let start_ms = self.clock_ms;
-        self.clock_ms += time_ms.max(0.0);
+    pub fn record_cmd(&mut self, name: &str, category: &str, time_ms: f64, energy_mj: f64) {
         self.device.counter_add("cmds", 1);
         self.device.counter_add(&format!("cmds.{category}"), 1);
         self.device.gauge_add("kernel_energy_mj", energy_mj);
         self.device.observe("op_latency_ms", time_ms);
         self.device
             .observe(&format!("op_latency_ms.{name}"), time_ms);
-        if shares.is_empty() {
-            let s = &mut self.shards[0];
-            s.counter_add("shard_cmds", 1);
-            s.observe("busy_ms", time_ms);
-            if let Some(p) = &mut self.profile {
-                p.spans.push(ShardSpan {
-                    shard: 0,
-                    start_ms,
-                    dur_ms: time_ms,
-                    busy_ms: time_ms,
-                });
-            }
-        } else {
-            for &(shard, busy_ms) in shares {
-                if shard >= self.shards.len() {
-                    continue;
-                }
-                let s = &mut self.shards[shard];
-                s.counter_add("shard_cmds", 1);
-                s.observe("busy_ms", busy_ms);
-                if let Some(p) = &mut self.profile {
-                    p.spans.push(ShardSpan {
-                        shard,
-                        start_ms,
-                        dur_ms: time_ms,
-                        busy_ms,
-                    });
-                }
-            }
+    }
+
+    /// Records one shard's part of a command: during the command window
+    /// `[start_ms, start_ms + dur_ms)` on the device clock the shard was
+    /// busy for `busy_ms`. Out-of-range shards are ignored.
+    pub fn record_shard_busy(&mut self, shard: usize, start_ms: f64, dur_ms: f64, busy_ms: f64) {
+        let Some(s) = self.shards.get_mut(shard) else {
+            return;
+        };
+        s.counter_add("shard_cmds", 1);
+        s.observe("busy_ms", busy_ms);
+        if let Some(p) = &mut self.profile {
+            p.spans.push(ShardSpan {
+                shard,
+                start_ms,
+                dur_ms,
+                busy_ms,
+            });
         }
     }
 
     /// Records one host↔device (or device↔device) copy.
     pub fn record_copy(&mut self, direction: &str, bytes: u64, time_ms: f64, energy_mj: f64) {
-        self.clock_ms += time_ms.max(0.0);
         self.device.counter_add("copies", 1);
         self.device.counter_add(&format!("copies.{direction}"), 1);
         self.device.counter_add("copy_bytes", bytes);
@@ -492,10 +464,17 @@ impl MetricsRegistry {
         self.device.observe("copy_latency_ms", time_ms);
     }
 
-    /// Records one cross-shard interconnect transfer. Interconnect time
-    /// is ledgered separately from kernel time, so the clock does not
-    /// advance (matching [`crate::stats::InterconnectStats`]).
-    pub fn record_interconnect(&mut self, kind: &str, bytes: u64, time_ms: f64, energy_mj: f64) {
+    /// Records one cross-shard interconnect transfer at `at_ms` on the
+    /// device clock. Interconnect time is ledgered separately from
+    /// kernel time (matching [`crate::stats::InterconnectStats`]).
+    pub fn record_interconnect(
+        &mut self,
+        kind: &str,
+        at_ms: f64,
+        bytes: u64,
+        time_ms: f64,
+        energy_mj: f64,
+    ) {
         self.device.counter_add("interconnect.transfers", 1);
         self.device
             .counter_add(&format!("interconnect_bytes.{kind}"), bytes);
@@ -504,16 +483,12 @@ impl MetricsRegistry {
         self.device.gauge_add("interconnect_energy_mj", energy_mj);
         self.device.observe("interconnect_bytes_hist", bytes as f64);
         if let Some(p) = &mut self.profile {
-            p.interconnect.push(ByteSample {
-                at_ms: self.clock_ms,
-                bytes,
-            });
+            p.interconnect.push(ByteSample { at_ms, bytes });
         }
     }
 
     /// Records one modeled host-execution phase.
     pub fn record_host(&mut self, time_ms: f64) {
-        self.clock_ms += time_ms.max(0.0);
         self.device.counter_add("host_phases", 1);
         self.device.gauge_add("host_ms", time_ms);
     }
@@ -541,25 +516,26 @@ impl MetricsRegistry {
         self.shards.get_mut(shard)
     }
 
-    /// Freezes the registry: per-shard sets are merged into the
-    /// aggregate **in ascending shard order** (the deterministic-merge
-    /// contract), raw profile spans are binned into occupancy series.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Freezes the registry at `clock_ms` on the device clock: per-shard
+    /// sets are merged into the aggregate **in ascending shard order**
+    /// (the deterministic-merge contract), raw profile spans are binned
+    /// into occupancy series over `[0, clock_ms)`.
+    pub fn snapshot(&self, clock_ms: f64) -> MetricsSnapshot {
         let mut aggregate = self.device.clone();
         for shard in &self.shards {
             aggregate.merge_from(shard);
         }
         MetricsSnapshot {
             schema_version: METRICS_SCHEMA_VERSION,
-            clock_ms: self.clock_ms,
+            clock_ms,
             aggregate: aggregate.snapshot(),
             per_shard: self.shards.iter().map(InstrumentSet::snapshot).collect(),
-            profile: self.profile.as_ref().map(|p| self.bin_profile(p)),
+            profile: self.profile.as_ref().map(|p| self.bin_profile(p, clock_ms)),
         }
     }
 
-    fn bin_profile(&self, p: &ProfileRecorder) -> ProfileSnapshot {
-        if self.clock_ms <= 0.0 {
+    fn bin_profile(&self, p: &ProfileRecorder, clock_ms: f64) -> ProfileSnapshot {
+        if clock_ms <= 0.0 {
             return ProfileSnapshot {
                 bin_ms: 0.0,
                 bins: 0,
@@ -568,7 +544,7 @@ impl MetricsRegistry {
             };
         }
         let bins = DEFAULT_PROFILE_BINS;
-        let bin_ms = self.clock_ms / bins as f64;
+        let bin_ms = clock_ms / bins as f64;
         let mut shard_busy = vec![vec![0.0f64; bins]; self.shards.len()];
         for span in &p.spans {
             if span.shard >= shard_busy.len() {
@@ -614,7 +590,8 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Layout version of the JSON rendering.
     pub schema_version: u32,
-    /// Simulated clock at snapshot time (ms).
+    /// The device's simulated clock at snapshot time (ms since device
+    /// creation, also when metrics were enabled later).
     pub clock_ms: f64,
     /// Device-level instruments merged with every shard's, in ascending
     /// shard order.
@@ -655,6 +632,14 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::trace::json::Json;
+
+    /// Records a command as `Device::charge` does.
+    fn cmd(r: &mut MetricsRegistry, name: &str, start: f64, time: f64, shares: &[(usize, f64)]) {
+        r.record_cmd(name, name.split('.').next().unwrap(), time, 0.0);
+        for &(shard, busy_ms) in shares {
+            r.record_shard_busy(shard, start, time, busy_ms);
+        }
+    }
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -702,9 +687,9 @@ mod tests {
     #[test]
     fn registry_merges_shards_in_ascending_order() {
         let mut r = MetricsRegistry::new(2, false);
-        r.record_cmd("add.int32", "add", 2.0, 0.5, &[(0, 1.5), (1, 0.5)]);
-        r.record_cmd("mul.int32", "mul", 1.0, 0.25, &[(1, 1.0)]);
-        let snap = r.snapshot();
+        cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.5), (1, 0.5)]);
+        cmd(&mut r, "mul.int32", 2.0, 1.0, &[(1, 1.0)]);
+        let snap = r.snapshot(3.0);
         assert_eq!(snap.aggregate.counters["cmds"], 2); // true command count
         assert_eq!(snap.aggregate.counters["shard_cmds"], 3); // shard occurrences
         assert_eq!(snap.per_shard[0].counters["shard_cmds"], 1);
@@ -718,12 +703,12 @@ mod tests {
     #[test]
     fn snapshot_json_is_parseable_and_stable() {
         let mut r = MetricsRegistry::new(1, true);
-        r.record_cmd("add.int32", "add", 1.0, 0.1, &[]);
+        cmd(&mut r, "add.int32", 0.0, 1.0, &[(0, 1.0)]);
         r.record_copy("host_to_device", 4096, 0.5, 0.01);
-        r.record_interconnect("scatter", 1024, 0.1, 0.001);
+        r.record_interconnect("scatter", 1.5, 1024, 0.1, 0.001);
         r.record_host(0.25);
-        let s1 = r.snapshot();
-        let s2 = r.snapshot();
+        let s1 = r.snapshot(1.75);
+        let s2 = r.snapshot(1.75);
         assert_eq!(s1, s2);
         assert_eq!(s1.to_json(), s2.to_json());
         let doc = Json::parse(&s1.to_json()).expect("metrics JSON parses");
@@ -751,9 +736,9 @@ mod tests {
     fn profile_bins_conserve_busy_time() {
         let mut r = MetricsRegistry::new(2, true);
         // Two commands, each 4 ms long, split unevenly across 2 shards.
-        r.record_cmd("add.int32", "add", 4.0, 0.0, &[(0, 3.0), (1, 1.0)]);
-        r.record_cmd("mul.int32", "mul", 4.0, 0.0, &[(0, 2.0), (1, 2.0)]);
-        let p = r.snapshot().profile.unwrap();
+        cmd(&mut r, "add.int32", 0.0, 4.0, &[(0, 3.0), (1, 1.0)]);
+        cmd(&mut r, "mul.int32", 4.0, 4.0, &[(0, 2.0), (1, 2.0)]);
+        let p = r.snapshot(8.0).profile.unwrap();
         assert_eq!(p.bins, DEFAULT_PROFILE_BINS);
         let busy0: f64 = p.shard_busy[0].iter().sum::<f64>() * p.bin_ms;
         let busy1: f64 = p.shard_busy[1].iter().sum::<f64>() * p.bin_ms;
@@ -769,9 +754,9 @@ mod tests {
     #[test]
     fn interconnect_samples_land_in_bins() {
         let mut r = MetricsRegistry::new(2, true);
-        r.record_cmd("add.int32", "add", 2.0, 0.0, &[(0, 1.0), (1, 1.0)]);
-        r.record_interconnect("scatter", 512, 0.1, 0.0);
-        let p = r.snapshot().profile.unwrap();
+        cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.0), (1, 1.0)]);
+        r.record_interconnect("scatter", 2.0, 512, 0.1, 0.0);
+        let p = r.snapshot(2.0).profile.unwrap();
         let total: u64 = p.interconnect_bytes.iter().sum();
         assert_eq!(total, 512);
     }

@@ -40,7 +40,6 @@ use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
 use crate::model::OpCost;
 use crate::object::{IdMap, ObjId, ObjectLayout};
-use crate::ops::OpCategory;
 use crate::resource::ResourceManager;
 use crate::stats::{ResourceStats, ShardResourceStats, SimStats};
 
@@ -1125,83 +1124,51 @@ impl PimSystem {
     // Per-shard cost distribution
     // ------------------------------------------------------------------
 
-    /// Splits one command's aggregate cost across the shard ledgers
-    /// proportionally to each shard's element share of `costed`; the
-    /// last non-empty shard absorbs the rounding remainder so the
-    /// per-shard sum equals the aggregate exactly up to float
-    /// re-association.
-    pub(crate) fn distribute_cmd(
-        &mut self,
-        costed: ObjId,
-        name: &str,
-        category: OpCategory,
-        cost: OpCost,
-    ) {
-        if self.shards.len() <= 1 {
-            return;
-        }
-        let Some(map) = self.maps.get(&costed) else {
-            return;
-        };
-        let shares = proportional_shares(&map.counts, cost.time_ms)
-            .zip(proportional_shares(&map.counts, cost.energy_mj));
-        for ((s, time_ms), (_, energy_mj)) in shares {
-            let shard = &mut self.shards[s];
-            let cores = shard.rm.get(costed).map_or(0, |o| o.layout.cores_used);
-            shard
-                .stats
-                .record_cmd(name, category, OpCost { time_ms, energy_mj }, cores);
-        }
-    }
-
-    /// Splits one copy's bytes/time/energy across the shard ledgers
-    /// proportionally to each shard's element share of `obj` (remainder
-    /// to the last non-empty shard, as in
-    /// [`PimSystem::distribute_cmd`]).
-    pub(crate) fn distribute_copy(
+    /// Splits one charge on `obj` (cost and bytes) over the shards
+    /// holding it, proportionally to each shard's element share; the
+    /// last holder absorbs the rounding remainder, so the shares sum back
+    /// to the aggregate up to float re-association. Calls `f(shard, cost
+    /// share, byte share, cores obj spans there, shard ledger)` in
+    /// ascending shard order. Returns false without calling `f` on
+    /// single-shard devices or unmapped objects, whose charge stays
+    /// whole-device.
+    pub(crate) fn split_charge(
         &mut self,
         obj: ObjId,
-        direction: u8,
+        cost: OpCost,
         bytes: u64,
-        time_ms: f64,
-        energy_mj: f64,
-    ) {
+        mut f: impl FnMut(usize, OpCost, u64, usize, &mut SimStats),
+    ) -> bool {
         if self.shards.len() <= 1 {
-            return;
+            return false;
         }
         let Some(map) = self.maps.get(&obj) else {
-            return;
+            return false;
         };
         let counts = &map.counts;
         let total: u64 = counts.iter().sum();
         let holders = counts.iter().filter(|&&c| c > 0).count();
         let mut bytes_left = bytes;
-        let shares =
-            proportional_shares(counts, time_ms).zip(proportional_shares(counts, energy_mj));
-        for (i, ((s, t), (_, e))) in shares.enumerate() {
-            let b = if i + 1 == holders {
+        let shares = proportional_shares(counts, cost.time_ms)
+            .zip(proportional_shares(counts, cost.energy_mj));
+        for (i, ((s, time_ms), (_, energy_mj))) in shares.enumerate() {
+            let bytes = if i + 1 == holders {
                 bytes_left
             } else {
                 (bytes as u128 * counts[s] as u128 / total as u128) as u64
             };
-            bytes_left -= b;
-            self.shards[s].stats.record_copy(b, direction, t, e);
+            bytes_left -= bytes;
+            let shard = &mut self.shards[s];
+            let cores = shard.rm.get(obj).map_or(0, |o| o.layout.cores_used);
+            f(
+                s,
+                OpCost { time_ms, energy_mj },
+                bytes,
+                cores,
+                &mut shard.stats,
+            );
         }
-    }
-
-    /// Each shard's proportional share of a `time_ms`-long command on
-    /// `costed`, as `(shard, share_ms)` pairs in ascending shard order —
-    /// the same split [`PimSystem::distribute_cmd`] ledgers (last
-    /// non-empty shard absorbs the rounding remainder). Empty on
-    /// single-shard devices or unmapped objects, so callers fall back
-    /// to whole-device attribution.
-    pub(crate) fn shard_time_shares(&self, costed: ObjId, time_ms: f64) -> Vec<(usize, f64)> {
-        if self.shards.len() <= 1 {
-            return Vec::new();
-        }
-        self.maps.get(&costed).map_or_else(Vec::new, |map| {
-            proportional_shares(&map.counts, time_ms).collect()
-        })
+        true
     }
 
     /// Critical-path and total byte loads of scattering/gathering `id`:

@@ -12,7 +12,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use super::json::{num, string};
-use super::{TraceEvent, Tracer};
+use super::TraceEvent;
 use crate::metrics::MetricsSnapshot;
 
 /// Thread id used for PIM command spans.
@@ -135,17 +135,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut b = ChromeTraceBuilder::new();
     b.add_run("pim simulation", events);
     b.finish()
-}
-
-/// Convenience: drains a device tracer and writes a single-run trace.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_trace(path: &Path, tracer: &mut Tracer) -> std::io::Result<()> {
-    let mut b = ChromeTraceBuilder::new();
-    b.add_run("pim simulation", &tracer.take_events());
-    b.write_to(path)
 }
 
 /// Simulated-clock milliseconds → trace microseconds.
@@ -347,9 +336,11 @@ mod tests {
     fn counter_tracks_render_per_bin_series() {
         use crate::metrics::{MetricsRegistry, DEFAULT_PROFILE_BINS};
         let mut r = MetricsRegistry::new(2, true);
-        r.record_cmd("add.int32", "add", 4.0, 0.1, &[(0, 3.0), (1, 1.0)]);
-        r.record_interconnect("scatter", 256, 0.05, 0.001);
-        let snap = r.snapshot();
+        r.record_cmd("add.int32", "add", 4.0, 0.1);
+        r.record_shard_busy(0, 0.0, 4.0, 3.0);
+        r.record_shard_busy(1, 0.0, 4.0, 1.0);
+        r.record_interconnect("scatter", 4.0, 256, 0.05, 0.001);
+        let snap = r.snapshot(4.0);
         let mut b = ChromeTraceBuilder::new();
         b.add_counter_tracks("metrics", &snap);
         let doc = Json::parse(&b.finish()).unwrap();

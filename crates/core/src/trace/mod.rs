@@ -4,9 +4,9 @@
 //! The simulator reports aggregates through [`SimStats`](crate::SimStats);
 //! this module adds the *timeline* view — one event per device-lifecycle
 //! step, PIM command, host↔device copy, and host phase, each stamped on
-//! the simulated clock. Tracing is strictly opt-in: a device starts with
-//! the no-op sink and skips all event construction, so untraced runs are
-//! bit-identical to pre-trace behavior.
+//! the device's simulated clock. Tracing is strictly opt-in: a device
+//! starts with the no-op sink and skips all event construction, so
+//! untraced runs are bit-identical to pre-trace behavior.
 //!
 //! # Example
 //!
@@ -402,13 +402,13 @@ impl TraceSink for Recorder {
     }
 }
 
-/// The device's tracing state: an optional sink plus the simulated
-/// clock. With no sink installed every instrumentation site reduces to
-/// one branch, so untraced runs pay nothing.
+/// The device's tracing state: an optional sink. It keeps no clock;
+/// events arrive already stamped from the device's simulated clock, the
+/// only one. With no sink installed every instrumentation site reduces
+/// to one branch, so untraced runs pay nothing.
 #[derive(Debug, Default)]
 pub struct Tracer {
     slot: SinkSlot,
-    clock_ms: f64,
 }
 
 #[derive(Debug, Default)]
@@ -428,11 +428,6 @@ impl Tracer {
         !matches!(self.slot, SinkSlot::Noop)
     }
 
-    /// The simulated clock position (ms since device creation).
-    pub fn clock_ms(&self) -> f64 {
-        self.clock_ms
-    }
-
     /// Installs the built-in recorder (replacing any sink).
     pub fn install_recorder(&mut self, capacity: usize) {
         self.slot = SinkSlot::Recorder(Recorder::with_capacity(capacity));
@@ -443,8 +438,9 @@ impl Tracer {
         self.slot = SinkSlot::Custom(sink);
     }
 
-    /// Removes the sink; subsequent events are discarded. The clock
-    /// keeps running so re-enabled traces stay monotonic.
+    /// Removes the sink; subsequent events are discarded. The device's
+    /// clock keeps running, so a re-enabled trace resumes at the true
+    /// simulated time and stays monotonic.
     pub fn disable(&mut self) {
         self.slot = SinkSlot::Noop;
     }
@@ -474,7 +470,7 @@ impl Tracer {
         }
     }
 
-    /// Emits an instantaneous event at the current clock.
+    /// Hands one event to the installed sink (discarded when none).
     pub fn emit(&mut self, event: TraceEvent) {
         match &mut self.slot {
             SinkSlot::Noop => {}
@@ -483,11 +479,12 @@ impl Tracer {
         }
     }
 
-    /// Advances the simulated clock by `ms` and returns the span start.
-    pub fn advance(&mut self, ms: f64) -> f64 {
-        let start = self.clock_ms;
-        self.clock_ms += ms.max(0.0);
-        start
+    /// Builds an event with `event` and hands it to the installed sink;
+    /// `event` does not run when none is installed.
+    pub fn emit_with(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.enabled() {
+            self.emit(event());
+        }
     }
 }
 
@@ -557,13 +554,20 @@ mod tests {
 
     #[test]
     fn tracer_noop_discards_and_clock_advances() {
+        // The tracer keeps no clock: a span keeps the start its caller
+        // stamped, also after a stretch with no sink installed.
         let mut t = Tracer::default();
         assert!(!t.enabled());
         t.emit(cmd(1));
         assert!(t.take_events().is_empty());
-        assert_eq!(t.advance(2.5), 0.0);
-        assert_eq!(t.advance(1.0), 2.5);
-        assert!((t.clock_ms() - 3.5).abs() < 1e-12);
+        t.install_recorder(4);
+        t.emit(TraceEvent::HostPhase {
+            start_ms: 2.5,
+            time_ms: 1.0,
+        });
+        let e = &t.take_events()[0];
+        assert_eq!(e.timestamp_ms(), 2.5);
+        assert!((e.timestamp_ms() + e.duration_ms() - 3.5).abs() < 1e-12);
     }
 
     #[test]

@@ -220,3 +220,44 @@ fn disable_tracing_stops_recording() {
         "recorder was replaced by the no-op sink"
     );
 }
+
+#[test]
+fn trace_enabled_mid_run_stays_on_the_device_clock() {
+    // Metrics from creation; tracing only in the second and fourth
+    // windows. Every traced span must start where the device clock
+    // stood, however much was charged while tracing was off.
+    let cfg = DeviceConfig::new(PimTarget::Fulcrum, 2).with_metrics();
+    let mut dev = Device::new(cfg).unwrap();
+    let clock = |dev: &mut Device| dev.metrics_snapshot().unwrap().clock_ms;
+    let a = dev.alloc_vec(&[3i32, -1, 4, 1, 5, 9, 2, 6]).unwrap();
+    let b = dev.alloc_associated(a, DataType::Int32).unwrap();
+    let (mut events, mut starts) = (Vec::new(), Vec::new());
+    for traced in [false, true, false, true] {
+        if traced {
+            dev.enable_tracing();
+        }
+        let _ = dev.to_vec::<i32>(b).unwrap();
+        dev.record_host_ms(0.125);
+        for _ in 0..3 {
+            starts.extend(traced.then(|| clock(&mut dev)));
+            dev.add(a, b, b).unwrap();
+        }
+        if traced {
+            events.extend(dev.take_trace());
+            dev.disable_tracing();
+        }
+    }
+    let cmd_starts: Vec<f64> = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Cmd { .. }))
+        .map(TraceEvent::timestamp_ms)
+        .collect();
+    assert_eq!(cmd_starts.len(), 6);
+    for (start, expected) in cmd_starts.iter().zip(&starts) {
+        assert_eq!(start.to_bits(), expected.to_bits(), "{start} vs {expected}");
+    }
+    let last = events.last().expect("the last window ends with a command");
+    assert!(matches!(last, TraceEvent::Cmd { .. }));
+    let end = last.timestamp_ms() + last.duration_ms();
+    assert_eq!(end.to_bits(), clock(&mut dev).to_bits());
+}
