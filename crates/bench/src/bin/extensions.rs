@@ -1,12 +1,16 @@
 //! Runs the extension kernels (prefix sum, string match, transitive
-//! closure — the additions §II/§IX of the paper announce) on all four
-//! modeled targets, including the analog bit-serial extension, and
-//! prints CPU-relative speedups in the Fig. 9 style.
+//! closure — the additions §II/§IX of the paper announce) on every
+//! target of `PimTarget::EXTENDED`, including the analog bit-serial and
+//! UPMEM-like extensions, and prints CPU-relative speedups in the
+//! Fig. 9 style.
 
 use pim_baseline::ComputeModel;
 use pim_bench_harness::{cli_params, fmt_ratio};
 use pimbench::extension_benchmarks;
 use pimeval::{Device, DeviceConfig, PimTarget};
+
+/// Width of one target column, including its leading space.
+const COLUMN: usize = 15;
 
 fn main() {
     let params = cli_params(0.25);
@@ -15,10 +19,17 @@ fn main() {
         "Extension kernels — speedup over baseline CPU (32 ranks, scale {})\n",
         params.scale
     );
-    println!(
-        "{:<20} {:>14} {:>10} {:>12} {:>18}",
-        "Kernel", "Bit-serial", "Fulcrum", "Bank-level", "Analog-bit-serial"
-    );
+    // One column per target, each name right-aligned to its column's
+    // end (a name wider than the column starts one space after the
+    // previous one).
+    let mut header = format!("{:<20}", "Kernel");
+    for (i, target) in PimTarget::EXTENDED.into_iter().enumerate() {
+        let end = 20 + COLUMN * (i + 1);
+        let pad = end.saturating_sub(header.len() + target.name().len());
+        header.push_str(&" ".repeat(pad.max(1)));
+        header.push_str(target.name());
+    }
+    println!("{header}");
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
     for bench in extension_benchmarks() {
         let mut speedups = Vec::new();
@@ -41,7 +52,7 @@ fn main() {
     for (name, speedups) in rows {
         print!("{name:<20}");
         for s in speedups {
-            print!(" {:>14}", fmt_ratio(s));
+            print!(" {:>w$}", fmt_ratio(s), w = COLUMN - 1);
         }
         println!();
     }

@@ -202,6 +202,22 @@ impl HistogramSnapshot {
     }
 }
 
+/// Calls `f` with the instrument key `prefix.suffix`, joined in a stack
+/// buffer so that recording into an existing instrument allocates
+/// nothing. A key too long for the buffer is joined on the heap.
+fn with_key<R>(prefix: &str, suffix: &str, f: impl FnOnce(&str) -> R) -> R {
+    let mut buf = [0u8; 64];
+    let len = prefix.len() + 1 + suffix.len();
+    let Some(key) = buf.get_mut(..len) else {
+        return f(&format!("{prefix}.{suffix}"));
+    };
+    let (head, tail) = key.split_at_mut(prefix.len());
+    head.copy_from_slice(prefix.as_bytes());
+    tail[0] = b'.';
+    tail[1..].copy_from_slice(suffix.as_bytes());
+    f(std::str::from_utf8(key).expect("joined from str pieces"))
+}
+
 /// One named collection of typed instruments. Instruments are created
 /// lazily on first use; names sort deterministically in every export
 /// (`BTreeMap` storage).
@@ -215,7 +231,12 @@ pub struct InstrumentSet {
 impl InstrumentSet {
     /// Adds `delta` to the named monotonic counter.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Sets the named gauge to `value`.
@@ -225,15 +246,25 @@ impl InstrumentSet {
 
     /// Adds `delta` to the named gauge (starting from 0).
     pub fn gauge_add(&mut self, name: &str, delta: f64) {
-        *self.gauges.entry(name.to_string()).or_insert(0.0) += delta;
+        match self.gauges.get_mut(name) {
+            Some(g) => *g += delta,
+            // `0.0 + delta` keeps a first `-0.0` delta stored as `0.0`.
+            None => {
+                self.gauges.insert(name.to_owned(), 0.0 + delta);
+            }
+        }
     }
 
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Histogram::default();
+                h.record(value);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// The named counter's value (0 if never touched).
@@ -427,12 +458,12 @@ impl MetricsRegistry {
     /// as the true command count — invariant across shard counts —
     /// while `shard_cmds` counts command-shard occurrences.
     pub fn record_cmd(&mut self, name: &str, category: &str, time_ms: f64, energy_mj: f64) {
-        self.device.counter_add("cmds", 1);
-        self.device.counter_add(&format!("cmds.{category}"), 1);
-        self.device.gauge_add("kernel_energy_mj", energy_mj);
-        self.device.observe("op_latency_ms", time_ms);
-        self.device
-            .observe(&format!("op_latency_ms.{name}"), time_ms);
+        let d = &mut self.device;
+        d.counter_add("cmds", 1);
+        with_key("cmds", category, |k| d.counter_add(k, 1));
+        d.gauge_add("kernel_energy_mj", energy_mj);
+        d.observe("op_latency_ms", time_ms);
+        with_key("op_latency_ms", name, |k| d.observe(k, time_ms));
     }
 
     /// Records one shard's part of a command: during the command window
@@ -456,12 +487,13 @@ impl MetricsRegistry {
 
     /// Records one host↔device (or device↔device) copy.
     pub fn record_copy(&mut self, direction: &str, bytes: u64, time_ms: f64, energy_mj: f64) {
-        self.device.counter_add("copies", 1);
-        self.device.counter_add(&format!("copies.{direction}"), 1);
-        self.device.counter_add("copy_bytes", bytes);
-        self.device.gauge_add("copy_energy_mj", energy_mj);
-        self.device.observe("copy_bytes", bytes as f64);
-        self.device.observe("copy_latency_ms", time_ms);
+        let d = &mut self.device;
+        d.counter_add("copies", 1);
+        with_key("copies", direction, |k| d.counter_add(k, 1));
+        d.counter_add("copy_bytes", bytes);
+        d.gauge_add("copy_energy_mj", energy_mj);
+        d.observe("copy_bytes", bytes as f64);
+        d.observe("copy_latency_ms", time_ms);
     }
 
     /// Records one cross-shard interconnect transfer at `at_ms` on the
@@ -475,13 +507,13 @@ impl MetricsRegistry {
         time_ms: f64,
         energy_mj: f64,
     ) {
-        self.device.counter_add("interconnect.transfers", 1);
-        self.device
-            .counter_add(&format!("interconnect_bytes.{kind}"), bytes);
-        self.device.counter_add("interconnect_bytes", bytes);
-        self.device.gauge_add("interconnect_ms", time_ms);
-        self.device.gauge_add("interconnect_energy_mj", energy_mj);
-        self.device.observe("interconnect_bytes_hist", bytes as f64);
+        let d = &mut self.device;
+        d.counter_add("interconnect.transfers", 1);
+        with_key("interconnect_bytes", kind, |k| d.counter_add(k, bytes));
+        d.counter_add("interconnect_bytes", bytes);
+        d.gauge_add("interconnect_ms", time_ms);
+        d.gauge_add("interconnect_energy_mj", energy_mj);
+        d.observe("interconnect_bytes_hist", bytes as f64);
         if let Some(p) = &mut self.profile {
             p.interconnect.push(ByteSample { at_ms, bytes });
         }

@@ -545,27 +545,40 @@ impl PimSystem {
     // Per-shard execution
     // ------------------------------------------------------------------
 
-    /// Runs `f` once per shard. With one shard this is a plain inline
-    /// call; with more, the shards go through the persistent
-    /// work-stealing pool at item granularity ([`exec::par_each_mut`]):
-    /// every shard is its own stealable unit, so a skewed `ShardMap`
-    /// keeps no worker idle, and element-level fan-outs *inside* a
-    /// shard are ordinary nested pool jobs that idle workers can help
-    /// with. The first shard error (in shard order) is returned.
-    fn on_shards<F>(shards: &mut [Shard], f: F) -> Result<()>
+    /// Runs `f` once per shard and returns the first shard error (in
+    /// shard order); every shard runs even after one fails.
+    ///
+    /// `work` is the number of elements the call touches: the
+    /// destination's element count, times the batch steps for a batched
+    /// sweep. Below `2 × exec::MIN_CHUNK` (the floor `exec` applies to
+    /// every element loop) or with one shard, the shards run inline on
+    /// the calling thread, in shard order, and a multi-shard call counts
+    /// one sequential run in the pool profile. Otherwise they go
+    /// through the persistent work-stealing pool at item granularity
+    /// ([`exec::par_each_mut`]): every shard is its own stealable unit,
+    /// so a skewed `ShardMap` keeps no worker idle, and element-level
+    /// fan-outs *inside* a shard are ordinary nested pool jobs that
+    /// idle workers can help with.
+    fn on_shards<F>(shards: &mut [Shard], work: usize, f: F) -> Result<()>
     where
         F: Fn(usize, &mut Shard) -> Result<()> + Sync,
     {
-        if shards.len() <= 1 {
-            if let Some(shard) = shards.first_mut() {
-                return f(0, shard);
+        if shards.len() > 1 {
+            if work >= 2 * exec::MIN_CHUNK {
+                return exec::par_each_mut(shards, |i, shard| f(i, shard))
+                    .into_iter()
+                    .collect();
             }
-            return Ok(());
+            exec::pool::note_sequential();
         }
-        exec::par_each_mut(shards, |i, shard| f(i, shard))
-            .into_iter()
-            .collect::<Result<Vec<()>>>()
-            .map(|_| ())
+        let mut first = Ok(());
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let result = f(i, shard);
+            if first.is_ok() {
+                first = result;
+            }
+        }
+        first
     }
 
     /// Reassembles an object's full canonical buffer in global element
@@ -698,7 +711,8 @@ impl PimSystem {
             return Ok(realign_bytes);
         }
         let aliased = inputs.contains(&dst);
-        Self::on_shards(&mut self.shards, |s, shard| {
+        let work = self.meta.get(dst)?.count as usize;
+        Self::on_shards(&mut self.shards, work, |s, shard| {
             let n = dst_map.count_on(s) as usize;
             if n == 0 {
                 return Ok(());
@@ -762,7 +776,8 @@ impl PimSystem {
         let dst_map = self.maps.get(&dst).ok_or(PimError::UnknownObject(dst))?;
         if src_map == dst_map {
             if self.functional && src != dst {
-                Self::on_shards(&mut self.shards, |_s, shard| {
+                let work = self.meta.get(dst)?.count as usize;
+                Self::on_shards(&mut self.shards, work, |_s, shard| {
                     // Reuse the destination's existing buffer: repeated
                     // copies into the same object allocate nothing.
                     let Ok(dst_obj) = shard.rm.get_mut(dst) else {
@@ -829,7 +844,8 @@ impl PimSystem {
         if !self.functional {
             return Ok(());
         }
-        Self::on_shards(&mut self.shards, |_s, shard| {
+        let work = self.meta.get(dst).map_or(0, |o| o.count as usize);
+        Self::on_shards(&mut self.shards, work, |_s, shard| {
             if let Ok(obj) = shard.rm.get_mut(dst) {
                 let count = obj.count as usize;
                 // Fill in place when a buffer already exists.
@@ -963,7 +979,11 @@ impl PimSystem {
         if !self.functional {
             return Ok(());
         }
-        Self::on_shards(&mut self.shards, |_s, shard| {
+        let work = self
+            .meta
+            .get(dst0)
+            .map_or(0, |o| (o.count as usize).saturating_mul(steps.len()));
+        Self::on_shards(&mut self.shards, work, |_s, shard| {
             let n = match shard.rm.get(dst0) {
                 Ok(obj) => obj.count as usize,
                 Err(_) => return Ok(()),

@@ -7,6 +7,7 @@
 //! parse-back); non-finite values degrade to `null`.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 use crate::config::DeviceConfig;
 use crate::metrics::MetricsSnapshot;
@@ -21,40 +22,52 @@ pub const STATS_SCHEMA_VERSION: u32 = 3;
 // Writer helpers
 // ---------------------------------------------------------------------
 
-/// Escapes `s` as the *contents* of a JSON string (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a quoted JSON string.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    Quoted(s).to_string()
 }
 
 /// Renders an `f64` as a JSON number (`null` for NaN/infinity).
 /// Negative zero collapses to `0`: `-0` is valid JSON but diff-based
 /// consumers treat it as a spurious change from `0`.
 pub fn num(v: f64) -> String {
-    if v == 0.0 {
-        "0".into()
-    } else if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
+    Num(v).to_string()
+}
+
+/// [`string`] as a `Display` value, for writing into a buffer.
+pub(crate) struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
+
+/// [`num`] as a `Display` value, for writing into a buffer.
+pub(crate) struct Num(pub f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v == 0.0 {
+            f.write_str("0")
+        } else if v.is_finite() {
+            write!(f, "{v}")
+        } else {
+            f.write_str("null")
+        }
     }
 }
 

@@ -339,6 +339,17 @@ impl Recorder {
         }
     }
 
+    /// Stores `event`, overwriting the oldest one when the ring is full.
+    fn push(&mut self, event: TraceEvent) {
+        if self.events.len() < self.capacity {
+            self.events.push(event);
+        } else {
+            self.events[self.head] = event;
+            self.head = (self.head + 1) % self.capacity;
+            self.dropped += 1;
+        }
+    }
+
     /// The synthesized [`TraceEvent::Dropped`] marker for the current
     /// drop count, if any drops happened since the last drain.
     fn drop_marker(&self, oldest: Option<&TraceEvent>) -> Option<TraceEvent> {
@@ -392,13 +403,7 @@ impl Recorder {
 
 impl TraceSink for Recorder {
     fn record(&mut self, event: &TraceEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(event.clone());
-        } else {
-            self.events[self.head] = event.clone();
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
+        self.push(event.clone());
     }
 }
 
@@ -470,11 +475,12 @@ impl Tracer {
         }
     }
 
-    /// Hands one event to the installed sink (discarded when none).
+    /// Hands one event to the installed sink (discarded when none). The
+    /// built-in recorder keeps the event itself; custom sinks borrow it.
     pub fn emit(&mut self, event: TraceEvent) {
         match &mut self.slot {
             SinkSlot::Noop => {}
-            SinkSlot::Recorder(r) => r.record(&event),
+            SinkSlot::Recorder(r) => r.push(event),
             SinkSlot::Custom(s) => s.record(&event),
         }
     }

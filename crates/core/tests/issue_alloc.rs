@@ -10,12 +10,18 @@
 //! formatted on the stack. Commands whose destination is also an input
 //! are excluded; they may keep their one output allocation.
 //!
+//! The same holds on a four-shard device with the metrics registry on:
+//! commands below the pool's work floor run their shards inline (no
+//! pool fan-out, no per-shard result slots) and the registry builds its
+//! instrument keys on the stack.
+//!
 //! This file is its own test binary so the allocator hook sees nothing
 //! but this test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pimeval::exec::{self, pool};
 use pimeval::pim_microcode::gen::{BinaryOp, CmpOp};
 use pimeval::{DataType, Device, DeviceConfig, ObjId, OpKind, PimCommand, PimTarget};
 
@@ -110,8 +116,10 @@ fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId) -> Vec<PimCommand> {
     cmds
 }
 
-fn assert_issue_allocates_nothing(target: PimTarget) {
-    let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
+/// Warms `dev` with every command kind once, then re-issues the same
+/// commands and returns how many heap allocations the re-issue made on
+/// this thread.
+fn warm_reissue_allocations(dev: &mut Device) -> u64 {
     let data: Vec<i32> = (0..300).map(|i| i * 7919 - 1_000_000).collect();
     let other: Vec<i32> = (0..300).map(|i| 5000 - i * 31).collect();
     let bits: Vec<i32> = (0..300).map(|i| i % 3).collect();
@@ -120,7 +128,8 @@ fn assert_issue_allocates_nothing(target: PimTarget) {
     let mask = dev.alloc_vec(&bits).unwrap();
     let dst = dev.alloc_associated(a, DataType::Int32).unwrap();
 
-    // Warm-up: first-seen statistics names and cost memo entries.
+    // Warm-up: first-seen statistics names, instrument keys and cost
+    // memo entries.
     for cmd in command_set(a, b, mask, dst) {
         dev.issue(cmd).unwrap();
     }
@@ -135,14 +144,42 @@ fn assert_issue_allocates_nothing(target: PimTarget) {
     let allocated = allocations() - before;
 
     assert_eq!(dev.stats().total_ops() - ops_before, count);
-    assert_eq!(
-        allocated, 0,
-        "{target}: {count} warm commands performed {allocated} heap allocation(s)"
-    );
+    allocated
 }
 
 #[test]
 fn warm_issue_performs_no_heap_allocation() {
-    assert_issue_allocates_nothing(PimTarget::Fulcrum);
-    assert_issue_allocates_nothing(PimTarget::BitSerial);
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
+        let allocated = warm_reissue_allocations(&mut dev);
+        assert_eq!(
+            allocated, 0,
+            "{target}: warm commands performed {allocated} heap allocation(s)"
+        );
+    }
+}
+
+#[test]
+fn warm_sharded_metered_issue_performs_no_heap_allocation() {
+    // Fan-outs are only counted while pool profiling is on.
+    pool::enable();
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        exec::with_thread_count(2, || {
+            let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(4)).unwrap();
+            assert_eq!(dev.system().shard_count(), 4, "{target}");
+            dev.enable_metrics(false);
+            let fanouts = pool::snapshot().fanouts;
+            let allocated = warm_reissue_allocations(&mut dev);
+            assert_eq!(
+                allocated, 0,
+                "{target}, 4 shards, metrics on: warm commands performed \
+                 {allocated} heap allocation(s)"
+            );
+            assert_eq!(
+                pool::snapshot().fanouts,
+                fanouts,
+                "{target}: 300-element commands fanned out to the pool"
+            );
+        });
+    }
 }

@@ -110,17 +110,17 @@ fn close(a: f64, b: f64, rel: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()).max(1e-12)
 }
 
-/// One target × dtype × shard-count check: bit-identical observations,
-/// identical aggregate clocks, additive per-shard ledgers, separate
-/// interconnect accounting.
+/// One target × dtype × shard-count check over `n` elements:
+/// bit-identical observations, identical aggregate clocks, additive
+/// per-shard ledgers, separate interconnect accounting.
 fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     target: PimTarget,
     shards: usize,
+    n: usize,
     seed: u64,
 ) {
-    let n = 257; // odd, multi-word, leaves a partial trailing unit
     let (xs, ys) = data::<T>(n, seed);
-    let ctx = format!("{target:?} {:?} shards={shards}", T::DTYPE);
+    let ctx = format!("{target:?} {:?} shards={shards} n={n}", T::DTYPE);
 
     let (base, base_dev) = run_program(DeviceConfig::new(target, 1), &xs, &ys);
     let (sharded, dev) = run_program(DeviceConfig::new(target, 1).with_shards(shards), &xs, &ys);
@@ -180,15 +180,18 @@ fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     }
 }
 
+/// Odd, multi-word, leaves a partial trailing unit.
+const N: usize = 257;
+
 #[test]
 fn sharded_runs_match_unsharded_on_every_target_and_dtype() {
     for shards in shard_counts() {
         for (i, target) in TARGETS.into_iter().enumerate() {
             let seed = 0x5AAD + i as u64;
-            check_shard_equivalence::<i8>(target, shards, seed);
-            check_shard_equivalence::<i32>(target, shards, seed);
-            check_shard_equivalence::<i64>(target, shards, seed);
-            check_shard_equivalence::<u16>(target, shards, seed);
+            check_shard_equivalence::<i8>(target, shards, N, seed);
+            check_shard_equivalence::<i32>(target, shards, N, seed);
+            check_shard_equivalence::<i64>(target, shards, N, seed);
+            check_shard_equivalence::<u16>(target, shards, N, seed);
         }
     }
 }
@@ -202,8 +205,7 @@ fn shard_equivalence_holds_under_both_timing_backends() {
     for backend in [TimingBackend::Analytical, TimingBackend::BankFsm] {
         for shards in [1usize, 4] {
             for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
-                let n = 257;
-                let (xs, ys) = data::<i32>(n, 0xBAC0);
+                let (xs, ys) = data::<i32>(N, 0xBAC0);
                 let ctx = format!("{target:?} {backend} shards={shards}");
                 let base_cfg = DeviceConfig::new(target, 1).with_timing_backend(backend);
                 let (base, base_dev) = run_program(base_cfg.clone(), &xs, &ys);
@@ -230,13 +232,19 @@ fn shard_equivalence_holds_under_both_timing_backends() {
 
 #[test]
 fn shard_equivalence_holds_at_every_pool_thread_count() {
-    // The per-shard outer loop rides the work-stealing pool; which
-    // worker executes a shard must never leak into results. One
-    // representative target/dtype per thread count keeps this fast.
-    for threads in [1usize, 2, 4, 7] {
-        pimeval::exec::with_thread_count(threads, || {
-            check_shard_equivalence::<i32>(PimTarget::Fulcrum, 4, 0x7EAD + threads as u64);
-        });
+    // Commands touching fewer than `2 * MIN_CHUNK` elements run their
+    // shards inline; larger ones ride the work-stealing pool, where
+    // which worker executes a shard must never leak into results. The
+    // sizes straddle that gate so both paths meet the unsharded device.
+    // One representative target/dtype keeps this fast.
+    let floor = 2 * pimeval::exec::MIN_CHUNK;
+    for n in [floor - 1, floor, floor + N] {
+        for threads in [1usize, 2, 4, 7] {
+            pimeval::exec::with_thread_count(threads, || {
+                let seed = 0x7EAD + threads as u64;
+                check_shard_equivalence::<i32>(PimTarget::Fulcrum, 4, n, seed);
+            });
+        }
     }
 }
 

@@ -204,7 +204,11 @@ pub mod pool {
         state().clone()
     }
 
-    pub(super) fn note_sequential() {
+    /// Counts one loop that stayed on the calling thread (a no-op
+    /// unless profiling is [`enable`]d). Callers that gate their own
+    /// fan-out, like the shard loop in `pimeval`, call this on their
+    /// inline path so the profile counts them like the primitives here.
+    pub fn note_sequential() {
         if enabled() {
             state().sequential_runs += 1;
         }
