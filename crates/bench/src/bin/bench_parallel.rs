@@ -2,7 +2,7 @@
 //! element-wise ops and reductions on a multi-million-element device,
 //! plus one end-to-end VGG-13 inference, each measured across a
 //! `--threads` sweep (default `1,2,4`) so the export's `speedups`
-//! section is populated even on hosts whose default worker count is 1.
+//! section is populated even when the default worker count is 1.
 //! A stream section times fusible command pipelines both eagerly and
 //! through a [`pimeval::CommandStream`], reporting host wall-clock and
 //! modeled device cost side by side.
@@ -19,8 +19,10 @@
 //! point runs the op mix on a device sharded per DRAM rank), the
 //! imbalance section, and the fan-out overhead section to
 //! `BENCH_parallel.json` (override with `--out <path>`).
-//! On a single-core host the speedup columns honestly report ~1×; the
-//! engine headroom shows on multi-core runners (see the CI bench job).
+//! The export records the host's core count, and `speedups` pairs the
+//! single-thread rows only with the widest thread count that fits in
+//! it: more threads than cores measure oversubscription, not scaling,
+//! so on a single-core host the section is empty.
 
 use pim_bench_harness::export::{
     parallel_runs_to_json, FanoutOverhead, FidelityRun, ImbalanceRun, ParallelRun, RankScalingRun,
@@ -519,8 +521,10 @@ fn main() {
     }
 
     let default_threads = exec::thread_count();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "parallel execution engine benchmark — default {default_threads} worker(s) on this host, sweeping {threads_list:?}"
+        "parallel execution engine benchmark — default {default_threads} worker(s) on \
+         {host_cores} host core(s), sweeping {threads_list:?}"
     );
 
     let mut runs = Vec::new();
@@ -546,6 +550,7 @@ fn main() {
 
     let json = parallel_runs_to_json(
         default_threads,
+        host_cores,
         &runs,
         &stream_runs,
         &rank_runs,
@@ -561,7 +566,11 @@ fn main() {
         }
     }
 
-    let top = threads_list.iter().copied().filter(|&t| t > 1).max();
+    let top = threads_list
+        .iter()
+        .copied()
+        .filter(|&t| t > 1 && t <= host_cores)
+        .max();
     if let Some(top) = top {
         group(&format!("speedup (min-time ratio, 1 thread / {top})"));
         for base in runs.iter().filter(|r| r.threads == 1) {

@@ -15,7 +15,10 @@
 //!   With `--wall-advisory`, wall-clock regressions are still printed
 //!   (as `ADVISE`) but never fail the gate — the mode CI uses, where
 //!   shared runners make wall time untrustworthy while the modeled-cost
-//!   columns below stay deterministic and hard-fail.
+//!   columns below stay deterministic and hard-fail. Wall time is only
+//!   compared between files recording the same `host_cores`: when the
+//!   counts differ or either file lacks one, the rows are printed as
+//!   `not comparable` and never gated.
 //! * **Modeled cost** (`rank_scaling`, matched by `(name, ranks)`;
 //!   `stream_vs_eager`, matched by `(name, threads)`): simulated
 //!   `kernel_ms` / `stream_modeled_ms` may grow by at most
@@ -141,16 +144,27 @@ fn extract(doc: &Json, section: &str, keys: &[&str], metric: &str) -> Vec<(Strin
     out
 }
 
+/// How a compared section's exceedances count.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Growth beyond the threshold is a regression.
+    Hard,
+    /// Growth beyond the threshold is printed as `ADVISE`, not counted.
+    Advisory,
+    /// The two sides were measured on different hosts: rows are printed
+    /// without a verdict.
+    NotComparable,
+}
+
 /// Compares one metric between the two documents; returns the number of
-/// regressions (relative growth beyond `threshold`) after printing one
-/// line per matched pair. With `advisory`, exceedances are printed as
-/// `ADVISE` but never counted.
+/// regressions (relative growth beyond `threshold` under [`Gate::Hard`])
+/// after printing one line per matched pair.
 fn compare(
     label: &str,
     baseline: &[(String, f64)],
     current: &[(String, f64)],
     threshold: f64,
-    advisory: bool,
+    gate: Gate,
 ) -> usize {
     let mut regressions = 0;
     for (id, base) in baseline {
@@ -162,15 +176,20 @@ fn compare(
             continue;
         }
         let growth = cur / base - 1.0;
-        let status = if growth > threshold {
-            if advisory {
-                "ADVISE"
-            } else {
-                regressions += 1;
-                "REGRESS"
-            }
-        } else {
+        if gate == Gate::NotComparable {
+            println!(
+                "  [not comparable] {label} {id}: {base:.6} -> {cur:.6} ({:+.2}%)",
+                growth * 100.0
+            );
+            continue;
+        }
+        let status = if growth <= threshold {
             "ok"
+        } else if gate == Gate::Advisory {
+            "ADVISE"
+        } else {
+            regressions += 1;
+            "REGRESS"
         };
         println!(
             "  [{status:>7}] {label} {id}: {base:.6} -> {cur:.6} ({:+.2}%, limit +{:.2}%)",
@@ -221,17 +240,36 @@ fn main() -> ExitCode {
         cli.current.display()
     );
     let mut regressions = 0;
-    println!(
-        "wall-clock (min_ns, limit +{:.0}%{}):",
-        cli.max_slowdown * 100.0,
-        if cli.wall_advisory { ", advisory" } else { "" }
-    );
+    let host_cores = |doc: &Json| doc.get("host_cores").and_then(Json::as_f64);
+    let wall_gate = match (host_cores(&base), host_cores(&cur)) {
+        (Some(b), Some(c)) if b == c => {
+            println!(
+                "wall-clock (min_ns, limit +{:.0}%{}):",
+                cli.max_slowdown * 100.0,
+                if cli.wall_advisory { ", advisory" } else { "" }
+            );
+            if cli.wall_advisory {
+                Gate::Advisory
+            } else {
+                Gate::Hard
+            }
+        }
+        (b, c) => {
+            let show = |n: Option<f64>| n.map_or_else(|| "missing".to_string(), |n| n.to_string());
+            println!(
+                "wall-clock (min_ns): not comparable, host_cores {} vs {}; not gated:",
+                show(b),
+                show(c)
+            );
+            Gate::NotComparable
+        }
+    };
     regressions += compare(
         "run",
         &extract(&base, "runs", &["name", "threads"], "min_ns"),
         &extract(&cur, "runs", &["name", "threads"], "min_ns"),
         cli.max_slowdown,
-        cli.wall_advisory,
+        wall_gate,
     );
     println!(
         "modeled cost (limit +{:.2}%):",
@@ -242,7 +280,7 @@ fn main() -> ExitCode {
         &extract(&base, "rank_scaling", &["name", "ranks"], "kernel_ms"),
         &extract(&cur, "rank_scaling", &["name", "ranks"], "kernel_ms"),
         cli.max_cost_increase,
-        false,
+        Gate::Hard,
     );
     regressions += compare(
         "stream_vs_eager",
@@ -259,7 +297,7 @@ fn main() -> ExitCode {
             "stream_modeled_ms",
         ),
         cli.max_cost_increase,
-        false,
+        Gate::Hard,
     );
     if regressions > 0 {
         eprintln!("{regressions} regression(s) beyond threshold");

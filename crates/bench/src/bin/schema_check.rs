@@ -210,6 +210,24 @@ fn check_metrics(c: &mut Checker, doc: &Json) {
 /// `bench_parallel` export (`BENCH_parallel.json`).
 fn check_bench(c: &mut Checker, doc: &Json) {
     c.require_num(doc, "$", "threads_default");
+    // host_cores is optional (older exports lack it); when present it
+    // is a positive count and bounds every speedup's thread count.
+    if doc.get("host_cores").is_some() {
+        if let Some(cores) = c.require_num(doc, "$", "host_cores") {
+            if cores < 1.0 {
+                c.fail("$", "\"host_cores\" must be at least 1");
+            }
+            let speedups = doc.get("speedups").and_then(Json::as_array).unwrap_or(&[]);
+            for (i, e) in speedups.iter().enumerate() {
+                let path = format!("speedups[{i}]");
+                if c.require_num(e, &path, "threads")
+                    .is_some_and(|t| t > cores)
+                {
+                    c.fail(&path, "thread count exceeds \"host_cores\"");
+                }
+            }
+        }
+    }
     if let Some(runs) = c.require_array(doc, "$", "runs") {
         for (i, run) in runs.iter().enumerate() {
             let path = format!("runs[{i}]");

@@ -422,9 +422,12 @@ impl FidelityRun {
     }
 }
 
-/// Renders the `bench_parallel` report: host parallelism, every
-/// measurement, per-op speedups of the widest measured thread count
-/// over the single-threaded run (best-time ratio, paired by op name),
+/// Renders the `bench_parallel` report: host parallelism (the default
+/// worker count and the host's core count), every measurement, per-op
+/// speedups of the widest measured thread count that fits in
+/// `host_cores` over the single-threaded run (best-time ratio, paired by
+/// op name; a count above the core count measures oversubscription, not
+/// scaling, so it gets no speedup entry),
 /// the stream-vs-eager comparisons, the `--ranks` sharding sweep, the
 /// skewed-shard imbalance section, and the fan-out dispatch-overhead
 /// microbenchmark. All post-v1 sections are additive: consumers that
@@ -435,6 +438,7 @@ impl FidelityRun {
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_runs_to_json(
     default_threads: usize,
+    host_cores: usize,
     runs: &[ParallelRun],
     stream: &[StreamVsEager],
     rank_scaling: &[RankScalingRun],
@@ -445,9 +449,14 @@ pub fn parallel_runs_to_json(
     let measured: Vec<String> = runs.iter().map(ParallelRun::to_json).collect();
     let mut speedups = Vec::new();
     // Pair each single-thread baseline with the widest measured count
-    // for the same op; `--threads 1,2,4` sweeps therefore report the
-    // 4-thread speedup even when the host default is 1.
-    let top = runs.iter().map(|r| r.threads).filter(|&t| t > 1).max();
+    // the host's cores can run for the same op; `--threads 1,2,4` sweeps
+    // therefore report the 4-thread speedup on a 4-core host even when
+    // the default worker count is 1.
+    let top = runs
+        .iter()
+        .map(|r| r.threads)
+        .filter(|&t| t > 1 && t <= host_cores)
+        .max();
     if let Some(top) = top {
         for base in runs.iter().filter(|r| r.threads == 1) {
             if let Some(par) = runs
@@ -472,12 +481,13 @@ pub fn parallel_runs_to_json(
     let fidelity: Vec<String> = fidelity.iter().map(FidelityRun::to_json).collect();
     format!(
         "{{\"schema_version\":{BENCH_SCHEMA_VERSION},\"schema_note\":{},\
-         \"threads_default\":{},\"runs\":[\n{}\n],\"speedups\":[{}],\
+         \"threads_default\":{},\"host_cores\":{},\"runs\":[\n{}\n],\"speedups\":[{}],\
          \"stream_vs_eager\":[\n{}\n],\"rank_scaling\":[\n{}\n],\
          \"imbalance\":[{}],\"fanout_overhead\":{},\
          \"fidelity\":[\n{}\n]}}\n",
         string(BENCH_SCHEMA_NOTE),
         default_threads,
+        host_cores,
         measured.join(",\n"),
         speedups.join(","),
         compared.join(",\n"),
@@ -542,7 +552,7 @@ mod tests {
                 min_ns: 1000,
             },
         ];
-        let json = parallel_runs_to_json(8, &runs, &[], &[], &[], None, &[]);
+        let json = parallel_runs_to_json(8, 8, &runs, &[], &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         assert_eq!(
             doc.get("schema_version").unwrap().as_f64().unwrap() as u32,
@@ -556,6 +566,7 @@ mod tests {
             doc.get("threads_default").unwrap().as_f64().unwrap() as usize,
             8
         );
+        assert_eq!(doc.get("host_cores").unwrap().as_f64(), Some(8.0));
         assert_eq!(doc.get("runs").unwrap().as_array().unwrap().len(), 2);
         let speedups = doc.get("speedups").unwrap().as_array().unwrap();
         assert_eq!(speedups.len(), 1);
@@ -573,8 +584,9 @@ mod tests {
 
     #[test]
     fn speedups_pair_against_the_widest_measured_thread_count() {
-        // A `--threads 1,2,4` sweep on a 1-core host: default_threads is
-        // 1, yet speedups must still populate from the 4-thread rows.
+        // A `--threads 1,2,4` sweep on a 4-core host whose default
+        // worker count is 1: speedups must still populate from the
+        // 4-thread rows.
         let mk = |threads: usize, min_ns: u128| ParallelRun {
             name: "mul".into(),
             threads,
@@ -583,13 +595,43 @@ mod tests {
             min_ns,
         };
         let runs = vec![mk(1, 6000), mk(2, 3500), mk(4, 2000)];
-        let json = parallel_runs_to_json(1, &runs, &[], &[], &[], None, &[]);
+        let json = parallel_runs_to_json(1, 4, &runs, &[], &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let speedups = doc.get("speedups").unwrap().as_array().unwrap();
         assert_eq!(speedups.len(), 1);
         assert_eq!(speedups[0].get("threads").unwrap().as_f64(), Some(4.0));
         let s = speedups[0].get("speedup").unwrap().as_f64().unwrap();
         assert!((s - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn speedups_skip_thread_counts_beyond_host_cores() {
+        let mk = |threads: usize, min_ns: u128| ParallelRun {
+            name: "mul".into(),
+            threads,
+            elems: 1000,
+            mean_ns: min_ns,
+            min_ns,
+        };
+        let runs = vec![mk(1, 7000), mk(2, 3500), mk(4, 2000)];
+        let speedups = |host_cores: usize| {
+            let json = parallel_runs_to_json(2, host_cores, &runs, &[], &[], &[], None, &[]);
+            let doc = pimeval::trace::json::Json::parse(&json).unwrap();
+            doc.get("speedups")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|e| {
+                    let threads = e.get("threads").unwrap().as_f64().unwrap();
+                    (threads, e.get("speedup").unwrap().as_f64().unwrap())
+                })
+                .collect::<Vec<_>>()
+        };
+        // On 2 cores the 4-thread rows oversubscribe: pair against 2.
+        assert_eq!(speedups(2), vec![(2.0, 2.0)]);
+        // On 1 core no parallel count fits, so there is no entry.
+        assert!(speedups(1).is_empty());
     }
 
     #[test]
@@ -614,8 +656,16 @@ mod tests {
             spawn_min_ns: 8000,
         };
         assert!((fo.dispatch_speedup() - 8.0).abs() < 1e-9);
-        let json =
-            parallel_runs_to_json(4, &[], &[], &[], std::slice::from_ref(&imb), Some(&fo), &[]);
+        let json = parallel_runs_to_json(
+            4,
+            4,
+            &[],
+            &[],
+            &[],
+            std::slice::from_ref(&imb),
+            Some(&fo),
+            &[],
+        );
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("imbalance").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -641,7 +691,8 @@ mod tests {
             interconnect_bytes: 4096,
         };
         assert!((point.melem_per_s() - 1000.0).abs() < 1e-9);
-        let json = parallel_runs_to_json(1, &[], &[], std::slice::from_ref(&point), &[], None, &[]);
+        let json =
+            parallel_runs_to_json(1, 1, &[], &[], std::slice::from_ref(&point), &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("rank_scaling").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -668,7 +719,7 @@ mod tests {
         assert_eq!(f.delta_pct(), 0.0);
         assert!((f.thrash_slowdown() - 2.5).abs() < 1e-12);
         assert!((f.hit_rate() - 0.75).abs() < 1e-12);
-        let json = parallel_runs_to_json(1, &[], &[], &[], &[], None, std::slice::from_ref(&f));
+        let json = parallel_runs_to_json(1, 1, &[], &[], &[], &[], None, std::slice::from_ref(&f));
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("fidelity").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -679,7 +730,7 @@ mod tests {
         assert!((e.get("thrash_slowdown").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);
         assert!((e.get("row_hit_rate").unwrap().as_f64().unwrap() - 0.75).abs() < 1e-9);
         // An empty fidelity section still parses (schema presence check).
-        let empty = parallel_runs_to_json(1, &[], &[], &[], &[], None, &[]);
+        let empty = parallel_runs_to_json(1, 1, &[], &[], &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&empty).unwrap();
         assert!(doc.get("fidelity").unwrap().as_array().unwrap().is_empty());
     }
@@ -699,7 +750,8 @@ mod tests {
         };
         assert!((cmp.wall_speedup() - 2.0).abs() < 1e-9);
         assert!((cmp.modeled_cost_ratio() - 0.75).abs() < 1e-9);
-        let json = parallel_runs_to_json(1, &[], std::slice::from_ref(&cmp), &[], &[], None, &[]);
+        let json =
+            parallel_runs_to_json(1, 1, &[], std::slice::from_ref(&cmp), &[], &[], None, &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("stream_vs_eager").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);

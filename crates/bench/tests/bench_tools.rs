@@ -1,0 +1,90 @@
+//! `schema_check --bench` and `bench_regress` over small hand-written
+//! `BENCH_parallel.json` documents: the `host_cores` field, speedups
+//! bounded by it, and wall rows compared only between equal core
+//! counts.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// Writes `json` to a file in Cargo's per-package test scratch directory.
+fn doc(name: &str, json: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("bench-tools-{name}.json"));
+    std::fs::write(&path, json).unwrap();
+    path
+}
+
+/// A minimal export: one `add` run at 1 and 2 threads, one modeled
+/// rank-scaling row, and the given top-level extras.
+fn bench_json(extra: &str, add_min_ns: u64, kernel_ms: f64) -> String {
+    format!(
+        "{{\"schema_version\":1,\"threads_default\":2,{extra}\"runs\":[\
+         {{\"name\":\"add\",\"threads\":1,\"mean_ns\":{add_min_ns},\"min_ns\":{add_min_ns}}},\
+         {{\"name\":\"add\",\"threads\":2,\"mean_ns\":500,\"min_ns\":500}}],\
+         \"speedups\":[{{\"name\":\"add\",\"threads\":2,\"speedup\":2}}],\
+         \"rank_scaling\":[{{\"name\":\"add\",\"ranks\":1,\"kernel_ms\":{kernel_ms},\
+         \"interconnect_ms\":0,\"interconnect_bytes\":0}}],\"fidelity\":[]}}"
+    )
+}
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().unwrap()
+}
+
+fn regress(base: &Path, cur: &Path) -> (Option<i32>, String) {
+    let out = run(
+        env!("CARGO_BIN_EXE_bench_regress"),
+        &[
+            "--baseline",
+            base.to_str().unwrap(),
+            "--current",
+            cur.to_str().unwrap(),
+        ],
+    );
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn schema_check_accepts_host_cores_and_bounds_speedups_by_it() {
+    let check = |p: &Path| {
+        run(
+            env!("CARGO_BIN_EXE_schema_check"),
+            &["--bench", p.to_str().unwrap()],
+        )
+        .status
+        .code()
+    };
+    let with = doc("cores2", &bench_json("\"host_cores\":2,", 1000, 1.0));
+    let without = doc("nocores", &bench_json("", 1000, 1.0));
+    let oversub = doc("cores1", &bench_json("\"host_cores\":1,", 1000, 1.0));
+    assert_eq!(check(&with), Some(0));
+    assert_eq!(check(&without), Some(0));
+    assert_eq!(check(&oversub), Some(1));
+}
+
+#[test]
+fn wall_rows_gate_only_between_equal_host_core_counts() {
+    // The current side's 1-thread `add` is 3x slower; the modeled row
+    // is unchanged.
+    let base = doc("base", &bench_json("\"host_cores\":2,", 1000, 1.0));
+    let same_host = doc("same", &bench_json("\"host_cores\":2,", 3000, 1.0));
+    let (code, stdout) = regress(&base, &same_host);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("[REGRESS] run add/1"), "{stdout}");
+
+    for (name, extra) in [("other", "\"host_cores\":4,"), ("missing", "")] {
+        let cur = doc(name, &bench_json(extra, 3000, 1.0));
+        let (code, stdout) = regress(&base, &cur);
+        assert_eq!(code, Some(0), "{stdout}");
+        assert!(stdout.contains("not comparable"), "{stdout}");
+        assert!(!stdout.contains("REGRESS"), "{stdout}");
+    }
+
+    // Modeled rows stay hard-gated across hosts.
+    let dearer = doc("dearer", &bench_json("\"host_cores\":4,", 1000, 1.5));
+    let (code, stdout) = regress(&base, &dearer);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("[REGRESS] rank_scaling add/1"), "{stdout}");
+}

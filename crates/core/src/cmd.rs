@@ -1,5 +1,5 @@
 //! The typed command IR: [`PimCommand`], its shared functional
-//! semantics ([`eval`]), and the batched execution plan.
+//! semantics ([`exec_into`] per command, [`eval`] per element).
 //!
 //! Every device operation is an instance of [`PimCommand`]: an
 //! [`OpKind`], the input objects it reads, and the object it writes.
@@ -9,8 +9,7 @@
 //!
 //! The deferred recorder and its optimizer live in [`crate::stream`].
 
-use std::collections::HashMap;
-
+use pim_dram::exec;
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::dtype::DataType;
@@ -141,179 +140,270 @@ pub enum CmdValue {
 /// truncate their intermediate exactly as the eager pair would, so a
 /// fused command is bit-identical to the sequence it replaced.
 ///
+/// This is the one-element form of [`exec_into`]: both run the same
+/// dispatch, so the semantics are written once. It never touches the
+/// [`exec`] pool or its profile counters.
+///
 /// # Panics
 ///
 /// On reduction kinds (`RedSum`/`RedMin`/`RedMax`), which fold across
 /// elements and are handled by [`crate::Device::issue`] directly.
 pub fn eval(kind: OpKind, dtype: DataType, inputs: &[i64]) -> i64 {
-    let d = dtype;
-    let v = match kind {
-        OpKind::Binary(b) => binary(b, inputs[0], inputs[1]),
-        OpKind::BinaryScalar(b, k) => binary(b, inputs[0], k),
-        OpKind::Cmp(c) => cmp_mask(c, d, inputs[0], inputs[1]),
-        OpKind::CmpScalar(c, k) => cmp_mask(c, d, inputs[0], d.truncate(k)),
-        OpKind::Min => pick(
-            d.compare(inputs[0], inputs[1]).is_lt(),
-            inputs[0],
-            inputs[1],
-        ),
-        OpKind::Max => pick(
-            d.compare(inputs[0], inputs[1]).is_gt(),
-            inputs[0],
-            inputs[1],
-        ),
+    let mut out = 0;
+    dispatch(
+        kind,
+        dtype,
+        One {
+            args: inputs,
+            out: &mut out,
+        },
+    );
+    out
+}
+
+/// Runs an element-wise `kind` over whole operand slices:
+/// `out[i] = eval(kind, dtype, [ins[0][i], ins[1][i], …])`.
+///
+/// `kind` and `dtype` are resolved once per call, so each command runs
+/// as one monomorphized loop through the [`exec`] primitive of its
+/// arity (which fans out across the pool above `2 × MIN_CHUNK`
+/// elements).
+///
+/// # Panics
+///
+/// On reduction kinds, and if `ins` does not hold one slice per input
+/// operand, each as long as `out`.
+pub fn exec_into(kind: OpKind, dtype: DataType, ins: &[&[i64]], out: &mut [i64]) {
+    debug_assert_eq!(ins.len(), kind.input_operands() as usize);
+    dispatch(kind, dtype, Slices { ins, out });
+}
+
+/// A dtype's canonical form, resolved once per command.
+#[derive(Clone, Copy)]
+struct Elem {
+    /// All-ones mask of the low `bits` bits.
+    mask: i64,
+    /// The sign bit for signed types, 0 for unsigned ones.
+    sign: i64,
+    /// `i64::MIN` for unsigned types, so that comparing `x ^ flip` as
+    /// signed is the unsigned order; 0 for signed ones.
+    flip: i64,
+}
+
+impl Elem {
+    fn of(dtype: DataType) -> Elem {
+        let bits = dtype.bits();
+        let mask = pim_microcode::encode::mask(bits) as i64;
+        if dtype.is_signed() {
+            Elem {
+                mask,
+                sign: 1i64.wrapping_shl(bits - 1),
+                flip: 0,
+            }
+        } else {
+            Elem {
+                mask,
+                sign: 0,
+                flip: i64::MIN,
+            }
+        }
+    }
+
+    /// Truncates `v` to the canonical stored value: keep the low bits,
+    /// then sign-extend them when the type is signed. Branch-free and
+    /// bit-identical to [`DataType::truncate`] for widths 1..=64.
+    #[inline(always)]
+    fn trunc(self, v: i64) -> i64 {
+        ((v & self.mask) ^ self.sign).wrapping_sub(self.sign)
+    }
+
+    /// `x < y` under the type's signedness.
+    #[inline(always)]
+    fn lt(self, x: i64, y: i64) -> bool {
+        (x ^ self.flip) < (y ^ self.flip)
+    }
+}
+
+/// Where a dispatch arm's element function runs: over whole slices
+/// through the pool ([`Slices`]) or on one element ([`One`]). Each
+/// method takes the arm's own closure, so every arm monomorphizes.
+trait Lanes {
+    fn fill(self, v: i64);
+    fn map1(self, f: impl Fn(i64) -> i64 + Sync);
+    fn map2(self, f: impl Fn(i64, i64) -> i64 + Sync);
+    fn map3(self, f: impl Fn(i64, i64, i64) -> i64 + Sync);
+    fn map4(self, f: impl Fn(i64, i64, i64, i64) -> i64 + Sync);
+}
+
+struct Slices<'a> {
+    ins: &'a [&'a [i64]],
+    out: &'a mut [i64],
+}
+
+impl Lanes for Slices<'_> {
+    fn fill(self, v: i64) {
+        self.out.fill(v);
+    }
+
+    fn map1(self, f: impl Fn(i64) -> i64 + Sync) {
+        exec::par_map_into(self.ins[0], self.out, |&x| f(x));
+    }
+
+    fn map2(self, f: impl Fn(i64, i64) -> i64 + Sync) {
+        exec::par_zip_map_into(self.ins[0], self.ins[1], self.out, |&x, &y| f(x, y));
+    }
+
+    fn map3(self, f: impl Fn(i64, i64, i64) -> i64 + Sync) {
+        let [a, b, c] = [self.ins[0], self.ins[1], self.ins[2]];
+        exec::par_zip3_map_into(a, b, c, self.out, |&x, &y, &z| f(x, y, z));
+    }
+
+    fn map4(self, f: impl Fn(i64, i64, i64, i64) -> i64 + Sync) {
+        let [a, b, c, d] = [self.ins[0], self.ins[1], self.ins[2], self.ins[3]];
+        exec::par_zip4_map_into(a, b, c, d, self.out, |&x, &y, &z, &u| f(x, y, z, u));
+    }
+}
+
+struct One<'a> {
+    args: &'a [i64],
+    out: &'a mut i64,
+}
+
+impl Lanes for One<'_> {
+    fn fill(self, v: i64) {
+        *self.out = v;
+    }
+
+    fn map1(self, f: impl Fn(i64) -> i64 + Sync) {
+        *self.out = f(self.args[0]);
+    }
+
+    fn map2(self, f: impl Fn(i64, i64) -> i64 + Sync) {
+        *self.out = f(self.args[0], self.args[1]);
+    }
+
+    fn map3(self, f: impl Fn(i64, i64, i64) -> i64 + Sync) {
+        *self.out = f(self.args[0], self.args[1], self.args[2]);
+    }
+
+    fn map4(self, f: impl Fn(i64, i64, i64, i64) -> i64 + Sync) {
+        *self.out = f(self.args[0], self.args[1], self.args[2], self.args[3]);
+    }
+}
+
+/// Expands `$body` once per [`BinaryOp`] with `$f` bound to that op's
+/// wrapping `i64` function, so each op gets its own closure type.
+macro_rules! each_binary {
+    ($op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            BinaryOp::Add => {
+                let $f = i64::wrapping_add;
+                $body
+            }
+            BinaryOp::Sub => {
+                let $f = i64::wrapping_sub;
+                $body
+            }
+            BinaryOp::Mul => {
+                let $f = i64::wrapping_mul;
+                $body
+            }
+            BinaryOp::And => {
+                let $f = |x: i64, y: i64| x & y;
+                $body
+            }
+            BinaryOp::Or => {
+                let $f = |x: i64, y: i64| x | y;
+                $body
+            }
+            BinaryOp::Xor => {
+                let $f = |x: i64, y: i64| x ^ y;
+                $body
+            }
+            BinaryOp::Xnor => {
+                let $f = |x: i64, y: i64| !(x ^ y);
+                $body
+            }
+        }
+    };
+}
+
+/// Expands `$body` once per [`CmpOp`] with `$p` bound to that
+/// comparison under `$e`'s signedness.
+macro_rules! each_cmp {
+    ($op:expr, $e:expr, |$p:ident| $body:expr) => {{
+        let e: Elem = $e;
+        match $op {
+            CmpOp::Lt => {
+                let $p = move |x: i64, y: i64| e.lt(x, y);
+                $body
+            }
+            CmpOp::Gt => {
+                let $p = move |x: i64, y: i64| e.lt(y, x);
+                $body
+            }
+            CmpOp::Eq => {
+                let $p = |x: i64, y: i64| x == y;
+                $body
+            }
+        }
+    }};
+}
+
+/// The one match on `kind`: resolves the element semantics of
+/// `(kind, dtype)` and hands the resulting element function to `lanes`.
+fn dispatch(kind: OpKind, dtype: DataType, lanes: impl Lanes) {
+    let e = Elem::of(dtype);
+    let pick = move |c: bool, x: i64, y: i64| e.trunc(if c { x } else { y });
+    // A 0/1 mask is canonical at every width, so compares skip `trunc`.
+    match kind {
+        OpKind::Binary(b) => each_binary!(b, |f| lanes.map2(move |x, y| e.trunc(f(x, y)))),
+        OpKind::BinaryScalar(b, k) => each_binary!(b, |f| lanes.map1(move |x| e.trunc(f(x, k)))),
+        OpKind::Cmp(c) => each_cmp!(c, e, |p| lanes.map2(move |x, y| i64::from(p(x, y)))),
+        OpKind::CmpScalar(c, k) => {
+            let k = e.trunc(k);
+            each_cmp!(c, e, |p| lanes.map1(move |x| i64::from(p(x, k))))
+        }
+        OpKind::Min => lanes.map2(move |x, y| pick(e.lt(x, y), x, y)),
+        OpKind::Max => lanes.map2(move |x, y| pick(e.lt(y, x), x, y)),
         OpKind::MinScalar(k) => {
-            let k = d.truncate(k);
-            pick(d.compare(inputs[0], k).is_lt(), inputs[0], k)
+            let k = e.trunc(k);
+            lanes.map1(move |x| pick(e.lt(x, k), x, k))
         }
         OpKind::MaxScalar(k) => {
-            let k = d.truncate(k);
-            pick(d.compare(inputs[0], k).is_gt(), inputs[0], k)
+            let k = e.trunc(k);
+            lanes.map1(move |x| pick(e.lt(k, x), x, k))
         }
-        OpKind::Not => !inputs[0],
-        OpKind::Abs => {
-            if d.is_signed() {
-                inputs[0].wrapping_abs()
-            } else {
-                inputs[0]
-            }
-        }
-        OpKind::Popcount => {
-            let u = (inputs[0] as u64) & pim_microcode::encode::mask(d.bits());
-            u.count_ones() as i64
-        }
-        OpKind::ShiftL(k) => {
-            if k >= d.bits().min(64) {
-                0
-            } else {
-                ((inputs[0] as u64) << k) as i64
-            }
-        }
-        OpKind::ShiftR(k) => {
-            if d.is_signed() {
-                // Canonical signed values are sign-extended i64s.
-                inputs[0] >> k.min(63)
-            } else {
-                let u = (inputs[0] as u64) & pim_microcode::encode::mask(d.bits());
-                if k >= 64 {
-                    0
-                } else {
-                    (u >> k) as i64
-                }
-            }
-        }
-        OpKind::Select => pick(inputs[0] != 0, inputs[1], inputs[2]),
+        OpKind::Not => lanes.map1(move |x| e.trunc(!x)),
+        OpKind::Abs if dtype.is_signed() => lanes.map1(move |x| e.trunc(x.wrapping_abs())),
+        OpKind::Abs | OpKind::Copy => lanes.map1(move |x| e.trunc(x)),
+        OpKind::Popcount => lanes.map1(move |x| e.trunc(i64::from((x & e.mask).count_ones()))),
+        OpKind::ShiftL(k) if k >= dtype.bits() => lanes.map1(|_| 0),
+        OpKind::ShiftL(k) => lanes.map1(move |x| e.trunc(x << k)),
+        // Canonical signed values are sign-extended, so `>>` is the
+        // arithmetic shift; unsigned ones shift their low bits in zeros.
+        OpKind::ShiftR(k) if dtype.is_signed() => lanes.map1(move |x| e.trunc(x >> k.min(63))),
+        OpKind::ShiftR(k) if k >= 64 => lanes.map1(|_| 0),
+        OpKind::ShiftR(k) => lanes.map1(move |x| e.trunc(((x & e.mask) as u64 >> k) as i64)),
+        OpKind::Select => lanes.map3(move |c, x, y| pick(c != 0, x, y)),
         OpKind::ScaledAdd(k) => {
             // Truncate the product exactly as the eager mul_scalar would
             // have stored it before the add reads it back.
-            let t = d.truncate(inputs[0].wrapping_mul(k));
-            t.wrapping_add(inputs[1])
+            lanes.map2(move |x, y| e.trunc(e.trunc(x.wrapping_mul(k)).wrapping_add(y)))
         }
-        OpKind::FusedCmpSelect(c) => pick(
-            cmp_mask(c, d, inputs[0], inputs[1]) != 0,
-            inputs[2],
-            inputs[3],
-        ),
-        OpKind::Broadcast(v) => v,
-        OpKind::Copy => inputs[0],
+        OpKind::FusedCmpSelect(c) => {
+            each_cmp!(c, e, |p| lanes.map4(move |a, b, x, y| pick(p(a, b), x, y)))
+        }
+        OpKind::Broadcast(v) => lanes.fill(e.trunc(v)),
         OpKind::RedSum | OpKind::RedMin | OpKind::RedMax => {
             unreachable!("reductions fold across elements; eval is per-element")
         }
-    };
-    d.truncate(v)
-}
-
-fn binary(b: BinaryOp, x: i64, y: i64) -> i64 {
-    match b {
-        BinaryOp::Add => x.wrapping_add(y),
-        BinaryOp::Sub => x.wrapping_sub(y),
-        BinaryOp::Mul => x.wrapping_mul(y),
-        BinaryOp::And => x & y,
-        BinaryOp::Or => x | y,
-        BinaryOp::Xor => x ^ y,
-        BinaryOp::Xnor => !(x ^ y),
     }
-}
-
-fn cmp_mask(c: CmpOp, d: DataType, x: i64, y: i64) -> i64 {
-    i64::from(match c {
-        CmpOp::Lt => d.compare(x, y).is_lt(),
-        CmpOp::Gt => d.compare(x, y).is_gt(),
-        CmpOp::Eq => x == y,
-    })
-}
-
-fn pick(cond: bool, x: i64, y: i64) -> i64 {
-    if cond {
-        x
-    } else {
-        y
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batched execution plan (used by Device::exec_batch)
-// ---------------------------------------------------------------------
-
-/// One command lowered onto the batch's slot table. Each input carries
-/// a `from_local` flag: true when an earlier step in the batch writes
-/// that slot, so per-element execution must read the chunk-local
-/// intermediate instead of the object's pre-batch buffer. The step
-/// sequence is identical for every element, so the flag is static.
-pub(crate) struct BatchStep {
-    pub kind: OpKind,
-    pub dtype: DataType,
-    pub ins: Vec<(usize, bool)>,
-    pub dst: usize,
-}
-
-/// Assigns every object touched by `cmds` a dense slot index and lowers
-/// each command to slot references. Returns the slot→object table and
-/// the step list. Caller guarantees every command writes a destination.
-pub(crate) fn batch_plan(
-    cmds: &[PimCommand],
-    dtype_of: impl Fn(ObjId) -> DataType,
-) -> (Vec<ObjId>, Vec<BatchStep>) {
-    let mut slot_of: HashMap<ObjId, usize> = HashMap::new();
-    let mut slots: Vec<ObjId> = Vec::new();
-    let slot = |id: ObjId, slots: &mut Vec<ObjId>, slot_of: &mut HashMap<ObjId, usize>| {
-        *slot_of.entry(id).or_insert_with(|| {
-            slots.push(id);
-            slots.len() - 1
-        })
-    };
-    let mut written: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let steps = cmds
-        .iter()
-        .map(|cmd| {
-            let dst = cmd.dst.expect("batched commands write a destination");
-            let step = BatchStep {
-                kind: cmd.kind,
-                dtype: dtype_of(dst),
-                ins: cmd
-                    .inputs
-                    .iter()
-                    .map(|&id| {
-                        let s = slot(id, &mut slots, &mut slot_of);
-                        (s, written.contains(&s))
-                    })
-                    .collect(),
-                dst: slot(dst, &mut slots, &mut slot_of),
-            };
-            written.insert(step.dst);
-            step
-        })
-        .collect();
-    (slots, steps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn id(n: u64) -> ObjId {
-        ObjId(n)
-    }
 
     #[test]
     fn eval_matches_eager_scalar_semantics() {
@@ -333,21 +423,5 @@ mod tests {
             7
         );
         assert_eq!(eval(OpKind::MinScalar(300), DataType::UInt8, &[10]), 10);
-    }
-
-    #[test]
-    fn batch_plan_assigns_dense_slots() {
-        let (a, b, t, d) = (id(1), id(2), id(3), id(4));
-        let cmds = vec![
-            PimCommand::elementwise2(OpKind::Binary(BinaryOp::Add), a, b, t),
-            PimCommand::elementwise2(OpKind::Binary(BinaryOp::Mul), t, b, d),
-        ];
-        let (slots, steps) = batch_plan(&cmds, |_| DataType::Int32);
-        assert_eq!(slots, vec![a, b, t, d]);
-        assert_eq!(steps[0].ins, vec![(0, false), (1, false)]);
-        assert_eq!(steps[0].dst, 2);
-        // t was written by step 0, so step 1 reads the local value.
-        assert_eq!(steps[1].ins, vec![(2, true), (1, false)]);
-        assert_eq!(steps[1].dst, 3);
     }
 }

@@ -18,8 +18,8 @@
 use pim_dram::{CopyReplay, TimingCounters};
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
-use crate::cmd::{self, CmdValue, PimCommand};
-use crate::config::{DeviceConfig, PimTarget, SimMode};
+use crate::cmd::{CmdValue, PimCommand};
+use crate::config::{DeviceConfig, PimTarget};
 use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -637,8 +637,7 @@ impl Device {
 
     /// Opens a deferred [`CommandStream`] on this device. Recorded
     /// commands run at [`CommandStream::flush`], after the stream's
-    /// optimization pipeline (fusion, dead-write elimination, CSE,
-    /// batching).
+    /// optimization pipeline (fusion, dead-write elimination, CSE).
     pub fn stream(&mut self) -> CommandStream<'_> {
         CommandStream::new(self)
     }
@@ -784,37 +783,6 @@ impl Device {
         Ok(())
     }
 
-    /// Functionally executes a run of same-length validated commands in
-    /// one parallel sweep: each shard walks its element ranges once,
-    /// applying every command's per-element semantics in program order
-    /// against chunk-local intermediate buffers, then the chunk results
-    /// are stitched back into the destination objects. Bit-identical to
-    /// executing the commands one by one (same per-element order, same
-    /// truncation), but the operands stream through the cache once.
-    ///
-    /// Requires every touched object to share the destination's shard
-    /// map; mixed-map runs (the batcher groups by element count only)
-    /// fall back to per-command execution.
-    pub(crate) fn exec_batch(&mut self, commands: &[PimCommand]) -> Result<()> {
-        if !matches!(self.config.mode, SimMode::Functional) {
-            return Ok(());
-        }
-        let (slots, steps) = cmd::batch_plan(commands, |id| {
-            self.rm()
-                .get(id)
-                .expect("batched commands are validated")
-                .dtype
-        });
-        let dst0 = commands[0].dst.expect("batched commands write");
-        if !self.system.maps_equal(&slots, dst0) {
-            for command in commands {
-                self.exec_cmd(command)?;
-            }
-            return Ok(());
-        }
-        self.system.exec_batch(&slots, &steps, dst0)
-    }
-
     /// Charges one stream flush's optimizer counters.
     pub(crate) fn finish_flush(&mut self, summary: &FlushSummary) {
         self.charge(Charge::Flush(*summary));
@@ -948,7 +916,6 @@ impl Device {
                     fused_scaled_add: summary.fused_scaled_add,
                     fused_cmp_select: summary.fused_cmp_select,
                     dead_writes_eliminated: summary.dead_writes_eliminated,
-                    batched_sweeps: summary.batched_sweeps,
                 });
                 pim_debug!(
                     "stream flush: {} recorded -> {} executed ({} fused, {} dead)",
@@ -964,8 +931,6 @@ impl Device {
                 f.fused_scaled_add += summary.fused_scaled_add;
                 f.fused_cmp_select += summary.fused_cmp_select;
                 f.dead_writes_eliminated += summary.dead_writes_eliminated;
-                f.batched_sweeps += summary.batched_sweeps;
-                f.batched_commands += summary.batched_commands;
                 self.stats.optimizer.cse_hits += summary.cse_hits;
                 if let Some(m) = metrics {
                     m.record_flush();

@@ -59,10 +59,11 @@ pub struct FusionStats {
     /// Commands dropped because their destination was overwritten before
     /// being read.
     pub dead_writes_eliminated: u64,
-    /// Batched functional sweeps (runs of ≥ 2 same-shape element-wise
-    /// commands executed in one pass over memory).
+    /// Retired: always 0. Streams no longer batch commands into one
+    /// sweep; the field and its stats-JSON key stay for readers of the
+    /// current schema.
     pub batched_sweeps: u64,
-    /// Commands executed inside those batched sweeps.
+    /// Retired: always 0 (see `batched_sweeps`).
     pub batched_commands: u64,
 }
 
@@ -486,11 +487,6 @@ impl SimStats {
                 f.fused_scaled_add, f.fused_cmp_select
             );
             let _ = writeln!(out, "  Dead writes      : {}", f.dead_writes_eliminated);
-            let _ = writeln!(
-                out,
-                "  Batched sweeps   : {} covering {} command(s)",
-                f.batched_sweeps, f.batched_commands
-            );
         }
         if !self.optimizer.is_empty() {
             let o = &self.optimizer;

@@ -2,8 +2,8 @@
 //!
 //! [`CommandStream`] defers issue: commands are *recorded* and only run
 //! at [`CommandStream::flush`], which first optimizes the recorded
-//! program and then executes adjacent same-length element-wise commands
-//! in one batched parallel sweep. The optimizer builds the SSA-style
+//! program and then issues each surviving command exactly as
+//! [`Device::issue`] would. The optimizer builds the SSA-style
 //! dataflow graph (`graph`) and runs the rewrites in `passes`:
 //! dead-write elimination, mul+add → [`OpKind::ScaledAdd`](crate::OpKind)
 //! and cmp+select → [`OpKind::FusedCmpSelect`](crate::OpKind) fusion
@@ -24,7 +24,7 @@
 //!
 //! Sharding composes transparently with the stream: the optimizer runs
 //! *before* the shard split, on whole commands over whole objects.
-//! Only when a (possibly fused or batched) command reaches
+//! Only when a (possibly fused) command reaches
 //! [`crate::Device::issue`] does [`crate::PimSystem`] cut it along each
 //! object's [`crate::ShardMap`] and fan the pieces out — so optimizer
 //! decisions never depend on the shard count, and an optimized program
@@ -56,10 +56,6 @@ pub struct FlushSummary {
     pub fused_cmp_select: u64,
     /// Commands removed because their output was overwritten unread.
     pub dead_writes_eliminated: u64,
-    /// Batched parallel sweeps over runs of same-length commands.
-    pub batched_sweeps: u64,
-    /// Commands executed inside those sweeps.
-    pub batched_commands: u64,
     /// Value-numbering CSE hits: recomputes deleted or rewritten to
     /// copies.
     pub cse_hits: u64,
@@ -253,12 +249,9 @@ impl<'d> CommandStream<'d> {
     /// Optimizes and executes everything recorded since the last flush.
     ///
     /// Pass order: the optimization pipeline (see the module docs), then
-    /// validation of every surviving command, then execution: runs of
-    /// two or more adjacent commands over objects with the same element
-    /// count go through one batched parallel sweep; the rest execute
-    /// singly.
-    /// Each executed command is charged to the cost model exactly as an
-    /// eager issue would be.
+    /// validation of every surviving command, then execution: each
+    /// command runs and is charged to the cost model exactly as an eager
+    /// issue would be.
     ///
     /// # Errors
     ///
@@ -271,40 +264,18 @@ impl<'d> CommandStream<'d> {
         for cmd in &cmds {
             self.dev.validate_cmd(cmd)?;
         }
-        let mut summary = FlushSummary {
+        for cmd in &cmds {
+            self.dev.exec_cmd(cmd)?;
+            self.dev.charge_cmd(cmd)?;
+        }
+        let summary = FlushSummary {
             recorded,
             executed: cmds.len() as u64,
             fused_scaled_add: outcome.fused_scaled_add,
             fused_cmp_select: outcome.fused_cmp_select,
             dead_writes_eliminated: outcome.dead_writes_eliminated,
             cse_hits: outcome.cse_hits,
-            ..FlushSummary::default()
         };
-        let counts: Vec<Option<u64>> = cmds
-            .iter()
-            .map(|c| c.dst.and_then(|d| self.dev.object(d).ok().map(|o| o.count)))
-            .collect();
-        let mut i = 0;
-        while i < cmds.len() {
-            let mut j = i + 1;
-            while j < cmds.len() && counts[j].is_some() && counts[j] == counts[i] {
-                j += 1;
-            }
-            if counts[i].is_some() && j - i >= 2 {
-                self.dev.exec_batch(&cmds[i..j])?;
-                for cmd in &cmds[i..j] {
-                    self.dev.charge_cmd(cmd)?;
-                }
-                summary.batched_sweeps += 1;
-                summary.batched_commands += (j - i) as u64;
-            } else {
-                for cmd in &cmds[i..j] {
-                    self.dev.exec_cmd(cmd)?;
-                    self.dev.charge_cmd(cmd)?;
-                }
-            }
-            i = j;
-        }
         self.dev.finish_flush(&summary);
         Ok(summary)
     }

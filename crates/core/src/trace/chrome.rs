@@ -288,15 +288,13 @@ fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
             fused_scaled_add,
             fused_cmp_select,
             dead_writes_eliminated,
-            batched_sweeps,
         } => write!(
             o,
             "{{\"name\":\"stream flush\",\"cat\":\"stream\",\"ph\":\"i\",\"s\":\"t\",\
              \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\
              \"args\":{{\"recorded\":{recorded},\"executed\":{executed},\
              \"fused_scaled_add\":{fused_scaled_add},\"fused_cmp_select\":{fused_cmp_select},\
-             \"dead_writes_eliminated\":{dead_writes_eliminated},\
-             \"batched_sweeps\":{batched_sweeps}}}}}",
+             \"dead_writes_eliminated\":{dead_writes_eliminated}}}}}",
             us(*at_ms)
         ),
         TraceEvent::Interconnect {
@@ -455,7 +453,6 @@ mod tests {
                 fused_scaled_add: 1,
                 fused_cmp_select: 2,
                 dead_writes_eliminated: 3,
-                batched_sweeps: 4,
             },
             TraceEvent::Interconnect {
                 kind: "scatter",
@@ -513,7 +510,7 @@ mod tests {
 {"name":"host_to_device","cat":"copy","ph":"X","ts":1500,"dur":500,"pid":0,"tid":2,"args":{"bytes":4096,"energy_mj":0}},
 {"name":"device_to_host","cat":"copy","ph":"X","ts":2000,"dur":333.3333333333333,"pid":0,"tid":2,"args":{"bytes":64,"energy_mj":0.01,"activations":7,"reads":8,"writes":9,"precharges":10,"row_hits":11,"row_misses":12,"achieved_gbs":25.6}},
 {"name":"host phase","cat":"host","ph":"X","ts":2500,"dur":null,"pid":0,"tid":3,"args":{}},
-{"name":"stream flush","cat":"stream","ph":"i","s":"t","ts":3000,"pid":0,"tid":1,"args":{"recorded":10,"executed":7,"fused_scaled_add":1,"fused_cmp_select":2,"dead_writes_eliminated":3,"batched_sweeps":4}},
+{"name":"stream flush","cat":"stream","ph":"i","s":"t","ts":3000,"pid":0,"tid":1,"args":{"recorded":10,"executed":7,"fused_scaled_add":1,"fused_cmp_select":2,"dead_writes_eliminated":3}},
 {"name":"interconnect scatter","cat":"interconnect","ph":"i","s":"t","ts":3000,"pid":0,"tid":2,"args":{"bytes":1024,"shards":4,"time_ms":0.0625,"energy_mj":0.0000001}},
 {"name":"free #3","cat":"lifecycle","ph":"i","s":"t","ts":3500,"pid":0,"tid":1,"args":{}},
 {"name":"trace events dropped","cat":"lifecycle","ph":"i","s":"p","ts":0,"pid":0,"tid":1,"args":{"dropped":5,"capacity":16}},

@@ -231,8 +231,6 @@ pub enum TraceEvent {
         fused_cmp_select: u64,
         /// Dead writes eliminated.
         dead_writes_eliminated: u64,
-        /// Batched functional sweeps executed.
-        batched_sweeps: u64,
     },
     /// A modeled cross-shard interconnect transfer (scatter, gather,
     /// realign, or reduction combine). Instantaneous marker: the

@@ -291,9 +291,10 @@ fn stream_fusion_composes_with_sharding() {
 }
 
 #[test]
-fn batched_sweeps_survive_the_shard_split() {
-    // Same-shape command runs batch into one sweep; the sharded batch
-    // path must agree with the eager unsharded chain.
+fn unfused_stream_runs_survive_the_shard_split() {
+    // A same-shape command chain with no fusion opportunity runs command
+    // by command; the sharded stream must agree with the eager
+    // unsharded chain.
     let (xs, ys) = data::<i32>(1000, 0xBA7C4);
     let mut eager = Device::new(DeviceConfig::new(PimTarget::BankLevel, 1)).unwrap();
     let x = eager.alloc_vec(&xs).unwrap();
@@ -317,7 +318,7 @@ fn batched_sweeps_survive_the_shard_split() {
     stream.add(x, y, t).xor(t, x, u).sub(u, y, t).max(t, x, u);
     let summary = stream.flush().unwrap();
     drop(stream);
-    assert_eq!(summary.batched_commands, 4);
+    assert_eq!((summary.recorded, summary.executed), (4, 4));
     assert_eq!(dev.to_vec::<i32>(t).unwrap(), want_t);
     assert_eq!(dev.to_vec::<i32>(u).unwrap(), want_u);
 }

@@ -1,6 +1,6 @@
 //! Stream-vs-eager equivalence suite.
 //!
-//! The deferred [`pimeval::CommandStream`] may fuse, batch, and eliminate
+//! The deferred [`pimeval::CommandStream`] may fuse and eliminate
 //! commands, but it must never change what the program computes: for
 //! every target and dtype, the streamed (fused) run must produce
 //! bit-identical buffers to the eager run, and its modeled kernel time
@@ -199,41 +199,50 @@ fn flush_emits_stream_flush_trace_event() {
     assert!(chrome.contains("stream flush"));
 }
 
-#[test]
-fn batched_sweeps_match_eager_results() {
-    // A run of same-shape elementwise commands with no fusion
-    // opportunities batches into one parallel sweep; results must be
-    // identical to eager execution, including chained intermediates.
-    let (xs, ys) = data::<i32>(1000, 0xBA7C4);
-    let mut eager = device(PimTarget::BankLevel);
-    let x = eager.alloc_vec(&xs).unwrap();
-    let y = eager.alloc_vec(&ys).unwrap();
-    let t = eager.alloc_associated(x, DataType::Int32).unwrap();
-    let u = eager.alloc_associated(x, DataType::Int32).unwrap();
-    eager.add(x, y, t).unwrap();
-    eager.xor(t, x, u).unwrap();
-    eager.sub(u, y, t).unwrap();
-    eager.max(t, x, u).unwrap();
-    let eager_t: Vec<i32> = eager.to_vec(t).unwrap();
-    let eager_u: Vec<i32> = eager.to_vec(u).unwrap();
-    let eager_ms = eager.stats().kernel_time_ms();
+/// Runs a chain of same-shape element-wise commands with no fusion
+/// opportunity over `n` elements, eagerly and through a stream, with
+/// the pool pinned to `threads`; asserts every command executes singly
+/// and both runs agree on every buffer and the modeled kernel time.
+fn check_unfused_run_matches_eager(n: usize, threads: usize) {
+    let (xs, ys) = data::<i32>(n, 0xBA7C4);
+    let run = |streamed: bool| {
+        let mut dev = device(PimTarget::BankLevel);
+        let x = dev.alloc_vec(&xs).unwrap();
+        let y = dev.alloc_vec(&ys).unwrap();
+        let t = dev.alloc_associated(x, DataType::Int32).unwrap();
+        let u = dev.alloc_associated(x, DataType::Int32).unwrap();
+        pimeval::exec::with_thread_count(threads, || {
+            if streamed {
+                let mut stream = dev.stream();
+                stream.add(x, y, t).xor(t, x, u).sub(u, y, t).max(t, x, u);
+                let summary = stream.flush().unwrap();
+                assert_eq!((summary.recorded, summary.executed), (4, 4));
+            } else {
+                dev.add(x, y, t).unwrap();
+                dev.xor(t, x, u).unwrap();
+                dev.sub(u, y, t).unwrap();
+                dev.max(t, x, u).unwrap();
+            }
+        });
+        let bufs: Vec<Vec<i32>> = [t, u].iter().map(|&o| dev.to_vec(o).unwrap()).collect();
+        (bufs, dev.stats().kernel_time_ms())
+    };
+    let (eager, eager_ms) = run(false);
+    let (streamed, streamed_ms) = run(true);
+    assert_eq!(streamed, eager, "n = {n}, threads = {threads}");
+    assert_eq!(streamed_ms, eager_ms, "n = {n}, threads = {threads}");
+}
 
-    let mut dev = device(PimTarget::BankLevel);
-    let x = dev.alloc_vec(&xs).unwrap();
-    let y = dev.alloc_vec(&ys).unwrap();
-    let t = dev.alloc_associated(x, DataType::Int32).unwrap();
-    let u = dev.alloc_associated(x, DataType::Int32).unwrap();
-    let mut stream = dev.stream();
-    stream.add(x, y, t).xor(t, x, u).sub(u, y, t).max(t, x, u);
-    let summary = stream.flush().unwrap();
-    drop(stream);
-    assert_eq!(summary.batched_sweeps, 1);
-    assert_eq!(summary.batched_commands, 4);
-    assert_eq!(dev.to_vec::<i32>(t).unwrap(), eager_t);
-    assert_eq!(dev.to_vec::<i32>(u).unwrap(), eager_u);
-    // Batching is an execution-engine optimization; the modeled cost is
-    // charged per command and must equal the eager clock exactly.
-    assert!((dev.stats().kernel_time_ms() - eager_ms).abs() < 1e-12);
+#[test]
+fn unfused_stream_runs_match_eager_at_every_pool_thread_count() {
+    // Chained intermediates (t and u are each written twice) on both
+    // sides of the 2 × MIN_CHUNK fan-out floor.
+    let floor = 2 * pimeval::exec::MIN_CHUNK;
+    for n in [1000, floor - 1, floor + 257] {
+        for threads in [1, 2, 4] {
+            check_unfused_run_matches_eager(n, threads);
+        }
+    }
 }
 
 /// Runs the fused-equivalence program through the stream; checks

@@ -86,7 +86,7 @@ impl Benchmark for KMeans {
             for j in 0..Self::K {
                 if params.stream {
                     // Same command sequence, recorded and flushed as one
-                    // batch. `mask` is read by both selects, so the
+                    // stream. `mask` is read by both selects, so the
                     // lt+select pair must NOT fuse — the stream's
                     // lifetime analysis keeps the mask materialized.
                     let mut stream = dev.stream();
@@ -215,9 +215,8 @@ mod tests {
         // The mask feeds two selects, so lt+select must never fuse.
         assert_eq!(f.fused_cmp_select, 0);
         assert_eq!(f.fused_scaled_add, 0);
-        // All nine same-shape commands per flush batch into one sweep.
-        assert_eq!(f.batched_sweeps, f.flushes);
-        assert_eq!(f.batched_commands, 9 * f.flushes);
+        // Nothing fuses, so all nine commands of every flush execute.
+        assert_eq!(f.executed_commands, 9 * f.flushes);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct BenchSpec {
 /// size (1.0 ≈ completes in well under a second per target); `seed`
 /// drives all synthetic data generation; `stream` routes
 /// stream-capable kernels through the deferred
-/// [`pimeval::CommandStream`] (fusion, CSE and batching) instead of
+/// [`pimeval::CommandStream`] (fusion, CSE and dead-write elimination) instead of
 /// eager per-op issue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Params {
