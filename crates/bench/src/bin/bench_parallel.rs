@@ -7,34 +7,23 @@
 //! through a [`pimeval::CommandStream`], reporting host wall-clock and
 //! modeled device cost side by side.
 //!
-//! Two pool-specific sections exercise the persistent work-stealing
-//! executor directly: a dispatch-latency microbenchmark (a tiny
-//! `par_map_into` through the pool vs. an inline replica of the old
-//! scoped-spawn engine) and a deliberately skewed RoundRobin shard map
-//! with mixed bit-widths, timed with stealing on (oversubscribed
-//! chunks) and off (one chunk per lane — the even split).
-//!
 //! Writes the measurements, per-op speedups, stream-vs-eager
 //! comparisons, a `--ranks` sharding sweep (default `1,2,4`; each
-//! point runs the op mix on a device sharded per DRAM rank), the
-//! imbalance section, and the fan-out overhead section to
-//! `BENCH_parallel.json` (override with `--out <path>`).
+//! point runs the op mix on a device sharded per DRAM rank) and the
+//! timing-fidelity sweep to `BENCH_parallel.json` (override with
+//! `--out <path>`).
 //! The export records the host's core count, and `speedups` pairs the
 //! single-thread rows only with the widest thread count that fits in
 //! it: more threads than cores measure oversubscription, not scaling,
 //! so on a single-core host the section is empty.
 
 use pim_bench_harness::export::{
-    parallel_runs_to_json, FanoutOverhead, FidelityRun, ImbalanceRun, ParallelRun, RankScalingRun,
-    StreamVsEager,
+    parallel_runs_to_json, FidelityRun, ParallelRun, RankScalingRun, StreamVsEager,
 };
 use pim_bench_harness::microbench::{bench, bench_throughput, group};
 use pim_bench_harness::run_one;
 use pimbench::Params;
-use pimeval::pim_dram::DramGeometry;
-use pimeval::{
-    exec, DataType, Device, DeviceConfig, PimTarget, RowPattern, ShardPolicy, TimingBackend,
-};
+use pimeval::{exec, DataType, Device, DeviceConfig, PimTarget, RowPattern, TimingBackend};
 
 /// Elements per device object: large enough that every op fans out
 /// across many `exec::MIN_CHUNK` chunks.
@@ -272,152 +261,6 @@ fn rank_scaling_runs(ranks_list: &[usize], out: &mut Vec<RankScalingRun>) {
     }
 }
 
-/// Dispatch-latency microbenchmark: one tiny `par_map_into` fan-out —
-/// work small enough that scheduling overhead dominates — through the
-/// persistent pool, and through an inline replica of the engine this PR
-/// replaced (fresh scoped OS threads on every call).
-fn fanout_overhead_run(threads: usize) -> FanoutOverhead {
-    // Four MIN_CHUNK-sized lanes: the smallest input that still fans
-    // out across `threads = 4` workers.
-    let len = threads * exec::MIN_CHUNK;
-    let src: Vec<i64> = (0..len as i64).collect();
-    let mut out = vec![0i64; len];
-    let step = |x: &i64| x.wrapping_mul(31) ^ 0x5a;
-
-    group(&format!(
-        "fan-out dispatch overhead, {len} × int64, {threads} thread(s)"
-    ));
-    let pool = exec::with_thread_count(threads, || {
-        bench("pool par_map_into", || {
-            exec::par_map_into(&src, &mut out, step)
-        })
-    });
-    let expect = out.clone();
-
-    // The pre-pool engine, verbatim in miniature: split evenly, spawn a
-    // scoped OS thread per non-caller lane, join at scope exit.
-    let spawn = bench("scoped-spawn baseline", || {
-        let chunk = len.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = out.as_mut_slice();
-            let mut start = 0usize;
-            let mut lanes = Vec::new();
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                let src = &src[start..start + take];
-                lanes.push(scope.spawn(move || {
-                    for (o, s) in head.iter_mut().zip(src) {
-                        *o = step(s);
-                    }
-                }));
-                rest = tail;
-                start += take;
-            }
-            for lane in lanes {
-                lane.join().unwrap();
-            }
-        });
-    });
-    assert_eq!(out, expect, "both dispatch paths must agree");
-
-    FanoutOverhead {
-        threads,
-        elems: len as u64,
-        pool_mean_ns: pool.mean.as_nanos(),
-        pool_min_ns: pool.min.as_nanos(),
-        spawn_mean_ns: spawn.mean.as_nanos(),
-        spawn_min_ns: spawn.min.as_nanos(),
-    }
-}
-
-/// Skewed-shard workload: a RoundRobin map over 7 shards dealing a
-/// handful of huge allocation units (wide-column geometry makes each
-/// unit hundreds of thousands of elements), so some shards own up to
-/// 2× the elements of others — exactly the imbalance the paper's
-/// heterogeneous-bit-width batches produce. Timed once with stealing
-/// disabled (one chunk per lane: the old even split) and once with the
-/// pool's oversubscribed default.
-fn imbalance_run(threads: usize) -> ImbalanceRun {
-    // 8 Fulcrum cores (16 subarrays / 2) with 2^21-column rows: unit
-    // sizes are cols/bits elements, so object sizes a few units long
-    // leave the RoundRobin deal visibly lopsided across 7 shards.
-    let geometry = DramGeometry {
-        ranks: 1,
-        banks_per_rank: 2,
-        subarrays_per_bank: 8,
-        rows_per_subarray: 4096,
-        cols_per_row: 1 << 21,
-    };
-    let shards = 7usize;
-    let cfg = DeviceConfig::new(PimTarget::Fulcrum, 1)
-        .with_geometry(geometry)
-        .with_shards(shards)
-        .with_shard_policy(ShardPolicy::RoundRobin);
-    let mut dev = Device::new(cfg).unwrap();
-
-    // Mixed bit-widths: unit sizes differ 8× between Int8 and Int64, so
-    // per-shard element counts differ even further (3-vs-2 units of
-    // Int32, 2-vs-1 of Int8, 4-vs-3 of Int64).
-    let n32 = 15 * ((1u64 << 21) / 32); // 983_040
-    let n8 = 8 * ((1u64 << 21) / 8); // 2_097_152
-    let n64 = 22 * ((1u64 << 21) / 64); // 720_896
-    let mut ids = Vec::new();
-    let mut alloc3 = |dev: &mut Device, n: u64, dt: DataType| {
-        let a = dev.alloc(n, dt).unwrap();
-        let b = dev.alloc_associated(a, dt).unwrap();
-        let dst = dev.alloc_associated(a, dt).unwrap();
-        ids.push((a, b, dst));
-    };
-    alloc3(&mut dev, n32, DataType::Int32);
-    alloc3(&mut dev, n8, DataType::Int8);
-    alloc3(&mut dev, n64, DataType::Int64);
-    let h32: Vec<i32> = (0..n32 as i32)
-        .map(|i| i.wrapping_mul(0x9E3779B1u32 as i32))
-        .collect();
-    let h8: Vec<i8> = (0..n8).map(|i| (i as i8).wrapping_mul(37)).collect();
-    let h64: Vec<i64> = (0..n64 as i64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9))
-        .collect();
-    dev.copy_to_device(&h32, ids[0].0).unwrap();
-    dev.copy_to_device(&h32, ids[0].1).unwrap();
-    dev.copy_to_device(&h8, ids[1].0).unwrap();
-    dev.copy_to_device(&h8, ids[1].1).unwrap();
-    dev.copy_to_device(&h64, ids[2].0).unwrap();
-    dev.copy_to_device(&h64, ids[2].1).unwrap();
-
-    let batch = |dev: &mut Device| {
-        for &(a, b, dst) in &ids {
-            dev.add(a, b, dst).unwrap();
-            dev.mul(a, b, dst).unwrap();
-        }
-    };
-
-    group(&format!(
-        "shard imbalance, RoundRobin over {shards} skewed shards, {threads} thread(s)"
-    ));
-    let (even, steal) = exec::with_thread_count(threads, || {
-        // One chunk per lane: shards are pre-assigned to workers up
-        // front and a finished worker has nothing to take over.
-        let even = exec::with_chunks_per_worker(1, || {
-            bench("even split (no stealing)", || batch(&mut dev))
-        });
-        let steal = bench("oversubscribed (stealing)", || batch(&mut dev));
-        (even, steal)
-    });
-
-    ImbalanceRun {
-        name: "rr-skew-mixed-width".into(),
-        threads,
-        shards,
-        elems: n32 + n8 + n64,
-        even_mean_ns: even.mean.as_nanos(),
-        even_min_ns: even.min.as_nanos(),
-        steal_mean_ns: steal.mean.as_nanos(),
-        steal_min_ns: steal.min.as_nanos(),
-    }
-}
-
 /// Timing-model fidelity sweep: each modeled op priced three ways —
 /// analytical, bank-FSM streaming (must agree bit-for-bit at zero
 /// contention), and bank-FSM thrashing (the protocol-serialization
@@ -541,10 +384,6 @@ fn main() {
     let mut rank_runs = Vec::new();
     rank_scaling_runs(&ranks_list, &mut rank_runs);
 
-    let pool_threads = threads_list.iter().copied().max().unwrap_or(1).max(4);
-    let overhead = fanout_overhead_run(pool_threads);
-    let imbalance = imbalance_run(pool_threads);
-
     let mut fidelity = Vec::new();
     fidelity_runs(&mut fidelity);
 
@@ -554,8 +393,6 @@ fn main() {
         &runs,
         &stream_runs,
         &rank_runs,
-        std::slice::from_ref(&imbalance),
-        Some(&overhead),
         &fidelity,
     );
     match std::fs::write(&out_path, &json) {
@@ -586,20 +423,6 @@ fn main() {
             }
         }
     }
-
-    group("pool sections (dispatch overhead, shard imbalance)");
-    println!(
-        "fan-out dispatch: pool {:>10} ns vs spawn {:>10} ns  →  {:>6.1}x cheaper",
-        overhead.pool_min_ns,
-        overhead.spawn_min_ns,
-        overhead.dispatch_speedup()
-    );
-    println!(
-        "skewed shards:    steal {:>9} ns vs even  {:>9} ns  →  {:>6.2}x win",
-        imbalance.steal_min_ns,
-        imbalance.even_min_ns,
-        imbalance.steal_speedup()
-    );
 
     group("stream vs eager (fused pipelines)");
     println!(

@@ -20,8 +20,10 @@ pub const BENCH_SCHEMA_VERSION: u32 = 1;
 /// already treat a row present on one side only as unmatched, so the
 /// removal does not bump [`BENCH_SCHEMA_VERSION`].
 pub const BENCH_SCHEMA_NOTE: &str = "removed: the optimizer section (stream levels 0/2 \
-     are gone; kmeans-dist-reuse is a stream_vs_eager row) and the vm_add32, vm_mul32 \
-     and vm_red_sum32 runs (the compiled VM kernels are gone)";
+     are gone; kmeans-dist-reuse is a stream_vs_eager row), the vm_add32, vm_mul32 \
+     and vm_red_sum32 runs (the compiled VM kernels are gone), and the imbalance and \
+     fanout_overhead sections (pool-only microbenchmarks whose baselines, the \
+     chunks-per-worker knob and a scoped-spawn replica, are gone)";
 
 /// Renders one run record as a JSON object, embedding the full
 /// Listing-3 statistics plus the baseline comparisons the figures plot.
@@ -244,105 +246,6 @@ impl RankScalingRun {
     }
 }
 
-/// One imbalance measurement from `bench_parallel`: a skewed-shard op
-/// mix timed twice — even split (one chunk per lane, nothing to steal)
-/// and the oversubscribed stealing default — at a pinned thread count.
-#[derive(Debug, Clone)]
-pub struct ImbalanceRun {
-    /// Workload label (`rr-skew-mixed-width`, …).
-    pub name: String,
-    /// Worker threads the execution engine was pinned to.
-    pub threads: usize,
-    /// Execution shards of the skewed device.
-    pub shards: usize,
-    /// Total elements touched per iteration across all objects.
-    pub elems: u64,
-    /// Mean wall time per even-split iteration, nanoseconds.
-    pub even_mean_ns: u128,
-    /// Best wall time per even-split iteration, nanoseconds.
-    pub even_min_ns: u128,
-    /// Mean wall time per stealing iteration, nanoseconds.
-    pub steal_mean_ns: u128,
-    /// Best wall time per stealing iteration, nanoseconds.
-    pub steal_min_ns: u128,
-}
-
-impl ImbalanceRun {
-    /// Stealing win over the even split (best-time ratio; ~1.0 on a
-    /// single-core host where nothing runs concurrently, > 1.0 on
-    /// multi-core runners with a skewed map).
-    pub fn steal_speedup(&self) -> f64 {
-        if self.steal_min_ns == 0 {
-            return 0.0;
-        }
-        self.even_min_ns as f64 / self.steal_min_ns as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"threads\":{},\"shards\":{},\"elems\":{},\
-             \"even_mean_ns\":{},\"even_min_ns\":{},\
-             \"steal_mean_ns\":{},\"steal_min_ns\":{},\
-             \"steal_speedup\":{}}}",
-            string(&self.name),
-            self.threads,
-            self.shards,
-            self.elems,
-            self.even_mean_ns,
-            self.even_min_ns,
-            self.steal_mean_ns,
-            self.steal_min_ns,
-            num(self.steal_speedup()),
-        )
-    }
-}
-
-/// The dispatch-latency microbenchmark from `bench_parallel`: one tiny
-/// `par_map_into` fanned out through the persistent pool vs. an inline
-/// replica of the old scoped-spawn engine (fresh OS threads per call).
-#[derive(Debug, Clone)]
-pub struct FanoutOverhead {
-    /// Worker threads both variants were pinned to.
-    pub threads: usize,
-    /// Elements per fan-out (tiny on purpose: dispatch-dominated).
-    pub elems: u64,
-    /// Mean wall time per pooled fan-out, nanoseconds.
-    pub pool_mean_ns: u128,
-    /// Best wall time per pooled fan-out, nanoseconds.
-    pub pool_min_ns: u128,
-    /// Mean wall time per scoped-spawn fan-out, nanoseconds.
-    pub spawn_mean_ns: u128,
-    /// Best wall time per scoped-spawn fan-out, nanoseconds.
-    pub spawn_min_ns: u128,
-}
-
-impl FanoutOverhead {
-    /// How much cheaper pooled dispatch is than spawning (best-time
-    /// ratio spawn/pool).
-    pub fn dispatch_speedup(&self) -> f64 {
-        if self.pool_min_ns == 0 {
-            return 0.0;
-        }
-        self.spawn_min_ns as f64 / self.pool_min_ns as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\":{},\"elems\":{},\
-             \"pool_mean_ns\":{},\"pool_min_ns\":{},\
-             \"spawn_mean_ns\":{},\"spawn_min_ns\":{},\
-             \"dispatch_speedup\":{}}}",
-            self.threads,
-            self.elems,
-            self.pool_mean_ns,
-            self.pool_min_ns,
-            self.spawn_mean_ns,
-            self.spawn_min_ns,
-            num(self.dispatch_speedup()),
-        )
-    }
-}
-
 /// One timing-fidelity measurement from `bench_parallel`: the same
 /// modeled op priced by the closed-form `Analytical` backend and by the
 /// stateful `BankFsm` backend under both row patterns, plus the FSM's
@@ -428,22 +331,15 @@ impl FidelityRun {
 /// `host_cores` over the single-threaded run (best-time ratio, paired by
 /// op name; a count above the core count measures oversubscription, not
 /// scaling, so it gets no speedup entry),
-/// the stream-vs-eager comparisons, the `--ranks` sharding sweep, the
-/// skewed-shard imbalance section, and the fan-out dispatch-overhead
-/// microbenchmark. All post-v1 sections are additive: consumers that
-/// predate them must ignore unknown keys.
-// One positional slice per document section: grouping them into a
-// struct would churn every caller each time a section is added while
-// conveying exactly the same information.
-#[allow(clippy::too_many_arguments)]
+/// the stream-vs-eager comparisons, the `--ranks` sharding sweep and the
+/// timing-fidelity sweep. All post-v1 sections are additive: consumers
+/// that predate them must ignore unknown keys.
 pub fn parallel_runs_to_json(
     default_threads: usize,
     host_cores: usize,
     runs: &[ParallelRun],
     stream: &[StreamVsEager],
     rank_scaling: &[RankScalingRun],
-    imbalance: &[ImbalanceRun],
-    fanout_overhead: Option<&FanoutOverhead>,
     fidelity: &[FidelityRun],
 ) -> String {
     let measured: Vec<String> = runs.iter().map(ParallelRun::to_json).collect();
@@ -476,14 +372,11 @@ pub fn parallel_runs_to_json(
     }
     let compared: Vec<String> = stream.iter().map(StreamVsEager::to_json).collect();
     let scaled: Vec<String> = rank_scaling.iter().map(RankScalingRun::to_json).collect();
-    let skewed: Vec<String> = imbalance.iter().map(ImbalanceRun::to_json).collect();
-    let overhead = fanout_overhead.map_or_else(|| "null".into(), FanoutOverhead::to_json);
     let fidelity: Vec<String> = fidelity.iter().map(FidelityRun::to_json).collect();
     format!(
         "{{\"schema_version\":{BENCH_SCHEMA_VERSION},\"schema_note\":{},\
          \"threads_default\":{},\"host_cores\":{},\"runs\":[\n{}\n],\"speedups\":[{}],\
          \"stream_vs_eager\":[\n{}\n],\"rank_scaling\":[\n{}\n],\
-         \"imbalance\":[{}],\"fanout_overhead\":{},\
          \"fidelity\":[\n{}\n]}}\n",
         string(BENCH_SCHEMA_NOTE),
         default_threads,
@@ -492,8 +385,6 @@ pub fn parallel_runs_to_json(
         speedups.join(","),
         compared.join(",\n"),
         scaled.join(",\n"),
-        skewed.join(",\n"),
-        overhead,
         fidelity.join(",\n"),
     )
 }
@@ -552,7 +443,7 @@ mod tests {
                 min_ns: 1000,
             },
         ];
-        let json = parallel_runs_to_json(8, 8, &runs, &[], &[], &[], None, &[]);
+        let json = parallel_runs_to_json(8, 8, &runs, &[], &[], &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         assert_eq!(
             doc.get("schema_version").unwrap().as_f64().unwrap() as u32,
@@ -579,7 +470,6 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-        assert!(doc.get("imbalance").unwrap().as_array().unwrap().is_empty());
     }
 
     #[test]
@@ -595,7 +485,7 @@ mod tests {
             min_ns,
         };
         let runs = vec![mk(1, 6000), mk(2, 3500), mk(4, 2000)];
-        let json = parallel_runs_to_json(1, 4, &runs, &[], &[], &[], None, &[]);
+        let json = parallel_runs_to_json(1, 4, &runs, &[], &[], &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let speedups = doc.get("speedups").unwrap().as_array().unwrap();
         assert_eq!(speedups.len(), 1);
@@ -615,7 +505,7 @@ mod tests {
         };
         let runs = vec![mk(1, 7000), mk(2, 3500), mk(4, 2000)];
         let speedups = |host_cores: usize| {
-            let json = parallel_runs_to_json(2, host_cores, &runs, &[], &[], &[], None, &[]);
+            let json = parallel_runs_to_json(2, host_cores, &runs, &[], &[], &[]);
             let doc = pimeval::trace::json::Json::parse(&json).unwrap();
             doc.get("speedups")
                 .unwrap()
@@ -635,50 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_and_fanout_overhead_sections_export() {
-        let imb = ImbalanceRun {
-            name: "rr-skew-mixed-width".into(),
-            threads: 4,
-            shards: 7,
-            elems: 3_000_000,
-            even_mean_ns: 9000,
-            even_min_ns: 8000,
-            steal_mean_ns: 4400,
-            steal_min_ns: 4000,
-        };
-        assert!((imb.steal_speedup() - 2.0).abs() < 1e-9);
-        let fo = FanoutOverhead {
-            threads: 4,
-            elems: 16384,
-            pool_mean_ns: 1200,
-            pool_min_ns: 1000,
-            spawn_mean_ns: 9000,
-            spawn_min_ns: 8000,
-        };
-        assert!((fo.dispatch_speedup() - 8.0).abs() < 1e-9);
-        let json = parallel_runs_to_json(
-            4,
-            4,
-            &[],
-            &[],
-            &[],
-            std::slice::from_ref(&imb),
-            Some(&fo),
-            &[],
-        );
-        let doc = pimeval::trace::json::Json::parse(&json).unwrap();
-        let entries = doc.get("imbalance").unwrap().as_array().unwrap();
-        assert_eq!(entries.len(), 1);
-        let e = &entries[0];
-        assert_eq!(e.get("name").unwrap().as_str(), Some("rr-skew-mixed-width"));
-        assert_eq!(e.get("shards").unwrap().as_f64(), Some(7.0));
-        assert!((e.get("steal_speedup").unwrap().as_f64().unwrap() - 2.0).abs() < 1e-9);
-        let o = doc.get("fanout_overhead").unwrap();
-        assert_eq!(o.get("threads").unwrap().as_f64(), Some(4.0));
-        assert!((o.get("dispatch_speedup").unwrap().as_f64().unwrap() - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn rank_scaling_export_keeps_interconnect_separate_from_kernel() {
         let point = RankScalingRun {
             name: "add".into(),
@@ -691,8 +537,7 @@ mod tests {
             interconnect_bytes: 4096,
         };
         assert!((point.melem_per_s() - 1000.0).abs() < 1e-9);
-        let json =
-            parallel_runs_to_json(1, 1, &[], &[], std::slice::from_ref(&point), &[], None, &[]);
+        let json = parallel_runs_to_json(1, 1, &[], &[], std::slice::from_ref(&point), &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("rank_scaling").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -719,7 +564,7 @@ mod tests {
         assert_eq!(f.delta_pct(), 0.0);
         assert!((f.thrash_slowdown() - 2.5).abs() < 1e-12);
         assert!((f.hit_rate() - 0.75).abs() < 1e-12);
-        let json = parallel_runs_to_json(1, 1, &[], &[], &[], &[], None, std::slice::from_ref(&f));
+        let json = parallel_runs_to_json(1, 1, &[], &[], &[], std::slice::from_ref(&f));
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("fidelity").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);
@@ -730,7 +575,7 @@ mod tests {
         assert!((e.get("thrash_slowdown").unwrap().as_f64().unwrap() - 2.5).abs() < 1e-9);
         assert!((e.get("row_hit_rate").unwrap().as_f64().unwrap() - 0.75).abs() < 1e-9);
         // An empty fidelity section still parses (schema presence check).
-        let empty = parallel_runs_to_json(1, 1, &[], &[], &[], &[], None, &[]);
+        let empty = parallel_runs_to_json(1, 1, &[], &[], &[], &[]);
         let doc = pimeval::trace::json::Json::parse(&empty).unwrap();
         assert!(doc.get("fidelity").unwrap().as_array().unwrap().is_empty());
     }
@@ -750,8 +595,7 @@ mod tests {
         };
         assert!((cmp.wall_speedup() - 2.0).abs() < 1e-9);
         assert!((cmp.modeled_cost_ratio() - 0.75).abs() < 1e-9);
-        let json =
-            parallel_runs_to_json(1, 1, &[], std::slice::from_ref(&cmp), &[], &[], None, &[]);
+        let json = parallel_runs_to_json(1, 1, &[], std::slice::from_ref(&cmp), &[], &[]);
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("stream_vs_eager").unwrap().as_array().unwrap();
         assert_eq!(entries.len(), 1);

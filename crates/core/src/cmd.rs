@@ -165,9 +165,8 @@ pub fn eval(kind: OpKind, dtype: DataType, inputs: &[i64]) -> i64 {
 /// `out[i] = eval(kind, dtype, [ins[0][i], ins[1][i], …])`.
 ///
 /// `kind` and `dtype` are resolved once per call, so each command runs
-/// as one monomorphized loop through the [`exec`] primitive of its
-/// arity (which fans out across the pool above `2 × MIN_CHUNK`
-/// elements).
+/// as one monomorphized loop through [`exec::par_map_into`] (which fans
+/// out across the pool above `2 × MIN_CHUNK` elements).
 ///
 /// # Panics
 ///
@@ -229,10 +228,7 @@ impl Elem {
 /// method takes the arm's own closure, so every arm monomorphizes.
 trait Lanes {
     fn fill(self, v: i64);
-    fn map1(self, f: impl Fn(i64) -> i64 + Sync);
-    fn map2(self, f: impl Fn(i64, i64) -> i64 + Sync);
-    fn map3(self, f: impl Fn(i64, i64, i64) -> i64 + Sync);
-    fn map4(self, f: impl Fn(i64, i64, i64, i64) -> i64 + Sync);
+    fn map<const N: usize>(self, f: impl Fn([i64; N]) -> i64 + Sync);
 }
 
 struct Slices<'a> {
@@ -245,22 +241,8 @@ impl Lanes for Slices<'_> {
         self.out.fill(v);
     }
 
-    fn map1(self, f: impl Fn(i64) -> i64 + Sync) {
-        exec::par_map_into(self.ins[0], self.out, |&x| f(x));
-    }
-
-    fn map2(self, f: impl Fn(i64, i64) -> i64 + Sync) {
-        exec::par_zip_map_into(self.ins[0], self.ins[1], self.out, |&x, &y| f(x, y));
-    }
-
-    fn map3(self, f: impl Fn(i64, i64, i64) -> i64 + Sync) {
-        let [a, b, c] = [self.ins[0], self.ins[1], self.ins[2]];
-        exec::par_zip3_map_into(a, b, c, self.out, |&x, &y, &z| f(x, y, z));
-    }
-
-    fn map4(self, f: impl Fn(i64, i64, i64, i64) -> i64 + Sync) {
-        let [a, b, c, d] = [self.ins[0], self.ins[1], self.ins[2], self.ins[3]];
-        exec::par_zip4_map_into(a, b, c, d, self.out, |&x, &y, &z, &u| f(x, y, z, u));
+    fn map<const N: usize>(self, f: impl Fn([i64; N]) -> i64 + Sync) {
+        exec::par_map_into(std::array::from_fn(|k| self.ins[k]), self.out, f);
     }
 }
 
@@ -274,20 +256,8 @@ impl Lanes for One<'_> {
         *self.out = v;
     }
 
-    fn map1(self, f: impl Fn(i64) -> i64 + Sync) {
-        *self.out = f(self.args[0]);
-    }
-
-    fn map2(self, f: impl Fn(i64, i64) -> i64 + Sync) {
-        *self.out = f(self.args[0], self.args[1]);
-    }
-
-    fn map3(self, f: impl Fn(i64, i64, i64) -> i64 + Sync) {
-        *self.out = f(self.args[0], self.args[1], self.args[2]);
-    }
-
-    fn map4(self, f: impl Fn(i64, i64, i64, i64) -> i64 + Sync) {
-        *self.out = f(self.args[0], self.args[1], self.args[2], self.args[3]);
+    fn map<const N: usize>(self, f: impl Fn([i64; N]) -> i64 + Sync) {
+        *self.out = f(std::array::from_fn(|k| self.args[k]));
     }
 }
 
@@ -357,42 +327,42 @@ fn dispatch(kind: OpKind, dtype: DataType, lanes: impl Lanes) {
     let pick = move |c: bool, x: i64, y: i64| e.trunc(if c { x } else { y });
     // A 0/1 mask is canonical at every width, so compares skip `trunc`.
     match kind {
-        OpKind::Binary(b) => each_binary!(b, |f| lanes.map2(move |x, y| e.trunc(f(x, y)))),
-        OpKind::BinaryScalar(b, k) => each_binary!(b, |f| lanes.map1(move |x| e.trunc(f(x, k)))),
-        OpKind::Cmp(c) => each_cmp!(c, e, |p| lanes.map2(move |x, y| i64::from(p(x, y)))),
+        OpKind::Binary(b) => each_binary!(b, |f| lanes.map(move |[x, y]| e.trunc(f(x, y)))),
+        OpKind::BinaryScalar(b, k) => each_binary!(b, |f| lanes.map(move |[x]| e.trunc(f(x, k)))),
+        OpKind::Cmp(c) => each_cmp!(c, e, |p| lanes.map(move |[x, y]| i64::from(p(x, y)))),
         OpKind::CmpScalar(c, k) => {
             let k = e.trunc(k);
-            each_cmp!(c, e, |p| lanes.map1(move |x| i64::from(p(x, k))))
+            each_cmp!(c, e, |p| lanes.map(move |[x]| i64::from(p(x, k))))
         }
-        OpKind::Min => lanes.map2(move |x, y| pick(e.lt(x, y), x, y)),
-        OpKind::Max => lanes.map2(move |x, y| pick(e.lt(y, x), x, y)),
+        OpKind::Min => lanes.map(move |[x, y]| pick(e.lt(x, y), x, y)),
+        OpKind::Max => lanes.map(move |[x, y]| pick(e.lt(y, x), x, y)),
         OpKind::MinScalar(k) => {
             let k = e.trunc(k);
-            lanes.map1(move |x| pick(e.lt(x, k), x, k))
+            lanes.map(move |[x]| pick(e.lt(x, k), x, k))
         }
         OpKind::MaxScalar(k) => {
             let k = e.trunc(k);
-            lanes.map1(move |x| pick(e.lt(k, x), x, k))
+            lanes.map(move |[x]| pick(e.lt(k, x), x, k))
         }
-        OpKind::Not => lanes.map1(move |x| e.trunc(!x)),
-        OpKind::Abs if dtype.is_signed() => lanes.map1(move |x| e.trunc(x.wrapping_abs())),
-        OpKind::Abs | OpKind::Copy => lanes.map1(move |x| e.trunc(x)),
-        OpKind::Popcount => lanes.map1(move |x| e.trunc(i64::from((x & e.mask).count_ones()))),
-        OpKind::ShiftL(k) if k >= dtype.bits() => lanes.map1(|_| 0),
-        OpKind::ShiftL(k) => lanes.map1(move |x| e.trunc(x << k)),
+        OpKind::Not => lanes.map(move |[x]| e.trunc(!x)),
+        OpKind::Abs if dtype.is_signed() => lanes.map(move |[x]| e.trunc(x.wrapping_abs())),
+        OpKind::Abs | OpKind::Copy => lanes.map(move |[x]| e.trunc(x)),
+        OpKind::Popcount => lanes.map(move |[x]| e.trunc(i64::from((x & e.mask).count_ones()))),
+        OpKind::ShiftL(k) if k >= dtype.bits() => lanes.map(|[_]| 0),
+        OpKind::ShiftL(k) => lanes.map(move |[x]| e.trunc(x << k)),
         // Canonical signed values are sign-extended, so `>>` is the
         // arithmetic shift; unsigned ones shift their low bits in zeros.
-        OpKind::ShiftR(k) if dtype.is_signed() => lanes.map1(move |x| e.trunc(x >> k.min(63))),
-        OpKind::ShiftR(k) if k >= 64 => lanes.map1(|_| 0),
-        OpKind::ShiftR(k) => lanes.map1(move |x| e.trunc(((x & e.mask) as u64 >> k) as i64)),
-        OpKind::Select => lanes.map3(move |c, x, y| pick(c != 0, x, y)),
+        OpKind::ShiftR(k) if dtype.is_signed() => lanes.map(move |[x]| e.trunc(x >> k.min(63))),
+        OpKind::ShiftR(k) if k >= 64 => lanes.map(|[_]| 0),
+        OpKind::ShiftR(k) => lanes.map(move |[x]| e.trunc(((x & e.mask) as u64 >> k) as i64)),
+        OpKind::Select => lanes.map(move |[c, x, y]| pick(c != 0, x, y)),
         OpKind::ScaledAdd(k) => {
             // Truncate the product exactly as the eager mul_scalar would
             // have stored it before the add reads it back.
-            lanes.map2(move |x, y| e.trunc(e.trunc(x.wrapping_mul(k)).wrapping_add(y)))
+            lanes.map(move |[x, y]| e.trunc(e.trunc(x.wrapping_mul(k)).wrapping_add(y)))
         }
         OpKind::FusedCmpSelect(c) => {
-            each_cmp!(c, e, |p| lanes.map4(move |a, b, x, y| pick(p(a, b), x, y)))
+            each_cmp!(c, e, |p| lanes.map(move |[a, b, x, y]| pick(p(a, b), x, y)))
         }
         OpKind::Broadcast(v) => lanes.fill(e.trunc(v)),
         OpKind::RedSum | OpKind::RedMin | OpKind::RedMax => {

@@ -536,12 +536,6 @@ impl MetricsRegistry {
             .gauge_set("trace_dropped_events", dropped as f64);
     }
 
-    /// Direct access to the device-level instrument set, for callers
-    /// recording custom instruments.
-    pub fn device_instruments(&mut self) -> &mut InstrumentSet {
-        &mut self.device
-    }
-
     /// Direct access to one shard's instrument set (`None` for an
     /// out-of-range shard index).
     pub fn shard_instruments(&mut self, shard: usize) -> Option<&mut InstrumentSet> {

@@ -24,7 +24,7 @@ use crate::config::{DeviceConfig, PimTarget};
 use crate::dtype::DataType;
 use crate::error::{PimError, Result};
 use crate::object::{DataLayout, ObjectLayout};
-use crate::ops::{OpCategory, OpKind};
+use crate::ops::OpKind;
 
 /// Process-wide memo for per-stripe microprogram costs.
 ///
@@ -95,11 +95,12 @@ impl OpCost {
 ///
 /// Every [`PimTarget`] has exactly one implementation, obtained through
 /// [`target_model`]. [`crate::Device::issue`] consults the model for
-/// every command: `validate` gates it, `cost`/`energy` price it,
-/// `category`/`micro_cost` annotate its statistics and trace events.
-/// Functional semantics (`execute`) are shared by all targets — the
-/// simulator's core invariant is that every target computes the same
-/// values at different cost.
+/// every command: `validate` gates it, `cost_with` prices it through the
+/// device's timing backend, and `micro_cost` annotates its statistics
+/// and trace events. Functional semantics are not part of the model:
+/// [`crate::cmd`] computes them once for every target — the simulator's
+/// core invariant is that every target computes the same values at
+/// different cost.
 pub trait TargetModel: Send + Sync {
     /// The target this model prices.
     fn target(&self) -> PimTarget;
@@ -140,42 +141,6 @@ pub trait TargetModel: Send + Sync {
         dtype: DataType,
         layout: &ObjectLayout,
     ) -> OpCost;
-
-    /// Latency and energy of `kind` under the stateless closed-form
-    /// timing math — the paper's model, independent of any device's bank
-    /// state. Sweep and exploration code prices through this.
-    fn cost(
-        &self,
-        config: &DeviceConfig,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost {
-        let mut tm = analytical_model(config);
-        self.cost_with(config, &mut tm, kind, dtype, layout)
-    }
-
-    /// Kernel energy alone, in millijoules.
-    fn energy(
-        &self,
-        config: &DeviceConfig,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> f64 {
-        self.cost(config, kind, dtype, layout).energy_mj
-    }
-
-    /// Functional per-element semantics of an element-wise `kind`.
-    /// Identical across targets by construction; see [`crate::cmd::eval`].
-    fn execute(&self, kind: OpKind, dtype: DataType, inputs: &[i64]) -> i64 {
-        crate::cmd::eval(kind, dtype, inputs)
-    }
-
-    /// Fig. 8 category the command is counted under.
-    fn category(&self, kind: OpKind) -> OpCategory {
-        kind.category()
-    }
 
     /// Row-level microprogram counters for `kind` on one core: the
     /// per-stripe program cost scaled by the stripes the core processes.
@@ -316,16 +281,16 @@ pub(crate) fn analytical_model(config: &DeviceConfig) -> Analytical {
 
 /// Models the latency and energy of `kind` applied to an object with
 /// `layout` holding elements of `dtype` under the stateless closed-form
-/// timing math. Thin delegate to the configured target's
-/// [`TargetModel`]; device charge paths go through [`op_cost_with`]
-/// instead so stateful backends see every access.
+/// timing math: [`op_cost_with`] on a fresh analytical backend. Device
+/// charge paths call [`op_cost_with`] directly so stateful backends see
+/// every access.
 pub fn op_cost(
     config: &DeviceConfig,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
 ) -> OpCost {
-    target_model(config.target).cost(config, kind, dtype, layout)
+    op_cost_with(config, &mut analytical_model(config), kind, dtype, layout)
 }
 
 /// Models the latency and energy of `kind`, charging all DRAM time

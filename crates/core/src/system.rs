@@ -543,11 +543,12 @@ impl PimSystem {
     /// floor `exec` applies to every element loop) or with one shard, the
     /// shards run inline on the calling thread, in shard order, and a
     /// multi-shard call counts one sequential run in the pool profile.
-    /// Otherwise they go through the persistent work-stealing pool at
-    /// item granularity ([`exec::par_each_mut`]): every shard is its own
-    /// stealable unit, so a skewed `ShardMap` keeps no worker idle, and
-    /// element-level fan-outs *inside* a shard are ordinary nested pool
-    /// jobs that idle workers can help with.
+    /// Otherwise they go through the persistent pool at item granularity
+    /// ([`exec::par_each_mut`]): shards are claimed one chunk at a time
+    /// from the fan-out's shared counter, so a worker that finishes a
+    /// light shard takes the next one, and element-level fan-outs
+    /// *inside* a shard are ordinary nested pool jobs that idle workers
+    /// can help with.
     fn on_shards<F>(shards: &mut [Shard], work: usize, f: F) -> Result<()>
     where
         F: Fn(usize, &mut Shard) -> Result<()> + Sync,
@@ -611,9 +612,9 @@ impl PimSystem {
             let ls = r.local_start as usize;
             let len = (r.end - r.start) as usize;
             exec::par_map_into(
-                &data[ls..ls + len],
+                [&data[ls..ls + len]],
                 &mut out[r.start as usize..r.end as usize],
-                |&v| T::from_device(v),
+                |[v]| T::from_device(v),
             );
         }
         Ok(())
@@ -648,9 +649,9 @@ impl PimSystem {
                 let ls = r.local_start as usize;
                 let len = (r.end - r.start) as usize;
                 exec::par_map_into(
-                    &data[r.start as usize..r.end as usize],
+                    [&data[r.start as usize..r.end as usize]],
                     &mut buf[ls..ls + len],
-                    |v| dtype.truncate(v.to_device()),
+                    |[v]| dtype.truncate(v.to_device()),
                 );
             }
             shard.rm.get_mut(id)?.data = Some(buf);

@@ -13,7 +13,9 @@
 //! The same holds on a four-shard device with the metrics registry on:
 //! commands below the pool's work floor run their shards inline (no
 //! pool fan-out, no per-shard result slots) and the registry builds its
-//! instrument keys on the stack.
+//! instrument keys on the stack. It also holds for element-wise commands
+//! long enough to fan out to the pool: the job lives on the caller's
+//! stack and claims its chunks from one counter.
 //!
 //! This file is its own test binary so the allocator hook sees nothing
 //! but this test.
@@ -68,8 +70,9 @@ fn allocations() -> u64 {
 }
 
 /// Every command kind reading `a`, `b` and `mask` and writing `dst`
-/// (never read), followed by the three reductions of `a`.
-fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId) -> Vec<PimCommand> {
+/// (never read), followed by the three reductions of `a` when
+/// `reductions` is set.
+fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId, reductions: bool) -> Vec<PimCommand> {
     let mut cmds = Vec::new();
     for op in [
         BinaryOp::Add,
@@ -110,19 +113,26 @@ fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId) -> Vec<PimCommand> {
     cmds.push(PimCommand::select(mask, a, b, dst));
     cmds.push(PimCommand::copy(a, dst));
     cmds.push(PimCommand::broadcast(dst, 42));
-    for kind in [OpKind::RedSum, OpKind::RedMin, OpKind::RedMax] {
-        cmds.push(PimCommand::reduce(kind, a));
+    if reductions {
+        for kind in [OpKind::RedSum, OpKind::RedMin, OpKind::RedMax] {
+            cmds.push(PimCommand::reduce(kind, a));
+        }
     }
     cmds
 }
 
-/// Warms `dev` with every command kind once, then re-issues the same
-/// commands and returns how many heap allocations the re-issue made on
-/// this thread.
-fn warm_reissue_allocations(dev: &mut Device) -> u64 {
-    let data: Vec<i32> = (0..300).map(|i| i * 7919 - 1_000_000).collect();
-    let other: Vec<i32> = (0..300).map(|i| 5000 - i * 31).collect();
-    let bits: Vec<i32> = (0..300).map(|i| i % 3).collect();
+/// Warms `dev` with every command kind once on `n`-element objects, then
+/// re-issues the same commands and returns how many heap allocations the
+/// re-issue made on this thread.
+///
+/// Reductions are left out once `n` is long enough to fan out:
+/// `exec::par_chunks` collects one partials `Vec` per fan-out, so each
+/// such reduction allocates exactly once.
+fn warm_reissue_allocations(dev: &mut Device, n: i32) -> u64 {
+    let reductions = (n as usize) < 2 * exec::MIN_CHUNK;
+    let data: Vec<i32> = (0..n).map(|i| i * 7919 - 1_000_000).collect();
+    let other: Vec<i32> = (0..n).map(|i| 5000 - i * 31).collect();
+    let bits: Vec<i32> = (0..n).map(|i| i % 3).collect();
     let a = dev.alloc_vec(&data).unwrap();
     let b = dev.alloc_vec(&other).unwrap();
     let mask = dev.alloc_vec(&bits).unwrap();
@@ -130,10 +140,10 @@ fn warm_reissue_allocations(dev: &mut Device) -> u64 {
 
     // Warm-up: first-seen statistics names, instrument keys and cost
     // memo entries.
-    for cmd in command_set(a, b, mask, dst) {
+    for cmd in command_set(a, b, mask, dst, reductions) {
         dev.issue(cmd).unwrap();
     }
-    let cmds = command_set(a, b, mask, dst);
+    let cmds = command_set(a, b, mask, dst, reductions);
     let count = cmds.len() as u64;
     let ops_before = dev.stats().total_ops();
 
@@ -151,7 +161,7 @@ fn warm_reissue_allocations(dev: &mut Device) -> u64 {
 fn warm_issue_performs_no_heap_allocation() {
     for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
         let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
-        let allocated = warm_reissue_allocations(&mut dev);
+        let allocated = warm_reissue_allocations(&mut dev, 300);
         assert_eq!(
             allocated, 0,
             "{target}: warm commands performed {allocated} heap allocation(s)"
@@ -159,6 +169,9 @@ fn warm_issue_performs_no_heap_allocation() {
     }
 }
 
+/// Also covers the fan-out path: `pool::snapshot()` is process-global, so
+/// the fan-out case runs in this test, after the no-fan-out assertions,
+/// rather than concurrently with them.
 #[test]
 fn warm_sharded_metered_issue_performs_no_heap_allocation() {
     // Fan-outs are only counted while pool profiling is on.
@@ -169,7 +182,7 @@ fn warm_sharded_metered_issue_performs_no_heap_allocation() {
             assert_eq!(dev.system().shard_count(), 4, "{target}");
             dev.enable_metrics(false);
             let fanouts = pool::snapshot().fanouts;
-            let allocated = warm_reissue_allocations(&mut dev);
+            let allocated = warm_reissue_allocations(&mut dev, 300);
             assert_eq!(
                 allocated, 0,
                 "{target}, 4 shards, metrics on: warm commands performed \
@@ -179,6 +192,23 @@ fn warm_sharded_metered_issue_performs_no_heap_allocation() {
                 pool::snapshot().fanouts,
                 fanouts,
                 "{target}: 300-element commands fanned out to the pool"
+            );
+        });
+    }
+    let n = 4 * exec::MIN_CHUNK as i32;
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        exec::with_thread_count(2, || {
+            let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
+            let fanouts = pool::snapshot().fanouts;
+            let allocated = warm_reissue_allocations(&mut dev, n);
+            assert_eq!(
+                allocated, 0,
+                "{target}, {n} elements, 2 threads: warm commands performed \
+                 {allocated} heap allocation(s)"
+            );
+            assert!(
+                pool::snapshot().fanouts > fanouts,
+                "{target}: {n}-element commands did not fan out to the pool"
             );
         });
     }

@@ -233,8 +233,8 @@ fn shard_equivalence_holds_under_both_timing_backends() {
 #[test]
 fn shard_equivalence_holds_at_every_pool_thread_count() {
     // Commands touching fewer than `2 * MIN_CHUNK` elements run their
-    // shards inline; larger ones ride the work-stealing pool, where
-    // which worker executes a shard must never leak into results. The
+    // shards inline; larger ones ride the pool, where which worker
+    // claims a shard must never leak into results. The
     // sizes straddle that gate so both paths meet the unsharded device.
     // One representative target/dtype keeps this fast.
     let floor = 2 * pimeval::exec::MIN_CHUNK;

@@ -1,11 +1,11 @@
 //! Std-only parallel execution engine for the simulator's hot paths.
 //!
 //! The functional simulator spends nearly all of its time in three loop
-//! shapes: element-wise maps over `i64` buffers (`Device::apply1/2`),
-//! host↔device conversion packing, and word-wide column sweeps in the
-//! bit-serial VM. This module gives all of them one chunked fan-out
-//! primitive running on a lazily-initialized **persistent work-stealing
-//! pool** ([`pool`]) — no third-party crates — sized by the
+//! shapes: element-wise maps over `i64` buffers (`pimeval::cmd`'s
+//! per-command loops), host↔device conversion packing, and word-wide
+//! column sweeps in the bit-serial VM. This module gives all of them one
+//! chunked fan-out primitive running on a lazily-initialized
+//! **persistent pool** ([`pool`]) — no third-party crates — sized by the
 //! `PIM_THREADS` environment variable (default:
 //! [`std::thread::available_parallelism`]).
 //!
@@ -13,36 +13,36 @@
 //!
 //! Workers are spawned once (on the first fan-out that needs them) and
 //! then parked on a condvar between jobs; steady-state fan-outs spawn
-//! zero OS threads and allocate nothing on the task path. Each fan-out
-//! splits its index space into more chunks than workers
-//! ([`chunks_per_worker`]×, the oversubscription factor) and deals the
-//! chunk ids into per-lane deques: a lane's owner pops from the front,
-//! idle participants steal from the back, so heterogeneous chunk costs
-//! and skewed shard maps are absorbed by stealing instead of an even
-//! split praying for uniform cost. The caller always participates in
-//! its own job (and can drain it entirely by itself), which is what
-//! makes nested fan-outs from inside a chunk body deadlock-free.
+//! zero OS threads, and [`par_map_into`] allocates nothing. Each fan-out
+//! splits its index space into up to [`CHUNKS_PER_WORKER`] chunks per
+//! worker, and every participant claims the next chunk id from one
+//! shared counter until none are left, so a participant whose chunks
+//! ran fast takes more of them instead of idling. The caller always
+//! participates in its own job (and can drain it entirely by itself),
+//! which is what makes nested fan-outs from inside a chunk body
+//! deadlock-free.
 //!
 //! # Determinism
 //!
 //! Results are bit-identical to sequential execution for every thread
-//! count: stealing moves a chunk to a different *worker*, never to a
-//! different place in the output. Chunk `i` of a fan-out always covers
-//! the same index range, writes the same disjoint output sub-slice, and
-//! reductions fold per-chunk partials in ascending chunk order on the
-//! calling thread. The determinism suite in
+//! count: the counter decides which *worker* runs a chunk, never where
+//! its output goes. Chunk `i` of a fan-out always covers the same index
+//! range, writes the same disjoint output sub-slice, and reductions fold
+//! per-chunk partials in ascending chunk order on the calling thread.
+//! The determinism suite in
 //! `crates/core/tests/determinism.rs` asserts this across every target
 //! and op class.
 //!
 //! # Unsafe boundaries
 //!
 //! Two narrow `unsafe` regions, both contained here: the pool erases
-//! the borrow lifetime of a fan-out's closure (sound because the
-//! caller's stack frame outlives every participant, enforced by the
-//! participant-count protocol in [`pool`]), and `SharedSlice` hands
-//! disjoint output indices to concurrent chunks (sound because chunk
-//! ranges partition `0..len`). Everything above those two primitives is
-//! safe code.
+//! the borrow lifetime of a fan-out's closure and reaches registered
+//! jobs through raw pointers (sound because the caller's stack frame
+//! outlives every participant, enforced by the participant-count
+//! protocol in [`pool`]), and `SharedSlice` hands disjoint output
+//! indices to concurrent chunks (sound because chunk ranges partition
+//! `0..len` and each chunk id is claimed once). Everything above those
+//! two primitives is safe code.
 //!
 //! # Sizing
 //!
@@ -65,8 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub mod pool {
-    //! The persistent work-stealing executor plus its wall-clock
-    //! occupancy hooks.
+    //! The persistent executor plus its wall-clock occupancy hooks.
     //!
     //! # Lifecycle
     //!
@@ -80,10 +79,9 @@ pub mod pool {
     //!
     //! # A fan-out (one `Job`)
     //!
-    //! The caller splits `0..len` into `chunks` contiguous ranges and
-    //! deals the chunk ids into `lanes` deques, packed as
-    //! `head << 32 | tail` in one `AtomicU64` per lane so owner pops
-    //! (front) and steals (back) race through plain CAS. The job —
+    //! The caller splits `0..len` into `chunks` contiguous ranges; every
+    //! participant, the caller included, claims chunk ids from the job's
+    //! one `next` counter with `fetch_add` until they run out. The job —
     //! including the borrowed, lifetime-erased task closure — lives on
     //! the caller's stack; a participant count pins it: workers join a
     //! job only under the registry lock (where the caller also
@@ -98,8 +96,8 @@ pub mod pool {
     //! one relaxed atomic load; no clocks are read and no locks taken.
     //! With [`enable`]d profiling, each worker slot accumulates the
     //! wall time it spent in chunk bodies, and the caller accumulates
-    //! the time it waited joining workers after finishing its own share
-    //! (idle/imbalance time). Worker slots are stable across jobs: slot
+    //! the time it waited joining workers once no chunk was left to
+    //! claim (idle/imbalance time). Worker slots are stable across jobs: slot
     //! 0 is whichever thread called the fan-out, slot `n ≥ 1` is the
     //! persistent worker `pim-pool-n`. Two attribution caveats follow
     //! from that mapping: every non-pool caller thread shares slot 0,
@@ -121,8 +119,8 @@ pub mod pool {
     use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
     use std::time::Instant;
 
-    /// Hard cap on lanes (and therefore workers) per job; deque storage
-    /// is a fixed stack array of this size.
+    /// Hard cap on lanes (participants, and therefore pool workers)
+    /// per job.
     pub const MAX_LANES: usize = 64;
 
     /// One worker slot's accumulated activity (slot 0 is the calling
@@ -143,8 +141,9 @@ pub mod pool {
         /// Loops that stayed on the calling thread (short input or one
         /// worker configured).
         pub sequential_runs: u64,
-        /// Wall time the caller spent waiting on stolen chunks after
-        /// draining its own share (ns) — the pool's imbalance signal.
+        /// Wall time the caller spent waiting on other participants'
+        /// chunks once no chunk was left to claim (ns) — the pool's
+        /// imbalance signal.
         pub caller_wait_ns: u128,
         /// Per-slot activity, indexed by worker slot.
         pub workers: Vec<WorkerSample>,
@@ -282,7 +281,7 @@ pub mod pool {
     // The executor
     // ------------------------------------------------------------------
 
-    type Task<'a> = &'a (dyn Fn(u32, Range<usize>) + Sync);
+    type Task<'a> = &'a (dyn Fn(usize, Range<usize>) + Sync);
 
     /// One fan-out, allocated on the caller's stack. See the module
     /// docs for the ownership protocol that keeps the erased `task`
@@ -291,21 +290,16 @@ pub mod pool {
         /// The chunk body, lifetime-erased (see [`run`]).
         task: Task<'static>,
         len: usize,
-        chunks: u32,
-        lanes: u32,
+        chunks: usize,
         /// The caller's effective thread count, re-installed on every
         /// participating worker so nested fan-outs see the caller's
         /// budget, not the worker's default.
         tc: usize,
-        /// The caller's oversubscription factor, propagated likewise.
-        oversub: usize,
         profiling: bool,
-        /// Per-lane chunk-id deques, packed `head << 32 | tail`. The
-        /// lane owner pops the front, thieves pop the back; both via
-        /// CAS on the same word.
-        deques: [AtomicU64; MAX_LANES],
-        /// Lane-claim ticket counter for participants.
-        next_lane: AtomicUsize,
+        /// The next unclaimed chunk id. Claims only need `fetch_add`'s
+        /// atomicity: the registry lock publishes the job to workers,
+        /// and `completed` publishes the chunks' writes to the caller.
+        next: AtomicUsize,
         /// Chunks fully executed.
         completed: AtomicUsize,
         /// Threads currently holding a reference to this job (the
@@ -320,56 +314,17 @@ pub mod pool {
     }
 
     impl Job {
-        fn chunk_range(&self, i: u32) -> Range<usize> {
-            super::chunk_bounds(self.len, self.chunks as usize, i as usize)
-        }
-
-        /// Owner pop: front of `lane`'s deque.
-        fn pop_front(&self, lane: usize) -> Option<u32> {
-            let d = &self.deques[lane];
-            let mut v = d.load(Ordering::Acquire);
-            loop {
-                let (head, tail) = ((v >> 32) as u32, v as u32);
-                if head >= tail {
-                    return None;
-                }
-                let next = (u64::from(head + 1) << 32) | u64::from(tail);
-                match d.compare_exchange_weak(v, next, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => return Some(head),
-                    Err(cur) => v = cur,
-                }
-            }
-        }
-
-        /// Thief pop: back of `lane`'s deque.
-        fn pop_back(&self, lane: usize) -> Option<u32> {
-            let d = &self.deques[lane];
-            let mut v = d.load(Ordering::Acquire);
-            loop {
-                let (head, tail) = ((v >> 32) as u32, v as u32);
-                if head >= tail {
-                    return None;
-                }
-                let next = (u64::from(head) << 32) | u64::from(tail - 1);
-                match d.compare_exchange_weak(v, next, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => return Some(tail - 1),
-                    Err(cur) => v = cur,
-                }
-            }
-        }
-
-        /// True while any deque still holds an unclaimed chunk.
+        /// True while a chunk is left to claim. A stale read is harmless:
+        /// a worker then joins a drained job and leaves, or skips a job
+        /// whose caller drains it alone.
         fn has_work(&self) -> bool {
-            self.deques[..self.lanes as usize].iter().any(|d| {
-                let v = d.load(Ordering::Acquire);
-                ((v >> 32) as u32) < (v as u32)
-            })
+            self.next.load(Ordering::Relaxed) < self.chunks
         }
 
         /// Executes chunk `i`, capturing a panic instead of unwinding
         /// through the pool.
-        fn run_chunk(&self, i: u32, slot: usize) {
-            let range = self.chunk_range(i);
+        fn run_chunk(&self, i: usize, slot: usize) {
+            let range = super::chunk_bounds(self.len, self.chunks, i);
             let task = self.task;
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 timed(self.profiling, slot, || task(i, range))
@@ -378,7 +333,7 @@ pub mod pool {
                 let mut first = self.panic.lock().expect("pool job panic slot poisoned");
                 first.get_or_insert(payload);
             }
-            if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.chunks as usize {
+            if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.chunks {
                 // Notify while holding the gate so the wakeup cannot
                 // fall between the caller's predicate check and wait.
                 let _gate = self.gate.lock().expect("pool job gate poisoned");
@@ -386,22 +341,15 @@ pub mod pool {
             }
         }
 
-        /// Drains the job from one participant: claim a lane, pop its
-        /// front until empty, then steal from every other lane's back.
+        /// Drains the job from one participant: claim the next chunk id
+        /// and run it until every id is claimed.
         fn work_on(&self, slot: usize) {
-            let lanes = self.lanes as usize;
-            let lane = self.next_lane.fetch_add(1, Ordering::AcqRel);
-            if lane < lanes {
-                while let Some(i) = self.pop_front(lane) {
-                    self.run_chunk(i, slot);
+            loop {
+                let i = self.next.fetch_add(1, Ordering::Relaxed);
+                if i >= self.chunks {
+                    return;
                 }
-            }
-            let start = lane % lanes.max(1);
-            for off in 0..lanes {
-                let l = (start + off) % lanes;
-                while let Some(i) = self.pop_back(l) {
-                    self.run_chunk(i, slot);
-                }
+                self.run_chunk(i, slot);
             }
         }
 
@@ -515,9 +463,7 @@ pub mod pool {
                     let job = unsafe { &*ptr.0 };
                     job.participants.fetch_add(1, Ordering::AcqRel);
                     drop(st);
-                    super::with_thread_count(job.tc, || {
-                        super::with_chunks_per_worker(job.oversub, || job.work_on(slot));
-                    });
+                    super::with_thread_count(job.tc, || job.work_on(slot));
                     job.leave();
                     st = ex.state.lock().expect("pool state poisoned");
                 }
@@ -556,7 +502,7 @@ pub mod pool {
     /// until every chunk has completed; rethrows the first chunk panic.
     pub(super) fn run(len: usize, lanes: usize, chunks: usize, body: Task<'_>) {
         debug_assert!((2..=MAX_LANES).contains(&lanes));
-        debug_assert!(chunks >= lanes && chunks <= u32::MAX as usize);
+        debug_assert!(chunks >= lanes);
         let profiling = enabled();
         if profiling {
             note_fanout(lanes);
@@ -570,27 +516,16 @@ pub mod pool {
         let job = Job {
             task,
             len,
-            chunks: chunks as u32,
-            lanes: lanes as u32,
+            chunks,
             tc: super::thread_count(),
-            oversub: super::chunks_per_worker(),
             profiling,
-            deques: std::array::from_fn(|_| AtomicU64::new(0)),
-            next_lane: AtomicUsize::new(0),
+            next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             participants: AtomicUsize::new(1),
             panic: Mutex::new(None),
             gate: Mutex::new(()),
             cv: Condvar::new(),
         };
-        // Deal contiguous runs of chunk ids into the lane deques.
-        for lane in 0..lanes {
-            let r = super::chunk_bounds(chunks, lanes, lane);
-            job.deques[lane].store(
-                (u64::from(r.start as u32) << 32) | u64::from(r.end as u32),
-                Ordering::Release,
-            );
-        }
         let ex = executor();
         let registered = {
             let mut st = ex.state.lock().expect("pool state poisoned");
@@ -603,9 +538,10 @@ pub mod pool {
                 true
             }
         };
-        let slot = WORKER_SLOT.with(Cell::get);
+        // The caller always claims chunks too; when a shutdown kept the
+        // job unregistered, it drains every chunk itself.
+        job.work_on(WORKER_SLOT.with(Cell::get));
         if registered {
-            job.work_on(slot);
             {
                 let mut st = ex.state.lock().expect("pool state poisoned");
                 if let Some(pos) = st.jobs.iter().position(|p| std::ptr::eq(p.0, &job)) {
@@ -625,11 +561,6 @@ pub mod pool {
             if let Some(t0) = wait0 {
                 record_caller_wait(t0.elapsed().as_nanos());
             }
-        } else {
-            // Shutdown in progress: run every chunk inline.
-            for i in 0..chunks as u32 {
-                job.run_chunk(i, slot);
-            }
         }
         let payload = job
             .panic
@@ -646,9 +577,9 @@ pub mod pool {
 /// `2 × MIN_CHUNK` total elements everything runs on the calling thread.
 pub const MIN_CHUNK: usize = 8 * 1024;
 
-/// Default chunks dealt per lane (oversubscription factor): more chunks
-/// than workers is what gives the thieves something to steal when chunk
-/// costs are skewed. Override per scope with [`with_chunks_per_worker`].
+/// Chunks per lane (the oversubscription factor): with more chunks than
+/// workers, a participant whose chunks ran fast claims the next ones
+/// instead of idling while a slow chunk finishes.
 pub const CHUNKS_PER_WORKER: usize = 4;
 
 fn env_threads() -> usize {
@@ -668,8 +599,6 @@ static GLOBAL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Per-thread override; 0 means "not set".
     static LOCAL_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-    /// Per-thread oversubscription override; 0 means "not set".
-    static OVERSUB_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Overrides the worker count for the whole process (`None` restores the
@@ -710,37 +639,6 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The oversubscription factor the next fan-out on this thread will
-/// use ([`CHUNKS_PER_WORKER`] unless overridden).
-pub fn chunks_per_worker() -> usize {
-    let local = OVERSUB_OVERRIDE.with(Cell::get);
-    if local > 0 {
-        local
-    } else {
-        CHUNKS_PER_WORKER
-    }
-}
-
-/// Runs `f` with the oversubscription factor pinned to `n` on the
-/// current thread (restored on exit, including on panic). `1` disables
-/// stealing in practice — each lane gets exactly one chunk — which is
-/// the even-split baseline the imbalance benchmark compares against.
-pub fn with_chunks_per_worker<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Reset(usize);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            OVERSUB_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = OVERSUB_OVERRIDE.with(|c| {
-        let p = c.get();
-        c.set(n.max(1));
-        p
-    });
-    let _reset = Reset(prev);
-    f()
-}
-
 /// Start of chunk `i` of `len` split `parts` ways: the first
 /// `len % parts` chunks are one element longer.
 fn chunk_start(len: usize, parts: usize, i: usize) -> usize {
@@ -768,10 +666,7 @@ fn plan(len: usize) -> (usize, usize) {
     if lanes <= 1 {
         return (1, 1);
     }
-    let chunks = (lanes * chunks_per_worker())
-        .min(len / MIN_CHUNK)
-        .max(lanes);
-    (lanes, chunks)
+    (lanes, (lanes * CHUNKS_PER_WORKER).min(len / MIN_CHUNK))
 }
 
 /// A raw view of a mutable slice that concurrent chunks index
@@ -796,11 +691,6 @@ impl<T> SharedSlice<T> {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
         }
-    }
-
-    /// Number of elements in the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// A mutable reference to element `i`. Bounds-checked.
@@ -851,7 +741,7 @@ pub fn par_chunks<R: Send>(len: usize, work: impl Fn(Range<usize>) -> R + Sync) 
         let v = work(r);
         // SAFETY: each chunk id is claimed by exactly one participant,
         // so slot `i` is written once, with no concurrent access.
-        unsafe { *out.index_mut(i as usize) = Some(v) };
+        unsafe { *out.index_mut(i) = Some(v) };
     });
     slots
         .into_iter()
@@ -881,9 +771,10 @@ pub fn par_fold<R: Send>(
 
 /// Runs `f(i, &mut items[i])` for every item, in parallel at item
 /// granularity (no [`MIN_CHUNK`] floor — items are assumed coarse, e.g.
-/// execution shards), returning the results in item order. The stealing
-/// deques absorb skewed per-item costs, which is the whole point of
-/// using this for uneven `ShardMap`s.
+/// execution shards), returning the results in item order. Items are
+/// oversubscribed like any fan-out's chunks, so a participant that
+/// finishes a light item claims the next one, which keeps uneven
+/// `ShardMap`s from idling workers.
 pub fn par_each_mut<T: Send, R: Send>(
     items: &mut [T],
     f: impl Fn(usize, &mut T) -> R + Sync,
@@ -897,7 +788,7 @@ pub fn par_each_mut<T: Send, R: Send>(
         pool::note_sequential();
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunks = (lanes * chunks_per_worker()).min(len).max(lanes);
+    let chunks = (lanes * CHUNKS_PER_WORKER).min(len);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(len);
     slots.resize_with(len, || None);
     let out = SharedSlice::new(&mut slots);
@@ -917,142 +808,47 @@ pub fn par_each_mut<T: Send, R: Send>(
         .collect()
 }
 
-/// `out[i] = f(&src[i])` in parallel over disjoint chunks.
+/// `out[i] = f([ins[0][i], …, ins[N - 1][i]])` in parallel over disjoint
+/// chunks: the one element-wise map, for every input arity.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
-pub fn par_map_into<S: Sync, T: Send>(src: &[S], out: &mut [T], f: impl Fn(&S) -> T + Sync) {
-    assert_eq!(src.len(), out.len(), "par_map_into length mismatch");
-    let (lanes, chunks) = plan(out.len());
+/// Panics if an input's length differs from `out`'s.
+pub fn par_map_into<S: Copy + Sync, T: Send, const N: usize>(
+    ins: [&[S]; N],
+    out: &mut [T],
+    f: impl Fn([S; N]) -> T + Sync,
+) {
+    let len = out.len();
+    assert!(
+        ins.iter().all(|s| s.len() == len),
+        "par_map_into length mismatch"
+    );
+    let (lanes, chunks) = plan(len);
     if lanes <= 1 {
         pool::note_sequential();
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = f(s);
-        }
-        return;
+        return map_chunk(ins, out, &f);
     }
     let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
+    pool::run(len, lanes, chunks, &|_, r| {
         // SAFETY: chunk ranges partition 0..len; each output index is
         // written by exactly one participant.
         let oc = unsafe { dst.slice_mut(r.clone()) };
-        for (o, s) in oc.iter_mut().zip(&src[r]) {
-            *o = f(s);
-        }
+        map_chunk(ins.map(|s| &s[r.clone()]), oc, &f);
     });
 }
 
-/// `out[i] = f(&a[i], &b[i])` in parallel over disjoint chunks.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip_map_into<A: Sync, B: Sync, T: Send>(
-    a: &[A],
-    b: &[B],
-    out: &mut [T],
-    f: impl Fn(&A, &B) -> T + Sync,
-) {
-    assert_eq!(a.len(), b.len(), "par_zip_map_into length mismatch");
-    assert_eq!(a.len(), out.len(), "par_zip_map_into length mismatch");
-    let (lanes, chunks) = plan(out.len());
-    if lanes <= 1 {
-        pool::note_sequential();
-        for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
-        }
-        return;
+/// The loop of [`par_map_into`] over one chunk. Every slice is cut to
+/// the same length `n` and indexed by one counter below `n`, so the
+/// compiler drops the per-element bounds checks and the loop vectorizes
+/// like a plain zip.
+#[inline(always)]
+fn map_chunk<S: Copy, T, const N: usize>(ins: [&[S]; N], out: &mut [T], f: &impl Fn([S; N]) -> T) {
+    let n = out.len();
+    let ins = ins.map(|s| &s[..n]);
+    for i in 0..n {
+        out[i] = f(std::array::from_fn(|k| ins[k][i]));
     }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len (see par_map_into).
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for ((o, x), y) in oc.iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
-            *o = f(x, y);
-        }
-    });
-}
-
-/// `out[i] = f(&a[i], &b[i], &c[i])` in parallel over disjoint chunks
-/// (the three-operand `select` shape).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip3_map_into<A: Sync, B: Sync, C: Sync, T: Send>(
-    a: &[A],
-    b: &[B],
-    c: &[C],
-    out: &mut [T],
-    f: impl Fn(&A, &B, &C) -> T + Sync,
-) {
-    assert_eq!(a.len(), b.len(), "par_zip3_map_into length mismatch");
-    assert_eq!(a.len(), c.len(), "par_zip3_map_into length mismatch");
-    assert_eq!(a.len(), out.len(), "par_zip3_map_into length mismatch");
-    let (lanes, chunks) = plan(out.len());
-    if lanes <= 1 {
-        pool::note_sequential();
-        for (((o, x), y), z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            *o = f(x, y, z);
-        }
-        return;
-    }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len (see par_map_into).
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for (((o, x), y), z) in oc
-            .iter_mut()
-            .zip(&a[r.clone()])
-            .zip(&b[r.clone()])
-            .zip(&c[r])
-        {
-            *o = f(x, y, z);
-        }
-    });
-}
-
-/// `out[i] = f(&a[i], &b[i], &c[i], &d[i])` in parallel over disjoint
-/// chunks (the four-operand fused `cmp_select` shape).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn par_zip4_map_into<A: Sync, B: Sync, C: Sync, D: Sync, T: Send>(
-    a: &[A],
-    b: &[B],
-    c: &[C],
-    d: &[D],
-    out: &mut [T],
-    f: impl Fn(&A, &B, &C, &D) -> T + Sync,
-) {
-    assert_eq!(a.len(), b.len(), "par_zip4_map_into length mismatch");
-    assert_eq!(a.len(), c.len(), "par_zip4_map_into length mismatch");
-    assert_eq!(a.len(), d.len(), "par_zip4_map_into length mismatch");
-    assert_eq!(a.len(), out.len(), "par_zip4_map_into length mismatch");
-    let (lanes, chunks) = plan(out.len());
-    if lanes <= 1 {
-        pool::note_sequential();
-        for ((((o, x), y), z), u) in out.iter_mut().zip(a).zip(b).zip(c).zip(d) {
-            *o = f(x, y, z, u);
-        }
-        return;
-    }
-    let dst = SharedSlice::new(out);
-    pool::run(dst.len(), lanes, chunks, &|_, r| {
-        // SAFETY: chunk ranges partition 0..len (see par_map_into).
-        let oc = unsafe { dst.slice_mut(r.clone()) };
-        for ((((o, x), y), z), u) in oc
-            .iter_mut()
-            .zip(&a[r.clone()])
-            .zip(&b[r.clone()])
-            .zip(&c[r.clone()])
-            .zip(&d[r])
-        {
-            *o = f(x, y, z, u);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1077,7 +873,7 @@ mod tests {
     #[test]
     fn plan_oversubscribes_long_inputs() {
         with_thread_count(4, || {
-            // Long input: 4 lanes, 4x chunks for the thieves.
+            // Long input: 4 lanes, 4 chunks per lane.
             let (lanes, chunks) = plan(64 * MIN_CHUNK);
             assert_eq!(lanes, 4);
             assert_eq!(chunks, 16);
@@ -1087,11 +883,6 @@ mod tests {
             let (lanes, chunks) = plan(4 * MIN_CHUNK);
             assert_eq!(lanes, 4);
             assert_eq!(chunks, 4);
-            // The oversubscription override is scoped and restored.
-            with_chunks_per_worker(1, || {
-                assert_eq!(plan(64 * MIN_CHUNK), (4, 4));
-            });
-            assert_eq!(chunks_per_worker(), CHUNKS_PER_WORKER);
         });
     }
 
@@ -1113,7 +904,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let mut par = vec![0; src.len()];
             with_thread_count(threads, || {
-                par_map_into(&src, &mut par, |&x| x.wrapping_mul(3) ^ 1)
+                par_map_into([&src], &mut par, |[x]| x.wrapping_mul(3) ^ 1)
             });
             assert_eq!(par, seq, "threads={threads}");
         }
@@ -1132,13 +923,11 @@ mod tests {
             .collect();
         let (mut par2, mut par3) = (vec![0; a.len()], vec![0; a.len()]);
         with_thread_count(4, || {
-            par_zip_map_into(&a, &b, &mut par2, |x, y| x - y);
-            par_zip3_map_into(
-                &c,
-                &a,
-                &b,
+            par_map_into([&a, &b], &mut par2, |[x, y]| x - y);
+            par_map_into(
+                [&c, &a, &b],
                 &mut par3,
-                |z, x, y| if *z != 0 { *x } else { *y },
+                |[z, x, y]| if z != 0 { x } else { y },
             );
         });
         assert_eq!(par2, seq2);
@@ -1200,9 +989,9 @@ mod tests {
         assert!(snap.fanouts >= 1);
         assert!(snap.sequential_runs >= 1);
         assert!(snap.workers.len() >= 4);
-        // With stealing, any one participant (often the caller alone on
-        // a single-core host) may run every chunk — assert the total,
-        // not per-slot distribution.
+        // Any one participant (often the caller alone on a single-core
+        // host) may claim every chunk — assert the total, not per-slot
+        // distribution.
         assert!(snap.workers.iter().map(|w| w.chunks).sum::<u64>() >= 4);
         let json = snap.to_json();
         assert!(json.starts_with("{\"fanouts\":"));

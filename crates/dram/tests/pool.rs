@@ -1,5 +1,6 @@
-//! Lifecycle and safety tests for the persistent work-stealing
-//! executor behind `pim_dram::exec`.
+//! Lifecycle and safety tests for the persistent executor behind
+//! `pim_dram::exec`: worker reuse, nesting, panics, and fan-outs racing
+//! a looping shutdown.
 //!
 //! The spawn-counter, live-worker, and shutdown assertions read
 //! process-global pool state, and the libtest harness runs `#[test]`s
@@ -7,7 +8,8 @@
 //! the counters racy. Every test in this binary therefore takes
 //! [`pool_lock`] first.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use pim_dram::exec::{self, pool, MIN_CHUNK};
 
@@ -25,7 +27,7 @@ fn map_once(threads: usize, len: usize) -> Vec<i64> {
 
 fn par_sq(src: &[i64]) -> Vec<i64> {
     let mut out = vec![0; src.len()];
-    exec::par_map_into(src, &mut out, |&x| x.wrapping_mul(x) ^ 0x5a);
+    exec::par_map_into([src], &mut out, |[x]| x.wrapping_mul(x) ^ 0x5a);
     out
 }
 
@@ -153,4 +155,89 @@ fn chunk_panics_propagate_and_pool_survives() {
     // The pool still works after a panicked job.
     let seq = map_once(1, len);
     assert_eq!(map_once(4, len), seq);
+}
+
+/// An outer `par_fold` whose chunk bodies each run an inner `par_chunks`
+/// fan-out; the total does not depend on how the outer loop is chunked.
+fn nested_fold(threads: usize, len: usize) -> i64 {
+    exec::with_thread_count(threads, || {
+        exec::par_fold(
+            len,
+            |r| {
+                let inner: i64 = exec::par_chunks(2 * MIN_CHUNK, |cc| {
+                    cc.map(|c| (c as i64) * 3 - 1).sum::<i64>()
+                })
+                .into_iter()
+                .sum();
+                let own: i64 = r.clone().map(|i| i as i64).sum();
+                (r.len() as i64).wrapping_mul(inner).wrapping_add(own)
+            },
+            i64::wrapping_add,
+        )
+        .unwrap_or(0)
+    })
+}
+
+/// Four caller threads fan out while a fifth shuts the pool down in a
+/// loop, so jobs keep meeting draining, exiting and respawning workers.
+/// Every chunk index must run exactly once and every result must equal
+/// the one-thread run: this drives the chunk-claim counter and the
+/// join/leave protocol under worker churn.
+#[test]
+fn fanouts_stay_exact_while_the_pool_shuts_down_in_a_loop() {
+    let _serial = pool_lock();
+    let lens = [2 * MIN_CHUNK - 1, 2 * MIN_CHUNK, 9 * MIN_CHUNK + 7];
+    let maps: Vec<Vec<i64>> = lens.iter().map(|&len| map_once(1, len)).collect();
+    let folds: Vec<i64> = lens.iter().map(|&len| nested_fold(1, len)).collect();
+    let stop = AtomicBool::new(false);
+    // All five threads start together, so the churn overlaps the fan-outs.
+    let start = Barrier::new(5);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            while !stop.load(Ordering::Relaxed) {
+                pool::shutdown();
+                std::thread::yield_now();
+            }
+        });
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..8 {
+                        for threads in [2, 3, 8] {
+                            for (i, &len) in lens.iter().enumerate() {
+                                let runs: Vec<AtomicUsize> =
+                                    (0..len).map(|_| AtomicUsize::new(0)).collect();
+                                let covered = exec::with_thread_count(threads, || {
+                                    exec::par_chunks(len, |r| {
+                                        for j in r.clone() {
+                                            runs[j].fetch_add(1, Ordering::Relaxed);
+                                        }
+                                        r.len()
+                                    })
+                                });
+                                assert_eq!(covered.iter().sum::<usize>(), len);
+                                assert!(
+                                    runs.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                                    "threads={threads} len={len}: an index ran other than once"
+                                );
+                                assert_eq!(map_once(threads, len), maps[i]);
+                                assert_eq!(nested_fold(threads, len), folds[i]);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let joined: Vec<_> = callers.into_iter().map(|c| c.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        for result in joined {
+            if let Err(payload) = result {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    // The pool still serves fan-outs once the churn stops.
+    assert_eq!(map_once(4, lens[2]), maps[2]);
 }

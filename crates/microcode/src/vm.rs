@@ -344,13 +344,13 @@ impl<'a> Vm<'a> {
             }
             MicroOp::And { a, b, dst } => {
                 let mut buf = std::mem::take(&mut self.scratch);
-                exec::par_zip_map_into(self.loc(a), self.loc(b), &mut buf, |x, y| x & y);
+                exec::par_map_into([self.loc(a), self.loc(b)], &mut buf, |[x, y]| x & y);
                 self.store_swap(dst, buf);
                 self.stats.logic_ops += 1;
             }
             MicroOp::Xnor { a, b, dst } => {
                 let mut buf = std::mem::take(&mut self.scratch);
-                exec::par_zip_map_into(self.loc(a), self.loc(b), &mut buf, |x, y| !(x ^ y));
+                exec::par_map_into([self.loc(a), self.loc(b)], &mut buf, |[x, y]| !(x ^ y));
                 self.store_swap(dst, buf);
                 self.stats.logic_ops += 1;
             }
@@ -361,12 +361,10 @@ impl<'a> Vm<'a> {
                 dst,
             } => {
                 let mut buf = std::mem::take(&mut self.scratch);
-                exec::par_zip3_map_into(
-                    self.loc(cond),
-                    self.loc(if_true),
-                    self.loc(if_false),
+                exec::par_map_into(
+                    [self.loc(cond), self.loc(if_true), self.loc(if_false)],
                     &mut buf,
-                    |c, t, f| (c & t) | (!c & f),
+                    |[c, t, f]| (c & t) | (!c & f),
                 );
                 self.store_swap(dst, buf);
                 self.stats.logic_ops += 1;
@@ -385,7 +383,7 @@ impl<'a> Vm<'a> {
             MicroOp::AapNot { src, dst } => {
                 let (s, d) = (self.resolve(src)?, self.resolve(dst)?);
                 let mut buf = std::mem::take(&mut self.scratch);
-                exec::par_map_into(self.mat.row(s), &mut buf, |w| !w);
+                exec::par_map_into([self.mat.row(s)], &mut buf, |[w]| !w);
                 if let Some(last) = buf.last_mut() {
                     *last &= self.tail_mask;
                 }
@@ -404,12 +402,10 @@ impl<'a> Vm<'a> {
                     });
                 }
                 let mut maj = std::mem::take(&mut self.scratch);
-                exec::par_zip3_map_into(
-                    self.mat.row(ra),
-                    self.mat.row(rb),
-                    self.mat.row(rc),
+                exec::par_map_into(
+                    [self.mat.row(ra), self.mat.row(rb), self.mat.row(rc)],
                     &mut maj,
-                    |x, y, z| (x & y) | (y & z) | (x & z),
+                    |[x, y, z]| (x & y) | (y & z) | (x & z),
                 );
                 // Charge sharing leaves the majority in all three rows.
                 self.mat.row_mut(ra).copy_from_slice(&maj);
