@@ -16,6 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use pimeval::metrics::METRICS_SCHEMA_VERSION;
 use pimeval::trace::json::{Json, STATS_SCHEMA_VERSION};
 
 /// Accumulates violations with a document-relative path for each.
@@ -42,6 +43,15 @@ impl Checker {
             None => {
                 self.fail(path, &format!("missing or non-numeric \"{key}\""));
                 None
+            }
+        }
+    }
+
+    /// Requires a numeric `schema_version` no newer than `newest`.
+    fn require_version(&mut self, v: &Json, path: &str, newest: u32) {
+        if let Some(n) = self.require_num(v, path, "schema_version") {
+            if n > f64::from(newest) {
+                self.fail(path, &format!("schema_version {n} is newer than {newest}"));
             }
         }
     }
@@ -101,7 +111,7 @@ fn check_instruments(c: &mut Checker, v: &Json, path: &str) {
 
 /// One `MetricsSnapshot` object as produced by `MetricsSnapshot::to_json`.
 fn check_metrics_snapshot(c: &mut Checker, m: &Json, path: &str) {
-    c.require_num(m, path, "schema_version");
+    c.require_version(m, path, METRICS_SCHEMA_VERSION);
     c.require_num(m, path, "clock_ms");
     if let Some(agg) = c.require_object(m, path, "aggregate") {
         check_instruments(c, agg, &format!("{path}.aggregate"));
@@ -144,14 +154,7 @@ fn check_stats(c: &mut Checker, doc: &Json) {
             continue;
         };
         let spath = format!("{path}.stats");
-        if let Some(v) = c.require_num(stats, &spath, "schema_version") {
-            if v as u32 > STATS_SCHEMA_VERSION {
-                c.fail(
-                    &spath,
-                    &format!("schema_version {v} is newer than {STATS_SCHEMA_VERSION}"),
-                );
-            }
-        }
+        c.require_version(stats, &spath, STATS_SCHEMA_VERSION);
         c.require_str(stats, &spath, "target");
         if let Some(totals) = c.require_object(stats, &spath, "totals") {
             c.require_num(totals, &format!("{spath}.totals"), "kernel_time_ms");
@@ -187,7 +190,7 @@ fn check_stats(c: &mut Checker, doc: &Json) {
 /// `pimbench --metrics-json` document: one snapshot per run plus the
 /// optional wall-clock pool section.
 fn check_metrics(c: &mut Checker, doc: &Json) {
-    c.require_num(doc, "$", "schema_version");
+    c.require_version(doc, "$", METRICS_SCHEMA_VERSION);
     let Some(runs) = c.require_array(doc, "$", "runs") else {
         return;
     };

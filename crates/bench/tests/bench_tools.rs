@@ -1,10 +1,13 @@
 //! `schema_check --bench` and `bench_regress` over small hand-written
 //! `BENCH_parallel.json` documents: the `host_cores` field, speedups
 //! bounded by it, and wall rows compared only between equal core
-//! counts.
+//! counts. Also `schema_check`'s metrics-version gate.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use pimeval::metrics::METRICS_SCHEMA_VERSION;
+use pimeval::trace::json::STATS_SCHEMA_VERSION;
 
 /// Writes `json` to a file in Cargo's per-package test scratch directory.
 fn doc(name: &str, json: &str) -> PathBuf {
@@ -87,4 +90,43 @@ fn wall_rows_gate_only_between_equal_host_core_counts() {
     let (code, stdout) = regress(&base, &dearer);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("[REGRESS] rank_scaling add/1"), "{stdout}");
+}
+
+#[test]
+fn schema_check_rejects_a_newer_metrics_version() {
+    let check = |kind: &str, name: &str, json: String| {
+        let p = doc(name, &json);
+        let out = run(
+            env!("CARGO_BIN_EXE_schema_check"),
+            &[kind, p.to_str().unwrap()],
+        );
+        out.status.code()
+    };
+    let snap = |v: u32| {
+        format!(
+            r#"{{"schema_version":{v},"clock_ms":1,"per_shard":[],
+            "aggregate":{{"counters":{{}},"gauges":{{}},"histograms":{{}}}}}}"#
+        )
+    };
+    let metrics = |doc_v: u32, run_v: u32| {
+        let run = format!(
+            r#"{{"benchmark":"b","target":"t","metrics":{}}}"#,
+            snap(run_v)
+        );
+        format!(r#"{{"schema_version":{doc_v},"runs":[{run}]}}"#)
+    };
+    let stats = |v: u32| {
+        let stats = format!(
+            r#"{{"schema_version":{STATS_SCHEMA_VERSION},"target":"t",
+            "totals":{{"kernel_time_ms":0}},"metrics":{}}}"#,
+            snap(v)
+        );
+        format!(r#"{{"runs":[{{"benchmark":"b","stats":{stats}}}]}}"#)
+    };
+    let (v, newer) = (METRICS_SCHEMA_VERSION, METRICS_SCHEMA_VERSION + 1);
+    assert_eq!(check("--metrics", "m-ok", metrics(v, v)), Some(0));
+    assert_eq!(check("--metrics", "m-doc", metrics(newer, v)), Some(1));
+    assert_eq!(check("--metrics", "m-run", metrics(v, newer)), Some(1));
+    assert_eq!(check("--stats", "s-ok", stats(v)), Some(0));
+    assert_eq!(check("--stats", "s-new", stats(newer)), Some(1));
 }

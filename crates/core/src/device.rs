@@ -12,8 +12,9 @@
 //! ledger separately from kernel time.
 //!
 //! Every modeled cost is built once as a `Charge` and folded by one
-//! fan-out into statistics, shard ledgers, metrics, trace and log. That
-//! fan-out alone advances the device's simulated clock, the only one.
+//! fan-out into the statistics ledger, metrics, trace and log. That
+//! fan-out alone writes the ledger and advances the device's simulated
+//! clock, the only one.
 
 use pim_dram::{CopyReplay, TimingCounters};
 use pim_microcode::gen::{BinaryOp, CmpOp};
@@ -142,9 +143,8 @@ impl Device {
         &self.config
     }
 
-    /// The sharded execution substrate: shard set, per-object shard
-    /// maps, per-shard statistics sub-ledgers, and the interconnect
-    /// model.
+    /// The sharded execution substrate: per-object shard maps, the
+    /// resource catalog, and the interconnect model.
     pub fn system(&self) -> &PimSystem {
         &self.system
     }
@@ -154,12 +154,12 @@ impl Device {
         &self.stats
     }
 
-    /// Clears all statistics, including every shard sub-ledger (objects
-    /// stay allocated; the resource snapshot is refreshed). The
+    /// Clears all statistics and resets every shard's timing backend
+    /// (objects stay allocated; the resource snapshot is refreshed). The
     /// simulated clock, the metrics registry and the trace keep running.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new();
-        self.system.reset_shard_stats();
+        self.system.reset_timing();
         self.sync_resources();
     }
 
@@ -297,23 +297,11 @@ impl Device {
     /// carries the tracer's dropped-event count.
     pub fn metrics_snapshot(&mut self) -> Option<MetricsSnapshot> {
         let dropped = self.tracer.dropped();
-        let shards = self.system.shards();
-        let clock_ms = self.clock_ms;
         let m = self.metrics.as_mut()?;
         if dropped > 0 {
             m.record_trace_dropped(dropped);
         }
-        // Summarize each shard sub-ledger's kernel-busy share of the
-        // run (modeled quantities, so this stays deterministic).
-        if shards.len() > 1 {
-            for (i, shard) in shards.iter().enumerate() {
-                let frac = shard.stats().busy_fraction(clock_ms);
-                if let Some(set) = m.shard_instruments(i) {
-                    set.gauge_set("kernel_busy_fraction", frac);
-                }
-            }
-        }
-        Some(m.snapshot(clock_ms))
+        Some(m.snapshot(self.clock_ms))
     }
 
     /// Events the ring-buffer trace recorder has overwritten so far (0
@@ -444,7 +432,6 @@ impl Device {
         let energy_mj = self.config.power.transfer_energy_mj(time_ms, is_read);
         self.charge(Charge::Copy {
             direction,
-            obj,
             bytes,
             cost: OpCost { time_ms, energy_mj },
             replay,
@@ -702,7 +689,7 @@ impl Device {
         }
         let costed = command.dst.unwrap_or_else(|| command.inputs[0]);
         let obj = self.rm().get(costed)?;
-        model::target_model(self.config.target).validate(kind, obj.dtype, &obj.layout)
+        model::validate(self.config.target, kind, obj.dtype, &obj.layout)
     }
 
     /// Runs a validated command's functional semantics (a no-op for
@@ -761,7 +748,6 @@ impl Device {
             let bytes = self.rm().get(src)?.bytes();
             self.charge(Charge::Copy {
                 direction: CopyDirection::DeviceToDevice,
-                obj: src,
                 bytes,
                 cost: OpCost::default(),
                 replay: None,
@@ -791,8 +777,8 @@ impl Device {
     /// The one charge fan-out: advances the simulated clock by the
     /// charge's critical-path time and folds the charge into every
     /// enabled view: the trace (one event stamped at the span start),
-    /// [`SimStats`], the shard ledgers and the metrics (fed the same
-    /// shard shares), and the log.
+    /// [`SimStats`], the metrics (with each shard's busy share), and the
+    /// log.
     fn charge(&mut self, charge: Charge) {
         let start_ms = self.clock_ms;
         self.clock_ms += match &charge {
@@ -800,7 +786,7 @@ impl Device {
             Charge::Host { time_ms } => time_ms.max(0.0),
             Charge::Interconnect { .. } | Charge::Flush(_) => 0.0,
         };
-        let mut metrics = self.metrics.as_deref_mut();
+        let metrics = self.metrics.as_deref_mut();
         match charge {
             Charge::Cmd {
                 kind,
@@ -832,24 +818,15 @@ impl Device {
                 self.stats.record_protocol(&dram);
                 self.stats
                     .record_cmd(&name, category, cost, layout.cores_used);
-                if let Some(m) = metrics.as_deref_mut() {
+                if let Some(m) = metrics {
                     m.record_cmd(&name, category.label(), cost.time_ms, cost.energy_mj);
-                }
-                let split =
-                    self.system
-                        .split_charge(costed, cost, 0, |s, part, _, cores, ledger| {
-                            ledger.record_cmd(&name, category, part, cores);
-                            if let Some(m) = metrics.as_deref_mut() {
-                                m.record_shard_busy(s, start_ms, cost.time_ms, part.time_ms);
-                            }
-                        });
-                if let (false, Some(m)) = (split, metrics) {
-                    m.record_shard_busy(0, start_ms, cost.time_ms, cost.time_ms);
+                    self.system.split_time(costed, cost.time_ms, |s, busy| {
+                        m.record_shard_busy(s, start_ms, cost.time_ms, busy);
+                    });
                 }
             }
             Charge::Copy {
                 direction,
-                obj,
                 bytes,
                 cost,
                 replay,
@@ -868,10 +845,6 @@ impl Device {
                 pim_debug!("copy {label}: {bytes} bytes in {time_ms:.6} ms");
                 self.stats.record_protocol(&dram);
                 self.stats.record_copy(bytes, code, time_ms, energy_mj);
-                self.system
-                    .split_charge(obj, cost, bytes, |_, part, bytes, _, ledger| {
-                        ledger.record_copy(bytes, code, part.time_ms, part.energy_mj);
-                    });
                 if let Some(m) = metrics {
                     m.record_copy(label, bytes, time_ms, energy_mj);
                 }
@@ -1356,10 +1329,9 @@ enum Charge {
         /// DRAM protocol counters the timing backends issued.
         dram: TimingCounters,
     },
-    /// One data movement of `obj`.
+    /// One data movement.
     Copy {
         direction: CopyDirection,
-        obj: ObjId,
         bytes: u64,
         cost: OpCost,
         /// The protocol replay for the trace, when one ran.

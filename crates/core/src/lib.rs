@@ -78,7 +78,7 @@ pub use metrics::{
     Histogram, HistogramSnapshot, InstrumentSet, InstrumentsSnapshot, MetricsRegistry,
     MetricsSnapshot, ProfileSnapshot,
 };
-pub use model::{target_model, OpCost, TargetModel};
+pub use model::OpCost;
 pub use object::{DataLayout, ObjId, ObjectLayout, PimObject};
 pub use ops::{OpCategory, OpKind, StatName};
 pub use pim_dram::{RowPattern, TimingBackend, TimingCounters, TimingModel};
@@ -87,7 +87,7 @@ pub use stats::{
     ResourceStats, ShardResourceStats, SimStats,
 };
 pub use stream::{CommandStream, FlushSummary};
-pub use system::{InterconnectModel, PimSystem, Shard, ShardMap, ShardRange};
+pub use system::{InterconnectModel, PimSystem, ShardMap, ShardRange};
 pub use trace::{CopyDirection, Recorder, TraceEvent, TraceSink, Tracer};
 
 /// Std-only parallel execution engine the functional hot paths run on

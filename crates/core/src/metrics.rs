@@ -56,7 +56,12 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 pub const DEFAULT_PROFILE_BINS: usize = 32;
 
 /// Version stamp of the metrics snapshot JSON layout.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
+///
+/// Version 2 removed the per-shard `kernel_busy_fraction` gauge (and so
+/// its maximum in the aggregate gauges): it equals
+/// `per_shard[i].histograms.busy_ms.sum / clock_ms`, both of which the
+/// snapshot already carries.
+pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// A log-bucketed distribution with quantile estimation.
 ///
@@ -534,12 +539,6 @@ impl MetricsRegistry {
     pub fn record_trace_dropped(&mut self, dropped: u64) {
         self.device
             .gauge_set("trace_dropped_events", dropped as f64);
-    }
-
-    /// Direct access to one shard's instrument set (`None` for an
-    /// out-of-range shard index).
-    pub fn shard_instruments(&mut self, shard: usize) -> Option<&mut InstrumentSet> {
-        self.shards.get_mut(shard)
     }
 
     /// Freezes the registry at `clock_ms` on the device clock: per-shard

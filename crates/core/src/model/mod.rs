@@ -1,13 +1,14 @@
 //! Performance and energy models for the PIM targets (§V-C, §V-D).
 //!
-//! Each target implements the [`TargetModel`] trait exactly once;
-//! [`target_model`] is the single place a [`PimTarget`] maps to model
-//! code (model construction), and [`op_cost`] / [`micro_cost`] are thin
-//! delegates kept for callers that price a command without holding a
-//! model reference. The bit-serial family derives its counts from the
-//! same microprograms the functional VM executes; the bit-parallel
-//! models use closed-form row-traffic + ALU formulas with walker
-//! pipelining.
+//! Each question a command asks of its target is one exhaustive `match`
+//! on [`PimTarget`]: [`validate`] checks the layout, [`op_cost_with`]
+//! prices it and [`micro_cost`] annotates its statistics and trace
+//! events. Adding a target is one arm in each. Functional semantics are
+//! not part of the model: [`crate::cmd`] computes them once for every
+//! target — every target computes the same values at different cost.
+//! The bit-serial family derives its counts from the same microprograms
+//! the functional VM executes; the bit-parallel models use closed-form
+//! row-traffic + ALU formulas with walker pipelining.
 
 mod analog;
 mod bitserial;
@@ -91,184 +92,32 @@ impl OpCost {
     }
 }
 
-/// One per-target performance/energy model.
+/// Checks target-specific requirements for one command — today the
+/// data-layout orientation the target's row walkers expect.
 ///
-/// Every [`PimTarget`] has exactly one implementation, obtained through
-/// [`target_model`]. [`crate::Device::issue`] consults the model for
-/// every command: `validate` gates it, `cost_with` prices it through the
-/// device's timing backend, and `micro_cost` annotates its statistics
-/// and trace events. Functional semantics are not part of the model:
-/// [`crate::cmd`] computes them once for every target — the simulator's
-/// core invariant is that every target computes the same values at
-/// different cost.
-pub trait TargetModel: Send + Sync {
-    /// The target this model prices.
-    fn target(&self) -> PimTarget;
-
-    /// Checks target-specific requirements for one command — today the
-    /// data-layout orientation the target's row walkers expect.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::NotSupported`] when the object layout does not match
-    /// the target's orientation.
-    fn validate(&self, kind: OpKind, dtype: DataType, layout: &ObjectLayout) -> Result<()> {
-        let expected = if self.target().is_horizontal() {
-            DataLayout::Horizontal
-        } else {
-            DataLayout::Vertical
-        };
-        if layout.layout != expected {
-            return Err(PimError::NotSupported(format!(
-                "{} on {} requires a {expected:?} layout, got {:?}",
-                kind.stat_name(dtype),
-                self.target(),
-                layout.layout
-            )));
-        }
-        Ok(())
+/// # Errors
+///
+/// [`PimError::NotSupported`] when the object layout does not match the
+/// target's orientation.
+pub fn validate(
+    target: PimTarget,
+    kind: OpKind,
+    dtype: DataType,
+    layout: &ObjectLayout,
+) -> Result<()> {
+    let expected = if target.is_horizontal() {
+        DataLayout::Horizontal
+    } else {
+        DataLayout::Vertical
+    };
+    if layout.layout != expected {
+        return Err(PimError::NotSupported(format!(
+            "{} on {target} requires a {expected:?} layout, got {:?}",
+            kind.stat_name(dtype),
+            layout.layout
+        )));
     }
-
-    /// Latency and energy of `kind` applied to an object with `layout`
-    /// holding elements of `dtype`, charging all DRAM time through the
-    /// timing backend `tm` (execute-once-and-stall: stateful backends
-    /// advance their bank FSMs as a side effect of pricing).
-    fn cost_with(
-        &self,
-        config: &DeviceConfig,
-        tm: &mut dyn TimingModel,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost;
-
-    /// Row-level microprogram counters for `kind` on one core: the
-    /// per-stripe program cost scaled by the stripes the core processes.
-    /// `None` for word-parallel targets, which run no microprograms.
-    fn micro_cost(&self, kind: OpKind, dtype: DataType, layout: &ObjectLayout) -> Option<Cost> {
-        let _ = (kind, dtype, layout);
-        None
-    }
-}
-
-/// Bit-serial (DRAM-AP) model: costs from the digital microprograms.
-struct BitSerialModel;
-
-impl TargetModel for BitSerialModel {
-    fn target(&self) -> PimTarget {
-        PimTarget::BitSerial
-    }
-
-    fn cost_with(
-        &self,
-        config: &DeviceConfig,
-        tm: &mut dyn TimingModel,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost {
-        bitserial::cost(config, tm, kind, dtype, layout)
-    }
-
-    fn micro_cost(&self, kind: OpKind, dtype: DataType, layout: &ObjectLayout) -> Option<Cost> {
-        Some(bitserial::program_cost(kind, dtype).scaled(layout.units_per_core.max(1)))
-    }
-}
-
-/// Fulcrum model: subarray-level walkers + 32-bit scalar ALU.
-struct FulcrumModel;
-
-impl TargetModel for FulcrumModel {
-    fn target(&self) -> PimTarget {
-        PimTarget::Fulcrum
-    }
-
-    fn cost_with(
-        &self,
-        config: &DeviceConfig,
-        tm: &mut dyn TimingModel,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost {
-        parallel::cost_fulcrum(config, tm, kind, dtype, layout)
-    }
-}
-
-/// Bank-level model: 64-bit ALPU behind the narrow GDL.
-struct BankLevelModel;
-
-impl TargetModel for BankLevelModel {
-    fn target(&self) -> PimTarget {
-        PimTarget::BankLevel
-    }
-
-    fn cost_with(
-        &self,
-        config: &DeviceConfig,
-        tm: &mut dyn TimingModel,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost {
-        parallel::cost_bank(config, tm, kind, dtype, layout)
-    }
-}
-
-/// Analog bit-serial (Ambit/SIMDRAM-style TRA) model.
-struct AnalogBitSerialModel;
-
-impl TargetModel for AnalogBitSerialModel {
-    fn target(&self) -> PimTarget {
-        PimTarget::AnalogBitSerial
-    }
-
-    fn cost_with(
-        &self,
-        config: &DeviceConfig,
-        tm: &mut dyn TimingModel,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost {
-        analog::cost(config, tm, kind, dtype, layout)
-    }
-
-    fn micro_cost(&self, kind: OpKind, dtype: DataType, layout: &ObjectLayout) -> Option<Cost> {
-        Some(analog::program_cost(kind, dtype).scaled(layout.units_per_core.max(1)))
-    }
-}
-
-/// UPMEM-like toy model: one scalar DPU per bank.
-struct UpmemLikeModel;
-
-impl TargetModel for UpmemLikeModel {
-    fn target(&self) -> PimTarget {
-        PimTarget::UpmemLike
-    }
-
-    fn cost_with(
-        &self,
-        config: &DeviceConfig,
-        tm: &mut dyn TimingModel,
-        kind: OpKind,
-        dtype: DataType,
-        layout: &ObjectLayout,
-    ) -> OpCost {
-        upmem::cost(config, tm, kind, dtype, layout)
-    }
-}
-
-/// The singleton model for `target` — model construction, and the only
-/// place a [`PimTarget`] is mapped to model code.
-pub fn target_model(target: PimTarget) -> &'static dyn TargetModel {
-    match target {
-        PimTarget::BitSerial => &BitSerialModel,
-        PimTarget::Fulcrum => &FulcrumModel,
-        PimTarget::BankLevel => &BankLevelModel,
-        PimTarget::AnalogBitSerial => &AnalogBitSerialModel,
-        PimTarget::UpmemLike => &UpmemLikeModel,
-    }
+    Ok(())
 }
 
 /// The stateless closed-form timing backend for `config` — one rank's
@@ -293,8 +142,10 @@ pub fn op_cost(
     op_cost_with(config, &mut analytical_model(config), kind, dtype, layout)
 }
 
-/// Models the latency and energy of `kind`, charging all DRAM time
-/// through the timing backend `tm` (see [`TargetModel::cost_with`]).
+/// Models the latency and energy of `kind` applied to an object with
+/// `layout` holding elements of `dtype`, charging all DRAM time through
+/// the timing backend `tm` (execute-once-and-stall: stateful backends
+/// advance their bank FSMs as a side effect of pricing).
 pub fn op_cost_with(
     config: &DeviceConfig,
     tm: &mut dyn TimingModel,
@@ -302,19 +153,30 @@ pub fn op_cost_with(
     dtype: DataType,
     layout: &ObjectLayout,
 ) -> OpCost {
-    target_model(config.target).cost_with(config, tm, kind, dtype, layout)
+    match config.target {
+        PimTarget::BitSerial => bitserial::cost(config, tm, kind, dtype, layout),
+        PimTarget::Fulcrum => parallel::cost_fulcrum(config, tm, kind, dtype, layout),
+        PimTarget::BankLevel => parallel::cost_bank(config, tm, kind, dtype, layout),
+        PimTarget::AnalogBitSerial => analog::cost(config, tm, kind, dtype, layout),
+        PimTarget::UpmemLike => upmem::cost(config, tm, kind, dtype, layout),
+    }
 }
 
-/// Low-level microcode counters for `kind` on one core, when the target
-/// executes ops as row-level microprograms. Thin delegate to
-/// [`TargetModel::micro_cost`]; `None` for the word-parallel targets.
+/// Row-level microprogram counters for `kind` on one core: the per-stripe
+/// program cost scaled by the stripes the core processes. `None` for the
+/// word-parallel targets, which run no microprograms.
 pub fn micro_cost(
     config: &DeviceConfig,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
-) -> Option<pim_microcode::Cost> {
-    target_model(config.target).micro_cost(kind, dtype, layout)
+) -> Option<Cost> {
+    let stripe = match config.target {
+        PimTarget::BitSerial => bitserial::program_cost(kind, dtype),
+        PimTarget::AnalogBitSerial => analog::program_cost(kind, dtype),
+        PimTarget::Fulcrum | PimTarget::BankLevel | PimTarget::UpmemLike => return None,
+    };
+    Some(stripe.scaled(layout.units_per_core.max(1)))
 }
 
 /// Cross-core merge cost for reductions: every used core ships an 8-byte
@@ -459,6 +321,30 @@ mod tests {
             (t_mul / t_add - 1.0).abs() < 1e-9,
             "1 cycle each on the scalar ALU"
         );
+    }
+
+    #[test]
+    fn validate_rejects_the_other_orientation_and_names_the_target() {
+        let add = OpKind::Binary(BinaryOp::Add);
+        for target in PimTarget::EXTENDED {
+            let own = layout_for(&DeviceConfig::new(target, 1), 1 << 12);
+            assert!(validate(target, add, DataType::Int32, &own).is_ok());
+            let other = if target.is_horizontal() {
+                PimTarget::BitSerial
+            } else {
+                PimTarget::Fulcrum
+            };
+            let foreign = layout_for(&DeviceConfig::new(other, 1), 1 << 12);
+            match validate(target, add, DataType::Int32, &foreign) {
+                Err(PimError::NotSupported(msg)) => {
+                    assert!(
+                        msg.starts_with(&format!("add.int32 on {target} requires")),
+                        "{msg}"
+                    );
+                }
+                r => panic!("{target}: expected NotSupported, got {r:?}"),
+            }
+        }
     }
 
     #[test]

@@ -311,27 +311,17 @@ impl SimStats {
         self.copy.energy_mj *= factor;
     }
 
-    /// Total PIM kernel time across all commands (ms).
+    /// Total PIM kernel time across all commands (ms). Folds from
+    /// `+0.0`: `f64`'s `Sum` starts at `-0.0`, which a report with no
+    /// commands would print as `-0.000000`.
     pub fn kernel_time_ms(&self) -> f64 {
-        self.cmds.values().map(|c| c.time_ms).sum()
+        self.cmds.values().fold(0.0, |acc, c| acc + c.time_ms)
     }
 
     /// Total PIM kernel energy across all commands (mJ), excluding
-    /// background energy.
+    /// background energy. Folds from `+0.0`, as [`Self::kernel_time_ms`].
     pub fn kernel_energy_mj(&self) -> f64 {
-        self.cmds.values().map(|c| c.energy_mj).sum()
-    }
-
-    /// This ledger's kernel-busy share of a `window_ms`-long window,
-    /// clamped to `[0, 1]` (0 for an empty window). Used by the metrics
-    /// subsystem to summarize each shard sub-ledger's utilization
-    /// against the whole run.
-    pub fn busy_fraction(&self, window_ms: f64) -> f64 {
-        if window_ms <= 0.0 {
-            0.0
-        } else {
-            (self.kernel_time_ms() / window_ms).clamp(0.0, 1.0)
-        }
+        self.cmds.values().fold(0.0, |acc, c| acc + c.energy_mj)
     }
 
     /// Total op invocations.

@@ -1,8 +1,9 @@
 //! Sharded PIM system: per-rank execution shards behind one device API.
 //!
-//! A [`PimSystem`] owns `N` [`Shard`]s — one per rank by default (see
+//! A [`PimSystem`] owns `N` shards — one per rank by default (see
 //! [`crate::DeviceConfig::sharded_per_rank`]) — each with its own
-//! [`ResourceManager`], functional state, and [`SimStats`] sub-ledger.
+//! [`ResourceManager`], functional state, and timing backend. The
+//! device keeps the one statistics ledger ([`crate::SimStats`]).
 //! Every object carries a [`ShardMap`] describing which contiguous
 //! element ranges live on which shard; every command entering
 //! [`crate::Device::issue`] is split by that map, executed per shard
@@ -28,9 +29,10 @@
 //!   device did — the single shard's layout reproduces the global
 //!   [`ObjectLayout`] bit for bit.
 //!
-//! Compute cost stays additive across shards (the per-shard ledgers sum
-//! to the aggregate) while interconnect time/energy is accounted
-//! *separately* and never folded into kernel time.
+//! Compute cost stays additive across shards (the per-shard busy shares
+//! the metrics registry records sum to the aggregate kernel time) while
+//! interconnect time/energy is accounted *separately* and never folded
+//! into kernel time.
 
 use pim_dram::exec;
 use pim_dram::{make_timing_model, CopyReplay, TimingBackend, TimingCounters, TimingModel};
@@ -41,7 +43,7 @@ use crate::error::{PimError, Result};
 use crate::model::OpCost;
 use crate::object::{IdMap, ObjId, ObjectLayout};
 use crate::resource::ResourceManager;
-use crate::stats::{ResourceStats, ShardResourceStats, SimStats};
+use crate::stats::{ResourceStats, ShardResourceStats};
 
 /// One contiguous run of global element indices resident on one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,55 +209,16 @@ impl InterconnectModel {
 }
 
 /// One execution shard: a rank's worth of cores with its own resource
-/// manager, functional state, statistics sub-ledger, and timing backend.
+/// manager, functional state, and timing backend.
 #[derive(Debug)]
-pub struct Shard {
+struct Shard {
     rm: ResourceManager,
-    stats: SimStats,
     /// Modeled cores assigned to this shard (decimation-adjusted).
     cores: usize,
     /// This shard's timing backend. Each shard owns its rank's banks, so
     /// FSM state never crosses shards and re-aggregation (ascending
     /// shard order) stays deterministic at every shard count.
     timing: Box<dyn TimingModel>,
-}
-
-impl Shard {
-    /// This shard's statistics sub-ledger. Per-shard compute cost sums
-    /// to the aggregate [`crate::Device::stats`] kernel cost.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// This shard's timing backend (per-bank state and counters).
-    pub fn timing(&self) -> &dyn TimingModel {
-        self.timing.as_ref()
-    }
-
-    /// Modeled cores assigned to this shard.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// Row-core units currently allocated on this shard.
-    pub fn rows_in_use(&self) -> u64 {
-        self.rm.rows_in_use()
-    }
-
-    /// High-water mark of this shard's row-core usage.
-    pub fn peak_rows(&self) -> u64 {
-        self.rm.peak_rows()
-    }
-
-    /// Total row-core units this shard can hold.
-    pub fn rows_capacity(&self) -> u64 {
-        self.rm.rows_capacity()
-    }
-
-    /// Live objects with at least one element on this shard.
-    pub fn live_objects(&self) -> usize {
-        self.rm.live_objects()
-    }
 }
 
 /// `total` split as evenly as possible into `n` parts; part `i` gets the
@@ -308,29 +271,6 @@ fn holders(
         .map(|(s, _)| s)
 }
 
-/// Splits `value` over the shards with a non-zero element count,
-/// proportionally to `counts`, as `(shard, share)` in ascending shard
-/// order. The last such shard absorbs the rounding remainder, so the
-/// shares sum back to `value` up to float re-association.
-fn proportional_shares(counts: &[u64], value: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
-    let total: u64 = counts.iter().sum();
-    let last = counts.iter().rposition(|&c| c > 0);
-    let mut acc = 0.0f64;
-    counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(move |(s, &c)| {
-            let share = if Some(s) == last {
-                (value - acc).max(0.0)
-            } else {
-                value * (c as f64 / total as f64)
-            };
-            acc += share;
-            (s, share)
-        })
-}
-
 /// The sharded execution substrate behind [`crate::Device`].
 ///
 /// Owns a metadata catalog (the authoritative global [`ObjectLayout`]s
@@ -371,7 +311,6 @@ impl PimSystem {
                     config.rows_per_core(),
                     split_even(physical, n, i) as u64,
                 )?,
-                stats: SimStats::new(),
                 cores: split_even(modeled, n, i),
                 // One rank's worth of banks per shard: shards are the
                 // per-rank execution unit, and the FSM's bank state must
@@ -397,11 +336,6 @@ impl PimSystem {
     /// The metadata catalog holding every object's global layout.
     pub fn meta(&self) -> &ResourceManager {
         &self.meta
-    }
-
-    /// The execution shards.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
     }
 
     /// Number of execution shards.
@@ -954,9 +888,8 @@ impl PimSystem {
     /// thread count). Shards execute the broadcast in lockstep, so each
     /// holder charges the full per-core demand and the aggregate is the
     /// slowest holder — which keeps the aggregate shard-count-invariant.
-    /// Protocol counters each backend issues are recorded into that
-    /// shard's ledger; the merged delta is returned for the aggregate
-    /// ledger.
+    /// The protocol counters the backends issue are merged and returned
+    /// for the device ledger.
     pub(crate) fn price_with_backends<F>(
         &mut self,
         costed: ObjId,
@@ -971,11 +904,7 @@ impl PimSystem {
             let shard = &mut self.shards[s];
             let before = shard.timing.counters();
             let cost = price(shard.timing.as_mut());
-            let d = shard.timing.counters().delta_since(&before);
-            if !d.is_empty() {
-                shard.stats.record_protocol(&d);
-            }
-            delta.merge(&d);
+            delta.merge(&shard.timing.counters().delta_since(&before));
             agg = Some(match agg {
                 None => cost,
                 Some(prev) if cost.time_ms > prev.time_ms => cost,
@@ -992,7 +921,7 @@ impl PimSystem {
     /// replay for the trace (stateful backends always replay so counters
     /// and state agree; the stateless backend replays only when
     /// `want_replay`, preserving its historical trace-only counters),
-    /// and the merged counter delta for the aggregate ledger.
+    /// and the merged counter delta for the device ledger.
     pub(crate) fn charge_copy_with_backends(
         &mut self,
         obj: ObjId,
@@ -1015,11 +944,7 @@ impl PimSystem {
             if stateful || (want_replay && replay.is_none()) {
                 let before = shard.timing.counters();
                 let r = shard.timing.copy_replay(functional_bytes);
-                let d = shard.timing.counters().delta_since(&before);
-                if !d.is_empty() {
-                    shard.stats.record_protocol(&d);
-                }
-                delta.merge(&d);
+                delta.merge(&shard.timing.counters().delta_since(&before));
                 replay.get_or_insert(r);
             }
         }
@@ -1037,54 +962,31 @@ impl PimSystem {
     }
 
     // ------------------------------------------------------------------
-    // Per-shard cost distribution
+    // Per-shard time distribution
     // ------------------------------------------------------------------
 
-    /// Splits one charge on `obj` (cost and bytes) over the shards
-    /// holding it, proportionally to each shard's element share; the
-    /// last holder absorbs the rounding remainder, so the shares sum back
-    /// to the aggregate up to float re-association. Calls `f(shard, cost
-    /// share, byte share, cores obj spans there, shard ledger)` in
-    /// ascending shard order. Returns false without calling `f` on
-    /// single-shard devices or unmapped objects, whose charge stays
-    /// whole-device.
-    pub(crate) fn split_charge(
-        &mut self,
-        obj: ObjId,
-        cost: OpCost,
-        bytes: u64,
-        mut f: impl FnMut(usize, OpCost, u64, usize, &mut SimStats),
-    ) -> bool {
-        if self.shards.len() <= 1 {
-            return false;
-        }
-        let Some(map) = self.maps.get(&obj) else {
-            return false;
+    /// Splits `time_ms` charged on `obj` over the shards holding it,
+    /// proportionally to each shard's element count, as `f(shard, share)`
+    /// in ascending shard order. The last holder absorbs the rounding
+    /// remainder, so the shares sum back to `time_ms` up to float
+    /// re-association. Single-shard devices and unmapped objects put the
+    /// whole time on shard 0.
+    pub(crate) fn split_time(&self, obj: ObjId, time_ms: f64, mut f: impl FnMut(usize, f64)) {
+        let Some(map) = self.maps.get(&obj).filter(|_| self.shards.len() > 1) else {
+            return f(0, time_ms);
         };
-        let counts = &map.counts;
-        let total: u64 = counts.iter().sum();
-        let holders = counts.iter().filter(|&&c| c > 0).count();
-        let mut bytes_left = bytes;
-        let shares = proportional_shares(counts, cost.time_ms)
-            .zip(proportional_shares(counts, cost.energy_mj));
-        for (i, ((s, time_ms), (_, energy_mj))) in shares.enumerate() {
-            let bytes = if i + 1 == holders {
-                bytes_left
+        let total: u64 = map.counts.iter().sum();
+        let last = map.counts.iter().rposition(|&c| c > 0);
+        let mut acc = 0.0f64;
+        for (s, &c) in map.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            let share = if Some(s) == last {
+                (time_ms - acc).max(0.0)
             } else {
-                (bytes as u128 * counts[s] as u128 / total as u128) as u64
+                time_ms * (c as f64 / total as f64)
             };
-            bytes_left -= bytes;
-            let shard = &mut self.shards[s];
-            let cores = shard.rm.get(obj).map_or(0, |o| o.layout.cores_used);
-            f(
-                s,
-                OpCost { time_ms, energy_mj },
-                bytes,
-                cores,
-                &mut shard.stats,
-            );
+            acc += share;
+            f(s, share);
         }
-        true
     }
 
     /// Critical-path and total byte loads of scattering/gathering `id`:
@@ -1130,11 +1032,10 @@ impl PimSystem {
         }
     }
 
-    /// Clears every shard's statistics sub-ledger and resets its timing
-    /// backend to a fresh (all-banks-closed) state.
-    pub(crate) fn reset_shard_stats(&mut self) {
+    /// Resets every shard's timing backend to a fresh (all-banks-closed)
+    /// state.
+    pub(crate) fn reset_timing(&mut self) {
         for shard in &mut self.shards {
-            shard.stats = SimStats::new();
             shard.timing.reset();
         }
     }

@@ -75,3 +75,20 @@ fn report_counts_are_numerically_consistent() {
         "16384 + 8192 = 24576: {total_line}"
     );
 }
+
+#[test]
+fn copies_only_report_prints_positive_zero_totals() {
+    // No PIM command ran: the empty kernel sums must print `0.000000`,
+    // not the `-0.000000` of `f64`'s `Sum`.
+    let mut dev = Device::fulcrum(1).unwrap();
+    let a = dev.alloc(64, DataType::Int32).unwrap();
+    dev.copy_to_device(&vec![1i32; 64], a).unwrap();
+    let report = dev.report();
+    let total = report.lines().rfind(|l| l.contains("TOTAL -----")).unwrap();
+    let fields: Vec<&str> = total.split_whitespace().collect();
+    assert_eq!(
+        fields[fields.len() - 3..],
+        ["0", "0.000000", "0.000000"],
+        "{report}"
+    );
+}

@@ -5,7 +5,8 @@
 //! model, never a semantics change: for every target and dtype the
 //! sharded run must produce bit-identical buffers and reduction values
 //! to the single-shard run, the aggregate modeled kernel time must be
-//! identical, per-shard ledgers must sum back to the aggregate, and
+//! identical, the per-shard busy shares the metrics registry records
+//! must sum back to the aggregate kernel time, and
 //! all cross-shard traffic must be charged to the separate
 //! [`pimeval::InterconnectStats`] ledger without ever entering
 //! `total_time_ms`. The shard counts exercised default to `{2, 4}` and
@@ -105,14 +106,14 @@ fn run_program<T: PimScalar>(config: DeviceConfig, xs: &[T], ys: &[T]) -> (RunRe
     (result, dev)
 }
 
-/// Relative floating-point agreement for summed ledgers.
+/// Relative floating-point agreement for summed shares.
 fn close(a: f64, b: f64, rel: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()).max(1e-12)
 }
 
 /// One target × dtype × shard-count check over `n` elements:
-/// bit-identical observations, identical aggregate clocks, additive
-/// per-shard ledgers, separate interconnect accounting.
+/// bit-identical observations, identical aggregate clocks, per-shard
+/// busy shares that sum to kernel time, separate interconnect accounting.
 fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     target: PimTarget,
     shards: usize,
@@ -123,7 +124,10 @@ fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     let ctx = format!("{target:?} {:?} shards={shards} n={n}", T::DTYPE);
 
     let (base, base_dev) = run_program(DeviceConfig::new(target, 1), &xs, &ys);
-    let (sharded, dev) = run_program(DeviceConfig::new(target, 1).with_shards(shards), &xs, &ys);
+    let sharded_cfg = DeviceConfig::new(target, 1)
+        .with_shards(shards)
+        .with_metrics();
+    let (sharded, mut dev) = run_program(sharded_cfg, &xs, &ys);
 
     // Bit-identical functional contract.
     assert_eq!(sharded, base, "{ctx}");
@@ -146,30 +150,28 @@ fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
         "{ctx}: total time drifted with shard count"
     );
 
-    // Per-shard ledgers are a partition of the aggregate compute cost.
-    // (Single-shard devices skip the per-shard ledger entirely — the
-    // aggregate IS the ledger.)
-    let parts = dev.system().shards();
-    assert_eq!(parts.len(), shards, "{ctx}");
-    if parts.len() > 1 {
-        let shard_ms: f64 = parts.iter().map(|s| s.stats().kernel_time_ms()).sum();
-        let shard_mj: f64 = parts.iter().map(|s| s.stats().kernel_energy_mj()).sum();
-        assert!(
-            close(shard_ms, ms, 1e-9),
-            "{ctx}: per-shard time sum {shard_ms} != aggregate {ms}"
-        );
-        assert!(
-            close(shard_mj, dev.stats().kernel_energy_mj(), 1e-9),
-            "{ctx}: per-shard energy sum {shard_mj} != aggregate"
-        );
-    }
+    // The per-shard busy shares are a partition of the aggregate kernel
+    // time.
+    let sharded_count = dev.system().shard_count();
+    assert_eq!(sharded_count, shards, "{ctx}");
+    let snapshot = dev.metrics_snapshot().expect("metrics enabled");
+    assert_eq!(snapshot.per_shard.len(), shards, "{ctx}");
+    let shard_ms: f64 = snapshot
+        .per_shard
+        .iter()
+        .map(|s| s.histograms.get("busy_ms").map_or(0.0, |h| h.sum))
+        .sum();
+    assert!(
+        close(shard_ms, ms, 1e-9),
+        "{ctx}: per-shard busy sum {shard_ms} != aggregate {ms}"
+    );
 
     // Cross-shard traffic: single-shard devices never touch the
     // interconnect; multi-shard devices charge the host scatter/gather
     // plus the reduction combine there — and only there.
     assert!(base_dev.stats().interconnect.is_empty(), "{ctx}");
     let ic = &dev.stats().interconnect;
-    if parts.len() > 1 {
+    if sharded_count > 1 {
         assert!(
             ic.transfers > 0,
             "{ctx}: no interconnect transfers recorded"

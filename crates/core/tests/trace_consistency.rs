@@ -183,26 +183,37 @@ fn bit_serial_cmds_carry_micro_counters() {
 
 #[test]
 fn word_parallel_cmds_have_no_micro_counters_but_copies_have_protocol() {
-    let mut dev = Device::fulcrum(2).unwrap();
-    dev.enable_tracing();
-    let a = dev.alloc_vec(&[1i32; 4096]).unwrap();
-    let b = dev.alloc_associated(a, DataType::Int32).unwrap();
-    dev.add(a, a, b).unwrap();
-    for e in dev.take_trace() {
-        match e {
-            TraceEvent::Cmd { micro, .. } => assert!(micro.is_none()),
-            TraceEvent::Copy {
-                protocol,
-                direction,
-                ..
-            } => {
-                let p = protocol.expect("host↔device copies carry protocol counters");
-                assert_eq!(direction, pimeval::CopyDirection::HostToDevice);
-                assert!(p.activations > 0 && p.reads > 0 && p.precharges > 0);
-                assert!(p.achieved_gbs > 0.0);
+    for target in [
+        PimTarget::Fulcrum,
+        PimTarget::BankLevel,
+        PimTarget::UpmemLike,
+    ] {
+        let mut dev = Device::new(DeviceConfig::new(target, 2)).unwrap();
+        dev.enable_tracing();
+        let a = dev.alloc_vec(&[1i32; 4096]).unwrap();
+        let b = dev.alloc_associated(a, DataType::Int32).unwrap();
+        dev.add(a, a, b).unwrap();
+        let mut cmds = 0;
+        for e in dev.take_trace() {
+            match e {
+                TraceEvent::Cmd { micro, .. } => {
+                    assert!(micro.is_none(), "{target}");
+                    cmds += 1;
+                }
+                TraceEvent::Copy {
+                    protocol,
+                    direction,
+                    ..
+                } => {
+                    let p = protocol.expect("host↔device copies carry protocol counters");
+                    assert_eq!(direction, pimeval::CopyDirection::HostToDevice);
+                    assert!(p.activations > 0 && p.reads > 0 && p.precharges > 0);
+                    assert!(p.achieved_gbs > 0.0, "{target}");
+                }
+                _ => {}
             }
-            _ => {}
         }
+        assert_eq!(cmds, 1, "{target}");
     }
 }
 

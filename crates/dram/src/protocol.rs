@@ -158,7 +158,7 @@ pub struct ProtocolStats {
     pub elapsed_ns: f64,
 }
 
-/// Point-in-time state of one bank, exposed for timing-model snapshots.
+/// Point-in-time state of one bank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankSnapshot {
     /// The open row, if the bank is activated.

@@ -30,7 +30,7 @@
 //! and the FSM is strictly slower — the fidelity gap the backend exists
 //! to expose.
 
-use crate::protocol::{BankSnapshot, ProtocolStats, ProtocolTiming, RankSim};
+use crate::protocol::{ProtocolStats, ProtocolTiming, RankSim};
 use crate::timing::DramTiming;
 
 /// Environment variable overriding the configured timing backend
@@ -234,9 +234,6 @@ pub trait TimingModel: std::fmt::Debug + Send {
     /// transient).
     fn counters(&self) -> TimingCounters;
 
-    /// Point-in-time per-bank state (empty for the stateless backend).
-    fn snapshot(&self) -> Vec<BankSnapshot>;
-
     /// Resets all backend state and counters (epoch/statistics reset).
     fn reset(&mut self);
 }
@@ -377,10 +374,6 @@ impl TimingModel for Analytical {
 
     fn counters(&self) -> TimingCounters {
         TimingCounters::default()
-    }
-
-    fn snapshot(&self) -> Vec<BankSnapshot> {
-        Vec::new()
     }
 
     fn reset(&mut self) {}
@@ -567,10 +560,6 @@ impl TimingModel for BankFsm {
         self.counters
     }
 
-    fn snapshot(&self) -> Vec<BankSnapshot> {
-        self.sim.bank_snapshots()
-    }
-
     fn reset(&mut self) {
         self.sim = RankSim::new(ProtocolTiming::from_coarse(&self.timing), self.banks);
         self.cursor = 0;
@@ -677,7 +666,6 @@ mod tests {
         let replay = a.copy_replay(1 << 20);
         assert!(replay.counters.activations > 0);
         assert!(a.counters().is_empty());
-        assert!(a.snapshot().is_empty());
         assert_eq!(a.drain(), 0.0);
     }
 
