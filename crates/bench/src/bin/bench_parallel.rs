@@ -304,7 +304,6 @@ fn fidelity_runs(out: &mut Vec<FidelityRun>) {
             let analytical_ms = pass(&mut analytical);
             let fsm_ms = pass(&mut fsm);
             let fsm_thrash_ms = pass(&mut thrash);
-            let dp = &fsm.0.stats().dram_protocol;
             let run = FidelityRun {
                 name: name.into(),
                 target: format!("{target:?}"),
@@ -312,15 +311,14 @@ fn fidelity_runs(out: &mut Vec<FidelityRun>) {
                 analytical_ms,
                 fsm_ms,
                 fsm_thrash_ms,
-                row_hits: dp.row_hits,
-                row_misses: dp.row_misses,
+                dram: fsm.0.stats().dram_protocol,
             };
             println!(
                 "{name:<16} analytical {analytical_ms:>12.6} ms  fsm {fsm_ms:>12.6} ms \
                  (Δ {:+.4}%)  thrash {fsm_thrash_ms:>12.6} ms ({:.2}x)  hit rate {:.2}%",
                 run.delta_pct(),
                 run.thrash_slowdown(),
-                run.hit_rate() * 100.0
+                run.dram.hit_rate() * 100.0
             );
             out.push(run);
         };

@@ -20,10 +20,12 @@
 //!   counts differ or either file lacks one, the rows are printed as
 //!   `not comparable` and never gated.
 //! * **Modeled cost** (`rank_scaling`, matched by `(name, ranks)`;
-//!   `stream_vs_eager`, matched by `(name, threads)`): simulated
-//!   `kernel_ms` / `stream_modeled_ms` may grow by at most
-//!   `--max-cost-increase` percent (default 1 — the cost model is
-//!   deterministic, so any growth is a real model change).
+//!   `stream_vs_eager`, matched by `(name, threads)`; `fidelity`,
+//!   matched by `(name, target)`): simulated `kernel_ms` /
+//!   `stream_modeled_ms` / the bank-FSM-priced `fsm_ms` and
+//!   `fsm_thrash_ms` may grow by at most `--max-cost-increase` percent
+//!   (default 1 — the cost model is deterministic, so any growth is a
+//!   real model change).
 //!
 //! The diff is additive-tolerant by design: unknown fields are ignored,
 //! runs present on only one side are reported but never fail the gate,
@@ -299,6 +301,15 @@ fn main() -> ExitCode {
         cli.max_cost_increase,
         Gate::Hard,
     );
+    for metric in ["fsm_ms", "fsm_thrash_ms"] {
+        regressions += compare(
+            &format!("fidelity {metric}"),
+            &extract(&base, "fidelity", &["name", "target"], metric),
+            &extract(&cur, "fidelity", &["name", "target"], metric),
+            cli.max_cost_increase,
+            Gate::Hard,
+        );
+    }
     if regressions > 0 {
         eprintln!("{regressions} regression(s) beyond threshold");
         ExitCode::FAILURE

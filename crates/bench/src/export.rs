@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 
 use pimeval::trace::json::{num, stats_to_json, string};
+use pimeval::TimingCounters;
 
 use crate::SuiteRecord;
 
@@ -269,10 +270,8 @@ pub struct FidelityRun {
     /// Modeled kernel time under the bank-FSM backend with the
     /// single-bank thrashing row pattern, milliseconds.
     pub fsm_thrash_ms: f64,
-    /// Row-buffer hits counted by the streaming FSM pass.
-    pub row_hits: u64,
-    /// Row-buffer misses counted by the streaming FSM pass.
-    pub row_misses: u64,
+    /// DRAM commands counted by the streaming FSM pass.
+    pub dram: TimingCounters,
 }
 
 impl FidelityRun {
@@ -294,16 +293,6 @@ impl FidelityRun {
         self.fsm_thrash_ms / self.analytical_ms
     }
 
-    /// Row-buffer hit rate of the streaming FSM pass (0 when the op
-    /// issued no column commands).
-    pub fn hit_rate(&self) -> f64 {
-        let cols = self.row_hits + self.row_misses;
-        if cols == 0 {
-            return 0.0;
-        }
-        self.row_hits as f64 / cols as f64
-    }
-
     fn to_json(&self) -> String {
         format!(
             "{{\"name\":{},\"target\":{},\"elems\":{},\
@@ -318,9 +307,9 @@ impl FidelityRun {
             num(self.fsm_thrash_ms),
             num(self.delta_pct()),
             num(self.thrash_slowdown()),
-            self.row_hits,
-            self.row_misses,
-            num(self.hit_rate()),
+            self.dram.row_hits,
+            self.dram.row_misses,
+            num(self.dram.hit_rate()),
         )
     }
 }
@@ -558,12 +547,15 @@ mod tests {
             analytical_ms: 2.0,
             fsm_ms: 2.0,
             fsm_thrash_ms: 5.0,
-            row_hits: 300,
-            row_misses: 100,
+            dram: TimingCounters {
+                row_hits: 300,
+                row_misses: 100,
+                ..TimingCounters::default()
+            },
         };
         assert_eq!(f.delta_pct(), 0.0);
         assert!((f.thrash_slowdown() - 2.5).abs() < 1e-12);
-        assert!((f.hit_rate() - 0.75).abs() < 1e-12);
+        assert!((f.dram.hit_rate() - 0.75).abs() < 1e-12);
         let json = parallel_runs_to_json(1, 1, &[], &[], &[], std::slice::from_ref(&f));
         let doc = pimeval::trace::json::Json::parse(&json).unwrap();
         let entries = doc.get("fidelity").unwrap().as_array().unwrap();

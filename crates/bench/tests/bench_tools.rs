@@ -1,7 +1,8 @@
 //! `schema_check --bench` and `bench_regress` over small hand-written
 //! `BENCH_parallel.json` documents: the `host_cores` field, speedups
-//! bounded by it, and wall rows compared only between equal core
-//! counts. Also `schema_check`'s metrics-version gate.
+//! bounded by it, wall rows compared only between equal core counts,
+//! and the modeled `fidelity` rows hard-gated. Also `schema_check`'s
+//! metrics-version gate.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -19,13 +20,23 @@ fn doc(name: &str, json: &str) -> PathBuf {
 /// A minimal export: one `add` run at 1 and 2 threads, one modeled
 /// rank-scaling row, and the given top-level extras.
 fn bench_json(extra: &str, add_min_ns: u64, kernel_ms: f64) -> String {
+    bench_json_with_fidelity(extra, add_min_ns, kernel_ms, "")
+}
+
+/// [`bench_json`] with the given `fidelity` rows.
+fn bench_json_with_fidelity(
+    extra: &str,
+    add_min_ns: u64,
+    kernel_ms: f64,
+    fidelity: &str,
+) -> String {
     format!(
         "{{\"schema_version\":1,\"threads_default\":2,{extra}\"runs\":[\
          {{\"name\":\"add\",\"threads\":1,\"mean_ns\":{add_min_ns},\"min_ns\":{add_min_ns}}},\
          {{\"name\":\"add\",\"threads\":2,\"mean_ns\":500,\"min_ns\":500}}],\
          \"speedups\":[{{\"name\":\"add\",\"threads\":2,\"speedup\":2}}],\
          \"rank_scaling\":[{{\"name\":\"add\",\"ranks\":1,\"kernel_ms\":{kernel_ms},\
-         \"interconnect_ms\":0,\"interconnect_bytes\":0}}],\"fidelity\":[]}}"
+         \"interconnect_ms\":0,\"interconnect_bytes\":0}}],\"fidelity\":[{fidelity}]}}"
     )
 }
 
@@ -90,6 +101,42 @@ fn wall_rows_gate_only_between_equal_host_core_counts() {
     let (code, stdout) = regress(&base, &dearer);
     assert_eq!(code, Some(1), "{stdout}");
     assert!(stdout.contains("[REGRESS] rank_scaling add/1"), "{stdout}");
+}
+
+#[test]
+fn fsm_priced_fidelity_rows_are_hard_gated() {
+    let fidelity = |fsm_ms: f64| {
+        format!(
+            "{{\"name\":\"add\",\"target\":\"Fulcrum\",\"elems\":1024,\
+             \"analytical_ms\":1,\"fsm_ms\":{fsm_ms},\"fsm_thrash_ms\":2,\
+             \"delta_pct\":0,\"thrash_slowdown\":2,\"row_hits\":0,\"row_misses\":4,\
+             \"row_hit_rate\":0}}"
+        )
+    };
+    let doc_with = |name: &str, fsm_ms: f64| {
+        doc(
+            name,
+            &bench_json_with_fidelity("\"host_cores\":2,", 1000, 1.0, &fidelity(fsm_ms)),
+        )
+    };
+    let base = doc_with("fid-base", 1.0);
+    let (code, stdout) = regress(&base, &doc_with("fid-same", 1.0));
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.contains("[     ok] fidelity fsm_ms add/Fulcrum"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("[     ok] fidelity fsm_thrash_ms add/Fulcrum"),
+        "{stdout}"
+    );
+
+    let (code, stdout) = regress(&base, &doc_with("fid-dearer", 1.5));
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(
+        stdout.contains("[REGRESS] fidelity fsm_ms add/Fulcrum"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -71,7 +71,7 @@ pub fn pim_create_device(target: PimTarget, ranks: usize) -> Result<()> {
 
 /// Creates the ambient device with one execution shard per DRAM rank
 /// (`pimCreateDeviceRanked`): every object is split across `ranks`
-/// shards, each with its own resource manager and timing backend,
+/// shards, each with its own resource manager and timing model,
 /// and cross-rank traffic is charged to the interconnect ledger.
 ///
 /// ```

@@ -220,8 +220,8 @@ pub struct DeviceConfig {
     /// carry time-binned per-shard utilization series. Implies
     /// [`DeviceConfig::metrics`].
     pub profile: bool,
-    /// Which [`pim_dram::TimingModel`] backend prices row and burst
-    /// traffic: the closed-form `Analytical` math (the default,
+    /// The backend each shard's [`pim_dram::TimingModel`] prices row
+    /// and burst traffic with: the closed-form `Analytical` math (the default,
     /// bit-identical to the paper's model) or the stateful `BankFsm`.
     /// The `PIM_TIMING` environment variable overrides this at
     /// [`crate::Device::new`] time.

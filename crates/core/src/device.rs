@@ -31,7 +31,9 @@ use crate::resource::ResourceManager;
 use crate::stats::SimStats;
 use crate::stream::{CommandStream, FlushSummary};
 use crate::system::PimSystem;
-use crate::trace::{CopyDirection, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY};
+use crate::trace::{
+    CopyDirection, InterconnectKind, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY,
+};
 use crate::{pim_debug, pim_info, pim_trace};
 
 /// A simulated PIM device.
@@ -154,7 +156,7 @@ impl Device {
         &self.stats
     }
 
-    /// Clears all statistics and resets every shard's timing backend
+    /// Clears all statistics and resets every shard's timing model
     /// (objects stay allocated; the resource snapshot is refreshed). The
     /// simulated clock, the metrics registry and the trace keep running.
     pub fn reset_stats(&mut self) {
@@ -166,18 +168,7 @@ impl Device {
     /// The timing backend actually in effect (after any `PIM_TIMING`
     /// environment override applied at construction).
     pub fn timing_backend(&self) -> pim_dram::TimingBackend {
-        self.system.timing_backend()
-    }
-
-    /// Drains every shard's timing backend — closes all open rows and
-    /// waits out every bank's recovery — and returns the longest
-    /// per-shard drain time in milliseconds. A no-op (0.0) under the
-    /// stateless analytical backend. Call at an epoch boundary when a
-    /// kernel sequence should not carry open-row state into the next
-    /// measurement window; the returned time is *not* charged to any
-    /// ledger, so callers decide where it belongs.
-    pub fn drain_timing(&mut self) -> f64 {
-        self.system.drain_backends()
+        self.config.timing_backend
     }
 
     /// The metadata catalog (authoritative global layouts).
@@ -414,7 +405,7 @@ impl Device {
     // Data movement
     // ------------------------------------------------------------------
 
-    /// Prices one host↔device copy through the holders' timing backends
+    /// Prices one host↔device copy through the holders' timing models
     /// and charges it, then the interconnect scatter or gather it implies.
     fn charge_copy(&mut self, obj: ObjId, bytes: u64, direction: CopyDirection) {
         // Under decimation the functional buffer stands for `decimation`
@@ -438,14 +429,19 @@ impl Device {
             dram,
         });
         let (max_b, tot_b) = self.system.shard_byte_split(obj);
-        self.charge_interconnect(if is_read { "gather" } else { "scatter" }, max_b, tot_b);
+        let kind = if is_read {
+            InterconnectKind::Gather
+        } else {
+            InterconnectKind::Scatter
+        };
+        self.charge_interconnect(kind, max_b, tot_b);
     }
 
     /// Charges cross-shard interconnect traffic: time for the critical
     /// path (busiest channel), energy for the total bytes. A no-op with
     /// one shard or zero bytes, so single-shard runs are bit-identical
     /// to the pre-sharding device.
-    fn charge_interconnect(&mut self, kind: &'static str, max_bytes: u64, total_bytes: u64) {
+    fn charge_interconnect(&mut self, kind: InterconnectKind, max_bytes: u64, total_bytes: u64) {
         if self.system.shard_count() <= 1 || total_bytes == 0 {
             return;
         }
@@ -549,7 +545,7 @@ impl Device {
         Ok(())
     }
 
-    /// Prices `kind` on `costed` through the holders' timing backends
+    /// Prices `kind` on `costed` through the holders' timing models
     /// and charges it. `covered` scales the cost to the fraction of
     /// elements a ranged reduction spans; such a charge carries no
     /// microcode counters.
@@ -715,7 +711,7 @@ impl Device {
                 let src = command.inputs[0];
                 let dst = command.dst.expect("copy writes");
                 let realigned = self.system.copy_data(src, dst)?;
-                self.charge_interconnect("realign", realigned, realigned);
+                self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
                 Ok(CmdValue::Unit)
             }
             OpKind::Broadcast(value) => {
@@ -730,7 +726,7 @@ impl Device {
                 let realigned = self
                     .system
                     .exec_elementwise(kind, dtype, &command.inputs, dst)?;
-                self.charge_interconnect("realign", realigned, realigned);
+                self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
                 Ok(CmdValue::Unit)
             }
         }
@@ -764,7 +760,7 @@ impl Device {
             let dtype = self.rm().get(command.inputs[0])?.dtype;
             let per = (dtype.bits() as u64 / 8).max(1);
             let total = self.system.shard_count() as u64 * per;
-            self.charge_interconnect("combine", per, total);
+            self.charge_interconnect(InterconnectKind::Combine, per, total);
         }
         Ok(())
     }
@@ -799,7 +795,7 @@ impl Device {
             } => {
                 let (name, category) = (kind.stat_name(dtype), kind.category());
                 self.tracer.emit_with(|| TraceEvent::Cmd {
-                    name: name.to_string(),
+                    name,
                     category: category.label(),
                     start_ms,
                     time_ms: cost.time_ms,
@@ -807,15 +803,14 @@ impl Device {
                     cores_used: layout.cores_used,
                     micro: micro
                         .then(|| model::micro_cost(&self.config, kind, dtype, &layout))
-                        .flatten()
-                        .map(Into::into),
+                        .flatten(),
                 });
                 pim_trace!(
                     "cmd {name}: {:.6} ms on {} cores",
                     cost.time_ms,
                     layout.cores_used
                 );
-                self.stats.record_protocol(&dram);
+                self.stats.dram_protocol.merge(&dram);
                 self.stats
                     .record_cmd(&name, category, cost, layout.cores_used);
                 if let Some(m) = metrics {
@@ -839,12 +834,12 @@ impl Device {
                     start_ms,
                     time_ms,
                     energy_mj,
-                    protocol: replay.map(Into::into),
+                    protocol: replay,
                 });
-                let (label, code) = (direction.label(), direction.code());
+                let label = direction.label();
                 pim_debug!("copy {label}: {bytes} bytes in {time_ms:.6} ms");
-                self.stats.record_protocol(&dram);
-                self.stats.record_copy(bytes, code, time_ms, energy_mj);
+                self.stats.dram_protocol.merge(&dram);
+                self.stats.record_copy(bytes, direction, time_ms, energy_mj);
                 if let Some(m) = metrics {
                     m.record_copy(label, bytes, time_ms, energy_mj);
                 }
@@ -860,17 +855,17 @@ impl Device {
                     energy_mj,
                 });
                 let ic = &mut self.stats.interconnect;
-                match kind {
-                    "scatter" => ic.scatter_bytes += bytes,
-                    "gather" => ic.gather_bytes += bytes,
-                    "realign" => ic.realign_bytes += bytes,
-                    _ => ic.combine_bytes += bytes,
-                }
+                *match kind {
+                    InterconnectKind::Scatter => &mut ic.scatter_bytes,
+                    InterconnectKind::Gather => &mut ic.gather_bytes,
+                    InterconnectKind::Realign => &mut ic.realign_bytes,
+                    InterconnectKind::Combine => &mut ic.combine_bytes,
+                } += bytes;
                 ic.transfers += 1;
                 ic.time_ms += time_ms;
                 ic.energy_mj += energy_mj;
                 if let Some(m) = metrics {
-                    m.record_interconnect(kind, start_ms, bytes, time_ms, energy_mj);
+                    m.record_interconnect(kind.label(), start_ms, bytes, time_ms, energy_mj);
                 }
             }
             Charge::Host { time_ms } => {
@@ -1326,7 +1321,7 @@ enum Charge {
         /// Whether the trace event carries microcode counters (ranged
         /// reductions do not).
         micro: bool,
-        /// DRAM protocol counters the timing backends issued.
+        /// DRAM commands the timing models issued.
         dram: TimingCounters,
     },
     /// One data movement.
@@ -1341,7 +1336,7 @@ enum Charge {
     /// One cross-shard transfer, off the critical path: ledgered apart
     /// from kernel and copy time, it does not advance the clock.
     Interconnect {
-        kind: &'static str,
+        kind: InterconnectKind,
         bytes: u64,
         cost: OpCost,
     },

@@ -81,14 +81,14 @@ pub use metrics::{
 pub use model::OpCost;
 pub use object::{DataLayout, ObjId, ObjectLayout, PimObject};
 pub use ops::{OpCategory, OpKind, StatName};
-pub use pim_dram::{RowPattern, TimingBackend, TimingCounters, TimingModel};
+pub use pim_dram::{RowPattern, TimingBackend, TimingCounters};
 pub use stats::{
-    CmdStat, CopyStats, DramProtocolStats, FusionStats, InterconnectStats, OptimizerStats,
-    ResourceStats, ShardResourceStats, SimStats,
+    CmdStat, CopyStats, FusionStats, InterconnectStats, OptimizerStats, ResourceStats,
+    ShardResourceStats, SimStats,
 };
 pub use stream::{CommandStream, FlushSummary};
 pub use system::{InterconnectModel, PimSystem, ShardMap, ShardRange};
-pub use trace::{CopyDirection, Recorder, TraceEvent, TraceSink, Tracer};
+pub use trace::{CopyDirection, InterconnectKind, Recorder, TraceEvent, TraceSink, Tracer};
 
 /// Std-only parallel execution engine the functional hot paths run on
 /// (`PIM_THREADS`, deterministic chunked fan-out) — re-exported from

@@ -100,7 +100,7 @@ fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
 
 fn stripe_time_ns(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     cost: &Cost,
     pattern: RowPattern,
 ) -> f64 {
@@ -133,7 +133,7 @@ fn stripe_energy_mj(config: &DeviceConfig, cost: &Cost) -> f64 {
 /// Latency and energy of `kind` on the analog bit-serial target.
 pub(crate) fn cost(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,

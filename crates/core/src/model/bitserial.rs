@@ -105,7 +105,7 @@ fn program_cost_uncached(kind: OpKind, dtype: DataType) -> Cost {
 /// stripes × overflow).
 fn stripe_time_ns(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     cost: &Cost,
     pattern: RowPattern,
 ) -> f64 {
@@ -130,7 +130,7 @@ fn stripe_energy_mj(config: &DeviceConfig, cost: &Cost) -> f64 {
 /// Latency and energy of `kind` on the bit-serial target.
 pub(crate) fn cost(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
@@ -183,12 +183,12 @@ mod tests {
     }
 
     fn cost(config: &DeviceConfig, kind: OpKind, dtype: DataType, layout: &ObjectLayout) -> OpCost {
-        let mut tm = super::super::analytical_model(config);
+        let mut tm = super::super::timing_model(config, pim_dram::TimingBackend::Analytical);
         super::cost(config, &mut tm, kind, dtype, layout)
     }
 
     fn reduction_merge(config: &DeviceConfig, cores_used: usize) -> OpCost {
-        let mut tm = super::super::analytical_model(config);
+        let mut tm = super::super::timing_model(config, pim_dram::TimingBackend::Analytical);
         super::reduction_merge(config, &mut tm, cores_used)
     }
 

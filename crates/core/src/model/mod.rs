@@ -18,7 +18,7 @@ mod upmem;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use pim_dram::{Analytical, TimingModel};
+use pim_dram::{TimingBackend, TimingModel};
 use pim_microcode::Cost;
 
 use crate::config::{DeviceConfig, PimTarget};
@@ -120,35 +120,48 @@ pub fn validate(
     Ok(())
 }
 
-/// The stateless closed-form timing backend for `config` — one rank's
-/// worth of banks (shards charge per-rank) and the geometry's row width,
-/// matching the historical per-copy replay parameters.
-pub(crate) fn analytical_model(config: &DeviceConfig) -> Analytical {
+/// The `backend` timing model for one shard of `config`: one rank's
+/// worth of banks (shards are the per-rank execution unit, so the FSM's
+/// bank state does not change shape with the shard count) and the
+/// geometry's row width.
+pub(crate) fn timing_model(config: &DeviceConfig, backend: TimingBackend) -> TimingModel {
     let row_bytes = (config.geometry.cols_per_row as u64 / 8).max(64);
-    Analytical::new(&config.timing, config.geometry.banks_per_rank, row_bytes)
+    TimingModel::new(
+        backend,
+        &config.timing,
+        config.geometry.banks_per_rank,
+        row_bytes,
+    )
 }
 
 /// Models the latency and energy of `kind` applied to an object with
 /// `layout` holding elements of `dtype` under the stateless closed-form
-/// timing math: [`op_cost_with`] on a fresh analytical backend. Device
-/// charge paths call [`op_cost_with`] directly so stateful backends see
-/// every access.
+/// timing math: [`op_cost_with`] on a fresh analytical timing model.
+/// Device charge paths call [`op_cost_with`] directly so the bank FSM
+/// sees every access.
 pub fn op_cost(
     config: &DeviceConfig,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
 ) -> OpCost {
-    op_cost_with(config, &mut analytical_model(config), kind, dtype, layout)
+    op_cost_with(
+        config,
+        &mut timing_model(config, TimingBackend::Analytical),
+        kind,
+        dtype,
+        layout,
+    )
 }
 
 /// Models the latency and energy of `kind` applied to an object with
 /// `layout` holding elements of `dtype`, charging all DRAM time through
-/// the timing backend `tm` (execute-once-and-stall: stateful backends
-/// advance their bank FSMs as a side effect of pricing).
+/// the timing model `tm` (execute-once-and-stall: under the bank FSM,
+/// pricing advances the bank state and leaves the issued commands
+/// pending in `tm`).
 pub fn op_cost_with(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
@@ -183,7 +196,7 @@ pub fn micro_cost(
 /// partial sum to the controller over the rank interface.
 pub(crate) fn reduction_merge(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     cores_used: usize,
 ) -> OpCost {
     // Physical cores each ship one partial sum (decimation-aware,

@@ -66,7 +66,7 @@ fn traffic(
 
 fn combine(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     t: &Traffic,
     layout: &ObjectLayout,
     gdl: bool,
@@ -87,7 +87,7 @@ fn combine(
     let overflow = (layout.cores_used as f64 * config.decimation.max(1) as f64
         / config.physical_core_count() as f64)
         .max(1.0);
-    // Walker row traffic goes through the timing backend: each row pays
+    // Walker row traffic goes through the timing model: each row pays
     // its GDL crossing on top of the row cycle, and stateful backends
     // add any bank interlock stalls.
     let row_ns = tm.charge_walker_rows(t.rows_in, t.rows_out, gdl_ns, config.row_pattern);
@@ -136,7 +136,7 @@ fn combine(
 /// row buffer), 12-cycle SWAR popcount.
 pub(crate) fn cost_fulcrum(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
@@ -153,7 +153,7 @@ pub(crate) fn cost_fulcrum(
 /// popcount.
 pub(crate) fn cost_bank(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,
@@ -179,7 +179,7 @@ mod tests {
         dtype: DataType,
         layout: &ObjectLayout,
     ) -> OpCost {
-        let mut tm = super::super::analytical_model(config);
+        let mut tm = super::super::timing_model(config, pim_dram::TimingBackend::Analytical);
         super::cost_fulcrum(config, &mut tm, kind, dtype, layout)
     }
 
@@ -189,7 +189,7 @@ mod tests {
         dtype: DataType,
         layout: &ObjectLayout,
     ) -> OpCost {
-        let mut tm = super::super::analytical_model(config);
+        let mut tm = super::super::timing_model(config, pim_dram::TimingBackend::Analytical);
         super::cost_bank(config, &mut tm, kind, dtype, layout)
     }
 

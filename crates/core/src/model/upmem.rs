@@ -45,7 +45,7 @@ fn insns_per_elem(kind: OpKind, base: f64) -> f64 {
 /// Latency and energy of `kind` on the UPMEM-like target.
 pub(crate) fn cost(
     config: &DeviceConfig,
-    tm: &mut dyn TimingModel,
+    tm: &mut TimingModel,
     kind: OpKind,
     dtype: DataType,
     layout: &ObjectLayout,

@@ -253,15 +253,18 @@ impl OpKind {
 /// A statistics key such as `add.int32` ([`OpKind::stat_name`]),
 /// formatted into an inline buffer so charging a command allocates
 /// nothing. Dereferences to `str`.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct StatName {
     buf: [u8; StatName::CAP],
     len: u8,
 }
 
 impl StatName {
-    /// Room for the longest name, `shl4294967295.uint64` (20 bytes).
-    const CAP: usize = 24;
+    /// Room for the longest name, `shl4294967295.uint64` (20 bytes),
+    /// sized so a `StatName` takes the 24 bytes of the `String` it
+    /// replaced in [`crate::TraceEvent::Cmd`], keeping that event 128
+    /// bytes.
+    const CAP: usize = 23;
 
     /// The name as a string slice.
     pub fn as_str(&self) -> &str {
@@ -299,6 +302,12 @@ impl fmt::Display for StatName {
 impl fmt::Debug for StatName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<str> for StatName {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
     }
 }
 

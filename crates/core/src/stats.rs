@@ -8,6 +8,7 @@ use pim_dram::TimingCounters;
 use crate::config::DeviceConfig;
 use crate::model::OpCost;
 use crate::ops::OpCategory;
+use crate::trace::CopyDirection;
 
 /// Aggregate statistics for one PIM command name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -134,57 +135,6 @@ impl InterconnectStats {
     }
 }
 
-/// DRAM protocol commands issued by the timing backend while pricing
-/// this ledger's commands and copies. Populated only by stateful
-/// backends (the `BankFsm` sourced counters can never disagree with the
-/// charged time — both come from the same command stream); empty under
-/// the default `Analytical` backend, whose per-copy trace replays are
-/// advisory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramProtocolStats {
-    /// ACT commands issued.
-    pub activations: u64,
-    /// PRE commands issued.
-    pub precharges: u64,
-    /// Column reads issued.
-    pub reads: u64,
-    /// Column writes issued.
-    pub writes: u64,
-    /// Column commands that hit an already-open row.
-    pub row_hits: u64,
-    /// Column commands that paid a fresh activation.
-    pub row_misses: u64,
-}
-
-impl DramProtocolStats {
-    /// True when no protocol commands were recorded (always the case
-    /// under the stateless backend).
-    pub fn is_empty(&self) -> bool {
-        *self == DramProtocolStats::default()
-    }
-
-    /// Row-buffer hit rate over all column commands, in `[0, 1]`
-    /// (0 when no column command was issued).
-    pub fn hit_rate(&self) -> f64 {
-        let cols = self.row_hits + self.row_misses;
-        if cols == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / cols as f64
-        }
-    }
-
-    /// Accumulates one backend counter delta.
-    pub fn add(&mut self, d: &TimingCounters) {
-        self.activations += d.activations;
-        self.precharges += d.precharges;
-        self.reads += d.reads;
-        self.writes += d.writes;
-        self.row_hits += d.row_hits;
-        self.row_misses += d.row_misses;
-    }
-}
-
 /// Row-capacity usage of one shard's resource manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardResourceStats {
@@ -241,9 +191,12 @@ pub struct SimStats {
     pub interconnect: InterconnectStats,
     /// Resource-manager usage snapshot (aggregate + per-shard).
     pub resources: ResourceStats,
-    /// DRAM protocol counters from the timing backend (empty under the
-    /// default stateless `Analytical` backend).
-    pub dram_protocol: DramProtocolStats,
+    /// DRAM commands the timing models issued while pricing this
+    /// ledger's commands and copies. Only the bank FSM issues any, so
+    /// the counters can never disagree with the charged time (both come
+    /// from the same command stream); empty under the default
+    /// `Analytical` backend, whose per-copy trace replays are advisory.
+    pub dram_protocol: TimingCounters,
 }
 
 impl SimStats {
@@ -274,14 +227,19 @@ impl SimStats {
         self.max_cores_used = self.max_cores_used.max(cores_used);
     }
 
-    /// Records a data copy. Directions: 0 = host→device, 1 = device→host,
-    /// 2 = device→device.
-    pub fn record_copy(&mut self, bytes: u64, direction: u8, time_ms: f64, energy_mj: f64) {
-        match direction {
-            0 => self.copy.host_to_device_bytes += bytes,
-            1 => self.copy.device_to_host_bytes += bytes,
-            _ => self.copy.device_to_device_bytes += bytes,
-        }
+    /// Records a data copy in `direction`.
+    pub fn record_copy(
+        &mut self,
+        bytes: u64,
+        direction: CopyDirection,
+        time_ms: f64,
+        energy_mj: f64,
+    ) {
+        *match direction {
+            CopyDirection::HostToDevice => &mut self.copy.host_to_device_bytes,
+            CopyDirection::DeviceToHost => &mut self.copy.device_to_host_bytes,
+            CopyDirection::DeviceToDevice => &mut self.copy.device_to_device_bytes,
+        } += bytes;
         self.copy.time_ms += time_ms;
         self.copy.energy_mj += energy_mj;
     }
@@ -289,11 +247,6 @@ impl SimStats {
     /// Adds modeled host execution time.
     pub fn record_host_ms(&mut self, ms: f64) {
         self.host_time_ms += ms;
-    }
-
-    /// Accumulates DRAM protocol counters issued by the timing backend.
-    pub fn record_protocol(&mut self, delta: &TimingCounters) {
-        self.dram_protocol.add(delta);
     }
 
     /// Scales every kernel command's time/energy and the copy
@@ -550,7 +503,7 @@ mod tests {
     #[test]
     fn breakdown_sums_to_one() {
         let mut s = SimStats::new();
-        s.record_copy(1024, 0, 0.5, 0.1);
+        s.record_copy(1024, CopyDirection::HostToDevice, 0.5, 0.1);
         s.record_host_ms(0.25);
         s.record_cmd(
             "add.int32",

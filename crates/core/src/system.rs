@@ -2,7 +2,7 @@
 //!
 //! A [`PimSystem`] owns `N` shards — one per rank by default (see
 //! [`crate::DeviceConfig::sharded_per_rank`]) — each with its own
-//! [`ResourceManager`], functional state, and timing backend. The
+//! [`ResourceManager`], functional state, and timing model. The
 //! device keeps the one statistics ledger ([`crate::SimStats`]).
 //! Every object carries a [`ShardMap`] describing which contiguous
 //! element ranges live on which shard; every command entering
@@ -35,12 +35,12 @@
 //! into kernel time.
 
 use pim_dram::exec;
-use pim_dram::{make_timing_model, CopyReplay, TimingBackend, TimingCounters, TimingModel};
+use pim_dram::{CopyReplay, TimingCounters, TimingModel};
 
 use crate::config::{DeviceConfig, ShardPolicy, SimMode};
 use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
-use crate::model::OpCost;
+use crate::model::{self, OpCost};
 use crate::object::{IdMap, ObjId, ObjectLayout};
 use crate::resource::ResourceManager;
 use crate::stats::{ResourceStats, ShardResourceStats};
@@ -209,16 +209,16 @@ impl InterconnectModel {
 }
 
 /// One execution shard: a rank's worth of cores with its own resource
-/// manager, functional state, and timing backend.
+/// manager, functional state, and timing model.
 #[derive(Debug)]
 struct Shard {
     rm: ResourceManager,
     /// Modeled cores assigned to this shard (decimation-adjusted).
     cores: usize,
-    /// This shard's timing backend. Each shard owns its rank's banks, so
+    /// This shard's timing model. Each shard owns its rank's banks, so
     /// FSM state never crosses shards and re-aggregation (ascending
     /// shard order) stays deterministic at every shard count.
-    timing: Box<dyn TimingModel>,
+    timing: TimingModel,
 }
 
 /// `total` split as evenly as possible into `n` parts; part `i` gets the
@@ -303,7 +303,6 @@ impl PimSystem {
         let physical = config.physical_core_count().max(1);
         let n = config.shards.max(1).min(modeled);
         let meta = ResourceManager::new(config.rows_per_core(), physical as u64)?;
-        let row_bytes = (config.geometry.cols_per_row as u64 / 8).max(64);
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             shards.push(Shard {
@@ -312,15 +311,7 @@ impl PimSystem {
                     split_even(physical, n, i) as u64,
                 )?,
                 cores: split_even(modeled, n, i),
-                // One rank's worth of banks per shard: shards are the
-                // per-rank execution unit, and the FSM's bank state must
-                // not change shape with the shard count.
-                timing: make_timing_model(
-                    config.timing_backend,
-                    &config.timing,
-                    config.geometry.banks_per_rank,
-                    row_bytes,
-                ),
+                timing: model::timing_model(config, config.timing_backend),
             });
         }
         Ok(PimSystem {
@@ -872,56 +863,47 @@ impl PimSystem {
     }
 
     // ------------------------------------------------------------------
-    // Timing backends
+    // Timing models
     // ------------------------------------------------------------------
 
-    /// The timing backend every shard of this system charges through.
-    pub fn timing_backend(&self) -> TimingBackend {
-        self.shards
-            .first()
-            .map(|s| s.timing.backend())
-            .unwrap_or_default()
-    }
-
-    /// Prices one command through the timing backends of every shard
+    /// Prices one command through the timing models of every shard
     /// holding `costed`, in ascending shard order (deterministic at any
     /// thread count). Shards execute the broadcast in lockstep, so each
     /// holder charges the full per-core demand and the aggregate is the
     /// slowest holder — which keeps the aggregate shard-count-invariant.
-    /// The protocol counters the backends issue are merged and returned
-    /// for the device ledger.
+    /// The DRAM commands each holder issued are drained, merged and
+    /// returned for the device ledger.
     pub(crate) fn price_with_backends<F>(
         &mut self,
         costed: ObjId,
         mut price: F,
     ) -> (OpCost, TimingCounters)
     where
-        F: FnMut(&mut dyn TimingModel) -> OpCost,
+        F: FnMut(&mut TimingModel) -> OpCost,
     {
         let mut agg: Option<OpCost> = None;
-        let mut delta = TimingCounters::default();
+        let mut dram = TimingCounters::default();
         for s in holders(&self.maps, self.shards.len(), costed) {
-            let shard = &mut self.shards[s];
-            let before = shard.timing.counters();
-            let cost = price(shard.timing.as_mut());
-            delta.merge(&shard.timing.counters().delta_since(&before));
+            let timing = &mut self.shards[s].timing;
+            let cost = price(timing);
+            dram.merge(&timing.take_counters());
             agg = Some(match agg {
                 None => cost,
                 Some(prev) if cost.time_ms > prev.time_ms => cost,
                 Some(prev) => prev,
             });
         }
-        (agg.unwrap_or_default(), delta)
+        (agg.unwrap_or_default(), dram)
     }
 
     /// Charges one host↔device copy of `represented_bytes` through the
-    /// holders' timing backends (bandwidth-bound in both backends; the
+    /// holders' timing models (bandwidth-bound in both backends; the
     /// critical path is the same on every holder) and replays the
-    /// protocol stream for counters. Returns the copy time in ms, the
-    /// replay for the trace (stateful backends always replay so counters
-    /// and state agree; the stateless backend replays only when
-    /// `want_replay`, preserving its historical trace-only counters),
-    /// and the merged counter delta for the device ledger.
+    /// protocol stream. Returns the copy time in ms, the first holder's
+    /// replay for the trace (the bank FSM replays on every holder; the
+    /// closed form replays once, and only when `want_replay`), and the
+    /// drained DRAM commands for the device ledger (the closed form's
+    /// advisory replay never reaches it).
     pub(crate) fn charge_copy_with_backends(
         &mut self,
         obj: ObjId,
@@ -932,33 +914,16 @@ impl PimSystem {
     ) -> (f64, Option<CopyReplay>, TimingCounters) {
         let mut time_ms: Option<f64> = None;
         let mut replay: Option<CopyReplay> = None;
-        let mut delta = TimingCounters::default();
+        let mut dram = TimingCounters::default();
         for s in holders(&self.maps, self.shards.len(), obj) {
-            let shard = &mut self.shards[s];
-            let t = shard.timing.charge_host_copy(represented_bytes, ranks);
-            time_ms = Some(match time_ms {
-                None => t,
-                Some(prev) => prev.max(t),
-            });
-            let stateful = shard.timing.backend() != TimingBackend::Analytical;
-            if stateful || (want_replay && replay.is_none()) {
-                let before = shard.timing.counters();
-                let r = shard.timing.copy_replay(functional_bytes);
-                delta.merge(&shard.timing.counters().delta_since(&before));
-                replay.get_or_insert(r);
-            }
+            let timing = &mut self.shards[s].timing;
+            let t = timing.charge_host_copy(represented_bytes, ranks);
+            time_ms = Some(time_ms.map_or(t, |prev| prev.max(t)));
+            let r = timing.copy_replay(functional_bytes, want_replay && replay.is_none());
+            dram.merge(&timing.take_counters());
+            replay = replay.or(r);
         }
-        (time_ms.unwrap_or(0.0), replay, delta)
-    }
-
-    /// Drains every shard's timing backend (closes all open rows) and
-    /// returns the longest per-shard drain time in ms.
-    pub(crate) fn drain_backends(&mut self) -> f64 {
-        let mut worst_ns = 0.0f64;
-        for shard in &mut self.shards {
-            worst_ns = worst_ns.max(shard.timing.drain());
-        }
-        worst_ns * 1e-6
+        (time_ms.unwrap_or(0.0), replay, dram)
     }
 
     // ------------------------------------------------------------------
@@ -1032,7 +997,7 @@ impl PimSystem {
         }
     }
 
-    /// Resets every shard's timing backend to a fresh (all-banks-closed)
+    /// Resets every shard's timing model to a fresh (all-banks-closed)
     /// state.
     pub(crate) fn reset_timing(&mut self) {
         for shard in &mut self.shards {

@@ -259,16 +259,17 @@ fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
                 Num(*energy_mj)
             )?;
             if let Some(p) = protocol {
+                let c = &p.counters;
                 write!(
                     o,
                     ",\"activations\":{},\"reads\":{},\"writes\":{},\"precharges\":{},\
                      \"row_hits\":{},\"row_misses\":{},\"achieved_gbs\":{}",
-                    p.activations,
-                    p.reads,
-                    p.writes,
-                    p.precharges,
-                    p.row_hits,
-                    p.row_misses,
+                    c.activations,
+                    c.reads,
+                    c.writes,
+                    c.precharges,
+                    c.row_hits,
+                    c.row_misses,
                     Num(p.achieved_gbs)
                 )?;
             }
@@ -306,9 +307,10 @@ fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
             energy_mj,
         } => write!(
             o,
-            "{{\"name\":\"interconnect {kind}\",\"cat\":\"interconnect\",\"ph\":\"i\",\"s\":\"t\",\
+            "{{\"name\":\"interconnect {}\",\"cat\":\"interconnect\",\"ph\":\"i\",\"s\":\"t\",\
              \"ts\":{},\"pid\":{pid},\"tid\":{TID_COPY},\
              \"args\":{{\"bytes\":{bytes},\"shards\":{shards},\"time_ms\":{},\"energy_mj\":{}}}}}",
+            kind.label(),
             us(*at_ms),
             Num(*time_ms),
             Num(*energy_mj)
@@ -330,8 +332,15 @@ fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
 #[cfg(test)]
 mod tests {
     use super::super::json::Json;
-    use super::super::CopyDirection;
+    use super::super::{CopyDirection, InterconnectKind};
     use super::*;
+    use crate::dtype::DataType;
+    use crate::ops::OpKind;
+    use pim_microcode::gen::BinaryOp;
+
+    fn name(op: BinaryOp, dtype: DataType) -> crate::ops::StatName {
+        OpKind::Binary(op).stat_name(dtype)
+    }
 
     #[test]
     fn trace_document_parses_and_has_required_fields() {
@@ -343,7 +352,7 @@ mod tests {
                 ranks: 2,
             },
             TraceEvent::Cmd {
-                name: "add.int32".into(),
+                name: name(BinaryOp::Add, DataType::Int32),
                 category: "add",
                 start_ms: 0.5,
                 time_ms: 1.25,
@@ -377,7 +386,8 @@ mod tests {
     /// blocks, the number edge cases (zero, negative zero, NaN, a
     /// non-integer) and a label that needs escaping.
     fn every_variant() -> Vec<TraceEvent> {
-        use super::super::{MicroCounters, ProtocolCounters};
+        use pim_dram::{CopyReplay, TimingCounters};
+        use pim_microcode::Cost;
         vec![
             TraceEvent::DeviceCreated {
                 at_ms: 0.0,
@@ -394,7 +404,7 @@ mod tests {
                 rows_per_core: 32,
             },
             TraceEvent::Cmd {
-                name: "add.int32".into(),
+                name: name(BinaryOp::Add, DataType::Int32),
                 category: "add",
                 start_ms: 0.1,
                 time_ms: 1.25,
@@ -403,13 +413,13 @@ mod tests {
                 micro: None,
             },
             TraceEvent::Cmd {
-                name: "mul.int8".into(),
+                name: name(BinaryOp::Mul, DataType::Int8),
                 category: "mul",
                 start_ms: 1.35,
                 time_ms: 0.0003,
                 energy_mj: 0.125,
                 cores_used: 2,
-                micro: Some(MicroCounters {
+                micro: Some(Cost {
                     row_reads: 1,
                     row_writes: 2,
                     logic_ops: 3,
@@ -432,13 +442,15 @@ mod tests {
                 start_ms: 2.0,
                 time_ms: 1.0 / 3.0,
                 energy_mj: 0.01,
-                protocol: Some(ProtocolCounters {
-                    activations: 7,
-                    reads: 8,
-                    writes: 9,
-                    precharges: 10,
-                    row_hits: 11,
-                    row_misses: 12,
+                protocol: Some(CopyReplay {
+                    counters: TimingCounters {
+                        activations: 7,
+                        reads: 8,
+                        writes: 9,
+                        precharges: 10,
+                        row_hits: 11,
+                        row_misses: 12,
+                    },
                     achieved_gbs: 25.6,
                 }),
             },
@@ -455,7 +467,7 @@ mod tests {
                 dead_writes_eliminated: 3,
             },
             TraceEvent::Interconnect {
-                kind: "scatter",
+                kind: InterconnectKind::Scatter,
                 bytes: 1024,
                 shards: 4,
                 at_ms: 3.0,

@@ -34,78 +34,10 @@ pub mod chrome;
 pub mod json;
 pub mod log;
 
-/// Microcode counters behind one PIM command, summed over every stripe
-/// the busiest core executes (bit-serial targets only). Mirrors
-/// [`pim_microcode::Cost`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MicroCounters {
-    /// DRAM row activations for reads.
-    pub row_reads: u64,
-    /// DRAM row write-backs.
-    pub row_writes: u64,
-    /// Sense-amp logic operations.
-    pub logic_ops: u64,
-    /// Row-wide popcount reads.
-    pub popcount_reads: u64,
-    /// Analog AAP (double-activation) operations.
-    pub aap_ops: u64,
-    /// Analog triple-row activations.
-    pub tra_ops: u64,
-}
+use pim_dram::CopyReplay;
+use pim_microcode::Cost;
 
-impl From<pim_microcode::Cost> for MicroCounters {
-    fn from(c: pim_microcode::Cost) -> Self {
-        MicroCounters {
-            row_reads: c.row_reads,
-            row_writes: c.row_writes,
-            logic_ops: c.logic_ops,
-            popcount_reads: c.popcount_reads,
-            aap_ops: c.aap_ops,
-            tra_ops: c.tra_ops,
-        }
-    }
-}
-
-/// DRAM protocol counters from a bounded bank-FSM replay of one
-/// host↔device transfer (the active [`pim_dram::TimingModel`] backend
-/// streams up to [`PROTOCOL_REPLAY_MAX_ROWS`] rows through one rank's
-/// bank state machines).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProtocolCounters {
-    /// ACT commands issued.
-    pub activations: u64,
-    /// Column reads.
-    pub reads: u64,
-    /// Column writes.
-    pub writes: u64,
-    /// PRE commands issued.
-    pub precharges: u64,
-    /// Column commands that hit an open row.
-    pub row_hits: u64,
-    /// Column commands that missed (forced an ACT, possibly after PRE).
-    pub row_misses: u64,
-    /// Achieved streaming bandwidth over the replayed window (GB/s).
-    pub achieved_gbs: f64,
-}
-
-impl From<pim_dram::CopyReplay> for ProtocolCounters {
-    fn from(r: pim_dram::CopyReplay) -> Self {
-        ProtocolCounters {
-            activations: r.counters.activations,
-            reads: r.counters.reads,
-            writes: r.counters.writes,
-            precharges: r.counters.precharges,
-            row_hits: r.counters.row_hits,
-            row_misses: r.counters.row_misses,
-            achieved_gbs: r.achieved_gbs,
-        }
-    }
-}
-
-/// Row cap for the per-copy protocol replay (keeps tracing overhead
-/// bounded for multi-gigabyte copies) — shared with the timing-model
-/// backends in `pim_dram`.
-pub const PROTOCOL_REPLAY_MAX_ROWS: usize = pim_dram::timing_model::COPY_REPLAY_MAX_ROWS;
+use crate::ops::StatName;
 
 /// Direction of a data movement event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,13 +59,29 @@ impl CopyDirection {
             CopyDirection::DeviceToDevice => "device_to_device",
         }
     }
+}
 
-    /// The direction code used by [`SimStats::record_copy`](crate::SimStats::record_copy).
-    pub fn code(&self) -> u8 {
+/// Kind of a cross-shard interconnect transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InterconnectKind {
+    /// Host → shard scatter of a copy to the device.
+    Scatter,
+    /// Shard → host gather of a copy from the device.
+    Gather,
+    /// Inter-shard realignment of a misaligned operand.
+    Realign,
+    /// Reduction partials shipped to the host for the final combine.
+    Combine,
+}
+
+impl InterconnectKind {
+    /// Stable label used in exports and metrics keys.
+    pub fn label(&self) -> &'static str {
         match self {
-            CopyDirection::HostToDevice => 0,
-            CopyDirection::DeviceToHost => 1,
-            CopyDirection::DeviceToDevice => 2,
+            InterconnectKind::Scatter => "scatter",
+            InterconnectKind::Gather => "gather",
+            InterconnectKind::Realign => "realign",
+            InterconnectKind::Combine => "combine",
         }
     }
 }
@@ -179,7 +127,7 @@ pub enum TraceEvent {
     /// One PIM command span.
     Cmd {
         /// Statistics key, e.g. `add.int32`.
-        name: String,
+        name: StatName,
         /// Fig. 8 category label.
         category: &'static str,
         /// Span start on the simulated clock (ms).
@@ -190,8 +138,9 @@ pub enum TraceEvent {
         energy_mj: f64,
         /// Cores the command occupied.
         cores_used: usize,
-        /// Microcode counters (bit-serial targets).
-        micro: Option<MicroCounters>,
+        /// Microcode counters, summed over every stripe the busiest core
+        /// executes (bit-serial targets).
+        micro: Option<Cost>,
     },
     /// One data movement span.
     Copy {
@@ -205,8 +154,10 @@ pub enum TraceEvent {
         time_ms: f64,
         /// Modeled transfer energy (mJ).
         energy_mj: f64,
-        /// DRAM protocol replay counters (host↔device transfers).
-        protocol: Option<ProtocolCounters>,
+        /// The bounded bank-FSM replay of a host↔device transfer: up to
+        /// [`COPY_REPLAY_MAX_ROWS`](pim_dram::timing_model::COPY_REPLAY_MAX_ROWS)
+        /// rows streamed through one rank's bank state machines.
+        protocol: Option<CopyReplay>,
     },
     /// A modeled host-execution span.
     HostPhase {
@@ -238,8 +189,8 @@ pub enum TraceEvent {
     /// time, so it never advances the simulated clock. Only emitted by
     /// devices with more than one shard.
     Interconnect {
-        /// Transfer kind: `scatter`, `gather`, `realign`, or `combine`.
-        kind: &'static str,
+        /// Transfer kind.
+        kind: InterconnectKind,
         /// Total bytes moved across all shards.
         bytes: u64,
         /// Shard count of the device.

@@ -207,7 +207,8 @@ fn word_parallel_cmds_have_no_micro_counters_but_copies_have_protocol() {
                 } => {
                     let p = protocol.expect("host↔device copies carry protocol counters");
                     assert_eq!(direction, pimeval::CopyDirection::HostToDevice);
-                    assert!(p.activations > 0 && p.reads > 0 && p.precharges > 0);
+                    let c = p.counters;
+                    assert!(c.activations > 0 && c.reads > 0 && c.precharges > 0);
                     assert!(p.achieved_gbs > 0.0, "{target}");
                 }
                 _ => {}

@@ -3,30 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by functional DRAM array operations.
+/// Errors returned by DRAM configuration checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DramError {
-    /// A row index was outside the subarray.
-    RowOutOfRange {
-        /// The offending row index.
-        row: usize,
-        /// Number of rows in the subarray.
-        rows: usize,
-    },
-    /// A column index was outside the subarray.
-    ColOutOfRange {
-        /// The offending column index.
-        col: usize,
-        /// Number of columns in the subarray.
-        cols: usize,
-    },
-    /// A read or logic operation targeted a closed row buffer.
-    RowNotActive,
-    /// An activation was issued while another row was already open.
-    RowAlreadyActive {
-        /// The row currently held in the row buffer.
-        open_row: usize,
-    },
     /// A geometry parameter was zero or otherwise invalid.
     InvalidGeometry(String),
     /// A protocol timing parameter set was inconsistent (e.g. tRAS <
@@ -38,19 +17,6 @@ pub enum DramError {
 impl fmt::Display for DramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DramError::RowOutOfRange { row, rows } => {
-                write!(f, "row index {row} out of range (subarray has {rows} rows)")
-            }
-            DramError::ColOutOfRange { col, cols } => {
-                write!(
-                    f,
-                    "column index {col} out of range (subarray has {cols} columns)"
-                )
-            }
-            DramError::RowNotActive => write!(f, "operation requires an activated row"),
-            DramError::RowAlreadyActive { open_row } => {
-                write!(f, "row {open_row} is already active; precharge first")
-            }
             DramError::InvalidGeometry(msg) => write!(f, "invalid DRAM geometry: {msg}"),
             DramError::InvalidTiming(msg) => write!(f, "invalid DRAM timing: {msg}"),
         }

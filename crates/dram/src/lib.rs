@@ -14,10 +14,15 @@
 //! * [`exec`] — the std-only chunked fan-out engine (`PIM_THREADS`) the
 //!   functional simulator and the bit-serial VM run their element/word
 //!   loops on; deterministic for every thread count.
-//! * [`subarray::Subarray`] and [`subarray::BitMatrix`] — a functional model
-//!   of a DRAM subarray as a 2-D bit array with destructive row activation
-//!   semantics and access statistics. The bit-serial micro-op VM in
-//!   `pim-microcode` executes on top of these.
+//! * [`BitMatrix`] — a DRAM subarray's cells as a 2-D bit array; the
+//!   bit-serial micro-op VM in `pim-microcode` executes its row
+//!   operations on it.
+//! * [`protocol::RankSim`] — a per-rank bank state machine (ACT/RD/WR/PRE
+//!   with tRCD/tRAS/tRP/tCCD interlocks) counting its commands in
+//!   [`TimingCounters`].
+//! * [`TimingModel`] — the one per-shard timing model: closed-form row
+//!   latencies, plus a [`protocol::RankSim`] under
+//!   [`TimingBackend::BankFsm`].
 //!
 //! The default values mirror the configuration used throughout the paper's
 //! evaluation (Table II and the artifact's example output): per rank,
@@ -37,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod address;
 pub mod error;
 pub mod exec;
 pub mod geometry;
@@ -47,14 +51,10 @@ pub mod subarray;
 pub mod timing;
 pub mod timing_model;
 
-pub use address::{Address, AddressMapper};
 pub use error::DramError;
 pub use geometry::DramGeometry;
 pub use power::DramPower;
-pub use protocol::BankSnapshot;
-pub use subarray::{BitMatrix, RowStats, Subarray};
+pub use protocol::{BankSnapshot, TimingCounters};
+pub use subarray::BitMatrix;
 pub use timing::DramTiming;
-pub use timing_model::{
-    make_timing_model, Analytical, BankFsm, CopyReplay, RowPattern, TimingBackend, TimingCounters,
-    TimingModel, PIM_TIMING_ENV,
-};
+pub use timing_model::{CopyReplay, RowPattern, TimingBackend, TimingModel, PIM_TIMING_ENV};

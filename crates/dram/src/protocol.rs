@@ -137,25 +137,53 @@ struct BankState {
     fresh: bool,    // no column command since the last ACT
 }
 
-/// Accounting from a replayed command stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProtocolStats {
-    /// Row activations issued.
+/// DRAM commands a rank has issued: the one command counter of this
+/// crate. [`RankSim`] counts into it, and the timing model hands it to
+/// its callers by draining it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimingCounters {
+    /// ACT commands issued.
     pub activations: u64,
+    /// PRE commands issued.
+    pub precharges: u64,
     /// Column reads issued.
     pub reads: u64,
     /// Column writes issued.
     pub writes: u64,
-    /// Precharges issued.
-    pub precharges: u64,
     /// Column commands that hit an already-open row (a prior column
     /// command already touched the open row).
     pub row_hits: u64,
     /// Column commands that paid a fresh activation (the first column
     /// command after each ACT).
     pub row_misses: u64,
-    /// Total elapsed time (ns).
-    pub elapsed_ns: f64,
+}
+
+impl TimingCounters {
+    /// Adds `other` into `self`.
+    pub fn merge(&mut self, other: &TimingCounters) {
+        self.activations += other.activations;
+        self.precharges += other.precharges;
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.row_hits += other.row_hits;
+        self.row_misses += other.row_misses;
+    }
+
+    /// True when no commands have been counted.
+    pub fn is_empty(&self) -> bool {
+        *self == TimingCounters::default()
+    }
+
+    /// Row-buffer hit rate over all column commands, in `[0, 1]`
+    /// (0 when no column command was issued).
+    pub fn hit_rate(&self) -> f64 {
+        let cols = self.row_hits + self.row_misses;
+        if cols == 0 {
+            0.0
+        } else {
+            self.row_hits as f64 / cols as f64
+        }
+    }
 }
 
 /// Point-in-time state of one bank.
@@ -180,8 +208,8 @@ pub struct BankSnapshot {
 /// sim.issue(Command::Activate { bank: 0, row: 7 }).unwrap();
 /// sim.issue(Command::Read { bank: 0 }).unwrap(); // row-buffer miss (fresh ACT)
 /// sim.issue(Command::Read { bank: 0 }).unwrap(); // row-buffer hit
-/// assert_eq!(sim.stats().row_misses, 1);
-/// assert_eq!(sim.stats().row_hits, 1);
+/// assert_eq!(sim.counters().row_misses, 1);
+/// assert_eq!(sim.counters().row_hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct RankSim {
@@ -190,7 +218,8 @@ pub struct RankSim {
     /// Earliest time the shared command/data bus accepts a column command.
     bus_free_at: f64,
     now: f64,
-    stats: ProtocolStats,
+    /// Commands issued since the last [`RankSim::take_counters`].
+    pub(crate) counters: TimingCounters,
 }
 
 /// Protocol violations.
@@ -224,16 +253,24 @@ impl RankSim {
             banks: vec![BankState::default(); banks],
             bus_free_at: 0.0,
             now: 0.0,
-            stats: ProtocolStats::default(),
+            counters: TimingCounters::default(),
         }
     }
 
-    /// The accumulated statistics (elapsed time includes the CAS latency
-    /// of the last column command).
-    pub fn stats(&self) -> ProtocolStats {
-        let mut s = self.stats;
-        s.elapsed_ns = self.now.max(self.bus_free_at);
-        s
+    /// Number of banks.
+    pub fn banks(&self) -> usize {
+        self.banks.len()
+    }
+
+    /// Commands issued since the last [`RankSim::take_counters`].
+    pub fn counters(&self) -> &TimingCounters {
+        &self.counters
+    }
+
+    /// Drains the command counters: returns them and starts counting
+    /// from zero.
+    pub fn take_counters(&mut self) -> TimingCounters {
+        std::mem::take(&mut self.counters)
     }
 
     /// Issues one command at the earliest legal time.
@@ -250,12 +287,10 @@ impl RankSim {
             | Command::Write { bank }
             | Command::Precharge { bank } => bank,
         };
-        let nbanks = self.banks.len();
         let bank = self
             .banks
             .get_mut(bank_idx)
             .ok_or(ProtocolError::NoSuchBank(bank_idx))?;
-        let _ = nbanks;
         match cmd {
             Command::Activate { row, .. } => {
                 if bank.open_row.is_some() {
@@ -267,7 +302,7 @@ impl RankSim {
                 bank.ready_at = start + t.t_rcd_ns;
                 bank.fresh = true;
                 self.now = start; // command bus occupancy is negligible here
-                self.stats.activations += 1;
+                self.counters.activations += 1;
             }
             Command::Read { .. } | Command::Write { .. } => {
                 if bank.open_row.is_none() {
@@ -278,15 +313,15 @@ impl RankSim {
                 bank.ready_at = start + t.t_ccd_ns;
                 self.now = start;
                 if matches!(cmd, Command::Read { .. }) {
-                    self.stats.reads += 1;
+                    self.counters.reads += 1;
                 } else {
-                    self.stats.writes += 1;
+                    self.counters.writes += 1;
                 }
                 if bank.fresh {
                     bank.fresh = false;
-                    self.stats.row_misses += 1;
+                    self.counters.row_misses += 1;
                 } else {
-                    self.stats.row_hits += 1;
+                    self.counters.row_hits += 1;
                 }
             }
             Command::Precharge { .. } => {
@@ -297,20 +332,21 @@ impl RankSim {
                 bank.open_row = None;
                 bank.ready_at = start + t.t_rp_ns;
                 self.now = start;
-                self.stats.precharges += 1;
+                self.counters.precharges += 1;
             }
         }
         Ok(())
     }
 
     /// The simulated clock: completion time of the last access-level
-    /// operation, or issue time of the last raw command (ns).
+    /// operation, or issue time of the last raw command, including the
+    /// CAS latency of the last column command (ns).
     pub fn now_ns(&self) -> f64 {
         self.now.max(self.bus_free_at)
     }
 
     /// Advances the clock by `ns` without issuing commands — used by
-    /// timing backends to account an extrapolated steady-state tail
+    /// the timing model to account an extrapolated steady-state tail
     /// after a bounded replay (execute-once-and-stall: later charges
     /// observe the advanced clock).
     pub fn advance(&mut self, ns: f64) {
@@ -351,7 +387,7 @@ impl RankSim {
             bank.open_row = None;
             bank.fresh = false;
             bank.ready_at = pre + t.t_rp_ns;
-            self.stats.precharges += 1;
+            self.counters.precharges += 1;
         }
         let start = self.now.max(bank.ready_at);
         let column_ns = if write { t.t_wr_ns } else { t.cl_ns };
@@ -362,14 +398,14 @@ impl RankSim {
         bank.open_row = None;
         bank.fresh = false;
         bank.ready_at = start + access_ns.max(t.t_ras_ns) + t.t_rp_ns;
-        self.stats.activations += 1;
-        self.stats.precharges += 1;
+        self.counters.activations += 1;
+        self.counters.precharges += 1;
         if write {
-            self.stats.writes += 1;
+            self.counters.writes += 1;
         } else {
-            self.stats.reads += 1;
+            self.counters.reads += 1;
         }
-        self.stats.row_misses += 1;
+        self.counters.row_misses += 1;
         let delta = done - self.now;
         self.now = done;
         Ok(delta)
@@ -395,8 +431,8 @@ impl RankSim {
         bank.open_row = None;
         bank.fresh = false;
         bank.ready_at = done;
-        self.stats.activations += 1;
-        self.stats.precharges += 1;
+        self.counters.activations += 1;
+        self.counters.precharges += 1;
         let delta = done - self.now;
         self.now = done;
         Ok(delta)
@@ -415,7 +451,7 @@ impl RankSim {
                 bank.open_row = None;
                 bank.fresh = false;
                 bank.ready_at = pre + t.t_rp_ns;
-                self.stats.precharges += 1;
+                self.counters.precharges += 1;
                 latest = latest.max(bank.ready_at);
             }
         }
@@ -477,7 +513,7 @@ impl RankSim {
             }
         }
         let total_bytes = (rows * bursts * bytes_per_burst) as f64;
-        Ok(total_bytes / self.stats().elapsed_ns)
+        Ok(total_bytes / self.now_ns())
     }
 }
 
@@ -526,7 +562,7 @@ mod tests {
         for _ in 0..64 {
             sim.issue(Command::Read { bank: 0 }).unwrap();
         }
-        let hit_time = sim.stats().elapsed_ns;
+        let hit_time = sim.now_ns();
         assert!(
             hit_time <= t.t_rcd_ns + 64.0 * t.t_ccd_ns + 1e-9,
             "{hit_time}"
@@ -539,7 +575,7 @@ mod tests {
             churn.issue(Command::Read { bank: 0 }).unwrap();
             churn.issue(Command::Precharge { bank: 0 }).unwrap();
         }
-        assert!(churn.stats().elapsed_ns > 5.0 * hit_time);
+        assert!(churn.now_ns() > 5.0 * hit_time);
     }
 
     #[test]
@@ -554,7 +590,7 @@ mod tests {
             sim.issue(Command::Read { bank: 0 }).unwrap();
             sim.issue(Command::Read { bank: 1 }).unwrap();
         }
-        let elapsed = sim.stats().elapsed_ns;
+        let elapsed = sim.now_ns();
         let floor = 64.0 * t.t_ccd_ns;
         assert!(
             elapsed <= floor + t.t_rcd_ns + 1e-9,
@@ -620,7 +656,7 @@ mod tests {
         for _ in 0..4 {
             sim.issue(Command::Read { bank: 0 }).unwrap();
         }
-        let s = sim.stats();
+        let s = *sim.counters();
         assert_eq!(s.row_misses, 1);
         assert_eq!(s.row_hits, 3);
     }
@@ -633,7 +669,7 @@ mod tests {
         assert_eq!(rd, coarse.row_read_ns);
         let wr = sim.row_cycle(1, true, 0.0).unwrap();
         assert_eq!(wr, coarse.row_write_ns);
-        let s = sim.stats();
+        let s = *sim.counters();
         assert_eq!((s.activations, s.precharges), (2, 2));
         assert_eq!((s.reads, s.writes, s.row_misses), (1, 1, 2));
     }
@@ -687,9 +723,9 @@ mod tests {
         sim.issue(Command::Activate { bank: 0, row: 0 }).unwrap();
         sim.issue(Command::Precharge { bank: 0 }).unwrap();
         // PRE cannot complete before tRAS + tRP after the ACT.
-        assert!(sim.stats().precharges == 1);
+        assert!(sim.counters().precharges == 1);
         sim.issue(Command::Activate { bank: 0, row: 1 }).unwrap();
-        let s = sim.stats();
-        assert!(s.elapsed_ns >= t.t_ras_ns + t.t_rp_ns - 1e-9, "{s:?}");
+        let elapsed = sim.now_ns();
+        assert!(elapsed >= t.t_ras_ns + t.t_rp_ns - 1e-9, "{elapsed}");
     }
 }

@@ -3,18 +3,13 @@
 //! Bit-serial PIM (§IV of the paper) operates on whole rows at once: every
 //! sense amplifier latches one bit of the open row, and a small logic block
 //! per bitline combines it with per-bitline registers. [`BitMatrix`] stores
-//! the cell array (row-major, one `u64` word per 64 bitlines) and
-//! [`Subarray`] adds open-row semantics plus access statistics
-//! ([`RowStats`]) so the microcode VM can be checked against the closed-form
-//! cost model.
-
-use crate::error::DramError;
+//! the cell array (row-major, one `u64` word per 64 bitlines); the
+//! bit-serial microcode VM runs its row operations on it.
 
 /// A dense 2-D bit array, row-major, 64 bitlines per word.
 ///
-/// Rows are DRAM wordlines; columns are bitlines. Used both as the cell
-/// array of a [`Subarray`] and as the vertical-layout staging buffer of the
-/// bit-serial VM.
+/// Rows are DRAM wordlines; columns are bitlines. The bit-serial VM
+/// holds its vertical-layout operands in one.
 ///
 /// # Example
 ///
@@ -169,160 +164,6 @@ impl BitMatrix {
     }
 }
 
-/// Row-level access statistics for a [`Subarray`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowStats {
-    /// Number of row activations (destructive reads into the row buffer).
-    pub activations: u64,
-    /// Number of row write-backs.
-    pub write_backs: u64,
-    /// Number of precharges.
-    pub precharges: u64,
-}
-
-/// A functional DRAM subarray: cell array + open-row buffer + statistics.
-///
-/// Activation is destructive (the row's cells are cleared until the buffer is
-/// written back or the row is precharged, which restores it), matching real
-/// DRAM semantics described in §III.
-///
-/// # Example
-///
-/// ```
-/// use pim_dram::Subarray;
-///
-/// let mut sa = Subarray::new(8, 64);
-/// sa.activate(3).unwrap();
-/// sa.row_buffer_mut().unwrap()[0] = 0xFF;
-/// sa.precharge().unwrap(); // restores (writes back) the buffer
-/// assert_eq!(sa.cells().row(3)[0], 0xFF);
-/// assert_eq!(sa.stats().activations, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Subarray {
-    cells: BitMatrix,
-    row_buffer: Vec<u64>,
-    open_row: Option<usize>,
-    stats: RowStats,
-}
-
-impl Subarray {
-    /// Creates a zeroed subarray of `rows` × `cols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        let cells = BitMatrix::new(rows, cols);
-        let words = cells.words_per_row();
-        Subarray {
-            cells,
-            row_buffer: vec![0; words],
-            open_row: None,
-            stats: RowStats::default(),
-        }
-    }
-
-    /// The backing cell array.
-    pub fn cells(&self) -> &BitMatrix {
-        &self.cells
-    }
-
-    /// Mutable access to the backing cell array (for loading test vectors).
-    pub fn cells_mut(&mut self) -> &mut BitMatrix {
-        &mut self.cells
-    }
-
-    /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<usize> {
-        self.open_row
-    }
-
-    /// Accumulated access statistics.
-    pub fn stats(&self) -> &RowStats {
-        &self.stats
-    }
-
-    /// Activates `row`: latches it into the row buffer (destructive read).
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::RowAlreadyActive`] if another row is open;
-    /// [`DramError::RowOutOfRange`] if `row` is invalid.
-    pub fn activate(&mut self, row: usize) -> Result<(), DramError> {
-        if let Some(open) = self.open_row {
-            return Err(DramError::RowAlreadyActive { open_row: open });
-        }
-        if row >= self.cells.rows() {
-            return Err(DramError::RowOutOfRange {
-                row,
-                rows: self.cells.rows(),
-            });
-        }
-        self.row_buffer.copy_from_slice(self.cells.row(row));
-        // Destructive read: cells lose their charge until restore.
-        self.cells.row_mut(row).fill(0);
-        self.open_row = Some(row);
-        self.stats.activations += 1;
-        Ok(())
-    }
-
-    /// Precharges: restores the row buffer into the open row and closes it.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::RowNotActive`] if no row is open.
-    pub fn precharge(&mut self) -> Result<(), DramError> {
-        let row = self.open_row.ok_or(DramError::RowNotActive)?;
-        self.cells.row_mut(row).copy_from_slice(&self.row_buffer);
-        self.open_row = None;
-        self.stats.precharges += 1;
-        Ok(())
-    }
-
-    /// Borrows the open row buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::RowNotActive`] if no row is open.
-    pub fn row_buffer(&self) -> Result<&[u64], DramError> {
-        if self.open_row.is_none() {
-            return Err(DramError::RowNotActive);
-        }
-        Ok(&self.row_buffer)
-    }
-
-    /// Mutably borrows the open row buffer (sense-amp level logic writes).
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::RowNotActive`] if no row is open.
-    pub fn row_buffer_mut(&mut self) -> Result<&mut [u64], DramError> {
-        if self.open_row.is_none() {
-            return Err(DramError::RowNotActive);
-        }
-        self.stats.write_backs += 1;
-        Ok(&mut self.row_buffer)
-    }
-
-    /// Convenience: activate `row`, apply `f` to the row buffer, precharge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates activation errors.
-    pub fn with_row<R>(
-        &mut self,
-        row: usize,
-        f: impl FnOnce(&mut [u64]) -> R,
-    ) -> Result<R, DramError> {
-        self.activate(row)?;
-        let out = f(&mut self.row_buffer);
-        self.stats.write_backs += 1;
-        self.precharge()?;
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,50 +196,5 @@ mod tests {
         m.row_mut(0)[0] = u64::MAX;
         m.mask_padding();
         assert_eq!(m.row_popcount(0), 10);
-    }
-
-    #[test]
-    fn activation_is_destructive_until_precharge() {
-        let mut sa = Subarray::new(4, 64);
-        sa.cells_mut().set(1, 5, true);
-        sa.activate(1).unwrap();
-        assert!(!sa.cells().get(1, 5), "cells drained by activation");
-        sa.precharge().unwrap();
-        assert!(sa.cells().get(1, 5), "precharge restores");
-    }
-
-    #[test]
-    fn double_activate_rejected() {
-        let mut sa = Subarray::new(4, 64);
-        sa.activate(0).unwrap();
-        assert_eq!(
-            sa.activate(1),
-            Err(DramError::RowAlreadyActive { open_row: 0 })
-        );
-    }
-
-    #[test]
-    fn activate_out_of_range_rejected() {
-        let mut sa = Subarray::new(4, 64);
-        assert_eq!(
-            sa.activate(4),
-            Err(DramError::RowOutOfRange { row: 4, rows: 4 })
-        );
-    }
-
-    #[test]
-    fn row_buffer_requires_open_row() {
-        let sa = Subarray::new(2, 64);
-        assert_eq!(sa.row_buffer().unwrap_err(), DramError::RowNotActive);
-    }
-
-    #[test]
-    fn with_row_modifies_and_counts() {
-        let mut sa = Subarray::new(2, 64);
-        sa.with_row(0, |buf| buf[0] = 0b1010).unwrap();
-        assert_eq!(sa.cells().row(0)[0], 0b1010);
-        assert_eq!(sa.stats().activations, 1);
-        assert_eq!(sa.stats().precharges, 1);
-        assert!(sa.stats().write_backs >= 1);
     }
 }

@@ -1,15 +1,15 @@
-//! Pluggable timing backends behind every cost path (§V-C).
+//! The timing model behind every cost path (§V-C).
 //!
 //! The paper's simulator charges closed-form latencies per row access;
 //! its §V-C limitation ("integration with DRAMsim3 has been left as
 //! future work") is exactly the gap between that closed form and a
-//! stateful bank FSM. This module makes the choice explicit: a
-//! [`TimingModel`] trait with two implementations selected per device —
+//! stateful bank FSM. One [`TimingModel`] per device shard prices every
+//! DRAM access, and [`TimingBackend`] selects how:
 //!
-//! * [`Analytical`] — the original closed-form math, bit-identical to
-//!   the pre-trait simulator and still the default;
-//! * [`BankFsm`] — a stateful backend built on the promoted
-//!   [`RankSim`]: per-bank open-row tracking, ACT/PRE/RD/WR with
+//! * [`TimingBackend::Analytical`] — the original closed-form math,
+//!   bit-identical to the paper's model and still the default;
+//! * [`TimingBackend::BankFsm`] — closed-page row cycles issued against
+//!   a [`RankSim`]: per-bank open-row tracking, ACT/PRE/RD/WR with
 //!   tRCD/tRP/tRAS/tCCD interlocks, and row-buffer hit/miss accounting.
 //!
 //! The FSM follows the execute-once-and-stall rule: every charge issues
@@ -18,19 +18,21 @@
 //! side-effect-free latency query that could disagree with the state it
 //! mutated. Long charges replay a bounded command prefix and
 //! extrapolate the steady-state tail deterministically, advancing the
-//! FSM clock past the tail so later charges observe it.
+//! FSM clock past the tail so later charges observe it. The commands a
+//! charge issues stay pending until the caller drains them with
+//! [`TimingModel::take_counters`].
 //!
 //! With at least two banks and the default DDR4 parameters, a
 //! [`RowPattern::Streaming`] access pattern (fresh rows round-robin
 //! across banks) never stalls: each closed-page read costs exactly
 //! tRCD + CL = `row_read_ns` and each write tRCD + tWR = `row_write_ns`,
-//! so `BankFsm` agrees with `Analytical` to the last bit at zero
+//! so the FSM agrees with the closed form to the last bit at zero
 //! contention. Under [`RowPattern::Thrashing`] (every access re-opens a
 //! row in one bank) the tRAS + tRP recovery lands on the critical path
 //! and the FSM is strictly slower — the fidelity gap the backend exists
 //! to expose.
 
-use crate::protocol::{ProtocolStats, ProtocolTiming, RankSim};
+use crate::protocol::{ProtocolTiming, RankSim, TimingCounters};
 use crate::timing::DramTiming;
 
 /// Environment variable overriding the configured timing backend
@@ -98,171 +100,198 @@ pub enum RowPattern {
     Thrashing,
 }
 
-/// Cumulative protocol counters a timing backend has issued.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimingCounters {
-    /// ACT commands issued.
-    pub activations: u64,
-    /// PRE commands issued.
-    pub precharges: u64,
-    /// Column reads issued.
-    pub reads: u64,
-    /// Column writes issued.
-    pub writes: u64,
-    /// Column commands that hit an already-open row.
-    pub row_hits: u64,
-    /// Column commands that paid a fresh activation.
-    pub row_misses: u64,
-}
-
-impl TimingCounters {
-    /// Adds `other` into `self`.
-    pub fn merge(&mut self, other: &TimingCounters) {
-        self.activations += other.activations;
-        self.precharges += other.precharges;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-    }
-
-    /// Counters accumulated since `earlier` (a previous snapshot of the
-    /// same backend).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &TimingCounters) -> TimingCounters {
-        TimingCounters {
-            activations: self.activations.saturating_sub(earlier.activations),
-            precharges: self.precharges.saturating_sub(earlier.precharges),
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            row_hits: self.row_hits.saturating_sub(earlier.row_hits),
-            row_misses: self.row_misses.saturating_sub(earlier.row_misses),
-        }
-    }
-
-    /// True when no commands have been counted.
-    pub fn is_empty(&self) -> bool {
-        *self == TimingCounters::default()
-    }
-}
-
-impl From<ProtocolStats> for TimingCounters {
-    fn from(s: ProtocolStats) -> Self {
-        TimingCounters {
-            activations: s.activations,
-            precharges: s.precharges,
-            reads: s.reads,
-            writes: s.writes,
-            row_hits: s.row_hits,
-            row_misses: s.row_misses,
-        }
-    }
-}
-
 /// Counters and achieved bandwidth from one bounded replay of a
 /// host↔device copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CopyReplay {
-    /// Protocol commands the copy issued (extrapolated past the replay
-    /// bound).
+    /// Protocol commands the copy issued (under the bank FSM,
+    /// extrapolated past the replay bound).
     pub counters: TimingCounters,
     /// Achieved streaming bandwidth over the replayed window (GB/s).
     pub achieved_gbs: f64,
 }
 
-/// One pluggable timing backend: every model-layer time charge flows
-/// through exactly one of these per device shard.
+/// One shard's timing model: the closed-form latencies, plus bank state
+/// machines when the backend is [`TimingBackend::BankFsm`].
 ///
 /// All `charge_*` methods return nanoseconds (except
 /// [`TimingModel::charge_host_copy`], which returns milliseconds to
-/// match [`DramTiming::host_copy_ms`]) and follow execute-once-and-stall
-/// semantics: calling them mutates backend state, and the returned time
-/// includes any stalls that state implies. The [`Analytical`] backend is
-/// stateless, so for it the returned times are the paper's closed forms.
-pub trait TimingModel: std::fmt::Debug + Send {
-    /// Which backend this is (used for conditional accounting).
-    fn backend(&self) -> TimingBackend;
+/// match [`DramTiming::host_copy_ms`]). Under the bank FSM they follow
+/// execute-once-and-stall semantics: a charge mutates the bank state,
+/// the time it returns includes any stalls that state implies, and the
+/// commands it issued stay pending until [`TimingModel::take_counters`].
+/// Without the FSM the returned times are the paper's closed forms and
+/// nothing is ever pending.
+#[derive(Debug)]
+pub struct TimingModel {
+    timing: DramTiming,
+    banks: usize,
+    row_bytes: u64,
+    /// Bank state; present exactly under [`TimingBackend::BankFsm`].
+    /// Boxed so the closed-form model stays small: with the state
+    /// inline, a 4-shard device's shard table outgrew glibc's
+    /// thread-cache size classes and the `bulk-sweep` benchmark
+    /// page-faulted 4.5× as often.
+    fsm: Option<Box<BankFsm>>,
+}
+
+/// The live bank state of the FSM backend.
+#[derive(Debug)]
+struct BankFsm {
+    sim: RankSim,
+    /// Next bank of the streaming round-robin.
+    cursor: usize,
+}
+
+impl TimingModel {
+    /// The `backend` timing model over `timing` for a rank with `banks`
+    /// banks and `row_bytes`-byte rows (the latter two shape the bank
+    /// FSM and every copy replay).
+    pub fn new(backend: TimingBackend, timing: &DramTiming, banks: usize, row_bytes: u64) -> Self {
+        let banks = banks.max(1);
+        TimingModel {
+            timing: *timing,
+            banks,
+            row_bytes,
+            fsm: (backend == TimingBackend::BankFsm).then(|| Box::new(BankFsm::new(timing, banks))),
+        }
+    }
 
     /// Charges one lockstep sweep of `reads` full-row reads and
     /// `writes` full-row write-backs.
-    fn charge_rows(&mut self, reads: u64, writes: u64, pattern: RowPattern) -> f64;
+    pub fn charge_rows(&mut self, reads: u64, writes: u64, pattern: RowPattern) -> f64 {
+        match &mut self.fsm {
+            None => {
+                reads as f64 * self.timing.row_read_ns + writes as f64 * self.timing.row_write_ns
+            }
+            Some(f) => {
+                f.run_accesses(reads, false, 0.0, pattern)
+                    + f.run_accesses(writes, true, 0.0, pattern)
+            }
+        }
+    }
 
     /// Charges `reads` full-row reads, each extended by `extra_ns` of
     /// periphery work that overlaps the row cycle (row-wide popcount).
-    fn charge_rows_extra(&mut self, reads: u64, extra_ns: f64, pattern: RowPattern) -> f64;
+    pub fn charge_rows_extra(&mut self, reads: u64, extra_ns: f64, pattern: RowPattern) -> f64 {
+        match &mut self.fsm {
+            None => reads as f64 * (self.timing.row_read_ns + extra_ns),
+            Some(f) => f.run_accesses(reads, false, extra_ns, pattern),
+        }
+    }
 
     /// Charges `pairs` activate–precharge pairs with no column access
     /// (the analog AAP/TRA primitive).
-    fn charge_activate_precharge(&mut self, pairs: u64) -> f64;
+    pub fn charge_activate_precharge(&mut self, pairs: u64) -> f64 {
+        match &mut self.fsm {
+            None => pairs as f64 * (self.timing.t_ras_ns + self.timing.t_rp_ns),
+            Some(f) => f.run_activate_precharge(pairs),
+        }
+    }
 
     /// Charges walker row traffic for the bit-parallel targets:
     /// `rows_in` row reads and `rows_out` row write-backs, each paying a
     /// `gdl_ns` global-data-line crossing on top of the row cycle. The
     /// row counts are integral (they arrive as `f64` from the traffic
     /// model).
-    fn charge_walker_rows(
+    pub fn charge_walker_rows(
         &mut self,
         rows_in: f64,
         rows_out: f64,
         gdl_ns: f64,
         pattern: RowPattern,
-    ) -> f64;
+    ) -> f64 {
+        match &mut self.fsm {
+            None => {
+                rows_in * (self.timing.row_read_ns + gdl_ns)
+                    + rows_out * (gdl_ns + self.timing.row_write_ns)
+            }
+            Some(f) => {
+                f.run_accesses(rows_in as u64, false, gdl_ns, pattern)
+                    + f.run_accesses(rows_out as u64, true, gdl_ns, pattern)
+            }
+        }
+    }
 
     /// Charges a bandwidth-bound burst stream of `bytes` at `gbs` GB/s
     /// (the UPMEM MRAM DMA path). Burst streams are bandwidth-limited in
     /// both backends; the FSM additionally replays a bounded window for
     /// its row-buffer counters.
-    fn charge_burst(&mut self, bytes: f64, gbs: f64) -> f64;
+    pub fn charge_burst(&mut self, bytes: f64, gbs: f64) -> f64 {
+        if let Some(f) = &mut self.fsm {
+            if bytes > 0.0 {
+                f.run_burst(bytes.max(1.0) as u64, self.row_bytes);
+            }
+        }
+        bytes / gbs
+    }
 
     /// Charges one host↔device copy of `bytes` over `ranks` rank
     /// channels, in milliseconds (matches [`DramTiming::host_copy_ms`]).
-    fn charge_host_copy(&mut self, bytes: u64, ranks: usize) -> f64;
+    pub fn charge_host_copy(&self, bytes: u64, ranks: usize) -> f64 {
+        self.timing.host_copy_ms(bytes, ranks)
+    }
 
-    /// Replays one host↔device copy of `bytes` through the bank state
-    /// machines (bounded to [`COPY_REPLAY_MAX_ROWS`] rows) and returns
-    /// its protocol counters. Stateless for [`Analytical`] (a fresh
-    /// rank per call, preserving the historical per-copy trace
-    /// counters); executed against the live state for [`BankFsm`].
-    fn copy_replay(&mut self, bytes: u64) -> CopyReplay;
+    /// Replays one host↔device copy of `bytes` through bank state
+    /// machines (bounded to [`COPY_REPLAY_MAX_ROWS`] rows).
+    ///
+    /// Under the bank FSM the copy always replays against the live
+    /// state, extrapolated to its full length, and its counters stay
+    /// pending like every charge's. Without the FSM the replay is
+    /// advisory: it runs on a fresh rank only when `trace` asks for it,
+    /// and leaves nothing pending.
+    pub fn copy_replay(&mut self, bytes: u64, trace: bool) -> Option<CopyReplay> {
+        match &mut self.fsm {
+            None => trace.then(|| {
+                let mut sim = RankSim::new(ProtocolTiming::from_coarse(&self.timing), self.banks);
+                let (achieved_gbs, _tail) = replay_copy_window(&mut sim, bytes, self.row_bytes);
+                CopyReplay {
+                    counters: sim.take_counters(),
+                    achieved_gbs,
+                }
+            }),
+            Some(f) => {
+                // Callers drain after every charge, so what is pending
+                // after the burst is exactly this copy's commands.
+                debug_assert!(
+                    f.sim.counters().is_empty(),
+                    "undrained charge before a copy"
+                );
+                let achieved_gbs = f.run_burst(bytes, self.row_bytes);
+                Some(CopyReplay {
+                    counters: *f.sim.counters(),
+                    achieved_gbs,
+                })
+            }
+        }
+    }
 
-    /// Epoch boundary: closes every open row and returns the drain time
-    /// in nanoseconds (0 for the stateless backend).
-    fn drain(&mut self) -> f64;
+    /// Drains the commands issued since the last drain (always empty
+    /// without the bank FSM).
+    pub fn take_counters(&mut self) -> TimingCounters {
+        self.fsm
+            .as_mut()
+            .map(|f| f.sim.take_counters())
+            .unwrap_or_default()
+    }
 
-    /// Cumulative protocol counters this backend has issued (all-zero
-    /// for [`Analytical`], whose per-copy replays are advisory and
-    /// transient).
-    fn counters(&self) -> TimingCounters;
-
-    /// Resets all backend state and counters (epoch/statistics reset).
-    fn reset(&mut self);
-}
-
-/// Constructs the backend selected by `backend` for a rank with `banks`
-/// banks and `row_bytes`-byte rows.
-pub fn make_timing_model(
-    backend: TimingBackend,
-    timing: &DramTiming,
-    banks: usize,
-    row_bytes: u64,
-) -> Box<dyn TimingModel> {
-    match backend {
-        TimingBackend::Analytical => Box::new(Analytical::new(timing, banks, row_bytes)),
-        TimingBackend::BankFsm => Box::new(BankFsm::new(timing, banks, row_bytes)),
+    /// Resets the bank state and counters to a fresh rank.
+    pub fn reset(&mut self) {
+        if let Some(f) = &mut self.fsm {
+            **f = BankFsm::new(&self.timing, self.banks);
+        }
     }
 }
 
-/// Replays one streaming copy of `bytes` on `sim` (bounded) and returns
-/// the issued-window stats delta, the achieved bandwidth over the
-/// window, and the number of unreplayed tail rows.
-fn replay_copy_window(sim: &mut RankSim, bytes: u64, row_bytes: u64) -> (ProtocolStats, f64, u64) {
+/// Replays one streaming copy of `bytes` on `sim` (bounded), counting
+/// its commands into `sim`, and returns the achieved bandwidth over the
+/// window and the number of unreplayed tail rows.
+fn replay_copy_window(sim: &mut RankSim, bytes: u64, row_bytes: u64) -> (f64, u64) {
     let bursts = (row_bytes / 64).max(1) as usize;
     let full_rows = bytes.div_ceil(row_bytes).max(1);
     let rows = full_rows.min(COPY_REPLAY_MAX_ROWS as u64) as usize;
-    let before = sim.stats();
     let t0 = sim.now_ns();
     let _ = sim.stream_read_bandwidth(rows, bursts, 64);
-    let after = sim.stats();
     let window_ns = sim.now_ns() - t0;
     let window_bytes = (rows * bursts * 64) as f64;
     let gbs = if window_ns > 0.0 {
@@ -270,139 +299,14 @@ fn replay_copy_window(sim: &mut RankSim, bytes: u64, row_bytes: u64) -> (Protoco
     } else {
         0.0
     };
-    let delta = ProtocolStats {
-        activations: after.activations - before.activations,
-        reads: after.reads - before.reads,
-        writes: after.writes - before.writes,
-        precharges: after.precharges - before.precharges,
-        row_hits: after.row_hits - before.row_hits,
-        row_misses: after.row_misses - before.row_misses,
-        elapsed_ns: window_ns,
-    };
-    (delta, gbs, full_rows - rows as u64)
-}
-
-/// Extends a replayed copy window's counters by `tail_rows` unreplayed
-/// steady-state rows (1 ACT + 1 PRE + `bursts` reads per row, first
-/// read a miss).
-fn extrapolate_copy_counters(c: &mut TimingCounters, tail_rows: u64, row_bytes: u64) {
-    if tail_rows == 0 {
-        return;
-    }
-    let bursts = (row_bytes / 64).max(1);
-    c.activations += tail_rows;
-    c.precharges += tail_rows;
-    c.reads += tail_rows * bursts;
-    c.row_misses += tail_rows;
-    c.row_hits += tail_rows * (bursts - 1);
-}
-
-/// The paper's closed-form timing math, bit-identical to the
-/// pre-[`TimingModel`] simulator. Stateless: charges never interact, so
-/// streaming and thrashing patterns price the same and
-/// [`TimingModel::counters`] stays zero.
-#[derive(Debug, Clone)]
-pub struct Analytical {
-    timing: DramTiming,
-    banks: usize,
-    row_bytes: u64,
-}
-
-impl Analytical {
-    /// Closed-form backend over `timing` for a rank with `banks` banks
-    /// and `row_bytes`-byte rows (the latter two only feed the advisory
-    /// per-copy replay).
-    pub fn new(timing: &DramTiming, banks: usize, row_bytes: u64) -> Self {
-        Analytical {
-            timing: *timing,
-            banks,
-            row_bytes,
-        }
-    }
-}
-
-impl TimingModel for Analytical {
-    fn backend(&self) -> TimingBackend {
-        TimingBackend::Analytical
-    }
-
-    fn charge_rows(&mut self, reads: u64, writes: u64, _pattern: RowPattern) -> f64 {
-        reads as f64 * self.timing.row_read_ns + writes as f64 * self.timing.row_write_ns
-    }
-
-    fn charge_rows_extra(&mut self, reads: u64, extra_ns: f64, _pattern: RowPattern) -> f64 {
-        reads as f64 * (self.timing.row_read_ns + extra_ns)
-    }
-
-    fn charge_activate_precharge(&mut self, pairs: u64) -> f64 {
-        pairs as f64 * (self.timing.t_ras_ns + self.timing.t_rp_ns)
-    }
-
-    fn charge_walker_rows(
-        &mut self,
-        rows_in: f64,
-        rows_out: f64,
-        gdl_ns: f64,
-        _pattern: RowPattern,
-    ) -> f64 {
-        rows_in * (self.timing.row_read_ns + gdl_ns)
-            + rows_out * (gdl_ns + self.timing.row_write_ns)
-    }
-
-    fn charge_burst(&mut self, bytes: f64, gbs: f64) -> f64 {
-        bytes / gbs
-    }
-
-    fn charge_host_copy(&mut self, bytes: u64, ranks: usize) -> f64 {
-        self.timing.host_copy_ms(bytes, ranks)
-    }
-
-    fn copy_replay(&mut self, bytes: u64) -> CopyReplay {
-        // Advisory and transient: a fresh rank per copy, exactly the
-        // historical bounded replay, leaving no state behind.
-        let mut sim = RankSim::new(ProtocolTiming::from_coarse(&self.timing), self.banks);
-        let (delta, gbs, _tail) = replay_copy_window(&mut sim, bytes, self.row_bytes);
-        CopyReplay {
-            counters: delta.into(),
-            achieved_gbs: gbs,
-        }
-    }
-
-    fn drain(&mut self) -> f64 {
-        0.0
-    }
-
-    fn counters(&self) -> TimingCounters {
-        TimingCounters::default()
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// The stateful bank-FSM backend: every charge issues closed-page row
-/// cycles (or bounded burst replays) against one [`RankSim`] and prices
-/// the stalls its interlocks impose.
-#[derive(Debug)]
-pub struct BankFsm {
-    sim: RankSim,
-    timing: DramTiming,
-    banks: usize,
-    row_bytes: u64,
-    cursor: usize,
-    counters: TimingCounters,
+    (gbs, full_rows - rows as u64)
 }
 
 impl BankFsm {
-    /// Stateful backend over `timing` for a rank with `banks` banks and
-    /// `row_bytes`-byte rows.
-    pub fn new(timing: &DramTiming, banks: usize, row_bytes: u64) -> Self {
+    fn new(timing: &DramTiming, banks: usize) -> Self {
         BankFsm {
-            sim: RankSim::new(ProtocolTiming::from_coarse(timing), banks.max(1)),
-            timing: *timing,
-            banks: banks.max(1),
-            row_bytes,
+            sim: RankSim::new(ProtocolTiming::from_coarse(timing), banks),
             cursor: 0,
-            counters: TimingCounters::default(),
         }
     }
 
@@ -410,7 +314,7 @@ impl BankFsm {
         match pattern {
             RowPattern::Streaming => {
                 let b = self.cursor;
-                self.cursor = (self.cursor + 1) % self.banks;
+                self.cursor = (self.cursor + 1) % self.sim.banks();
                 b
             }
             RowPattern::Thrashing => 0,
@@ -424,7 +328,6 @@ impl BankFsm {
             return 0.0;
         }
         let replay = n.min(ROW_REPLAY_CAP);
-        let before = self.sim.stats();
         let mut elapsed = 0.0;
         let mut last = 0.0;
         for _ in 0..replay {
@@ -435,70 +338,28 @@ impl BankFsm {
                 .expect("bank cursor stays in range");
             elapsed += last;
         }
-        let mut delta: TimingCounters =
-            TimingCounters::from(self.sim.stats()).delta_since(&TimingCounters::from(before));
         let tail = n - replay;
         if tail > 0 {
-            // Steady state: every further access repeats the last delta.
+            // Steady state: every further access repeats the last one.
             let tail_ns = tail as f64 * last;
             self.sim.advance(tail_ns);
             elapsed += tail_ns;
-            delta.activations += tail;
-            delta.precharges += tail;
-            delta.row_misses += tail;
+            let c = &mut self.sim.counters;
+            c.activations += tail;
+            c.precharges += tail;
+            c.row_misses += tail;
             if write {
-                delta.writes += tail;
+                c.writes += tail;
             } else {
-                delta.reads += tail;
+                c.reads += tail;
             }
         }
-        self.counters.merge(&delta);
         elapsed
     }
 
-    /// Runs one bounded burst replay against the live state and
-    /// accounts its (extrapolated) counters. Returns the achieved
-    /// bandwidth over the replayed window.
-    fn account_burst(&mut self, bytes: u64) -> CopyReplay {
-        let (delta, gbs, tail_rows) = replay_copy_window(&mut self.sim, bytes, self.row_bytes);
-        let mut counters = TimingCounters::from(delta);
-        extrapolate_copy_counters(&mut counters, tail_rows, self.row_bytes);
-        self.counters.merge(&counters);
-        // The real transfer lasts far longer than the replayed window;
-        // by the time it completes every bank has recovered. Close the
-        // replay's open rows and settle past all recoveries so the next
-        // row charge starts from a quiescent rank.
-        self.sim.drain_open_rows();
-        let settle = self
-            .sim
-            .bank_snapshots()
-            .iter()
-            .map(|b| b.ready_at_ns)
-            .fold(0.0f64, f64::max)
-            - self.sim.now_ns();
-        self.sim.advance(settle);
-        CopyReplay {
-            counters,
-            achieved_gbs: gbs,
-        }
-    }
-}
-
-impl TimingModel for BankFsm {
-    fn backend(&self) -> TimingBackend {
-        TimingBackend::BankFsm
-    }
-
-    fn charge_rows(&mut self, reads: u64, writes: u64, pattern: RowPattern) -> f64 {
-        self.run_accesses(reads, false, 0.0, pattern)
-            + self.run_accesses(writes, true, 0.0, pattern)
-    }
-
-    fn charge_rows_extra(&mut self, reads: u64, extra_ns: f64, pattern: RowPattern) -> f64 {
-        self.run_accesses(reads, false, extra_ns, pattern)
-    }
-
-    fn charge_activate_precharge(&mut self, pairs: u64) -> f64 {
+    /// Issues `pairs` activate–precharge pairs round-robin (bounded
+    /// replay + extrapolated tail) and returns the elapsed time.
+    fn run_activate_precharge(&mut self, pairs: u64) -> f64 {
         if pairs == 0 {
             return 0.0;
         }
@@ -518,52 +379,40 @@ impl TimingModel for BankFsm {
             let tail_ns = tail as f64 * last;
             self.sim.advance(tail_ns);
             elapsed += tail_ns;
+            self.sim.counters.activations += tail;
+            self.sim.counters.precharges += tail;
         }
-        self.counters.activations += pairs;
-        self.counters.precharges += pairs;
         elapsed
     }
 
-    fn charge_walker_rows(
-        &mut self,
-        rows_in: f64,
-        rows_out: f64,
-        gdl_ns: f64,
-        pattern: RowPattern,
-    ) -> f64 {
-        self.run_accesses(rows_in as u64, false, gdl_ns, pattern)
-            + self.run_accesses(rows_out as u64, true, gdl_ns, pattern)
-    }
-
-    fn charge_burst(&mut self, bytes: f64, gbs: f64) -> f64 {
-        if bytes > 0.0 {
-            self.account_burst(bytes.max(1.0) as u64);
-        }
-        // Burst DMA is bandwidth-bound in both backends; the replay
-        // above only feeds the row-buffer counters.
-        bytes / gbs
-    }
-
-    fn charge_host_copy(&mut self, bytes: u64, ranks: usize) -> f64 {
-        self.timing.host_copy_ms(bytes, ranks)
-    }
-
-    fn copy_replay(&mut self, bytes: u64) -> CopyReplay {
-        self.account_burst(bytes)
-    }
-
-    fn drain(&mut self) -> f64 {
-        self.sim.drain_open_rows()
-    }
-
-    fn counters(&self) -> TimingCounters {
-        self.counters
-    }
-
-    fn reset(&mut self) {
-        self.sim = RankSim::new(ProtocolTiming::from_coarse(&self.timing), self.banks);
-        self.cursor = 0;
-        self.counters = TimingCounters::default();
+    /// Runs one bounded burst replay against the live state, extends
+    /// its counters by the unreplayed steady-state rows (1 ACT + 1 PRE +
+    /// one read per 64-byte burst each, the first read a miss), and
+    /// leaves the rank quiescent. Returns the achieved bandwidth over
+    /// the replayed window.
+    fn run_burst(&mut self, bytes: u64, row_bytes: u64) -> f64 {
+        let (gbs, tail_rows) = replay_copy_window(&mut self.sim, bytes, row_bytes);
+        let bursts = (row_bytes / 64).max(1);
+        let c = &mut self.sim.counters;
+        c.activations += tail_rows;
+        c.precharges += tail_rows;
+        c.reads += tail_rows * bursts;
+        c.row_misses += tail_rows;
+        c.row_hits += tail_rows * (bursts - 1);
+        // The real transfer lasts far longer than the replayed window;
+        // by the time it completes every bank has recovered. Close the
+        // replay's open rows and settle past all recoveries so the next
+        // row charge starts from a quiescent rank.
+        self.sim.drain_open_rows();
+        let settle = self
+            .sim
+            .bank_snapshots()
+            .iter()
+            .map(|b| b.ready_at_ns)
+            .fold(0.0f64, f64::max)
+            - self.sim.now_ns();
+        self.sim.advance(settle);
+        gbs
     }
 }
 
@@ -571,9 +420,12 @@ impl TimingModel for BankFsm {
 mod tests {
     use super::*;
 
-    fn pair() -> (Analytical, BankFsm) {
+    fn pair() -> (TimingModel, TimingModel) {
         let t = DramTiming::ddr4_default();
-        (Analytical::new(&t, 16, 1024), BankFsm::new(&t, 16, 1024))
+        (
+            TimingModel::new(TimingBackend::Analytical, &t, 16, 1024),
+            TimingModel::new(TimingBackend::BankFsm, &t, 16, 1024),
+        )
     }
 
     #[test]
@@ -636,13 +488,14 @@ mod tests {
     fn fsm_counts_rows_and_copies() {
         let (_, mut f) = pair();
         f.charge_rows(10, 5, RowPattern::Streaming);
-        let replay = f.copy_replay(64 * 1024);
+        let rows = f.take_counters();
+        assert_eq!((rows.reads, rows.writes, rows.row_misses), (10, 5, 15));
+        let replay = f
+            .copy_replay(64 * 1024, false)
+            .expect("the FSM replays every copy");
         assert!(replay.counters.row_hits > 0, "burst reads hit open rows");
         assert!(replay.achieved_gbs > 0.0);
-        let c = f.counters();
-        assert_eq!(c.reads, 10 + replay.counters.reads);
-        assert_eq!(c.writes, 5);
-        assert_eq!(c.row_misses, 15 + replay.counters.row_misses);
+        assert_eq!(f.take_counters(), replay.counters);
         // 64 KiB in 1 KiB rows = 64 rows, extrapolated past the 32-row
         // replay window.
         assert_eq!(replay.counters.activations, 64);
@@ -653,7 +506,8 @@ mod tests {
         // A row charge right after a copy must not inherit stalls from
         // the replay window (the real transfer outlasts every recovery).
         let (mut a, mut f) = pair();
-        f.copy_replay(1 << 20);
+        f.copy_replay(1 << 20, false);
+        f.take_counters();
         assert_eq!(
             a.charge_rows(4, 0, RowPattern::Streaming),
             f.charge_rows(4, 0, RowPattern::Streaming)
@@ -663,24 +517,65 @@ mod tests {
     #[test]
     fn analytical_keeps_no_state() {
         let (mut a, _) = pair();
-        let replay = a.copy_replay(1 << 20);
+        let replay = a.copy_replay(1 << 20, true).expect("traced copies replay");
         assert!(replay.counters.activations > 0);
-        assert!(a.counters().is_empty());
-        assert_eq!(a.drain(), 0.0);
+        assert!(a.take_counters().is_empty());
+        assert_eq!(a.copy_replay(1 << 20, false), None);
     }
 
     #[test]
     fn reset_restores_a_fresh_fsm() {
         let (_, mut f) = pair();
         f.charge_rows(100, 100, RowPattern::Thrashing);
-        assert!(!f.counters().is_empty());
         f.reset();
-        assert!(f.counters().is_empty());
+        assert!(f.take_counters().is_empty());
         let t = DramTiming::ddr4_default();
         assert_eq!(
-            f.charge_rows(8, 8, RowPattern::Streaming),
-            8.0 * t.row_read_ns + 8.0 * t.row_write_ns
+            f.charge_rows(8, 8, RowPattern::Thrashing),
+            TimingModel::new(TimingBackend::BankFsm, &t, 16, 1024).charge_rows(
+                8,
+                8,
+                RowPattern::Thrashing
+            )
         );
+    }
+
+    #[test]
+    fn one_drain_equals_the_sum_of_per_charge_drains() {
+        // A copy first (it expects nothing pending), then one charge of
+        // every other kind, on a thrashed and a streamed bank pattern.
+        let charges: [&dyn Fn(&mut TimingModel); 6] = [
+            &|m| {
+                m.copy_replay(100 * 1024, false);
+            },
+            &|m| {
+                m.charge_rows(5000, 300, RowPattern::Thrashing);
+            },
+            &|m| {
+                m.charge_rows_extra(70, 2.0, RowPattern::Streaming);
+            },
+            &|m| {
+                m.charge_activate_precharge(5000);
+            },
+            &|m| {
+                m.charge_walker_rows(9.0, 4.0, 192.0, RowPattern::Thrashing);
+            },
+            &|m| {
+                m.charge_burst(80_000.0, 25.6);
+            },
+        ];
+        let (_, mut each) = pair();
+        let (_, mut once) = pair();
+        let mut sum = TimingCounters::default();
+        for charge in charges {
+            charge(&mut each);
+            let drained = each.take_counters();
+            assert!(!drained.is_empty());
+            sum.merge(&drained);
+            charge(&mut once);
+        }
+        assert_eq!(once.take_counters(), sum);
+        assert!(once.take_counters().is_empty(), "a second drain is empty");
     }
 
     #[test]
