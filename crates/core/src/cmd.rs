@@ -9,6 +9,9 @@
 //!
 //! The deferred recorder and its optimizer live in [`crate::stream`].
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
 use pim_dram::exec;
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
@@ -31,7 +34,7 @@ pub struct PimCommand {
     /// The operation.
     pub kind: OpKind,
     /// Objects read, in operand order.
-    pub inputs: Vec<ObjId>,
+    pub inputs: Inputs,
     /// Object written, if the operation produces one.
     pub dst: Option<ObjId>,
 }
@@ -41,7 +44,7 @@ impl PimCommand {
     pub fn elementwise1(kind: OpKind, a: ObjId, dst: ObjId) -> PimCommand {
         PimCommand {
             kind,
-            inputs: vec![a],
+            inputs: Inputs::from(&[a][..]),
             dst: Some(dst),
         }
     }
@@ -50,7 +53,7 @@ impl PimCommand {
     pub fn elementwise2(kind: OpKind, a: ObjId, b: ObjId, dst: ObjId) -> PimCommand {
         PimCommand {
             kind,
-            inputs: vec![a, b],
+            inputs: Inputs::from(&[a, b][..]),
             dst: Some(dst),
         }
     }
@@ -59,7 +62,7 @@ impl PimCommand {
     pub fn select(cond: ObjId, a: ObjId, b: ObjId, dst: ObjId) -> PimCommand {
         PimCommand {
             kind: OpKind::Select,
-            inputs: vec![cond, a, b],
+            inputs: Inputs::from(&[cond, a, b][..]),
             dst: Some(dst),
         }
     }
@@ -75,7 +78,7 @@ impl PimCommand {
     ) -> PimCommand {
         PimCommand {
             kind: OpKind::FusedCmpSelect(op),
-            inputs: vec![a, b, x, y],
+            inputs: Inputs::from(&[a, b, x, y][..]),
             dst: Some(dst),
         }
     }
@@ -84,7 +87,7 @@ impl PimCommand {
     pub fn scaled_add(a: ObjId, b: ObjId, dst: ObjId, k: i64) -> PimCommand {
         PimCommand {
             kind: OpKind::ScaledAdd(k),
-            inputs: vec![a, b],
+            inputs: Inputs::from(&[a, b][..]),
             dst: Some(dst),
         }
     }
@@ -93,7 +96,7 @@ impl PimCommand {
     pub fn broadcast(dst: ObjId, value: i64) -> PimCommand {
         PimCommand {
             kind: OpKind::Broadcast(value),
-            inputs: vec![],
+            inputs: Inputs::from(&[][..]),
             dst: Some(dst),
         }
     }
@@ -102,7 +105,7 @@ impl PimCommand {
     pub fn copy(src: ObjId, dst: ObjId) -> PimCommand {
         PimCommand {
             kind: OpKind::Copy,
-            inputs: vec![src],
+            inputs: Inputs::from(&[src][..]),
             dst: Some(dst),
         }
     }
@@ -111,9 +114,74 @@ impl PimCommand {
     pub fn reduce(kind: OpKind, a: ObjId) -> PimCommand {
         PimCommand {
             kind,
-            inputs: vec![a],
+            inputs: Inputs::from(&[a][..]),
             dst: None,
         }
+    }
+}
+
+/// A command's input objects, held inline: no command reads more than
+/// [`Inputs::CAP`] objects, so building a command allocates nothing.
+/// Dereferences to the slice of ids in operand order.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Inputs {
+    /// The ids; slots past `len` stay `ObjId(0)`, so the derived
+    /// comparisons see only the operands.
+    ids: [ObjId; Inputs::CAP],
+    len: u8,
+}
+
+impl Inputs {
+    /// The most inputs any [`OpKind`] reads (`FusedCmpSelect`).
+    pub const CAP: usize = 4;
+}
+
+impl From<&[ObjId]> for Inputs {
+    /// # Panics
+    ///
+    /// If `ids` holds more than [`Inputs::CAP`] objects.
+    fn from(ids: &[ObjId]) -> Inputs {
+        assert!(
+            ids.len() <= Inputs::CAP,
+            "a command reads at most {} objects, got {}",
+            Inputs::CAP,
+            ids.len()
+        );
+        let mut inputs = Inputs {
+            ids: [ObjId(0); Inputs::CAP],
+            len: ids.len() as u8,
+        };
+        inputs.ids[..ids.len()].copy_from_slice(ids);
+        inputs
+    }
+}
+
+impl Deref for Inputs {
+    type Target = [ObjId];
+
+    fn deref(&self) -> &[ObjId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Inputs {
+    fn deref_mut(&mut self) -> &mut [ObjId] {
+        &mut self.ids[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Inputs {
+    type Item = &'a ObjId;
+    type IntoIter = std::slice::Iter<'a, ObjId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Inputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

@@ -27,10 +27,9 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::model::{self, OpCost};
 use crate::object::{ObjId, ObjectLayout, PimObject};
 use crate::ops::OpKind;
-use crate::resource::ResourceManager;
 use crate::stats::SimStats;
 use crate::stream::{CommandStream, FlushSummary};
-use crate::system::PimSystem;
+use crate::system::{Operands, PimSystem, Slot};
 use crate::trace::{
     CopyDirection, InterconnectKind, TraceEvent, TraceSink, Tracer, DEFAULT_RECORDER_CAPACITY,
 };
@@ -145,8 +144,9 @@ impl Device {
         &self.config
     }
 
-    /// The sharded execution substrate: per-object shard maps, the
-    /// resource catalog, and the interconnect model.
+    /// The sharded execution substrate: the object table (with every
+    /// object's shard map), the row accounting, and the interconnect
+    /// model.
     pub fn system(&self) -> &PimSystem {
         &self.system
     }
@@ -171,14 +171,9 @@ impl Device {
         self.config.timing_backend
     }
 
-    /// The metadata catalog (authoritative global layouts).
-    fn rm(&self) -> &ResourceManager {
-        self.system.meta()
-    }
-
     /// Refreshes the resource snapshot in [`SimStats`] from the system.
     fn sync_resources(&mut self) {
-        self.stats.resources = self.system.resource_stats();
+        self.system.resource_stats_into(&mut self.stats.resources);
     }
 
     /// Renders the artifact-style statistics report.
@@ -321,10 +316,9 @@ impl Device {
     ///
     /// [`PimError::OutOfMemory`] or [`PimError::InvalidArg`].
     pub fn alloc(&mut self, count: u64, dtype: DataType) -> Result<ObjId> {
-        let id = self.system.alloc(&self.config, count, dtype, None)?;
-        self.emit_alloc(id);
-        self.sync_resources();
-        Ok(id)
+        let obj = self.system.alloc(&self.config, count, dtype, None)?;
+        self.allocated(&obj);
+        Ok(obj.id)
     }
 
     /// Allocates an object associated with `reference`
@@ -335,36 +329,35 @@ impl Device {
     ///
     /// [`PimError::UnknownObject`], [`PimError::OutOfMemory`].
     pub fn alloc_associated(&mut self, reference: ObjId, dtype: DataType) -> Result<ObjId> {
-        let (count, cores) = {
-            let obj = self.rm().get(reference)?;
-            (obj.count, obj.layout.cores_used)
-        };
-        let id = self.system.alloc(&self.config, count, dtype, Some(cores))?;
-        self.emit_alloc(id);
-        self.sync_resources();
-        Ok(id)
+        let obj = self
+            .system
+            .alloc_associated(&self.config, reference, dtype)?;
+        self.allocated(&obj);
+        Ok(obj.id)
     }
 
-    fn emit_alloc(&mut self, id: ObjId) {
-        if let Ok(obj) = self.rm().get(id) {
-            pim_debug!(
-                "alloc {id}: {} x {} on {} cores",
-                obj.count,
-                obj.dtype,
-                obj.layout.cores_used
-            );
-            if self.tracer.enabled() {
-                let event = TraceEvent::Alloc {
-                    at_ms: self.clock_ms,
-                    id: id.0,
-                    count: obj.count,
-                    dtype: obj.dtype.short_name().to_string(),
-                    cores_used: obj.layout.cores_used,
-                    rows_per_core: obj.layout.rows_per_core,
-                };
-                self.tracer.emit(event);
-            }
+    /// Logs and traces a fresh allocation and refreshes the resource
+    /// snapshot.
+    fn allocated(&mut self, obj: &PimObject) {
+        pim_debug!(
+            "alloc {}: {} x {} on {} cores",
+            obj.id,
+            obj.count,
+            obj.dtype,
+            obj.layout.cores_used
+        );
+        if self.tracer.enabled() {
+            let event = TraceEvent::Alloc {
+                at_ms: self.clock_ms,
+                id: obj.id.0,
+                count: obj.count,
+                dtype: obj.dtype.short_name().to_string(),
+                cores_used: obj.layout.cores_used,
+                rows_per_core: obj.layout.rows_per_core,
+            };
+            self.tracer.emit(event);
         }
+        self.sync_resources();
     }
 
     /// Allocates and initializes from a host slice in one call.
@@ -398,7 +391,7 @@ impl Device {
     ///
     /// [`PimError::UnknownObject`].
     pub fn object(&self, id: ObjId) -> Result<&PimObject> {
-        self.rm().get(id)
+        self.system.object(id)
     }
 
     // ------------------------------------------------------------------
@@ -407,7 +400,7 @@ impl Device {
 
     /// Prices one host↔device copy through the holders' timing models
     /// and charges it, then the interconnect scatter or gather it implies.
-    fn charge_copy(&mut self, obj: ObjId, bytes: u64, direction: CopyDirection) {
+    fn charge_copy(&mut self, obj: Slot, bytes: u64, direction: CopyDirection) {
         // Under decimation the functional buffer stands for `decimation`
         // times as much paper-scale data; charge transfer time/energy for
         // the represented bytes (recorded byte counts stay functional).
@@ -464,9 +457,9 @@ impl Device {
     /// object's element count; [`PimError::DTypeMismatch`] if `T` does not
     /// match the object's dtype.
     pub fn copy_to_device<T: PimScalar>(&mut self, data: &[T], id: ObjId) -> Result<()> {
-        let bytes = self.check_host_buffer::<T>(id, data.len())?;
-        self.system.scatter_to_device(data, id, T::DTYPE)?;
-        self.charge_copy(id, bytes, CopyDirection::HostToDevice);
+        let (slot, bytes) = self.check_host_buffer::<T>(id, data.len())?;
+        self.system.scatter_to_device(data, slot, T::DTYPE);
+        self.charge_copy(slot, bytes, CopyDirection::HostToDevice);
         Ok(())
     }
 
@@ -477,16 +470,17 @@ impl Device {
     /// As [`Device::copy_to_device`]; additionally
     /// [`PimError::NotSupported`] in model-only mode.
     pub fn copy_to_host<T: PimScalar>(&mut self, id: ObjId, out: &mut [T]) -> Result<()> {
-        let bytes = self.check_host_buffer::<T>(id, out.len())?;
-        self.system.gather_to_host(id, out)?;
-        self.charge_copy(id, bytes, CopyDirection::DeviceToHost);
+        let (slot, bytes) = self.check_host_buffer::<T>(id, out.len())?;
+        self.system.gather_to_host(slot, out)?;
+        self.charge_copy(slot, bytes, CopyDirection::DeviceToHost);
         Ok(())
     }
 
     /// Checks a host buffer of `len` elements of `T` against object `id`
-    /// and returns the object's size in bytes.
-    fn check_host_buffer<T: PimScalar>(&self, id: ObjId, len: usize) -> Result<u64> {
-        let obj = self.rm().get(id)?;
+    /// and returns the object's slot and size in bytes.
+    fn check_host_buffer<T: PimScalar>(&self, id: ObjId, len: usize) -> Result<(Slot, u64)> {
+        let slot = self.system.slot(id).ok_or(PimError::UnknownObject(id))?;
+        let obj = self.system.get(slot);
         if len as u64 != obj.count {
             return Err(PimError::CountMismatch {
                 expected: obj.count,
@@ -499,7 +493,7 @@ impl Device {
                 actual: T::DTYPE,
             });
         }
-        Ok(obj.bytes())
+        Ok((slot, obj.bytes()))
     }
 
     /// Convenience: copies an object out into a fresh `Vec`.
@@ -508,7 +502,7 @@ impl Device {
     ///
     /// See [`Device::copy_to_host`].
     pub fn to_vec<T: PimScalar>(&mut self, id: ObjId) -> Result<Vec<T>> {
-        let count = self.rm().get(id)?.count as usize;
+        let count = self.object(id)?.count as usize;
         let mut out = vec![T::from_device(0); count];
         self.copy_to_host(id, &mut out)?;
         Ok(out)
@@ -528,32 +522,12 @@ impl Device {
     // Internal plumbing
     // ------------------------------------------------------------------
 
-    fn check_pair(&self, a: ObjId, b: ObjId) -> Result<()> {
-        let (oa, ob) = (self.rm().get(a)?, self.rm().get(b)?);
-        if oa.count != ob.count {
-            return Err(PimError::CountMismatch {
-                expected: oa.count,
-                actual: ob.count,
-            });
-        }
-        if oa.dtype != ob.dtype {
-            return Err(PimError::DTypeMismatch {
-                expected: oa.dtype,
-                actual: ob.dtype,
-            });
-        }
-        Ok(())
-    }
-
-    /// Prices `kind` on `costed` through the holders' timing models
-    /// and charges it. `covered` scales the cost to the fraction of
-    /// elements a ranged reduction spans; such a charge carries no
-    /// microcode counters.
-    fn charge_op(&mut self, kind: OpKind, costed: ObjId, covered: Option<f64>) -> Result<()> {
-        let (dtype, layout) = {
-            let obj = self.rm().get(costed)?;
-            (obj.dtype, obj.layout)
-        };
+    /// Prices `kind` on the object at `costed` through the holders'
+    /// timing models and charges it. `covered` scales the cost to the
+    /// fraction of elements a ranged reduction spans; such a charge
+    /// carries no microcode counters.
+    fn charge_op(&mut self, kind: OpKind, costed: Slot, covered: Option<f64>) {
+        let PimObject { dtype, layout, .. } = *self.system.get(costed);
         let config = &self.config;
         let (full, dram) = self.system.price_with_backends(costed, |tm| {
             model::op_cost_with(config, tm, kind, dtype, &layout)
@@ -574,7 +548,6 @@ impl Device {
             micro: covered.is_none(),
             dram,
         });
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -612,9 +585,9 @@ impl Device {
     /// Validation errors (arity, unknown objects, count/dtype mismatches,
     /// layout requirements) before anything executes.
     pub fn issue(&mut self, command: PimCommand) -> Result<CmdValue> {
-        self.validate_cmd(&command)?;
-        let value = self.exec_cmd(&command)?;
-        self.charge_cmd(&command)?;
+        let ops = self.validate_cmd(&command)?;
+        let value = self.exec_cmd(&command, &ops);
+        self.charge_cmd(&command, &ops);
         Ok(value)
     }
 
@@ -628,8 +601,10 @@ impl Device {
     /// Checks a command's shape against its [`OpKind`] contract and its
     /// operands against each other, in the same order the eager methods
     /// historically reported errors; finally asks the target model to
-    /// validate layout requirements on the costed object.
-    pub(crate) fn validate_cmd(&self, command: &PimCommand) -> Result<()> {
+    /// validate layout requirements on the costed object. Every operand
+    /// is resolved against the object table once, here; execution and
+    /// charging use the returned slots.
+    pub(crate) fn validate_cmd(&self, command: &PimCommand) -> Result<Operands> {
         let kind = command.kind;
         if command.inputs.len() != kind.input_operands() as usize {
             return Err(PimError::InvalidArg(format!(
@@ -648,44 +623,71 @@ impl Device {
                 }
             )));
         }
-        match kind {
+        let sys = &self.system;
+        let slots: [Option<Slot>; 4] =
+            std::array::from_fn(|k| command.inputs.get(k).and_then(|&id| sys.slot(id)));
+        let dst_slot = command.dst.and_then(|id| sys.slot(id));
+        // An unknown operand errors where the checks below first read it.
+        let live = |id: ObjId, slot: Option<Slot>| {
+            slot.map(|s| sys.get(s)).ok_or(PimError::UnknownObject(id))
+        };
+        let input = |k: usize| live(command.inputs[k], slots[k]);
+        let dst = || live(command.dst.expect("checked above"), dst_slot);
+        let pair = |a: &PimObject, b: &PimObject| {
+            if a.count != b.count {
+                return Err(PimError::CountMismatch {
+                    expected: a.count,
+                    actual: b.count,
+                });
+            }
+            if a.dtype != b.dtype {
+                return Err(PimError::DTypeMismatch {
+                    expected: a.dtype,
+                    actual: b.dtype,
+                });
+            }
+            Ok(())
+        };
+        let costed = match kind {
             OpKind::Select => {
-                let (cond, a) = (command.inputs[0], command.inputs[1]);
-                self.check_pair(a, command.inputs[2])?;
-                self.check_pair(a, command.dst.expect("checked above"))?;
-                let c_count = self.rm().get(cond)?.count;
-                let a_count = self.rm().get(a)?.count;
-                if c_count != a_count {
+                let a = input(1)?;
+                pair(a, input(2)?)?;
+                let d = dst()?;
+                pair(a, d)?;
+                let c_count = input(0)?.count;
+                if c_count != a.count {
                     return Err(PimError::CountMismatch {
-                        expected: a_count,
+                        expected: a.count,
                         actual: c_count,
                     });
                 }
+                d
             }
             OpKind::FusedCmpSelect(_) => {
-                let (a, x) = (command.inputs[0], command.inputs[2]);
-                self.check_pair(a, command.inputs[1])?;
-                self.check_pair(x, command.inputs[3])?;
-                self.check_pair(x, command.dst.expect("checked above"))?;
-                self.check_pair(a, x)?;
+                let (a, x) = (input(0)?, input(1)?);
+                pair(a, x)?;
+                let x = input(2)?;
+                pair(x, input(3)?)?;
+                let d = dst()?;
+                pair(x, d)?;
+                pair(a, x)?;
+                d
             }
-            OpKind::Broadcast(_) => {
-                self.rm().get(command.dst.expect("checked above"))?;
-            }
-            OpKind::RedSum | OpKind::RedMin | OpKind::RedMax => {
-                self.rm().get(command.inputs[0])?;
-            }
-            _ if command.inputs.len() == 2 => {
-                self.check_pair(command.inputs[0], command.inputs[1])?;
-                self.check_pair(command.inputs[0], command.dst.expect("checked above"))?;
-            }
+            OpKind::Broadcast(_) => dst()?,
+            OpKind::RedSum | OpKind::RedMin | OpKind::RedMax => input(0)?,
             _ => {
-                self.check_pair(command.inputs[0], command.dst.expect("checked above"))?;
+                let a = input(0)?;
+                if command.inputs.len() == 2 {
+                    pair(a, input(1)?)?;
+                }
+                let d = dst()?;
+                pair(a, d)?;
+                d
             }
-        }
-        let costed = command.dst.unwrap_or_else(|| command.inputs[0]);
-        let obj = self.rm().get(costed)?;
-        model::validate(self.config.target, kind, obj.dtype, &obj.layout)
+        };
+        model::validate(self.config.target, kind, costed.dtype, &costed.layout)?;
+        // Every arm above read every operand, so all of them are live.
+        Ok(Operands::new(slots, command.inputs.len(), dst_slot))
     }
 
     /// Runs a validated command's functional semantics (a no-op for
@@ -694,54 +696,47 @@ impl Device {
     /// partials in ascending global element order; operands whose map
     /// differs from the destination's are realigned through the
     /// interconnect first.
-    pub(crate) fn exec_cmd(&mut self, command: &PimCommand) -> Result<CmdValue> {
+    pub(crate) fn exec_cmd(&mut self, command: &PimCommand, ops: &Operands) -> CmdValue {
+        let sys = &mut self.system;
         match command.kind {
             OpKind::RedSum => {
-                let a = command.inputs[0];
-                let dtype = self.rm().get(a)?.dtype;
-                Ok(CmdValue::Wide(self.system.red_sum(a, dtype)?))
+                let a = ops.inputs()[0];
+                CmdValue::Wide(sys.red_sum(a, sys.get(a).dtype))
             }
             OpKind::RedMin | OpKind::RedMax => {
-                let a = command.inputs[0];
-                let dtype = self.rm().get(a)?.dtype;
+                let a = ops.inputs()[0];
                 let want_min = command.kind == OpKind::RedMin;
-                Ok(CmdValue::Int(self.system.red_extreme(a, dtype, want_min)?))
+                CmdValue::Int(sys.red_extreme(a, sys.get(a).dtype, want_min))
             }
             OpKind::Copy => {
-                let src = command.inputs[0];
-                let dst = command.dst.expect("copy writes");
-                let realigned = self.system.copy_data(src, dst)?;
+                let dst = ops.dst.expect("copy writes");
+                let realigned = sys.copy_data(ops.inputs()[0], dst);
                 self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
-                Ok(CmdValue::Unit)
+                CmdValue::Unit
             }
             OpKind::Broadcast(value) => {
-                let dst = command.dst.expect("broadcast writes");
-                let dtype = self.rm().get(dst)?.dtype;
-                self.system.broadcast_value(dst, value, dtype)?;
-                Ok(CmdValue::Unit)
+                let dst = ops.dst.expect("broadcast writes");
+                sys.broadcast_value(dst, value, sys.get(dst).dtype);
+                CmdValue::Unit
             }
             kind => {
-                let dst = command.dst.expect("element-wise commands write");
-                let dtype = self.rm().get(dst)?.dtype;
-                let realigned = self
-                    .system
-                    .exec_elementwise(kind, dtype, &command.inputs, dst)?;
+                let dst = ops.dst.expect("element-wise commands write");
+                let dtype = sys.get(dst).dtype;
+                let realigned = sys.exec_elementwise(kind, dtype, ops.inputs(), dst);
                 self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
-                Ok(CmdValue::Unit)
+                CmdValue::Unit
             }
         }
     }
 
     /// Charges a validated command to the cost model, the statistics
     /// engine, and the trace.
-    pub(crate) fn charge_cmd(&mut self, command: &PimCommand) -> Result<()> {
-        let costed = command.dst.unwrap_or_else(|| command.inputs[0]);
-        self.charge_op(command.kind, costed, None)?;
+    pub(crate) fn charge_cmd(&mut self, command: &PimCommand, ops: &Operands) {
+        self.charge_op(command.kind, ops.costed(), None);
         if command.kind == OpKind::Copy {
             // The copy's time is the command's; the copy ledger counts
             // its bytes.
-            let src = command.inputs[0];
-            let bytes = self.rm().get(src)?.bytes();
+            let bytes = self.system.get(ops.inputs()[0]).bytes();
             self.charge(Charge::Copy {
                 direction: CopyDirection::DeviceToDevice,
                 bytes,
@@ -757,12 +752,11 @@ impl Device {
         {
             // Each shard ships one reduction partial to the host for
             // the final combine.
-            let dtype = self.rm().get(command.inputs[0])?.dtype;
+            let dtype = self.system.get(ops.inputs()[0]).dtype;
             let per = (dtype.bits() as u64 / 8).max(1);
             let total = self.system.shard_count() as u64 * per;
             self.charge_interconnect(InterconnectKind::Combine, per, total);
         }
-        Ok(())
     }
 
     /// Charges one stream flush's optimizer counters.
@@ -836,12 +830,14 @@ impl Device {
                     energy_mj,
                     protocol: replay,
                 });
-                let label = direction.label();
-                pim_debug!("copy {label}: {bytes} bytes in {time_ms:.6} ms");
+                pim_debug!(
+                    "copy {}: {bytes} bytes in {time_ms:.6} ms",
+                    direction.label()
+                );
                 self.stats.dram_protocol.merge(&dram);
                 self.stats.record_copy(bytes, direction, time_ms, energy_mj);
                 if let Some(m) = metrics {
-                    m.record_copy(label, bytes, time_ms, energy_mj);
+                    m.record_copy(direction, bytes, time_ms, energy_mj);
                 }
             }
             Charge::Interconnect { kind, bytes, cost } => {
@@ -865,7 +861,7 @@ impl Device {
                 ic.time_ms += time_ms;
                 ic.energy_mj += energy_mj;
                 if let Some(m) = metrics {
-                    m.record_interconnect(kind.label(), start_ms, bytes, time_ms, energy_mj);
+                    m.record_interconnect(kind, start_ms, bytes, time_ms, energy_mj);
                 }
             }
             Charge::Host { time_ms } => {
@@ -1105,7 +1101,7 @@ impl Device {
     /// Count/dtype mismatches; unknown objects; out-of-memory for the
     /// temporary.
     pub fn scaled_add(&mut self, a: ObjId, b: ObjId, dst: ObjId, k: i64) -> Result<()> {
-        let dtype = self.rm().get(a)?.dtype;
+        let dtype = self.object(a)?.dtype;
         let tmp = self.alloc_associated(a, dtype)?;
         let result = self
             .mul_scalar(a, k, tmp)
@@ -1293,17 +1289,19 @@ impl Device {
     ///
     /// [`PimError::InvalidArg`] for an out-of-bounds or empty range.
     pub fn red_sum_range(&mut self, a: ObjId, start: u64, end: u64) -> Result<i128> {
-        let (count, dtype) = {
-            let obj = self.rm().get(a)?;
-            (obj.count, obj.dtype)
-        };
+        let slot = self.system.slot(a).ok_or(PimError::UnknownObject(a))?;
+        let PimObject { count, dtype, .. } = *self.system.get(slot);
         if start >= end || end > count {
             return Err(PimError::InvalidArg(format!(
                 "red_sum_range [{start}, {end}) out of bounds for {count} elements"
             )));
         }
-        let sum = self.system.red_sum_range(a, dtype, start, end)?;
-        self.charge_op(OpKind::RedSum, a, Some((end - start) as f64 / count as f64))?;
+        let sum = self.system.red_sum_range(slot, dtype, start, end);
+        self.charge_op(
+            OpKind::RedSum,
+            slot,
+            Some((end - start) as f64 / count as f64),
+        );
         Ok(sum)
     }
 }
@@ -1311,10 +1309,10 @@ impl Device {
 /// One modeled charge, built once by a pricing site and folded into
 /// every enabled view by [`Device::charge`]. Never retained.
 enum Charge {
-    /// One PIM command, costed on `costed`.
+    /// One PIM command, costed on the object at `costed`.
     Cmd {
         kind: OpKind,
-        costed: ObjId,
+        costed: Slot,
         dtype: DataType,
         layout: ObjectLayout,
         cost: OpCost,

@@ -42,6 +42,7 @@
 use std::collections::BTreeMap;
 
 use crate::trace::json::{num, string};
+use crate::trace::{CopyDirection, InterconnectKind};
 
 /// Fixed-point scale for histogram bucketing: values are multiplied by
 /// `2^20` before taking the bit position, so sub-millisecond latencies
@@ -491,10 +492,16 @@ impl MetricsRegistry {
     }
 
     /// Records one host↔device (or device↔device) copy.
-    pub fn record_copy(&mut self, direction: &str, bytes: u64, time_ms: f64, energy_mj: f64) {
+    pub fn record_copy(
+        &mut self,
+        direction: CopyDirection,
+        bytes: u64,
+        time_ms: f64,
+        energy_mj: f64,
+    ) {
         let d = &mut self.device;
         d.counter_add("copies", 1);
-        with_key("copies", direction, |k| d.counter_add(k, 1));
+        with_key("copies", direction.label(), |k| d.counter_add(k, 1));
         d.counter_add("copy_bytes", bytes);
         d.gauge_add("copy_energy_mj", energy_mj);
         d.observe("copy_bytes", bytes as f64);
@@ -506,7 +513,7 @@ impl MetricsRegistry {
     /// kernel time (matching [`crate::stats::InterconnectStats`]).
     pub fn record_interconnect(
         &mut self,
-        kind: &str,
+        kind: InterconnectKind,
         at_ms: f64,
         bytes: u64,
         time_ms: f64,
@@ -514,7 +521,9 @@ impl MetricsRegistry {
     ) {
         let d = &mut self.device;
         d.counter_add("interconnect.transfers", 1);
-        with_key("interconnect_bytes", kind, |k| d.counter_add(k, bytes));
+        with_key("interconnect_bytes", kind.label(), |k| {
+            d.counter_add(k, bytes)
+        });
         d.counter_add("interconnect_bytes", bytes);
         d.gauge_add("interconnect_ms", time_ms);
         d.gauge_add("interconnect_energy_mj", energy_mj);
@@ -729,8 +738,8 @@ mod tests {
     fn snapshot_json_is_parseable_and_stable() {
         let mut r = MetricsRegistry::new(1, true);
         cmd(&mut r, "add.int32", 0.0, 1.0, &[(0, 1.0)]);
-        r.record_copy("host_to_device", 4096, 0.5, 0.01);
-        r.record_interconnect("scatter", 1.5, 1024, 0.1, 0.001);
+        r.record_copy(CopyDirection::HostToDevice, 4096, 0.5, 0.01);
+        r.record_interconnect(InterconnectKind::Scatter, 1.5, 1024, 0.1, 0.001);
         r.record_host(0.25);
         let s1 = r.snapshot(1.75);
         let s2 = r.snapshot(1.75);
@@ -780,7 +789,7 @@ mod tests {
     fn interconnect_samples_land_in_bins() {
         let mut r = MetricsRegistry::new(2, true);
         cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.0), (1, 1.0)]);
-        r.record_interconnect("scatter", 2.0, 512, 0.1, 0.0);
+        r.record_interconnect(InterconnectKind::Scatter, 2.0, 512, 0.1, 0.0);
         let p = r.snapshot(2.0).profile.unwrap();
         let total: u64 = p.interconnect_bytes.iter().sum();
         assert_eq!(total, 512);

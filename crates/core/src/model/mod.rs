@@ -16,6 +16,7 @@ mod parallel;
 mod upmem;
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, OnceLock};
 
 use pim_dram::{TimingBackend, TimingModel};
@@ -24,7 +25,7 @@ use pim_microcode::Cost;
 use crate::config::{DeviceConfig, PimTarget};
 use crate::dtype::DataType;
 use crate::error::{PimError, Result};
-use crate::object::{DataLayout, ObjectLayout};
+use crate::object::{DataLayout, IdHasher, ObjectLayout};
 use crate::ops::OpKind;
 
 /// Process-wide memo for per-stripe microprogram costs.
@@ -36,10 +37,14 @@ use crate::ops::OpKind;
 /// map is bounded: scalar immediates are part of `OpKind`'s identity, so
 /// a workload sweeping many distinct constants would otherwise grow it
 /// without limit — past [`CostMemo::CAP`] entries it is cleared
-/// wholesale, which only costs a regeneration.
+/// wholesale, which only costs a regeneration. Every charged command
+/// looks its key up here, so the key is hashed with the in-tree
+/// [`IdHasher`] rather than SipHash.
 pub(crate) struct CostMemo {
-    map: OnceLock<Mutex<HashMap<(OpKind, DataType), Cost>>>,
+    map: OnceLock<Mutex<MemoMap>>,
 }
+
+type MemoMap = HashMap<(OpKind, DataType), Cost, BuildHasherDefault<IdHasher>>;
 
 impl CostMemo {
     const CAP: usize = 4096;
@@ -57,7 +62,7 @@ impl CostMemo {
         key: (OpKind, DataType),
         generate: impl FnOnce() -> Cost,
     ) -> Cost {
-        let map = self.map.get_or_init(|| Mutex::new(HashMap::new()));
+        let map = self.map.get_or_init(|| Mutex::new(MemoMap::default()));
         if let Some(c) = map.lock().unwrap().get(&key) {
             return *c;
         }

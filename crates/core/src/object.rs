@@ -18,10 +18,10 @@ impl fmt::Display for ObjId {
     }
 }
 
-/// A per-object table keyed by [`ObjId`]: the resource catalog, each
-/// shard's object set, and the shard maps all use it. Every command
-/// looks its operands up here, so lookups must be cheap, and its memory
-/// must follow the *live* object count.
+/// The table keyed by [`ObjId`] that resolves an id to its object's
+/// slot in [`crate::PimSystem`]. Every command resolves each operand
+/// here once, so lookups must be cheap, and its memory must follow the
+/// *live* object count.
 ///
 /// Two invariants make a hash table sound here:
 ///
@@ -34,14 +34,18 @@ impl fmt::Display for ObjId {
 ///   [`PimError::UnknownObject`] instead of reaching a newer object.
 ///   This is also why the table is not a `Vec` indexed by id: such a
 ///   slab would grow with every object ever allocated, not with the
-///   live ones.
+///   live ones. (The slots it maps to are reused, so they do follow
+///   the live count.)
 pub(crate) type IdMap<V> = HashMap<ObjId, V, BuildHasherDefault<IdHasher>>;
 
-/// Hasher for [`IdMap`]: one Fibonacci multiply of the id. Consecutive
-/// ids land in distinct buckets (the multiplier is odd, so the low bits
-/// are a bijection) and the high bits the table uses as tags are well
-/// mixed. Not collision-resistant, which is fine for ids the simulator
-/// assigns itself.
+/// Hasher for [`IdMap`] and the process-wide cost memo: each word is
+/// folded in with a rotate, an xor and one Fibonacci multiply. A lone
+/// id hashes to `id × K`, so consecutive ids land in distinct buckets
+/// (the multiplier is odd, so the low bits are a bijection) and the
+/// high bits the table uses as tags are well mixed; a composite key
+/// such as `(OpKind, DataType)` mixes every field. Not
+/// collision-resistant, which is fine for keys the simulator builds
+/// itself.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct IdHasher(u64);
 
@@ -52,12 +56,24 @@ impl Hasher for IdHasher {
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+            self.write_u64(u64::from(b));
         }
     }
 
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
     fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 }
 
@@ -153,15 +169,21 @@ impl ObjectLayout {
         })
     }
 
+    /// Row-core units the object occupies: `rows_per_core × cores_used`.
+    pub(crate) fn row_units(&self) -> u64 {
+        self.rows_per_core * self.cores_used as u64
+    }
+
     /// Fraction of the device's cores this object keeps busy.
     pub fn core_utilization(&self, config: &DeviceConfig) -> f64 {
         self.cores_used as f64 / config.core_count() as f64
     }
 }
 
-/// A live PIM data object: metadata plus (in functional mode) host-side
-/// backing data in canonical `i64` form.
-#[derive(Debug, Clone)]
+/// A live PIM data object as the cost model sees it: its handle, type,
+/// size and global placement. Functional data lives in the
+/// [`crate::PimSystem`] object table, split across shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PimObject {
     /// The object's handle.
     pub id: ObjId,
@@ -171,12 +193,6 @@ pub struct PimObject {
     pub count: u64,
     /// Physical placement.
     pub layout: ObjectLayout,
-    /// Backing data in canonical `i64` form. Absent in model-only mode.
-    /// Under sharded execution the catalog entry held by the
-    /// [`crate::PimSystem`] metadata manager never materializes data:
-    /// functional buffers live in the per-shard objects, whose `data`
-    /// covers only that shard's element range.
-    pub data: Option<Vec<i64>>,
 }
 
 impl PimObject {

@@ -201,36 +201,43 @@ impl OpKind {
 
     /// Statistics key in the artifact's style, e.g. `add.int32`.
     /// Scalar immediates are not part of the name (shift amounts are).
+    /// Built by copying static pieces; only a shift amount goes through
+    /// `core::fmt`.
     pub fn stat_name(&self, dtype: DataType) -> StatName {
         let mut name = StatName {
             buf: [0; StatName::CAP],
             len: 0,
         };
-        let base = match self {
-            OpKind::Binary(b) => name.write_str(b.mnemonic()),
-            OpKind::BinaryScalar(b, _) => write!(name, "{}_scalar", b.mnemonic()),
-            OpKind::Cmp(c) => name.write_str(c.mnemonic()),
-            OpKind::CmpScalar(c, _) => write!(name, "{}_scalar", c.mnemonic()),
-            OpKind::Min => name.write_str("min"),
-            OpKind::Max => name.write_str("max"),
-            OpKind::MinScalar(_) => name.write_str("min_scalar"),
-            OpKind::MaxScalar(_) => name.write_str("max_scalar"),
-            OpKind::Not => name.write_str("not"),
-            OpKind::Abs => name.write_str("abs"),
-            OpKind::Popcount => name.write_str("popcount"),
-            OpKind::ShiftL(k) => write!(name, "shl{k}"),
-            OpKind::ShiftR(k) => write!(name, "shr{k}"),
-            OpKind::Select => name.write_str("select"),
-            OpKind::ScaledAdd(_) => name.write_str("scaled_add"),
-            OpKind::FusedCmpSelect(c) => write!(name, "{}_select", c.mnemonic()),
-            OpKind::Broadcast(_) => name.write_str("broadcast"),
-            OpKind::RedSum => name.write_str("redsum"),
-            OpKind::RedMin => name.write_str("redmin"),
-            OpKind::RedMax => name.write_str("redmax"),
-            OpKind::Copy => name.write_str("copy"),
+        let (head, tail) = match self {
+            OpKind::Binary(b) => (b.mnemonic(), ""),
+            OpKind::BinaryScalar(b, _) => (b.mnemonic(), "_scalar"),
+            OpKind::Cmp(c) => (c.mnemonic(), ""),
+            OpKind::CmpScalar(c, _) => (c.mnemonic(), "_scalar"),
+            OpKind::Min => ("min", ""),
+            OpKind::Max => ("max", ""),
+            OpKind::MinScalar(_) => ("min_scalar", ""),
+            OpKind::MaxScalar(_) => ("max_scalar", ""),
+            OpKind::Not => ("not", ""),
+            OpKind::Abs => ("abs", ""),
+            OpKind::Popcount => ("popcount", ""),
+            OpKind::ShiftL(_) => ("shl", ""),
+            OpKind::ShiftR(_) => ("shr", ""),
+            OpKind::Select => ("select", ""),
+            OpKind::ScaledAdd(_) => ("scaled_add", ""),
+            OpKind::FusedCmpSelect(c) => (c.mnemonic(), "_select"),
+            OpKind::Broadcast(_) => ("broadcast", ""),
+            OpKind::RedSum => ("redsum", ""),
+            OpKind::RedMin => ("redmin", ""),
+            OpKind::RedMax => ("redmax", ""),
+            OpKind::Copy => ("copy", ""),
         };
-        base.and_then(|()| write!(name, ".{}", dtype.short_name()))
-            .expect("statistics names fit StatName::CAP");
+        name.push(head);
+        name.push(tail);
+        if let OpKind::ShiftL(k) | OpKind::ShiftR(k) = self {
+            write!(name, "{k}").expect("statistics names fit StatName::CAP");
+        }
+        name.push(".");
+        name.push(dtype.short_name());
         name
     }
 
@@ -265,6 +272,16 @@ impl StatName {
     /// replaced in [`crate::TraceEvent::Cmd`], keeping that event 128
     /// bytes.
     const CAP: usize = 23;
+
+    /// Appends `s`.
+    ///
+    /// # Panics
+    ///
+    /// If the name would outgrow [`StatName::CAP`] bytes.
+    fn push(&mut self, s: &str) {
+        self.write_str(s)
+            .expect("statistics names fit StatName::CAP");
+    }
 
     /// The name as a string slice.
     pub fn as_str(&self) -> &str {

@@ -1,12 +1,14 @@
-//! PIM resource manager: object allocation, association, and capacity
-//! tracking (§V-A "PIM Resource Mgr").
+//! PIM resource manager: device row capacity tracking (§V-A "PIM
+//! Resource Mgr").
+//!
+//! Objects themselves live in the [`crate::PimSystem`] object table;
+//! a manager only counts the rows they occupy. The system keeps one
+//! for the whole device (the catalog) and one per shard.
 
-use crate::config::{DeviceConfig, SimMode};
-use crate::dtype::DataType;
 use crate::error::{PimError, Result};
-use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
+use crate::object::ObjectLayout;
 
-/// Tracks live objects and device row capacity.
+/// Tracks device row capacity and the number of objects holding it.
 ///
 /// Capacity accounting is aggregate: each object consumes
 /// `rows_per_core × cores_used` row-core units out of the device total
@@ -16,10 +18,8 @@ use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
 /// (§V-E notes its allocation strategy is approximate).
 #[derive(Debug)]
 pub struct ResourceManager {
-    /// Live objects. Never iterated, and ids are never reused: see
-    /// [`IdMap`].
-    objects: IdMap<PimObject>,
-    next_id: u64,
+    /// Objects currently holding rows here.
+    live: usize,
     /// Row-core units in use (Σ rows_per_core × cores_used).
     rows_in_use: u64,
     /// Rows one core can hold.
@@ -45,8 +45,7 @@ impl ResourceManager {
             ))
         })?;
         Ok(ResourceManager {
-            objects: IdMap::default(),
-            next_id: 0,
+            live: 0,
             rows_in_use: 0,
             rows_per_core,
             rows_capacity,
@@ -54,110 +53,46 @@ impl ResourceManager {
         })
     }
 
-    /// Allocates `count` elements of `dtype`.
+    /// Checks that an object placed as `layout` fits next to what is
+    /// already claimed, without claiming anything.
     ///
     /// # Errors
     ///
-    /// [`PimError::OutOfMemory`] when the per-core row budget is exceeded,
-    /// [`PimError::InvalidArg`] for zero-element requests.
-    pub fn alloc(
-        &mut self,
-        config: &DeviceConfig,
-        count: u64,
-        dtype: DataType,
-        cores_cap: Option<usize>,
-    ) -> Result<ObjId> {
-        let layout = ObjectLayout::compute(config, count, dtype, cores_cap)?;
+    /// [`PimError::OutOfMemory`] when the object needs more rows on one
+    /// core than a core has, or more row-core units than are free.
+    pub(crate) fn check(&self, layout: &ObjectLayout) -> Result<()> {
         if layout.rows_per_core > self.rows_per_core {
             return Err(PimError::OutOfMemory {
                 rows_needed: layout.rows_per_core,
                 rows_available: self.rows_per_core,
             });
         }
-        let units = layout.rows_per_core * layout.cores_used as u64;
+        let units = layout.row_units();
         if self.rows_in_use + units > self.rows_capacity {
             return Err(PimError::OutOfMemory {
                 rows_needed: self.rows_in_use + units,
                 rows_available: self.rows_capacity,
             });
         }
-        let id = ObjId(self.next_id);
-        self.next_id += 1;
-        self.rows_in_use += units;
-        self.peak_rows = self.peak_rows.max(self.rows_in_use);
-        let data = match config.mode {
-            SimMode::Functional => Some(vec![0i64; count as usize]),
-            SimMode::ModelOnly => None,
-        };
-        self.objects.insert(
-            id,
-            PimObject {
-                id,
-                dtype,
-                count,
-                layout,
-                data,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Allocates an object associated with `reference`: same element
-    /// count, placed over the same cores so element *i* of both objects
-    /// is resident on the same core (required for element-wise ops).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ResourceManager::alloc`], plus
-    /// [`PimError::UnknownObject`] for a dead reference.
-    pub fn alloc_associated(
-        &mut self,
-        config: &DeviceConfig,
-        reference: ObjId,
-        dtype: DataType,
-    ) -> Result<ObjId> {
-        let (count, cores) = {
-            let obj = self.get(reference)?;
-            (obj.count, obj.layout.cores_used)
-        };
-        self.alloc(config, count, dtype, Some(cores))
-    }
-
-    /// Frees an object.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`] if the ID is not live.
-    pub fn free(&mut self, id: ObjId) -> Result<()> {
-        let obj = self
-            .objects
-            .remove(&id)
-            .ok_or(PimError::UnknownObject(id))?;
-        self.rows_in_use -= obj.layout.rows_per_core * obj.layout.cores_used as u64;
         Ok(())
     }
 
-    /// Borrows an object.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`] if the ID is not live.
-    pub fn get(&self, id: ObjId) -> Result<&PimObject> {
-        self.objects.get(&id).ok_or(PimError::UnknownObject(id))
+    /// Claims the rows of an object [`ResourceManager::check`] accepted.
+    pub(crate) fn claim(&mut self, layout: &ObjectLayout) {
+        self.live += 1;
+        self.rows_in_use += layout.row_units();
+        self.peak_rows = self.peak_rows.max(self.rows_in_use);
     }
 
-    /// Mutably borrows an object.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`] if the ID is not live.
-    pub fn get_mut(&mut self, id: ObjId) -> Result<&mut PimObject> {
-        self.objects.get_mut(&id).ok_or(PimError::UnknownObject(id))
+    /// Returns the rows of a freed object claimed as `layout`.
+    pub(crate) fn release(&mut self, layout: &ObjectLayout) {
+        self.live -= 1;
+        self.rows_in_use -= layout.row_units();
     }
 
     /// Number of live objects.
     pub fn live_objects(&self) -> usize {
-        self.objects.len()
+        self.live
     }
 
     /// Row-core units currently in use.
@@ -179,62 +114,79 @@ impl ResourceManager {
     pub fn rows_per_core(&self) -> u64 {
         self.rows_per_core
     }
-
-    /// The ID the next allocation will receive (without claiming it).
-    /// The sharded allocator uses this to assign one global ID across
-    /// the metadata catalog and every shard-local manager.
-    pub(crate) fn peek_next_id(&self) -> u64 {
-        self.next_id
-    }
-
-    /// Installs a pre-validated object under an externally chosen ID.
-    ///
-    /// This is the commit half of the sharded allocator's two-phase
-    /// alloc: the caller has already run every capacity check (for the
-    /// catalog and for each shard), so `install` only updates the
-    /// accounting and inserts the object. `materialize` controls whether
-    /// a zeroed functional buffer is attached.
-    pub(crate) fn install(
-        &mut self,
-        id: ObjId,
-        dtype: DataType,
-        count: u64,
-        layout: ObjectLayout,
-        materialize: bool,
-    ) {
-        debug_assert!(!self.objects.contains_key(&id), "install over live id");
-        self.next_id = self.next_id.max(id.0 + 1);
-        self.rows_in_use += layout.rows_per_core * layout.cores_used as u64;
-        self.peak_rows = self.peak_rows.max(self.rows_in_use);
-        let data = materialize.then(|| vec![0i64; count as usize]);
-        self.objects.insert(
-            id,
-            PimObject {
-                id,
-                dtype,
-                count,
-                layout,
-                data,
-            },
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PimTarget;
+    use crate::config::{DeviceConfig, PimTarget};
+    use crate::dtype::DataType;
+    use crate::object::ObjId;
+    use crate::stats::ResourceStats;
+    use crate::system::PimSystem;
 
-    fn cfg() -> DeviceConfig {
-        DeviceConfig::new(PimTarget::Fulcrum, 1)
+    /// A one-shard system: allocation goes through the object table and
+    /// these checks read the catalog's row accounting back.
+    struct Rm {
+        config: DeviceConfig,
+        sys: PimSystem,
+    }
+
+    impl Rm {
+        fn new() -> Rm {
+            let config = DeviceConfig::new(PimTarget::Fulcrum, 1);
+            let sys = PimSystem::new(&config).unwrap();
+            Rm { config, sys }
+        }
+
+        fn alloc(&mut self, count: u64, dtype: DataType) -> Result<ObjId> {
+            Ok(self.sys.alloc(&self.config, count, dtype, None)?.id)
+        }
+
+        fn alloc_associated(&mut self, reference: ObjId, dtype: DataType) -> Result<ObjId> {
+            Ok(self
+                .sys
+                .alloc_associated(&self.config, reference, dtype)?
+                .id)
+        }
+
+        fn free(&mut self, id: ObjId) -> Result<()> {
+            self.sys.free(id)
+        }
+
+        fn layout(&self, id: ObjId) -> ObjectLayout {
+            self.sys.object(id).unwrap().layout
+        }
+
+        fn stats(&self) -> ResourceStats {
+            let mut stats = ResourceStats::default();
+            self.sys.resource_stats_into(&mut stats);
+            stats
+        }
+
+        fn rows_in_use(&self) -> u64 {
+            self.stats().rows_in_use
+        }
+
+        fn peak_rows(&self) -> u64 {
+            self.stats().peak_rows
+        }
+
+        fn live_objects(&self) -> usize {
+            self.stats().live_objects as usize
+        }
+
+        /// Int32 elements the whole device holds.
+        fn int32_capacity(&self) -> u64 {
+            let per_core = self.config.rows_per_core() * (self.config.cols_per_core() as u64 / 32);
+            per_core * self.config.core_count() as u64
+        }
     }
 
     #[test]
     fn alloc_free_reclaims_rows() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
-        let a = rm.alloc(&config, 1 << 20, DataType::Int32, None).unwrap();
+        let mut rm = Rm::new();
+        let a = rm.alloc(1 << 20, DataType::Int32).unwrap();
         let used = rm.rows_in_use();
         assert!(used > 0);
         rm.free(a).unwrap();
@@ -244,50 +196,41 @@ mod tests {
 
     #[test]
     fn double_free_is_an_error() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
-        let a = rm.alloc(&config, 100, DataType::Int32, None).unwrap();
+        let mut rm = Rm::new();
+        let a = rm.alloc(100, DataType::Int32).unwrap();
         rm.free(a).unwrap();
         assert!(matches!(rm.free(a), Err(PimError::UnknownObject(_))));
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
+        let mut rm = Rm::new();
         // One core stores rows_per_core × (cols/32) int32 elements; the
         // device stores that × core_count. Ask for more than fits.
-        let per_core = config.rows_per_core() * (config.cols_per_core() as u64 / 32);
-        let total = per_core * config.core_count() as u64;
-        let a = rm.alloc(&config, total / 2, DataType::Int32, None);
+        let total = rm.int32_capacity();
+        let a = rm.alloc(total / 2, DataType::Int32);
         assert!(a.is_ok());
-        let b = rm.alloc(&config, total, DataType::Int32, None);
+        let b = rm.alloc(total, DataType::Int32);
         assert!(matches!(b, Err(PimError::OutOfMemory { .. })));
     }
 
     #[test]
     fn associated_objects_share_core_mapping() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
-        let a = rm.alloc(&config, 12345, DataType::Int32, None).unwrap();
-        let b = rm.alloc_associated(&config, a, DataType::Int32).unwrap();
-        let (la, lb) = (rm.get(a).unwrap().layout, rm.get(b).unwrap().layout);
+        let mut rm = Rm::new();
+        let a = rm.alloc(12345, DataType::Int32).unwrap();
+        let b = rm.alloc_associated(a, DataType::Int32).unwrap();
+        let (la, lb) = (rm.layout(a), rm.layout(b));
         assert_eq!(la.cores_used, lb.cores_used);
         assert_eq!(la.elems_per_core, lb.elems_per_core);
     }
 
     #[test]
     fn associated_with_dead_reference_fails() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
-        let a = rm.alloc(&config, 10, DataType::Int32, None).unwrap();
+        let mut rm = Rm::new();
+        let a = rm.alloc(10, DataType::Int32).unwrap();
         rm.free(a).unwrap();
         assert!(matches!(
-            rm.alloc_associated(&config, a, DataType::Int32),
+            rm.alloc_associated(a, DataType::Int32),
             Err(PimError::UnknownObject(_))
         ));
     }
@@ -315,16 +258,9 @@ mod tests {
         }
     }
 
-    fn units_of(rm: &ResourceManager, id: ObjId) -> u64 {
-        let l = rm.get(id).unwrap().layout;
-        l.rows_per_core * l.cores_used as u64
-    }
-
     #[test]
     fn interleaved_churn_keeps_accounting_exact_and_peak_monotone() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
+        let mut rm = Rm::new();
         let mut rng = Rng(0xC0FFEE);
         let mut live: Vec<(ObjId, u64)> = Vec::new();
         let mut expected_in_use = 0u64;
@@ -334,18 +270,16 @@ mod tests {
                 // Fresh allocation of a pseudo-random size.
                 0 => {
                     let count = 1 + rng.next() % 100_000;
-                    let id = rm.alloc(&config, count, DataType::Int32, None).unwrap();
-                    let units = units_of(&rm, id);
+                    let id = rm.alloc(count, DataType::Int32).unwrap();
+                    let units = rm.layout(id).row_units();
                     live.push((id, units));
                     expected_in_use += units;
                 }
                 // Associated allocation against a random live reference.
                 1 if !live.is_empty() => {
                     let (reference, _) = live[(rng.next() % live.len() as u64) as usize];
-                    let id = rm
-                        .alloc_associated(&config, reference, DataType::Int8)
-                        .unwrap();
-                    let units = units_of(&rm, id);
+                    let id = rm.alloc_associated(reference, DataType::Int8).unwrap();
+                    let units = rm.layout(id).row_units();
                     live.push((id, units));
                     expected_in_use += units;
                 }
@@ -373,13 +307,11 @@ mod tests {
 
     #[test]
     fn zero_element_alloc_fails_without_perturbing_accounting() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
-        let a = rm.alloc(&config, 77, DataType::Int32, None).unwrap();
+        let mut rm = Rm::new();
+        let a = rm.alloc(77, DataType::Int32).unwrap();
         let in_use = rm.rows_in_use();
         assert!(matches!(
-            rm.alloc(&config, 0, DataType::Int32, None),
+            rm.alloc(0, DataType::Int32),
             Err(PimError::InvalidArg(_))
         ));
         assert_eq!(rm.rows_in_use(), in_use);
@@ -390,25 +322,20 @@ mod tests {
 
     #[test]
     fn capacity_edge_failure_leaves_state_usable() {
-        let config = cfg();
-        let mut rm =
-            ResourceManager::new(config.rows_per_core(), config.core_count() as u64).unwrap();
-        let per_core = config.rows_per_core() * (config.cols_per_core() as u64 / 32);
-        let total = per_core * config.core_count() as u64;
+        let mut rm = Rm::new();
+        let total = rm.int32_capacity();
         // Fill most of the device, then push it over the edge.
-        let big = rm
-            .alloc(&config, total - total / 8, DataType::Int32, None)
-            .unwrap();
+        let big = rm.alloc(total - total / 8, DataType::Int32).unwrap();
         let in_use = rm.rows_in_use();
         assert!(matches!(
-            rm.alloc(&config, total / 4, DataType::Int32, None),
+            rm.alloc(total / 4, DataType::Int32),
             Err(PimError::OutOfMemory { .. })
         ));
         assert_eq!(rm.rows_in_use(), in_use, "failed alloc must not leak");
         // After freeing, the same request succeeds and accounting rewinds.
         rm.free(big).unwrap();
         assert_eq!(rm.rows_in_use(), 0);
-        let again = rm.alloc(&config, total / 4, DataType::Int32, None).unwrap();
+        let again = rm.alloc(total / 4, DataType::Int32).unwrap();
         rm.free(again).unwrap();
         assert_eq!(rm.rows_in_use(), 0);
         assert!(rm.peak_rows() >= in_use);

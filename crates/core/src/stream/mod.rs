@@ -261,12 +261,13 @@ impl<'d> CommandStream<'d> {
         let mut cmds = std::mem::take(&mut self.pending);
         let recorded = cmds.len() as u64;
         let outcome = passes::run_graph(self.dev, &mut cmds);
-        for cmd in &cmds {
-            self.dev.validate_cmd(cmd)?;
-        }
-        for cmd in &cmds {
-            self.dev.exec_cmd(cmd)?;
-            self.dev.charge_cmd(cmd)?;
+        let operands = cmds
+            .iter()
+            .map(|cmd| self.dev.validate_cmd(cmd))
+            .collect::<Result<Vec<_>>>()?;
+        for (cmd, ops) in cmds.iter().zip(&operands) {
+            self.dev.exec_cmd(cmd, ops);
+            self.dev.charge_cmd(cmd, ops);
         }
         let summary = FlushSummary {
             recorded,

@@ -1,11 +1,13 @@
 //! Sharded PIM system: per-rank execution shards behind one device API.
 //!
 //! A [`PimSystem`] owns `N` shards — one per rank by default (see
-//! [`crate::DeviceConfig::sharded_per_rank`]) — each with its own
-//! [`ResourceManager`], functional state, and timing model. The
-//! device keeps the one statistics ledger ([`crate::SimStats`]).
-//! Every object carries a [`ShardMap`] describing which contiguous
-//! element ranges live on which shard; every command entering
+//! [`crate::DeviceConfig::sharded_per_rank`]) — each with its own row
+//! accounting ([`ResourceManager`]) and timing model, and one object
+//! table holding every object's global layout, [`ShardMap`], and
+//! per-shard layouts and functional buffers. The device keeps the one
+//! statistics ledger ([`crate::SimStats`]). Each object's [`ShardMap`]
+//! describes which contiguous element ranges live on which shard;
+//! every command entering
 //! [`crate::Device::issue`] is split by that map, executed per shard
 //! (shards are the *outer* parallelism unit; the `exec` worker pool is
 //! divided among them), and re-aggregated. Cross-shard data movement —
@@ -41,7 +43,7 @@ use crate::config::{DeviceConfig, ShardPolicy, SimMode};
 use crate::dtype::{DataType, PimScalar};
 use crate::error::{PimError, Result};
 use crate::model::{self, OpCost};
-use crate::object::{IdMap, ObjId, ObjectLayout};
+use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
 use crate::resource::ResourceManager;
 use crate::stats::{ResourceStats, ShardResourceStats};
 
@@ -67,8 +69,8 @@ pub struct ShardRange {
 /// so no DRAM row ever straddles two shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    ranges: Vec<ShardRange>,
-    counts: Vec<u64>,
+    ranges: Few<ShardRange>,
+    counts: Few<u64>,
 }
 
 impl ShardMap {
@@ -90,8 +92,11 @@ impl ShardMap {
         let n = weights.len().max(1);
         let epu = elems_per_unit.max(1);
         let units_total = count.div_ceil(epu);
-        let mut counts = vec![0u64; n];
-        let mut ranges = Vec::new();
+        let mut counts = Few::default();
+        for _ in 0..n {
+            counts.push(0u64);
+        }
+        let mut ranges = Few::default();
         match policy {
             ShardPolicy::Contiguous => {
                 let w_total: u128 = weights.iter().map(|&w| w as u128).sum::<u128>().max(1);
@@ -208,8 +213,67 @@ impl InterconnectModel {
     }
 }
 
-/// One execution shard: a rank's worth of cores with its own resource
-/// manager, functional state, and timing model.
+/// A short list kept inline while it holds at most one element and on
+/// the heap from the second: the shape of every per-shard list, so a
+/// one-shard object's map and pieces cost no allocation. Compares and
+/// dereferences as a slice.
+#[derive(Debug, Clone)]
+enum Few<T> {
+    One([T; 1]),
+    Many(Vec<T>),
+}
+
+impl<T> Default for Few<T> {
+    fn default() -> Self {
+        Few::Many(Vec::new())
+    }
+}
+
+impl<T> Few<T> {
+    fn push(&mut self, v: T) {
+        match self {
+            Few::Many(vs) if !vs.is_empty() => vs.push(v),
+            Few::Many(_) => *self = Few::One([v]),
+            Few::One(_) => {
+                let Few::One([first]) = std::mem::take(self) else {
+                    unreachable!("matched above")
+                };
+                *self = Few::Many(vec![first, v]);
+            }
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Few<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Few::One(one) => one,
+            Few::Many(many) => many,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Few<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Few::One(one) => one,
+            Few::Many(many) => many,
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Few<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for Few<T> {}
+
+/// One execution shard: a rank's worth of cores with its own row
+/// accounting and timing model.
 #[derive(Debug)]
 struct Shard {
     rm: ResourceManager,
@@ -219,6 +283,75 @@ struct Shard {
     /// FSM state never crosses shards and re-aggregation (ascending
     /// shard order) stays deterministic at every shard count.
     timing: TimingModel,
+    /// The buffer a command computes into before it is swapped with the
+    /// destination's (see [`PimSystem::write_dst`]). Kept between
+    /// commands only while its capacity is below `2 × exec::MIN_CHUNK`
+    /// elements, so it costs at most 128 KiB.
+    spare: Vec<i64>,
+}
+
+/// An object's piece on one shard.
+#[derive(Debug, Default)]
+struct Part {
+    /// The shard-local placement; `None` on shards holding no element.
+    layout: Option<ObjectLayout>,
+    /// The piece's canonical values in shard-local order: the
+    /// concatenation of the object's ranges on this shard. Empty in
+    /// model-only mode.
+    data: Vec<i64>,
+}
+
+/// One object-table entry: everything the system knows about a live
+/// object.
+#[derive(Debug)]
+struct Object {
+    /// The global view the cost model charges against.
+    obj: PimObject,
+    map: ShardMap,
+    /// Index = shard.
+    parts: Few<Part>,
+}
+
+/// A live object's position in the object table, resolved from its id
+/// once per command. Valid until the next alloc or free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot(usize);
+
+/// A validated command's operands, each resolved once: the inputs in
+/// operand order, then the destination. Valid until the next alloc or
+/// free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operands {
+    ins: [Slot; 4],
+    len: u8,
+    /// The written object, if the command writes one.
+    pub(crate) dst: Option<Slot>,
+}
+
+impl Operands {
+    /// The first `len` of `ins`, and `dst`, must be resolved.
+    pub(crate) fn new(ins: [Option<Slot>; 4], len: usize, dst: Option<Slot>) -> Operands {
+        Operands {
+            ins: std::array::from_fn(|k| match ins[k] {
+                Some(slot) => slot,
+                None if k >= len => Slot(0),
+                None => unreachable!("input {k} of a validated command is unresolved"),
+            }),
+            len: len as u8,
+            dst,
+        }
+    }
+
+    /// The input slots, in operand order.
+    pub(crate) fn inputs(&self) -> &[Slot] {
+        &self.ins[..usize::from(self.len)]
+    }
+
+    /// The object the command is priced on: the destination, or the
+    /// first input of a reduction.
+    pub(crate) fn costed(&self) -> Slot {
+        self.dst.unwrap_or(self.ins[0])
+    }
 }
 
 /// `total` split as evenly as possible into `n` parts; part `i` gets the
@@ -252,17 +385,14 @@ pub(crate) fn par_sum(data: &[i64], dtype: DataType) -> i128 {
     .unwrap_or(0)
 }
 
-/// Shards holding at least one element of `costed`, ascending; shard 0
-/// alone when the device has one shard or the object is unmapped
-/// (whole-device attribution).
-fn holders(
-    maps: &IdMap<ShardMap>,
-    shards: usize,
-    costed: ObjId,
-) -> impl Iterator<Item = usize> + '_ {
-    let counts: &[u64] = match maps.get(&costed) {
-        Some(map) if shards > 1 && map.counts.iter().any(|&c| c > 0) => &map.counts,
-        _ => &[1],
+/// Shards holding at least one element of an object mapped by `map`,
+/// ascending; shard 0 alone when the device has one shard (whole-device
+/// attribution).
+fn holders(map: &ShardMap, shards: usize) -> impl Iterator<Item = usize> + '_ {
+    let counts: &[u64] = if shards > 1 && map.counts.iter().any(|&c| c > 0) {
+        &map.counts
+    } else {
+        &[1]
     };
     counts
         .iter()
@@ -271,19 +401,40 @@ fn holders(
         .map(|(s, _)| s)
 }
 
+/// An object's full canonical buffer in global element order, gathered
+/// from its per-shard pieces (functional mode only).
+fn gather_full(entry: &Object) -> Vec<i64> {
+    let mut out = vec![0i64; entry.obj.count as usize];
+    for r in entry.map.ranges.iter() {
+        let data = &entry.parts[r.shard].data;
+        let ls = r.local_start as usize;
+        let len = (r.end - r.start) as usize;
+        out[r.start as usize..r.end as usize].copy_from_slice(&data[ls..ls + len]);
+    }
+    out
+}
+
 /// The sharded execution substrate behind [`crate::Device`].
 ///
-/// Owns a metadata catalog (the authoritative global [`ObjectLayout`]s
-/// the cost model charges against), the per-shard state, the per-object
-/// [`ShardMap`]s, and the [`InterconnectModel`]. With `shards = 1` the
-/// system is an exact pass-through to the legacy single-manager device.
+/// Owns the object table, the row accounting of the whole device (the
+/// catalog) and of each shard, the per-shard timing models, and the
+/// [`InterconnectModel`]. With `shards = 1` the system is an exact
+/// pass-through to the legacy single-manager device.
 #[derive(Debug)]
 pub struct PimSystem {
-    meta: ResourceManager,
-    shards: Vec<Shard>,
-    /// Per-object shard maps. Never iterated, and ids are never
+    /// Id → slot in `objects`. Never iterated, and ids are never
     /// reused: see [`IdMap`].
-    maps: IdMap<ShardMap>,
+    index: IdMap<Slot>,
+    /// The object table's entries. Slots of freed objects hold no
+    /// buffers and are reused (`vacant`), so the table follows the live
+    /// object count.
+    objects: Vec<Object>,
+    vacant: Vec<Slot>,
+    next_id: u64,
+    catalog: ResourceManager,
+    shards: Vec<Shard>,
+    /// The shards' modeled core counts: every object's map weights.
+    weights: Vec<u64>,
     policy: ShardPolicy,
     interconnect: InterconnectModel,
     functional: bool,
@@ -302,7 +453,7 @@ impl PimSystem {
         let modeled = config.core_count().max(1);
         let physical = config.physical_core_count().max(1);
         let n = config.shards.max(1).min(modeled);
-        let meta = ResourceManager::new(config.rows_per_core(), physical as u64)?;
+        let catalog = ResourceManager::new(config.rows_per_core(), physical as u64)?;
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             shards.push(Shard {
@@ -312,21 +463,21 @@ impl PimSystem {
                 )?,
                 cores: split_even(modeled, n, i),
                 timing: model::timing_model(config, config.timing_backend),
+                spare: Vec::new(),
             });
         }
         Ok(PimSystem {
-            meta,
+            index: IdMap::default(),
+            objects: Vec::new(),
+            vacant: Vec::new(),
+            next_id: 0,
+            catalog,
+            weights: shards.iter().map(|s| s.cores as u64).collect(),
             shards,
-            maps: IdMap::default(),
             policy: config.shard_policy,
             interconnect: InterconnectModel::from_config(config),
             functional: matches!(config.mode, SimMode::Functional),
         })
-    }
-
-    /// The metadata catalog holding every object's global layout.
-    pub fn meta(&self) -> &ResourceManager {
-        &self.meta
     }
 
     /// Number of execution shards.
@@ -341,7 +492,27 @@ impl PimSystem {
 
     /// The shard map of a live object, if any.
     pub fn shard_map(&self, id: ObjId) -> Option<&ShardMap> {
-        self.maps.get(&id)
+        self.slot(id).map(|slot| &self.objects[slot.0].map)
+    }
+
+    /// A live object's global view.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::UnknownObject`] if the id is not live.
+    pub fn object(&self, id: ObjId) -> Result<&PimObject> {
+        let slot = self.slot(id).ok_or(PimError::UnknownObject(id))?;
+        Ok(self.get(slot))
+    }
+
+    /// Resolves a live id to its slot (one table probe).
+    pub(crate) fn slot(&self, id: ObjId) -> Option<Slot> {
+        self.index.get(&id).copied()
+    }
+
+    /// The global view of the object at `slot`.
+    pub(crate) fn get(&self, slot: Slot) -> &PimObject {
+        &self.objects[slot.0].obj
     }
 
     // ------------------------------------------------------------------
@@ -350,9 +521,10 @@ impl PimSystem {
 
     /// Two-phase sharded allocation: computes the global layout, runs
     /// every capacity check (catalog first, then each shard) in the
-    /// legacy error order, and only then commits the object everywhere
-    /// under one global id. The catalog entry never materializes data;
-    /// functional buffers live in the per-shard objects.
+    /// legacy error order, and only then commits the object under the
+    /// next id. Besides the table's own slots, the only heap
+    /// allocations are the zeroed functional buffers (and, with several
+    /// shards, the map's and pieces' lists).
     ///
     /// # Errors
     ///
@@ -365,94 +537,115 @@ impl PimSystem {
         count: u64,
         dtype: DataType,
         cores_cap: Option<usize>,
-    ) -> Result<ObjId> {
+    ) -> Result<PimObject> {
         let layout = ObjectLayout::compute(config, count, dtype, cores_cap)?;
-        if layout.rows_per_core > self.meta.rows_per_core() {
-            return Err(PimError::OutOfMemory {
-                rows_needed: layout.rows_per_core,
-                rows_available: self.meta.rows_per_core(),
-            });
-        }
-        let units = layout.rows_per_core * layout.cores_used as u64;
-        if self.meta.rows_in_use() + units > self.meta.rows_capacity() {
-            return Err(PimError::OutOfMemory {
-                rows_needed: self.meta.rows_in_use() + units,
-                rows_available: self.meta.rows_capacity(),
-            });
-        }
+        self.catalog.check(&layout)?;
         let n = self.shards.len();
         // Map weights are ALWAYS the shards' modeled-core split — never
         // cores_cap — so every object of the same count and dtype gets
         // the identical map and element-wise operands stay aligned.
-        let weights: Vec<u64> = self.shards.iter().map(|s| s.cores as u64).collect();
-        let map = ShardMap::compute(count, layout.elems_per_unit, &weights, self.policy);
+        let map = ShardMap::compute(count, layout.elems_per_unit, &self.weights, self.policy);
         // rows_per_core = units_per_core × rows_per_unit, exactly.
         let rows_per_unit = layout.rows_per_core / layout.units_per_core.max(1);
         let budget_total = cores_cap.unwrap_or_else(|| config.core_count()).max(1);
-        let mut locals: Vec<Option<ObjectLayout>> = vec![None; n];
-        for (s, local) in locals.iter_mut().enumerate() {
+        let mut parts: Few<Part> = Few::default();
+        for (s, shard) in self.shards.iter().enumerate() {
             let c = map.count_on(s);
-            if c == 0 {
-                continue;
+            let mut part = Part::default();
+            if c > 0 {
+                let local_units = c.div_ceil(layout.elems_per_unit.max(1));
+                let budget = split_even(budget_total, n, s).max(1) as u64;
+                let lcores = local_units.min(budget).max(1) as usize;
+                let lupc = local_units.div_ceil(lcores as u64);
+                let lrows = lupc.checked_mul(rows_per_unit).ok_or_else(|| {
+                    PimError::InvalidArg("object layout overflows u64 row arithmetic".into())
+                })?;
+                let lelems = lupc
+                    .checked_mul(layout.elems_per_unit)
+                    .map_or(c, |padded| padded.min(c));
+                let local = ObjectLayout {
+                    layout: layout.layout,
+                    cores_used: lcores,
+                    elems_per_core: lelems,
+                    rows_per_core: lrows,
+                    elems_per_unit: layout.elems_per_unit,
+                    units_per_core: lupc,
+                };
+                shard.rm.check(&local)?;
+                part.layout = Some(local);
             }
-            let local_units = c.div_ceil(layout.elems_per_unit.max(1));
-            let budget = split_even(budget_total, n, s).max(1) as u64;
-            let lcores = local_units.min(budget).max(1) as usize;
-            let lupc = local_units.div_ceil(lcores as u64);
-            let lrows = lupc.checked_mul(rows_per_unit).ok_or_else(|| {
-                PimError::InvalidArg("object layout overflows u64 row arithmetic".into())
-            })?;
-            let shard_rm = &self.shards[s].rm;
-            if lrows > shard_rm.rows_per_core() {
-                return Err(PimError::OutOfMemory {
-                    rows_needed: lrows,
-                    rows_available: shard_rm.rows_per_core(),
-                });
-            }
-            let lunits = lrows * lcores as u64;
-            if shard_rm.rows_in_use() + lunits > shard_rm.rows_capacity() {
-                return Err(PimError::OutOfMemory {
-                    rows_needed: shard_rm.rows_in_use() + lunits,
-                    rows_available: shard_rm.rows_capacity(),
-                });
-            }
-            let lelems = lupc
-                .checked_mul(layout.elems_per_unit)
-                .map_or(c, |padded| padded.min(c));
-            *local = Some(ObjectLayout {
-                layout: layout.layout,
-                cores_used: lcores,
-                elems_per_core: lelems,
-                rows_per_core: lrows,
-                elems_per_unit: layout.elems_per_unit,
-                units_per_core: lupc,
-            });
+            parts.push(part);
         }
-        let id = ObjId(self.meta.peek_next_id());
-        self.meta.install(id, dtype, count, layout, false);
-        for (s, local) in locals.into_iter().enumerate() {
-            if let Some(l) = local {
-                self.shards[s]
-                    .rm
-                    .install(id, dtype, map.count_on(s), l, self.functional);
+        let obj = PimObject {
+            id: ObjId(self.next_id),
+            dtype,
+            count,
+            layout,
+        };
+        self.next_id += 1;
+        self.catalog.claim(&layout);
+        for (s, (shard, part)) in self.shards.iter_mut().zip(parts.iter_mut()).enumerate() {
+            if let Some(local) = &part.layout {
+                shard.rm.claim(local);
+                if self.functional {
+                    part.data = vec![0; map.count_on(s) as usize];
+                }
             }
         }
-        self.maps.insert(id, map);
-        Ok(id)
+        let entry = Object { obj, map, parts };
+        let slot = match self.vacant.pop() {
+            Some(slot) => {
+                self.objects[slot.0] = entry;
+                slot
+            }
+            None => {
+                self.objects.push(entry);
+                Slot(self.objects.len() - 1)
+            }
+        };
+        self.index.insert(obj.id, slot);
+        Ok(obj)
     }
 
-    /// Frees an object from the catalog and every shard holding a range.
+    /// Allocates an object associated with `reference`: same element
+    /// count, placed over the same number of cores, and — since maps
+    /// depend only on count and dtype — the same shard map.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::UnknownObject`] for a dead reference, then as
+    /// [`PimSystem::alloc`].
+    pub(crate) fn alloc_associated(
+        &mut self,
+        config: &DeviceConfig,
+        reference: ObjId,
+        dtype: DataType,
+    ) -> Result<PimObject> {
+        let r = *self.object(reference)?;
+        self.alloc(config, r.count, dtype, Some(r.layout.cores_used))
+    }
+
+    /// Frees an object: returns its rows to the catalog and to every
+    /// shard holding a piece, and drops its buffers.
     ///
     /// # Errors
     ///
     /// [`PimError::UnknownObject`] if the id is not live.
     pub(crate) fn free(&mut self, id: ObjId) -> Result<()> {
-        self.meta.free(id)?;
-        for shard in &mut self.shards {
-            // Shards with no range of this object never installed it.
-            let _ = shard.rm.free(id);
+        let slot = self.index.remove(&id).ok_or(PimError::UnknownObject(id))?;
+        let entry = &mut self.objects[slot.0];
+        self.catalog.release(&entry.obj.layout);
+        for (shard, part) in self.shards.iter_mut().zip(entry.parts.iter()) {
+            if let Some(local) = &part.layout {
+                shard.rm.release(local);
+            }
         }
-        self.maps.remove(&id);
+        entry.parts = Few::default();
+        entry.map = ShardMap {
+            ranges: Few::default(),
+            counts: Few::default(),
+        };
+        self.vacant.push(slot);
         Ok(())
     }
 
@@ -460,8 +653,7 @@ impl PimSystem {
     // Per-shard execution
     // ------------------------------------------------------------------
 
-    /// Runs `f` once per shard and returns the first shard error (in
-    /// shard order); every shard runs even after one fails.
+    /// Runs `f` once per shard.
     ///
     /// `work` is the number of elements the call touches (the
     /// destination's element count). Below `2 × exec::MIN_CHUNK` (the
@@ -474,50 +666,76 @@ impl PimSystem {
     /// light shard takes the next one, and element-level fan-outs
     /// *inside* a shard are ordinary nested pool jobs that idle workers
     /// can help with.
-    fn on_shards<F>(shards: &mut [Shard], work: usize, f: F) -> Result<()>
+    fn on_shards<F>(shards: &mut [Shard], work: usize, f: F)
     where
-        F: Fn(usize, &mut Shard) -> Result<()> + Sync,
+        F: Fn(usize, &mut Shard) + Sync,
     {
         if shards.len() > 1 {
             if work >= 2 * exec::MIN_CHUNK {
-                return exec::par_each_mut(shards, |i, shard| f(i, shard))
-                    .into_iter()
-                    .collect();
+                exec::par_each_mut(shards, |i, shard| f(i, shard));
+                return;
             }
             exec::pool::note_sequential();
         }
-        let mut first = Ok(());
         for (i, shard) in shards.iter_mut().enumerate() {
-            let result = f(i, shard);
-            if first.is_ok() {
-                first = result;
-            }
+            f(i, shard);
         }
-        first
     }
 
-    /// Reassembles an object's full canonical buffer in global element
-    /// order from its per-shard pieces.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`]; [`PimError::NotSupported`] in
-    /// model-only mode.
-    pub(crate) fn gather_full(&self, id: ObjId) -> Result<Vec<i64>> {
-        let count = self.meta.get(id)?.count as usize;
-        let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
-        let mut out = vec![0i64; count];
-        for r in &map.ranges {
-            let obj = self.shards[r.shard].rm.get(id)?;
-            let data = obj
-                .data
-                .as_deref()
-                .ok_or_else(|| PimError::NotSupported("copy_to_host in model-only mode".into()))?;
-            let ls = r.local_start as usize;
-            let len = (r.end - r.start) as usize;
-            out[r.start as usize..r.end as usize].copy_from_slice(&data[ls..ls + len]);
+    /// Rewrites `dst`'s piece on every shard holding one:
+    /// `f(shard, objects, out)` fills `out` with the shard's new piece,
+    /// reading any object (including `dst`) through `objects`. `out` is
+    /// the shard's spare buffer; afterwards it is swapped with the
+    /// piece. When no input aliases the destination (`aliased` false),
+    /// the piece is first swapped *into* the spare, so the command
+    /// writes over the destination's own allocation and the spare is
+    /// left as it was. An aliased command's displaced piece becomes the
+    /// spare, and is dropped instead when it holds `2 × MIN_CHUNK`
+    /// elements or more.
+    fn write_dst<F>(&mut self, dst: Slot, aliased: bool, f: F)
+    where
+        F: Fn(usize, &[Object], &mut Vec<i64>) + Sync,
+    {
+        if aliased {
+            // Size the spares here, not on a pool worker: the displaced
+            // pieces are freed on this thread, and freeing buffers other
+            // threads allocated raised `bulk-sweep`'s peak RSS by 1 MB.
+            let map = &self.objects[dst.0].map;
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                let n = map.count_on(s) as usize;
+                shard
+                    .spare
+                    .reserve_exact(n.saturating_sub(shard.spare.len()));
+            }
+        } else {
+            self.swap_spares(dst);
         }
-        Ok(out)
+        let objects = &self.objects;
+        let map = &objects[dst.0].map;
+        let work = objects[dst.0].obj.count as usize;
+        Self::on_shards(&mut self.shards, work, |s, shard| {
+            if map.count_on(s) > 0 {
+                f(s, objects, &mut shard.spare);
+            }
+        });
+        self.swap_spares(dst);
+        if aliased {
+            for shard in &mut self.shards {
+                if shard.spare.capacity() >= 2 * exec::MIN_CHUNK {
+                    shard.spare = Vec::new();
+                }
+            }
+        }
+    }
+
+    /// Swaps every shard's spare buffer with `dst`'s piece on it.
+    fn swap_spares(&mut self, dst: Slot) {
+        let parts = self.objects[dst.0].parts.iter_mut();
+        for (shard, part) in self.shards.iter_mut().zip(parts) {
+            if part.layout.is_some() {
+                std::mem::swap(&mut shard.spare, &mut part.data);
+            }
+        }
     }
 
     /// Converts an object's sharded contents into a host buffer
@@ -525,15 +743,16 @@ impl PimSystem {
     ///
     /// # Errors
     ///
-    /// As [`PimSystem::gather_full`].
-    pub(crate) fn gather_to_host<T: PimScalar>(&self, id: ObjId, out: &mut [T]) -> Result<()> {
-        let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
-        for r in &map.ranges {
-            let obj = self.shards[r.shard].rm.get(id)?;
-            let data = obj
-                .data
-                .as_deref()
-                .ok_or_else(|| PimError::NotSupported("copy_to_host in model-only mode".into()))?;
+    /// [`PimError::NotSupported`] in model-only mode.
+    pub(crate) fn gather_to_host<T: PimScalar>(&self, slot: Slot, out: &mut [T]) -> Result<()> {
+        if !self.functional {
+            return Err(PimError::NotSupported(
+                "copy_to_host in model-only mode".into(),
+            ));
+        }
+        let entry = &self.objects[slot.0];
+        for r in entry.map.ranges.iter() {
+            let data = &entry.parts[r.shard].data;
             let ls = r.local_start as usize;
             let len = (r.end - r.start) as usize;
             exec::par_map_into(
@@ -546,42 +765,27 @@ impl PimSystem {
     }
 
     /// Packs a host buffer into per-shard canonical buffers
-    /// (`pimCopyHostToDevice` under sharding). No-op in model-only mode.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`].
+    /// (`pimCopyHostToDevice` under sharding), in place. No-op in
+    /// model-only mode.
     pub(crate) fn scatter_to_device<T: PimScalar>(
         &mut self,
         data: &[T],
-        id: ObjId,
+        slot: Slot,
         dtype: DataType,
-    ) -> Result<()> {
+    ) {
         if !self.functional {
-            return Ok(());
+            return;
         }
-        let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let c = map.count_on(s) as usize;
-            if c == 0 {
-                continue;
-            }
-            // Reuse the shard's existing buffer when present (repeated
-            // uploads into the same object allocate nothing).
-            let mut buf = shard.rm.get_mut(id)?.data.take().unwrap_or_default();
-            buf.resize(c, 0);
-            for r in map.ranges.iter().filter(|r| r.shard == s) {
-                let ls = r.local_start as usize;
-                let len = (r.end - r.start) as usize;
-                exec::par_map_into(
-                    [&data[r.start as usize..r.end as usize]],
-                    &mut buf[ls..ls + len],
-                    |[v]| dtype.truncate(v.to_device()),
-                );
-            }
-            shard.rm.get_mut(id)?.data = Some(buf);
+        let Object { map, parts, .. } = &mut self.objects[slot.0];
+        for r in map.ranges.iter() {
+            let ls = r.local_start as usize;
+            let len = (r.end - r.start) as usize;
+            exec::par_map_into(
+                [&data[r.start as usize..r.end as usize]],
+                &mut parts[r.shard].data[ls..ls + len],
+                |[v]| dtype.truncate(v.to_device()),
+            );
         }
-        Ok(())
     }
 
     /// Element-wise execution across shards. Operands whose shard map
@@ -590,197 +794,100 @@ impl PimSystem {
     /// their bytes are counted as interconnect realignment traffic and,
     /// in functional mode, their values are re-dealt by the
     /// destination's map. Returns the realigned byte total.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`] for dead operands.
     pub(crate) fn exec_elementwise(
         &mut self,
         kind: crate::ops::OpKind,
         dtype: DataType,
-        inputs: &[ObjId],
-        dst: ObjId,
-    ) -> Result<u64> {
-        let dst_map = self.maps.get(&dst).ok_or(PimError::UnknownObject(dst))?;
+        inputs: &[Slot],
+        dst: Slot,
+    ) -> u64 {
+        let dst_map = &self.objects[dst.0].map;
         let mut realign_bytes = 0u64;
         // `(input index, per-shard pieces)` for every input re-dealt by
         // the destination's map. Stays empty, and so allocates nothing,
         // when every operand is aligned with the destination.
         let mut realigned: Vec<(usize, Vec<Vec<i64>>)> = Vec::new();
-        for (j, &id) in inputs.iter().enumerate() {
-            let map = self.maps.get(&id).ok_or(PimError::UnknownObject(id))?;
-            if map == dst_map {
+        for (j, &slot) in inputs.iter().enumerate() {
+            let entry = &self.objects[slot.0];
+            if entry.map == *dst_map {
                 continue;
             }
-            realign_bytes += self.meta.get(id)?.bytes();
+            realign_bytes += entry.obj.bytes();
             if self.functional {
-                let full = self.gather_full(id)?;
+                let full = gather_full(entry);
                 let mut per_shard: Vec<Vec<i64>> = vec![Vec::new(); self.shards.len()];
-                for r in &dst_map.ranges {
+                for r in dst_map.ranges.iter() {
                     per_shard[r.shard].extend_from_slice(&full[r.start as usize..r.end as usize]);
                 }
                 realigned.push((j, per_shard));
             }
         }
         if !self.functional {
-            return Ok(realign_bytes);
+            return realign_bytes;
         }
         let aliased = inputs.contains(&dst);
-        let work = self.meta.get(dst)?.count as usize;
-        Self::on_shards(&mut self.shards, work, |s, shard| {
-            let n = dst_map.count_on(s) as usize;
-            if n == 0 {
-                return Ok(());
+        self.write_dst(dst, aliased, |s, objects, out| {
+            out.resize(objects[dst.0].map.count_on(s) as usize, 0);
+            let mut ins: [&[i64]; 4] = [&[]; 4];
+            for (j, &slot) in inputs.iter().enumerate() {
+                ins[j] = match realigned.iter().find(|(k, _)| *k == j) {
+                    Some((_, per)) => &per[s],
+                    None => &objects[slot.0].parts[s].data,
+                };
             }
-            // Steady-state ops write into the destination's existing
-            // buffer instead of allocating a fresh output per op. When
-            // an input aliases the destination the buffer cannot be
-            // taken out from under the reads, so that (rare) shape
-            // computes into a new buffer.
-            let mut out = if aliased {
-                vec![0; n]
-            } else {
-                let mut buf = shard.rm.get_mut(dst)?.data.take().unwrap_or_default();
-                buf.resize(n, 0);
-                buf
-            };
-            {
-                let mut ins: [&[i64]; 4] = [&[]; 4];
-                for (j, &id) in inputs.iter().enumerate() {
-                    ins[j] = match realigned.iter().find(|(k, _)| *k == j) {
-                        Some((_, per)) => &per[s],
-                        None => shard
-                            .rm
-                            .get(id)?
-                            .data
-                            .as_deref()
-                            .expect("functional object has data"),
-                    };
-                }
-                crate::cmd::exec_into(kind, dtype, &ins[..inputs.len()], &mut out);
-            }
-            shard.rm.get_mut(dst)?.data = Some(out);
-            Ok(())
-        })?;
-        Ok(realign_bytes)
+            crate::cmd::exec_into(kind, dtype, &ins[..inputs.len()], out);
+        });
+        realign_bytes
     }
 
-    /// Device-to-device copy. Aligned maps clone shard-locally; a
+    /// Device-to-device copy. Aligned maps copy shard-locally; a
     /// misaligned pair (possible only through dtype-chained
     /// associations) gathers and re-deals, returning the object's bytes
     /// as interconnect realignment traffic.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`] for dead operands.
-    pub(crate) fn copy_data(&mut self, src: ObjId, dst: ObjId) -> Result<u64> {
-        let src_map = self.maps.get(&src).ok_or(PimError::UnknownObject(src))?;
-        let dst_map = self.maps.get(&dst).ok_or(PimError::UnknownObject(dst))?;
-        if src_map == dst_map {
+    pub(crate) fn copy_data(&mut self, src: Slot, dst: Slot) -> u64 {
+        if self.objects[src.0].map == self.objects[dst.0].map {
             if self.functional && src != dst {
-                let work = self.meta.get(dst)?.count as usize;
-                Self::on_shards(&mut self.shards, work, |_s, shard| {
-                    // Reuse the destination's existing buffer: repeated
-                    // copies into the same object allocate nothing.
-                    let Ok(dst_obj) = shard.rm.get_mut(dst) else {
-                        return Ok(());
-                    };
-                    let mut buf = dst_obj.data.take().unwrap_or_default();
-                    let copied = match shard.rm.get(src) {
-                        Ok(obj) => match obj.data.as_deref() {
-                            Some(d) => {
-                                buf.resize(d.len(), 0);
-                                buf.copy_from_slice(d);
-                                true
-                            }
-                            None => false,
-                        },
-                        Err(_) => {
-                            // Source absent on this shard: restore the
-                            // destination untouched (pre-reuse semantics).
-                            shard.rm.get_mut(dst)?.data = Some(buf);
-                            return Ok(());
-                        }
-                    };
-                    shard.rm.get_mut(dst)?.data = copied.then_some(buf);
-                    Ok(())
-                })?;
+                self.write_dst(dst, false, |s, objects, out| {
+                    out.clear();
+                    out.extend_from_slice(&objects[src.0].parts[s].data);
+                });
             }
-            return Ok(0);
+            return 0;
         }
-        let bytes = self.meta.get(src)?.bytes();
+        let bytes = self.objects[src.0].obj.bytes();
         if self.functional {
-            let full = self.gather_full(src)?;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let c = dst_map.count_on(s) as usize;
-                if c == 0 {
-                    continue;
-                }
-                let mut buf = vec![0i64; c];
-                for r in dst_map.ranges.iter().filter(|r| r.shard == s) {
-                    let ls = r.local_start as usize;
-                    let len = (r.end - r.start) as usize;
-                    buf[ls..ls + len].copy_from_slice(&full[r.start as usize..r.end as usize]);
-                }
-                if let Ok(obj) = shard.rm.get_mut(dst) {
-                    obj.data = Some(buf);
-                }
+            let full = gather_full(&self.objects[src.0]);
+            let Object { map, parts, .. } = &mut self.objects[dst.0];
+            for r in map.ranges.iter() {
+                let ls = r.local_start as usize;
+                let len = (r.end - r.start) as usize;
+                parts[r.shard].data[ls..ls + len]
+                    .copy_from_slice(&full[r.start as usize..r.end as usize]);
             }
         }
-        Ok(bytes)
+        bytes
     }
 
     /// Fills every shard-local piece of `dst` with `value` truncated to
     /// `dtype`. No-op in model-only mode.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today (missing shard pieces are skipped); kept
-    /// fallible for symmetry with the other execution paths.
-    pub(crate) fn broadcast_value(
-        &mut self,
-        dst: ObjId,
-        value: i64,
-        dtype: DataType,
-    ) -> Result<()> {
+    pub(crate) fn broadcast_value(&mut self, dst: Slot, value: i64, dtype: DataType) {
         if !self.functional {
-            return Ok(());
+            return;
         }
-        let work = self.meta.get(dst).map_or(0, |o| o.count as usize);
-        Self::on_shards(&mut self.shards, work, |_s, shard| {
-            if let Ok(obj) = shard.rm.get_mut(dst) {
-                let count = obj.count as usize;
-                // Fill in place when a buffer already exists.
-                let mut buf = obj.data.take().unwrap_or_default();
-                buf.resize(count, 0);
-                buf.fill(dtype.truncate(value));
-                obj.data = Some(buf);
-            }
-            Ok(())
-        })
+        let v = dtype.truncate(value);
+        self.write_dst(dst, false, |s, objects, out| {
+            out.resize(objects[dst.0].map.count_on(s) as usize, 0);
+            out.fill(v);
+        });
     }
 
     /// Widening reduction sum across all shards (0 in model-only mode).
     /// Per-range partials accumulate in ascending global order; `i128`
     /// addition is associative so the result is bit-identical to the
     /// unsharded sum.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`].
-    pub(crate) fn red_sum(&self, a: ObjId, dtype: DataType) -> Result<i128> {
-        let map = self.maps.get(&a).ok_or(PimError::UnknownObject(a))?;
-        let mut total = 0i128;
-        for r in &map.ranges {
-            let obj = self.shards[r.shard].rm.get(a)?;
-            let Some(data) = obj.data.as_deref() else {
-                return Ok(0);
-            };
-            let ls = r.local_start as usize;
-            let len = (r.end - r.start) as usize;
-            total += par_sum(&data[ls..ls + len], dtype);
-        }
-        Ok(total)
+    pub(crate) fn red_sum(&self, slot: Slot, dtype: DataType) -> i128 {
+        let count = self.get(slot).count;
+        self.red_sum_range(slot, dtype, 0, count)
     }
 
     /// Reduction extreme (`min` when `want_min`, else `max`) across all
@@ -788,12 +895,10 @@ impl PimSystem {
     /// ascending global order with keep-first tie-breaking — exactly a
     /// sequential scan's semantics, so sharding cannot change the
     /// result.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`].
-    pub(crate) fn red_extreme(&self, a: ObjId, dtype: DataType, want_min: bool) -> Result<i64> {
-        let map = self.maps.get(&a).ok_or(PimError::UnknownObject(a))?;
+    pub(crate) fn red_extreme(&self, slot: Slot, dtype: DataType, want_min: bool) -> i64 {
+        if !self.functional {
+            return 0;
+        }
         let keep_first = |x: i64, y: i64| {
             let ord = dtype.compare(x, y);
             if if want_min { ord.is_le() } else { ord.is_ge() } {
@@ -802,15 +907,12 @@ impl PimSystem {
                 y
             }
         };
+        let entry = &self.objects[slot.0];
         let mut best: Option<i64> = None;
-        for r in &map.ranges {
-            let obj = self.shards[r.shard].rm.get(a)?;
-            let Some(data) = obj.data.as_deref() else {
-                return Ok(0);
-            };
+        for r in entry.map.ranges.iter() {
             let ls = r.local_start as usize;
             let len = (r.end - r.start) as usize;
-            let seg = &data[ls..ls + len];
+            let seg = &entry.parts[r.shard].data[ls..ls + len];
             let part = exec::par_fold(
                 seg.len(),
                 |rr| {
@@ -828,38 +930,28 @@ impl PimSystem {
                 (b, None) => b,
             };
         }
-        Ok(best.unwrap_or(0))
+        best.unwrap_or(0)
     }
 
     /// Ranged reduction sum over global elements `[start, end)`
     /// (bounds already validated), intersected with each shard range.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::UnknownObject`].
-    pub(crate) fn red_sum_range(
-        &self,
-        a: ObjId,
-        dtype: DataType,
-        start: u64,
-        end: u64,
-    ) -> Result<i128> {
-        let map = self.maps.get(&a).ok_or(PimError::UnknownObject(a))?;
+    /// 0 in model-only mode.
+    pub(crate) fn red_sum_range(&self, slot: Slot, dtype: DataType, start: u64, end: u64) -> i128 {
+        if !self.functional {
+            return 0;
+        }
+        let entry = &self.objects[slot.0];
         let mut total = 0i128;
-        for r in &map.ranges {
+        for r in entry.map.ranges.iter() {
             let s = start.max(r.start);
             let e = end.min(r.end);
             if s >= e {
                 continue;
             }
-            let obj = self.shards[r.shard].rm.get(a)?;
-            let Some(data) = obj.data.as_deref() else {
-                return Ok(0);
-            };
             let ls = (r.local_start + (s - r.start)) as usize;
-            total += par_sum(&data[ls..ls + (e - s) as usize], dtype);
+            total += par_sum(&entry.parts[r.shard].data[ls..ls + (e - s) as usize], dtype);
         }
-        Ok(total)
+        total
     }
 
     // ------------------------------------------------------------------
@@ -875,7 +967,7 @@ impl PimSystem {
     /// returned for the device ledger.
     pub(crate) fn price_with_backends<F>(
         &mut self,
-        costed: ObjId,
+        costed: Slot,
         mut price: F,
     ) -> (OpCost, TimingCounters)
     where
@@ -883,7 +975,7 @@ impl PimSystem {
     {
         let mut agg: Option<OpCost> = None;
         let mut dram = TimingCounters::default();
-        for s in holders(&self.maps, self.shards.len(), costed) {
+        for s in holders(&self.objects[costed.0].map, self.shards.len()) {
             let timing = &mut self.shards[s].timing;
             let cost = price(timing);
             dram.merge(&timing.take_counters());
@@ -906,7 +998,7 @@ impl PimSystem {
     /// advisory replay never reaches it).
     pub(crate) fn charge_copy_with_backends(
         &mut self,
-        obj: ObjId,
+        slot: Slot,
         represented_bytes: u64,
         functional_bytes: u64,
         ranks: usize,
@@ -915,7 +1007,7 @@ impl PimSystem {
         let mut time_ms: Option<f64> = None;
         let mut replay: Option<CopyReplay> = None;
         let mut dram = TimingCounters::default();
-        for s in holders(&self.maps, self.shards.len(), obj) {
+        for s in holders(&self.objects[slot.0].map, self.shards.len()) {
             let timing = &mut self.shards[s].timing;
             let t = timing.charge_host_copy(represented_bytes, ranks);
             time_ms = Some(time_ms.map_or(t, |prev| prev.max(t)));
@@ -930,20 +1022,21 @@ impl PimSystem {
     // Per-shard time distribution
     // ------------------------------------------------------------------
 
-    /// Splits `time_ms` charged on `obj` over the shards holding it,
-    /// proportionally to each shard's element count, as `f(shard, share)`
-    /// in ascending shard order. The last holder absorbs the rounding
-    /// remainder, so the shares sum back to `time_ms` up to float
-    /// re-association. Single-shard devices and unmapped objects put the
-    /// whole time on shard 0.
-    pub(crate) fn split_time(&self, obj: ObjId, time_ms: f64, mut f: impl FnMut(usize, f64)) {
-        let Some(map) = self.maps.get(&obj).filter(|_| self.shards.len() > 1) else {
+    /// Splits `time_ms` charged on the object at `slot` over the shards
+    /// holding it, proportionally to each shard's element count, as
+    /// `f(shard, share)` in ascending shard order. The last holder
+    /// absorbs the rounding remainder, so the shares sum back to
+    /// `time_ms` up to float re-association. Single-shard devices put
+    /// the whole time on shard 0.
+    pub(crate) fn split_time(&self, slot: Slot, time_ms: f64, mut f: impl FnMut(usize, f64)) {
+        if self.shards.len() <= 1 {
             return f(0, time_ms);
-        };
-        let total: u64 = map.counts.iter().sum();
-        let last = map.counts.iter().rposition(|&c| c > 0);
+        }
+        let counts = &self.objects[slot.0].map.counts;
+        let total: u64 = counts.iter().sum();
+        let last = counts.iter().rposition(|&c| c > 0);
         let mut acc = 0.0f64;
-        for (s, &c) in map.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+        for (s, &c) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
             let share = if Some(s) == last {
                 (time_ms - acc).max(0.0)
             } else {
@@ -954,46 +1047,34 @@ impl PimSystem {
         }
     }
 
-    /// Critical-path and total byte loads of scattering/gathering `id`:
-    /// `(busiest shard's bytes, all bytes)`.
-    pub(crate) fn shard_byte_split(&self, id: ObjId) -> (u64, u64) {
-        let Ok(obj) = self.meta.get(id) else {
-            return (0, 0);
-        };
-        let bpe = (obj.dtype.bits() as u64 / 8).max(1);
-        match self.maps.get(&id) {
-            Some(map) => {
-                let max_c = map.counts.iter().copied().max().unwrap_or(0);
-                (max_c * bpe, obj.count * bpe)
-            }
-            None => (obj.count * bpe, obj.count * bpe),
-        }
+    /// Critical-path and total byte loads of scattering/gathering the
+    /// object at `slot`: `(busiest shard's bytes, all bytes)`.
+    pub(crate) fn shard_byte_split(&self, slot: Slot) -> (u64, u64) {
+        let entry = &self.objects[slot.0];
+        let bpe = (entry.obj.dtype.bits() as u64 / 8).max(1);
+        let max_c = entry.map.counts.iter().copied().max().unwrap_or(0);
+        (max_c * bpe, entry.obj.count * bpe)
     }
 
-    /// Snapshot of catalog-level and per-shard resource usage
-    /// (per-shard rows are populated only when more than one shard
-    /// exists).
-    pub(crate) fn resource_stats(&self) -> ResourceStats {
-        let per_shard = if self.shards.len() > 1 {
-            self.shards
-                .iter()
-                .map(|s| ShardResourceStats {
+    /// Writes the catalog-level and per-shard resource usage into
+    /// `stats`, reusing its per-shard list (per-shard rows are
+    /// populated only when more than one shard exists).
+    pub(crate) fn resource_stats_into(&self, stats: &mut ResourceStats) {
+        stats.rows_in_use = self.catalog.rows_in_use();
+        stats.peak_rows = self.catalog.peak_rows();
+        stats.rows_capacity = self.catalog.rows_capacity();
+        stats.live_objects = self.catalog.live_objects() as u64;
+        stats.shards = self.shards.len() as u64;
+        stats.per_shard.clear();
+        if self.shards.len() > 1 {
+            stats
+                .per_shard
+                .extend(self.shards.iter().map(|s| ShardResourceStats {
                     rows_in_use: s.rm.rows_in_use(),
                     peak_rows: s.rm.peak_rows(),
                     rows_capacity: s.rm.rows_capacity(),
                     live_objects: s.rm.live_objects() as u64,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ResourceStats {
-            rows_in_use: self.meta.rows_in_use(),
-            peak_rows: self.meta.peak_rows(),
-            rows_capacity: self.meta.rows_capacity(),
-            live_objects: self.meta.live_objects() as u64,
-            shards: self.shards.len() as u64,
-            per_shard,
+                }));
         }
     }
 

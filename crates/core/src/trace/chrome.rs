@@ -547,7 +547,7 @@ mod tests {
         r.record_cmd("add.int32", "add", 4.0, 0.1);
         r.record_shard_busy(0, 0.0, 4.0, 3.0);
         r.record_shard_busy(1, 0.0, 4.0, 1.0);
-        r.record_interconnect("scatter", 4.0, 256, 0.05, 0.001);
+        r.record_interconnect(InterconnectKind::Scatter, 4.0, 256, 0.05, 0.001);
         let snap = r.snapshot(4.0);
         let mut b = ChromeTraceBuilder::new();
         b.add_counter_tracks("metrics", &snap);

@@ -297,7 +297,7 @@ fn dead_ids_are_unknown_objects_everywhere() {
             for pos in 0..live_inputs.len() + usize::from(live_dst.is_some()) {
                 let mut command = PimCommand {
                     kind,
-                    inputs: live_inputs.to_vec(),
+                    inputs: live_inputs.into(),
                     dst: live_dst,
                 };
                 match command.inputs.get_mut(pos) {

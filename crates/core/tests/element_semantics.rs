@@ -366,7 +366,7 @@ fn digests() -> Vec<(String, Vec<u32>)> {
                     let arity = kind.input_operands() as usize;
                     let cmd = PimCommand {
                         kind,
-                        inputs: ins[..arity].to_vec(),
+                        inputs: ins[..arity].into(),
                         dst: Some(dst),
                     };
                     exec::with_thread_count(2, || dev.issue(cmd)).unwrap();

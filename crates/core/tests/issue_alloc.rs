@@ -3,29 +3,42 @@
 //! A counting global allocator records every allocation made on the
 //! test thread. On a warm one-shard functional device (every command
 //! kind issued once, so first-seen statistics names and cost memo
-//! entries already exist) re-issuing the same pre-built commands must
-//! perform zero heap allocations: the object tables are looked up in
-//! place, aligned operands are read shard-locally, results are written
-//! into the destination's existing buffer, and statistics names are
-//! formatted on the stack. Commands whose destination is also an input
-//! are excluded; they may keep their one output allocation.
+//! entries already exist) re-issuing the same commands must perform
+//! zero heap allocations, whether they are pre-built [`PimCommand`]s or
+//! go through the eager wrappers (`Device::add`, `select`, …): operands
+//! are resolved against the object table once, commands hold their
+//! inputs inline, aligned operands are read shard-locally, results are
+//! written into the destination's existing buffer, and statistics names
+//! are built on the stack. Commands whose destination is also an input
+//! compute into the shard's spare buffer, which is then swapped with the
+//! destination's.
 //!
 //! The same holds on a four-shard device with the metrics registry on:
 //! commands below the pool's work floor run their shards inline (no
 //! pool fan-out, no per-shard result slots) and the registry builds its
 //! instrument keys on the stack. It also holds for element-wise commands
 //! long enough to fan out to the pool: the job lives on the caller's
-//! stack and claims its chunks from one counter.
+//! stack and claims its chunks from one counter. Above the floor an
+//! aliased command computes into a fresh buffer, since the spare is
+//! kept only below it to bound its memory; those commands are left out
+//! of that case.
+//!
+//! Copies and UPMEM bursts priced by the bank FSM allocate nothing
+//! either, and a warm `alloc_associated` + `free` pair on one shard
+//! allocates exactly its zeroed buffer.
 //!
 //! This file is its own test binary so the allocator hook sees nothing
 //! but this test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 use pimeval::exec::{self, pool};
 use pimeval::pim_microcode::gen::{BinaryOp, CmpOp};
-use pimeval::{DataType, Device, DeviceConfig, ObjId, OpKind, PimCommand, PimTarget};
+use pimeval::{
+    DataType, Device, DeviceConfig, ObjId, OpKind, PimCommand, PimTarget, TimingBackend,
+};
 
 struct CountingAlloc;
 
@@ -70,9 +83,9 @@ fn allocations() -> u64 {
 }
 
 /// Every command kind reading `a`, `b` and `mask` and writing `dst`
-/// (never read), followed by the three reductions of `a` when
-/// `reductions` is set.
-fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId, reductions: bool) -> Vec<PimCommand> {
+/// (never read), then the three reductions of `a` when `small`, and
+/// commands that also read `dst` when `small`.
+fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId, small: bool) -> Vec<PimCommand> {
     let mut cmds = Vec::new();
     for op in [
         BinaryOp::Add,
@@ -113,23 +126,103 @@ fn command_set(a: ObjId, b: ObjId, mask: ObjId, dst: ObjId, reductions: bool) ->
     cmds.push(PimCommand::select(mask, a, b, dst));
     cmds.push(PimCommand::copy(a, dst));
     cmds.push(PimCommand::broadcast(dst, 42));
-    if reductions {
+    if small {
         for kind in [OpKind::RedSum, OpKind::RedMin, OpKind::RedMax] {
             cmds.push(PimCommand::reduce(kind, a));
         }
+        // The aliased shapes the apps issue: VGG's `add(tmp, acc, acc)`,
+        // AES's `xor(out, s, out)` and `xor_scalar(s, 1, s)`.
+        let add = OpKind::Binary(BinaryOp::Add);
+        cmds.push(PimCommand::elementwise2(add, a, dst, dst));
+        cmds.push(PimCommand::elementwise2(
+            OpKind::Binary(BinaryOp::Xor),
+            dst,
+            b,
+            dst,
+        ));
+        cmds.push(PimCommand::elementwise1(
+            OpKind::BinaryScalar(BinaryOp::Xor, 1),
+            dst,
+            dst,
+        ));
+        cmds.push(PimCommand::select(mask, dst, b, dst));
+        cmds.push(PimCommand::fused_cmp_select(CmpOp::Lt, dst, b, a, dst, dst));
+        cmds.push(PimCommand::scaled_add(dst, dst, dst, 3));
     }
     cmds
 }
 
+/// The eager wrappers over the same shapes as [`command_set`] (with the
+/// same `small` switch); returns how many commands they issued.
+fn issue_eager(dev: &mut Device, a: ObjId, b: ObjId, mask: ObjId, dst: ObjId, small: bool) -> u64 {
+    let binary = [
+        Device::add,
+        Device::sub,
+        Device::mul,
+        Device::and,
+        Device::or,
+        Device::xor,
+        Device::xnor,
+        Device::min,
+        Device::max,
+        Device::lt,
+        Device::gt,
+        Device::eq,
+    ];
+    let scalar = [
+        Device::add_scalar,
+        Device::sub_scalar,
+        Device::mul_scalar,
+        Device::and_scalar,
+        Device::or_scalar,
+        Device::xor_scalar,
+        Device::min_scalar,
+        Device::max_scalar,
+        Device::lt_scalar,
+        Device::gt_scalar,
+        Device::eq_scalar,
+    ];
+    let unary = [Device::not, Device::abs, Device::popcount];
+    for f in binary {
+        f(dev, a, b, dst).unwrap();
+    }
+    for f in scalar {
+        f(dev, a, -3, dst).unwrap();
+    }
+    for f in unary {
+        f(dev, a, dst).unwrap();
+    }
+    dev.shift_left(a, 3, dst).unwrap();
+    dev.shift_right(a, 2, dst).unwrap();
+    dev.select(mask, a, b, dst).unwrap();
+    dev.cmp_select(CmpOp::Gt, a, b, a, b, dst).unwrap();
+    dev.copy_object(a, dst).unwrap();
+    dev.broadcast(dst, 42).unwrap();
+    let mut issued = (binary.len() + scalar.len() + unary.len() + 6) as u64;
+    if small {
+        dev.red_sum(a).unwrap();
+        dev.red_min(a).unwrap();
+        dev.red_max(a).unwrap();
+        dev.add(a, dst, dst).unwrap();
+        dev.xor(dst, b, dst).unwrap();
+        dev.xor_scalar(dst, 1, dst).unwrap();
+        dev.select(mask, dst, b, dst).unwrap();
+        issued += 7;
+    }
+    issued
+}
+
 /// Warms `dev` with every command kind once on `n`-element objects, then
-/// re-issues the same commands and returns how many heap allocations the
-/// re-issue made on this thread.
+/// re-issues the same commands, pre-built and through the eager
+/// wrappers, and returns how many heap allocations the re-issue made on
+/// this thread.
 ///
 /// Reductions are left out once `n` is long enough to fan out:
 /// `exec::par_chunks` collects one partials `Vec` per fan-out, so each
-/// such reduction allocates exactly once.
+/// such reduction allocates exactly once. So are aliased commands, which
+/// keep no spare buffer above the floor.
 fn warm_reissue_allocations(dev: &mut Device, n: i32) -> u64 {
-    let reductions = (n as usize) < 2 * exec::MIN_CHUNK;
+    let small = (n as usize) < 2 * exec::MIN_CHUNK;
     let data: Vec<i32> = (0..n).map(|i| i * 7919 - 1_000_000).collect();
     let other: Vec<i32> = (0..n).map(|i| 5000 - i * 31).collect();
     let bits: Vec<i32> = (0..n).map(|i| i % 3).collect();
@@ -138,19 +231,21 @@ fn warm_reissue_allocations(dev: &mut Device, n: i32) -> u64 {
     let mask = dev.alloc_vec(&bits).unwrap();
     let dst = dev.alloc_associated(a, DataType::Int32).unwrap();
 
-    // Warm-up: first-seen statistics names, instrument keys and cost
-    // memo entries.
-    for cmd in command_set(a, b, mask, dst, reductions) {
+    // Warm-up: first-seen statistics names, instrument keys, cost memo
+    // entries and spare buffers.
+    for cmd in command_set(a, b, mask, dst, small) {
         dev.issue(cmd).unwrap();
     }
-    let cmds = command_set(a, b, mask, dst, reductions);
-    let count = cmds.len() as u64;
+    issue_eager(dev, a, b, mask, dst, small);
+    let cmds = command_set(a, b, mask, dst, small);
+    let mut count = cmds.len() as u64;
     let ops_before = dev.stats().total_ops();
 
     let before = allocations();
     for cmd in cmds {
         dev.issue(cmd).unwrap();
     }
+    count += issue_eager(dev, a, b, mask, dst, small);
     let allocated = allocations() - before;
 
     assert_eq!(dev.stats().total_ops() - ops_before, count);
@@ -169,11 +264,15 @@ fn warm_issue_performs_no_heap_allocation() {
     }
 }
 
-/// Also covers the fan-out path: `pool::snapshot()` is process-global, so
-/// the fan-out case runs in this test, after the no-fan-out assertions,
-/// rather than concurrently with them.
+/// Held by every test that fans out to the pool: `pool::snapshot()` is
+/// process-global, so a fan-out elsewhere would show up in the
+/// no-fan-out assertions below.
+static FANOUTS: Mutex<()> = Mutex::new(());
+
+/// Also covers the fan-out path, after the no-fan-out assertions.
 #[test]
 fn warm_sharded_metered_issue_performs_no_heap_allocation() {
+    let _serial = FANOUTS.lock().unwrap_or_else(|e| e.into_inner());
     // Fan-outs are only counted while pool profiling is on.
     pool::enable();
     for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
@@ -212,4 +311,108 @@ fn warm_sharded_metered_issue_performs_no_heap_allocation() {
             );
         });
     }
+}
+
+#[test]
+fn warm_alloc_associated_and_free_allocate_only_the_buffer() {
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
+        let a = dev.alloc_vec(&[1i32; 300]).unwrap();
+        for _ in 0..2 {
+            let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
+            dev.free(tmp).unwrap();
+        }
+        let before = allocations();
+        let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
+        dev.free(tmp).unwrap();
+        let allocated = allocations() - before;
+        assert_eq!(
+            allocated, 1,
+            "{target}: a warm alloc_associated + free made {allocated} heap allocation(s), \
+             not just the zeroed buffer"
+        );
+    }
+}
+
+#[test]
+fn warm_fsm_copies_and_upmem_bursts_perform_no_heap_allocation() {
+    let data: Vec<i32> = (0..300).collect();
+    let mut out = vec![0i32; data.len()];
+    let config =
+        DeviceConfig::new(PimTarget::Fulcrum, 1).with_timing_backend(TimingBackend::BankFsm);
+    let mut dev = Device::new(config).unwrap();
+    let a = dev.alloc_vec(&data).unwrap();
+    dev.copy_to_host(a, &mut out).unwrap();
+    let before = allocations();
+    dev.copy_to_device(&data, a).unwrap();
+    dev.copy_to_host(a, &mut out).unwrap();
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "bank-FSM host copies made {allocated} heap allocation(s)"
+    );
+
+    let config =
+        DeviceConfig::new(PimTarget::UpmemLike, 1).with_timing_backend(TimingBackend::BankFsm);
+    let mut dev = Device::new(config).unwrap();
+    let a = dev.alloc_vec(&data).unwrap();
+    let dst = dev.alloc_associated(a, DataType::Int32).unwrap();
+    dev.add(a, a, dst).unwrap();
+    let before = allocations();
+    dev.add(a, a, dst).unwrap();
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "a bank-FSM UPMEM burst made {allocated} heap allocation(s)"
+    );
+}
+
+/// Aliased commands long enough to run their shards on the pool compute
+/// the same bits on four shards as on one.
+#[test]
+fn aliased_commands_above_the_floor_match_one_shard() {
+    let _serial = FANOUTS.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 2 * exec::MIN_CHUNK as i32 + 1234;
+    let run = |shards: usize| {
+        exec::with_thread_count(2, || {
+            let config = DeviceConfig::new(PimTarget::Fulcrum, 1).with_shards(shards);
+            let mut dev = Device::new(config).unwrap();
+            assert_eq!(dev.system().shard_count(), shards);
+            let a = dev.alloc_vec(&(0..n).map(|i| i * 7919 - 1_000_000).collect::<Vec<_>>());
+            let b = dev.alloc_vec(&(0..n).map(|i| 5000 - i * 31).collect::<Vec<_>>());
+            let mask = dev.alloc_vec(&(0..n).map(|i| i % 3).collect::<Vec<_>>());
+            let (a, b, mask) = (a.unwrap(), b.unwrap(), mask.unwrap());
+            dev.add(a, b, a).unwrap();
+            dev.xor(b, a, b).unwrap();
+            dev.xor_scalar(a, 1, a).unwrap();
+            dev.mul(b, b, b).unwrap();
+            dev.select(mask, a, b, a).unwrap();
+            dev.cmp_select(CmpOp::Lt, a, b, b, a, b).unwrap();
+            dev.issue(PimCommand::scaled_add(a, b, a, -7)).unwrap();
+            (dev.to_vec::<i32>(a).unwrap(), dev.to_vec::<i32>(b).unwrap())
+        })
+    };
+    let one = run(1);
+    let four = run(4);
+    assert!(one == four, "4 shards differ from 1 on aliased commands");
+    // And both match the host's reading of the same sequence.
+    let mut a: Vec<i32> = (0..n).map(|i| i * 7919 - 1_000_000).collect();
+    let mut b: Vec<i32> = (0..n).map(|i| 5000 - i * 31).collect();
+    for i in 0..n as usize {
+        a[i] = a[i].wrapping_add(b[i]);
+        b[i] ^= a[i];
+        a[i] ^= 1;
+        b[i] = b[i].wrapping_mul(b[i]);
+        if i % 3 == 0 {
+            a[i] = b[i];
+        }
+        if a[i] >= b[i] {
+            b[i] = a[i];
+        }
+        a[i] = a[i].wrapping_mul(-7).wrapping_add(b[i]);
+    }
+    assert!(
+        one == (a, b),
+        "aliased commands differ from the host reference"
+    );
 }

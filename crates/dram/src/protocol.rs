@@ -459,6 +459,11 @@ impl RankSim {
         self.now_ns() - before
     }
 
+    /// The latest time (ns) any bank is ready for its next command.
+    pub fn latest_ready_ns(&self) -> f64 {
+        self.banks.iter().map(|b| b.ready_at).fold(0.0f64, f64::max)
+    }
+
     /// Point-in-time state of every bank (open row + next-ready time).
     pub fn bank_snapshots(&self) -> Vec<BankSnapshot> {
         self.banks

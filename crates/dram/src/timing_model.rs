@@ -404,13 +404,7 @@ impl BankFsm {
         // replay's open rows and settle past all recoveries so the next
         // row charge starts from a quiescent rank.
         self.sim.drain_open_rows();
-        let settle = self
-            .sim
-            .bank_snapshots()
-            .iter()
-            .map(|b| b.ready_at_ns)
-            .fold(0.0f64, f64::max)
-            - self.sim.now_ns();
+        let settle = self.sim.latest_ready_ns() - self.sim.now_ns();
         self.sim.advance(settle);
         gbs
     }

@@ -85,6 +85,9 @@ impl Bdd {
 struct SboxCircuit {
     bdd: Bdd,
     roots: [u32; 8],
+    /// The internal nodes reachable from the roots, ascending. Nodes are
+    /// created bottom-up, so this is a topological order.
+    order: Vec<u32>,
 }
 
 impl SboxCircuit {
@@ -95,7 +98,21 @@ impl SboxCircuit {
             let table: Vec<bool> = (0..256).map(|x| (f(x as u8) >> bit) & 1 == 1).collect();
             *root = bdd.from_table(&table);
         }
-        SboxCircuit { bdd, roots }
+        let mut reachable = vec![false; bdd.nodes.len()];
+        let mut stack: Vec<u32> = roots.to_vec();
+        while let Some(n) = stack.pop() {
+            if n <= BDD_ONE || reachable[n as usize] {
+                continue;
+            }
+            reachable[n as usize] = true;
+            let (_, lo, hi) = bdd.nodes[n as usize];
+            stack.push(lo);
+            stack.push(hi);
+        }
+        let order = (0..bdd.nodes.len() as u32)
+            .filter(|&n| reachable[n as usize])
+            .collect();
+        SboxCircuit { bdd, roots, order }
     }
 
     /// Internal (non-terminal) node count — the number of PIM `select`
@@ -114,50 +131,32 @@ impl SboxCircuit {
         c0: ObjId,
         c1: ObjId,
     ) -> Result<[ObjId; 8], BenchError> {
-        let mut memo: HashMap<u32, ObjId> = HashMap::new();
-        // Iterative post-order evaluation (node indices are created
-        // bottom-up, so ascending index order is a valid topological
-        // order over the reachable set).
-        let mut reachable: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = self.roots.iter().copied().filter(|&r| r > 1).collect();
-        let mut seen: HashMap<u32, ()> = HashMap::new();
-        while let Some(n) = stack.pop() {
-            if n <= 1 || seen.contains_key(&n) {
-                continue;
-            }
-            seen.insert(n, ());
-            reachable.push(n);
-            let (_, lo, hi) = self.bdd.nodes[n as usize];
-            stack.push(lo);
-            stack.push(hi);
-        }
-        reachable.sort_unstable();
-        let resolve = |memo: &HashMap<u32, ObjId>, id: u32| -> ObjId {
-            match id {
-                BDD_ZERO => c0,
-                BDD_ONE => c1,
-                _ => memo[&id],
-            }
-        };
-        for n in &reachable {
-            let (var, lo, hi) = self.bdd.nodes[*n as usize];
-            let (lo_obj, hi_obj) = (resolve(&memo, lo), resolve(&memo, hi));
+        // The plane holding each node's value, indexed by node; the
+        // terminals are the constant planes.
+        let mut memo = vec![c0; self.bdd.nodes.len()];
+        memo[BDD_ONE as usize] = c1;
+        for &n in &self.order {
+            let (var, lo, hi) = self.bdd.nodes[n as usize];
             let out = dev.alloc_associated(input[0], DataType::Bool)?;
-            dev.select(input[var as usize], hi_obj, lo_obj, out)?;
-            memo.insert(*n, out);
+            dev.select(
+                input[var as usize],
+                memo[hi as usize],
+                memo[lo as usize],
+                out,
+            )?;
+            memo[n as usize] = out;
         }
         // Copy roots out (a root may be shared, a terminal, or an input).
         let mut outputs = [input[0]; 8];
         for (bit, out) in outputs.iter_mut().enumerate() {
-            let src = resolve(&memo, self.roots[bit]);
             let fresh = dev.alloc_associated(input[0], DataType::Bool)?;
-            dev.copy_object(src, fresh)?;
+            dev.copy_object(memo[self.roots[bit] as usize], fresh)?;
             *out = fresh;
         }
-        // Free in node order, not hash order, so the trace's free events
-        // are the same on every run.
-        for n in &reachable {
-            dev.free(memo[n])?;
+        // Free in node order, so the trace's free events are the same
+        // on every run.
+        for &n in &self.order {
+            dev.free(memo[n as usize])?;
         }
         Ok(outputs)
     }
