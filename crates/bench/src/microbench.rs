@@ -1,10 +1,7 @@
-//! Minimal std-only micro-benchmark harness for the `benches/` targets.
-//!
-//! `cargo bench` runs each bench binary with `harness = false`; this
-//! module supplies the timing loop so no registry dependency is needed.
-//! Each measurement warms up, picks a batch size targeting ~10 ms per
-//! batch, then reports the mean and best per-iteration time over a
-//! ~200 ms sampling window.
+//! Minimal std-only micro-benchmark timing loop for `bench_parallel`,
+//! so no registry dependency is needed. Each measurement warms up,
+//! picks a batch size targeting ~10 ms per batch, then reports the mean
+//! and best per-iteration time over a ~200 ms sampling window.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

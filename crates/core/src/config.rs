@@ -212,14 +212,6 @@ pub struct DeviceConfig {
     pub shards: usize,
     /// Element-partitioning policy across shards.
     pub shard_policy: ShardPolicy,
-    /// Record aggregate metrics (counters, gauges, latency/size
-    /// histograms) into a [`crate::MetricsRegistry`] on every charge.
-    /// `false` (the default) keeps the hot path instrument-free.
-    pub metrics: bool,
-    /// Additionally retain raw occupancy spans so metrics snapshots
-    /// carry time-binned per-shard utilization series. Implies
-    /// [`DeviceConfig::metrics`].
-    pub profile: bool,
     /// The backend each shard's [`pim_dram::TimingModel`] prices row
     /// and burst traffic with: the closed-form `Analytical` math (the default,
     /// bit-identical to the paper's model) or the stateful `BankFsm`.
@@ -246,8 +238,6 @@ impl DeviceConfig {
             decimation: 1,
             shards: 1,
             shard_policy: ShardPolicy::Contiguous,
-            metrics: false,
-            profile: false,
             timing_backend: TimingBackend::Analytical,
             row_pattern: RowPattern::Streaming,
         }
@@ -264,22 +254,6 @@ impl DeviceConfig {
     #[must_use]
     pub fn with_row_pattern(mut self, pattern: RowPattern) -> Self {
         self.row_pattern = pattern;
-        self
-    }
-
-    /// Enables the metrics registry (aggregate instruments only).
-    #[must_use]
-    pub fn with_metrics(mut self) -> Self {
-        self.metrics = true;
-        self
-    }
-
-    /// Enables the metrics registry *and* the utilization profiler
-    /// (time-binned per-shard occupancy series in every snapshot).
-    #[must_use]
-    pub fn with_profile(mut self) -> Self {
-        self.metrics = true;
-        self.profile = true;
         self
     }
 

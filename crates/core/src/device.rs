@@ -87,15 +87,12 @@ impl Device {
             config.geometry.ranks,
             system.shard_count()
         );
-        let metrics = config
-            .metrics
-            .then(|| Box::new(MetricsRegistry::new(system.shard_count(), config.profile)));
         let mut dev = Device {
             config,
             system,
             stats: SimStats::new(),
             tracer: Tracer::default(),
-            metrics,
+            metrics: None,
             clock_ms: 0.0,
         };
         dev.sync_resources();
@@ -250,19 +247,15 @@ impl Device {
         self.tracer.take_events()
     }
 
-    /// A copy of the recorded trace without draining it.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.tracer.events()
-    }
-
     // ------------------------------------------------------------------
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Enables the metrics registry on an already-created device (see
-    /// [`DeviceConfig::with_metrics`] for enabling at construction).
-    /// With `profile` the registry additionally retains occupancy spans
-    /// for the time-binned utilization series. Replaces any existing
+    /// Enables the metrics registry: aggregate counters, gauges and
+    /// latency/size histograms recorded on every charge (a device starts
+    /// without one, so the hot path is instrument-free). With `profile`
+    /// the registry additionally retains occupancy spans for the
+    /// time-binned utilization series. Replaces any existing
     /// registry, so instruments restart from zero; the clock they are
     /// stamped with is the device's, which keeps counting from creation.
     pub fn enable_metrics(&mut self, profile: bool) {
@@ -299,7 +292,7 @@ impl Device {
     fn emit_device_created(&mut self) {
         self.tracer.emit(TraceEvent::DeviceCreated {
             at_ms: self.clock_ms,
-            target: self.config.target.to_string(),
+            target: self.config.target,
             cores: self.config.core_count(),
             ranks: self.config.geometry.ranks,
         });
@@ -351,7 +344,7 @@ impl Device {
                 at_ms: self.clock_ms,
                 id: obj.id.0,
                 count: obj.count,
-                dtype: obj.dtype.short_name().to_string(),
+                dtype: obj.dtype,
                 cores_used: obj.layout.cores_used,
                 rows_per_core: obj.layout.rows_per_core,
             };

@@ -26,18 +26,18 @@
 //! let mut y = vec![10i32, 20, 30, 40, 50];
 //! let a = 3;
 //!
-//! let mut dev = Device::fulcrum(4)?;
-//! let obj_x = dev.alloc(x.len() as u64, DataType::Int32)?;
-//! let obj_y = dev.alloc_associated(obj_x, DataType::Int32)?;
-//! dev.copy_to_device(&x, obj_x)?;
+//! let mut dev = Device::fulcrum(4)?; // pimCreateDevice
+//! let obj_x = dev.alloc(x.len() as u64, DataType::Int32)?; // pimAlloc
+//! let obj_y = dev.alloc_associated(obj_x, DataType::Int32)?; // pimAllocAssociated
+//! dev.copy_to_device(&x, obj_x)?; // pimCopyHostToDevice
 //! dev.copy_to_device(&y, obj_y)?;
-//! dev.scaled_add(obj_x, obj_y, obj_y, a as i64)?;
-//! dev.copy_to_host(obj_y, &mut y)?;
-//! dev.free(obj_x)?;
+//! dev.scaled_add(obj_x, obj_y, obj_y, a as i64)?; // pimScaledAdd
+//! dev.copy_to_host(obj_y, &mut y)?; // pimCopyDeviceToHost
+//! dev.free(obj_x)?; // pimFree
 //! dev.free(obj_y)?;
 //!
 //! assert_eq!(y, vec![13, 26, 39, 52, 65]);
-//! println!("{}", dev.report()); // Listing-3-style statistics
+//! println!("{}", dev.report()); // pimShowStats: Listing-3-style statistics
 //! # Ok(())
 //! # }
 //! ```
@@ -53,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-pub mod capi;
 pub mod cmd;
 pub mod config;
 pub mod device;

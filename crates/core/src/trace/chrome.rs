@@ -186,7 +186,7 @@ fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
              \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\
              \"args\":{{\"target\":{},\"cores\":{cores},\"ranks\":{ranks}}}}}",
             us(*at_ms),
-            Quoted(target)
+            Quoted(target.name())
         ),
         TraceEvent::Alloc {
             at_ms,
@@ -202,7 +202,7 @@ fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
              \"args\":{{\"count\":{count},\"dtype\":{},\"cores_used\":{cores_used},\
              \"rows_per_core\":{rows_per_core}}}}}",
             us(*at_ms),
-            Quoted(dtype)
+            Quoted(dtype.short_name())
         ),
         TraceEvent::Free { at_ms, id } => write!(
             o,
@@ -334,6 +334,7 @@ mod tests {
     use super::super::json::Json;
     use super::super::{CopyDirection, InterconnectKind};
     use super::*;
+    use crate::config::PimTarget;
     use crate::dtype::DataType;
     use crate::ops::OpKind;
     use pim_microcode::gen::BinaryOp;
@@ -347,7 +348,7 @@ mod tests {
         let events = vec![
             TraceEvent::DeviceCreated {
                 at_ms: 0.0,
-                target: "Fulcrum".into(),
+                target: PimTarget::Fulcrum,
                 cores: 8,
                 ranks: 2,
             },
@@ -383,15 +384,15 @@ mod tests {
     }
 
     /// Every event variant, both shapes of the optional argument
-    /// blocks, the number edge cases (zero, negative zero, NaN, a
-    /// non-integer) and a label that needs escaping.
+    /// blocks and the number edge cases (zero, negative zero, NaN, a
+    /// non-integer). The run label below is the one that needs escaping.
     fn every_variant() -> Vec<TraceEvent> {
         use pim_dram::{CopyReplay, TimingCounters};
         use pim_microcode::Cost;
         vec![
             TraceEvent::DeviceCreated {
                 at_ms: 0.0,
-                target: "Ful\"crum".into(),
+                target: PimTarget::Fulcrum,
                 cores: 8,
                 ranks: 2,
             },
@@ -399,7 +400,7 @@ mod tests {
                 at_ms: -0.0,
                 id: 3,
                 count: 257,
-                dtype: "int32".into(),
+                dtype: DataType::Int32,
                 cores_used: 4,
                 rows_per_core: 32,
             },
@@ -515,7 +516,7 @@ mod tests {
 {"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"pim commands"}},
 {"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"data movement"}},
 {"name":"thread_name","ph":"M","pid":0,"tid":3,"args":{"name":"host"}},
-{"name":"device created","cat":"lifecycle","ph":"i","s":"p","ts":0,"pid":0,"tid":1,"args":{"target":"Ful\"crum","cores":8,"ranks":2}},
+{"name":"device created","cat":"lifecycle","ph":"i","s":"p","ts":0,"pid":0,"tid":1,"args":{"target":"Fulcrum","cores":8,"ranks":2}},
 {"name":"alloc #3","cat":"lifecycle","ph":"i","s":"t","ts":0,"pid":0,"tid":1,"args":{"count":257,"dtype":"int32","cores_used":4,"rows_per_core":32}},
 {"name":"add.int32","cat":"add","ph":"X","ts":100,"dur":1250,"pid":0,"tid":1,"args":{"energy_mj":null,"cores_used":8}},
 {"name":"mul.int8","cat":"mul","ph":"X","ts":1350,"dur":0.3,"pid":0,"tid":1,"args":{"energy_mj":0.125,"cores_used":2,"row_reads":1,"row_writes":2,"logic_ops":3,"popcount_reads":4,"aap_ops":5,"tra_ops":6}},
@@ -530,7 +531,7 @@ mod tests {
 {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"pim commands"}},
 {"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"data movement"}},
 {"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"host"}},
-{"name":"device created","cat":"lifecycle","ph":"i","s":"p","ts":0,"pid":1,"tid":1,"args":{"target":"Ful\"crum","cores":8,"ranks":2}},
+{"name":"device created","cat":"lifecycle","ph":"i","s":"p","ts":0,"pid":1,"tid":1,"args":{"target":"Fulcrum","cores":8,"ranks":2}},
 {"name":"alloc #3","cat":"lifecycle","ph":"i","s":"t","ts":0,"pid":1,"tid":1,"args":{"count":257,"dtype":"int32","cores_used":4,"rows_per_core":32}},
 {"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"metrics"}},
 {"name":"shard busy","ph":"C","ts":0,"pid":2,"tid":0,"args":{"shard0":0,"shard1":0}},

@@ -37,6 +37,8 @@ pub mod log;
 use pim_dram::CopyReplay;
 use pim_microcode::Cost;
 
+use crate::config::PimTarget;
+use crate::dtype::DataType;
 use crate::ops::StatName;
 
 /// Direction of a data movement event.
@@ -95,8 +97,8 @@ pub enum TraceEvent {
     DeviceCreated {
         /// Simulated timestamp (always 0 for a fresh device).
         at_ms: f64,
-        /// Target name (e.g. `Fulcrum`).
-        target: String,
+        /// The modeled architecture.
+        target: PimTarget,
         /// PIM core count.
         cores: usize,
         /// DRAM rank count.
@@ -110,8 +112,8 @@ pub enum TraceEvent {
         id: u64,
         /// Element count.
         count: u64,
-        /// Element type short name (e.g. `int32`).
-        dtype: String,
+        /// Element type.
+        dtype: DataType,
         /// Cores the layout spans.
         cores_used: usize,
         /// Rows occupied on the busiest core.
@@ -337,17 +339,6 @@ impl Recorder {
         }
         out
     }
-
-    /// The events oldest-first without draining, led by the same
-    /// [`TraceEvent::Dropped`] marker [`Recorder::take`] would emit.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.events[self.head..].to_vec();
-        out.extend_from_slice(&self.events[..self.head]);
-        if let Some(marker) = self.drop_marker(out.first()) {
-            out.insert(0, marker);
-        }
-        out
-    }
 }
 
 impl TraceSink for Recorder {
@@ -403,14 +394,6 @@ impl Tracer {
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         match &mut self.slot {
             SinkSlot::Recorder(r) => r.take(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// A copy of the recorder's events (empty for no-op/custom sinks).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        match &self.slot {
-            SinkSlot::Recorder(r) => r.snapshot(),
             _ => Vec::new(),
         }
     }
@@ -490,7 +473,6 @@ mod tests {
         for i in 0..5 {
             r.record(&cmd(i));
         }
-        assert!(matches!(r.snapshot()[0], TraceEvent::Dropped { .. }));
         assert!(matches!(
             r.take()[0],
             TraceEvent::Dropped { dropped: 3, .. }
@@ -531,7 +513,6 @@ mod tests {
         t.install_recorder(16);
         assert!(t.enabled());
         t.emit(cmd(7));
-        assert_eq!(t.events().len(), 1);
         assert_eq!(t.take_events().len(), 1);
         assert!(t.take_events().is_empty());
     }

@@ -405,3 +405,45 @@ fn device_matches_scalar_reference() {
         }
     }
 }
+
+#[test]
+fn cmp_select_clamps_and_min_max_reduce_on_all_targets() {
+    // dst = (a < b) ? a : b is an element-wise min in one fused command.
+    let a = [5i32, -2, 7, 0, i32::MIN];
+    let b = [1i32, 4, 9, 0, i32::MAX];
+    for mut dev in devices() {
+        let target = dev.config().target;
+        let oa = dev.alloc_vec(&a).unwrap();
+        let ob = dev.alloc_vec(&b).unwrap();
+        dev.cmp_select(CmpOp::Lt, oa, ob, oa, ob, ob).unwrap();
+        assert_eq!(
+            dev.to_vec::<i32>(ob).unwrap(),
+            [1, -2, 7, 0, i32::MIN],
+            "{target}"
+        );
+        assert_eq!(dev.red_min(ob).unwrap(), i64::from(i32::MIN), "{target}");
+        assert_eq!(dev.red_max(ob).unwrap(), 7, "{target}");
+    }
+}
+
+#[test]
+fn per_rank_sharded_int64_add_and_sum_report_the_interconnect() {
+    let config = pimeval::DeviceConfig::new(PimTarget::Fulcrum, 4).sharded_per_rank();
+    let mut dev = Device::new(config).unwrap();
+    assert_eq!(dev.system().shard_count(), 4);
+    let data: Vec<i64> = (0..1000).collect();
+    let a = dev.alloc_vec(&data).unwrap();
+    let b = dev.alloc_associated(a, DataType::Int64).unwrap();
+    dev.broadcast(b, 1).unwrap();
+    dev.add(a, b, b).unwrap();
+    let out = dev.to_vec::<i64>(b).unwrap();
+    assert!(out.iter().enumerate().all(|(i, &v)| v == i as i64 + 1));
+    assert_eq!(dev.red_sum(a).unwrap(), 999 * 1000 / 2);
+    assert!(dev.report().contains("Interconnect Stats"));
+
+    // One shard moves nothing between ranks, so it prints no such section.
+    let mut one = Device::fulcrum(4).unwrap();
+    let a = one.alloc_vec(&data).unwrap();
+    assert_eq!(one.red_sum(a).unwrap(), 999 * 1000 / 2);
+    assert!(!one.report().contains("Interconnect Stats"));
+}

@@ -25,7 +25,7 @@
 //!
 //! Copies and UPMEM bursts priced by the bank FSM allocate nothing
 //! either, and a warm `alloc_associated` + `free` pair on one shard
-//! allocates exactly its zeroed buffer.
+//! allocates exactly its zeroed buffer, traced into a full ring or not.
 //!
 //! This file is its own test binary so the allocator hook sees nothing
 //! but this test.
@@ -313,23 +313,46 @@ fn warm_sharded_metered_issue_performs_no_heap_allocation() {
     }
 }
 
+/// Heap allocations of one warm `alloc_associated` + `free` pair on a
+/// one-shard device, after `setup` ran on the fresh device.
+fn warm_alloc_free_allocations(target: PimTarget, setup: fn(&mut Device)) -> u64 {
+    let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
+    setup(&mut dev);
+    let a = dev.alloc_vec(&[1i32; 300]).unwrap();
+    for _ in 0..2 {
+        let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
+        dev.free(tmp).unwrap();
+    }
+    let before = allocations();
+    let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
+    dev.free(tmp).unwrap();
+    allocations() - before
+}
+
 #[test]
 fn warm_alloc_associated_and_free_allocate_only_the_buffer() {
     for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
-        let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
-        let a = dev.alloc_vec(&[1i32; 300]).unwrap();
-        for _ in 0..2 {
-            let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
-            dev.free(tmp).unwrap();
-        }
-        let before = allocations();
-        let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
-        dev.free(tmp).unwrap();
-        let allocated = allocations() - before;
+        let allocated = warm_alloc_free_allocations(target, |_| {});
         assert_eq!(
             allocated, 1,
             "{target}: a warm alloc_associated + free made {allocated} heap allocation(s), \
              not just the zeroed buffer"
+        );
+    }
+}
+
+#[test]
+fn warm_traced_alloc_associated_and_free_allocate_only_the_buffer() {
+    // The warm-up fills the 4-event ring, so the recorder overwrites in
+    // place: the alloc and free events themselves must not allocate.
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        let allocated = warm_alloc_free_allocations(target, |dev| {
+            dev.enable_tracing_with_capacity(4);
+        });
+        assert_eq!(
+            allocated, 1,
+            "{target}: a warm traced alloc_associated + free made {allocated} heap \
+             allocation(s), not just the zeroed buffer"
         );
     }
 }

@@ -72,8 +72,11 @@ struct RunResult<T> {
 /// broadcast, copy, and all three reductions plus a ranged sum) on a
 /// fresh device built from `config`.
 fn run_program<T: PimScalar>(config: DeviceConfig, xs: &[T], ys: &[T]) -> (RunResult<T>, Device) {
+    run_on(Device::new(config).unwrap(), xs, ys)
+}
+
+fn run_on<T: PimScalar>(mut dev: Device, xs: &[T], ys: &[T]) -> (RunResult<T>, Device) {
     let n = xs.len() as u64;
-    let mut dev = Device::new(config).unwrap();
     let x = dev.alloc_vec(xs).unwrap();
     let y = dev.alloc_vec(ys).unwrap();
     let t = dev.alloc_associated(x, T::DTYPE).unwrap();
@@ -124,10 +127,9 @@ fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     let ctx = format!("{target:?} {:?} shards={shards} n={n}", T::DTYPE);
 
     let (base, base_dev) = run_program(DeviceConfig::new(target, 1), &xs, &ys);
-    let sharded_cfg = DeviceConfig::new(target, 1)
-        .with_shards(shards)
-        .with_metrics();
-    let (sharded, mut dev) = run_program(sharded_cfg, &xs, &ys);
+    let mut sharded_dev = Device::new(DeviceConfig::new(target, 1).with_shards(shards)).unwrap();
+    sharded_dev.enable_metrics(false);
+    let (sharded, mut dev) = run_on(sharded_dev, &xs, &ys);
 
     // Bit-identical functional contract.
     assert_eq!(sharded, base, "{ctx}");

@@ -121,7 +121,7 @@ fn tracing_does_not_perturb_stats_or_results() {
         let mut traced = Device::new(cfg).unwrap();
         traced.enable_tracing();
         let (stats_traced, out_traced) = run_workload(&mut traced);
-        assert!(!traced.trace_events().is_empty());
+        assert!(!traced.take_trace().is_empty());
 
         assert_eq!(
             out_plain, out_traced,
@@ -238,8 +238,8 @@ fn trace_enabled_mid_run_stays_on_the_device_clock() {
     // Metrics from creation; tracing only in the second and fourth
     // windows. Every traced span must start where the device clock
     // stood, however much was charged while tracing was off.
-    let cfg = DeviceConfig::new(PimTarget::Fulcrum, 2).with_metrics();
-    let mut dev = Device::new(cfg).unwrap();
+    let mut dev = Device::new(DeviceConfig::new(PimTarget::Fulcrum, 2)).unwrap();
+    dev.enable_metrics(false);
     let clock = |dev: &mut Device| dev.metrics_snapshot().unwrap().clock_ms;
     let a = dev.alloc_vec(&[3i32, -1, 4, 1, 5, 9, 2, 6]).unwrap();
     let b = dev.alloc_associated(a, DataType::Int32).unwrap();

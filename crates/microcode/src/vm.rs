@@ -178,11 +178,6 @@ impl<'a> Vm<'a> {
         self.mat
     }
 
-    /// Mutable access to the backing matrix (for loading inputs).
-    pub fn matrix_mut(&mut self) -> &mut BitMatrix {
-        self.mat
-    }
-
     /// The controller reduction accumulator (written by `Popcount` ops).
     pub fn accumulator(&self) -> i128 {
         self.acc
