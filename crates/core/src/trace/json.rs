@@ -466,13 +466,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, which never occurs inside a multi-byte
+                    // UTF-8 sequence, so the run of the input `&str` is
+                    // itself valid UTF-8.
                     let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -519,6 +524,10 @@ mod tests {
             Json::parse("\"a\\n\\\"b\\u0041\"").unwrap(),
             Json::Str("a\n\"bA".into())
         );
+        // Multi-byte scalars next to escapes and at both ends.
+        let text = "µs → \"Bit-Serial\"\t✓";
+        assert_eq!(Json::parse(&string(text)).unwrap(), Json::Str(text.into()));
+        assert_eq!(Json::parse("\"é\"").unwrap(), Json::Str("é".into()));
     }
 
     #[test]

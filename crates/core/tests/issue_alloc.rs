@@ -23,8 +23,8 @@
 //! kept only below it to bound its memory; those commands are left out
 //! of that case.
 //!
-//! Copies and UPMEM bursts priced by the bank FSM allocate nothing
-//! either, and a warm `alloc_associated` + `free` pair on one shard
+//! Commands, copies and UPMEM bursts priced by the bank FSM allocate
+//! nothing either, and a warm `alloc_associated` + `free` pair on one shard
 //! allocates exactly its zeroed buffer, traced into a full ring or not.
 //!
 //! This file is its own test binary so the allocator hook sees nothing
@@ -353,6 +353,23 @@ fn warm_traced_alloc_associated_and_free_allocate_only_the_buffer() {
             allocated, 1,
             "{target}: a warm traced alloc_associated + free made {allocated} heap \
              allocation(s), not just the zeroed buffer"
+        );
+    }
+}
+
+#[test]
+fn warm_bank_fsm_issue_performs_no_heap_allocation() {
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        let config = DeviceConfig::new(target, 1)
+            .with_shards(4)
+            .with_timing_backend(TimingBackend::BankFsm);
+        let mut dev = Device::new(config).unwrap();
+        assert_eq!(dev.system().shard_count(), 4, "{target}");
+        let allocated = warm_reissue_allocations(&mut dev, 300);
+        assert_eq!(
+            allocated, 0,
+            "{target}, 4 shards, bank FSM: warm commands performed {allocated} \
+             heap allocation(s)"
         );
     }
 }

@@ -54,7 +54,7 @@ pub mod timing_model;
 pub use error::DramError;
 pub use geometry::DramGeometry;
 pub use power::DramPower;
-pub use protocol::{BankSnapshot, TimingCounters};
+pub use protocol::TimingCounters;
 pub use subarray::BitMatrix;
 pub use timing::DramTiming;
 pub use timing_model::{CopyReplay, RowPattern, TimingBackend, TimingModel, PIM_TIMING_ENV};

@@ -13,6 +13,8 @@
 //! §III describes ("one bank can be precharging while another is
 //! providing data").
 
+use std::ops::Range;
+
 use crate::error::DramError;
 use crate::timing::DramTiming;
 
@@ -186,15 +188,6 @@ impl TimingCounters {
     }
 }
 
-/// Point-in-time state of one bank.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BankSnapshot {
-    /// The open row, if the bank is activated.
-    pub open_row: Option<usize>,
-    /// Earliest time (ns) the bank accepts its next command.
-    pub ready_at_ns: f64,
-}
-
 /// An in-order, per-rank command scheduler over `banks` bank state
 /// machines.
 ///
@@ -213,7 +206,7 @@ pub struct BankSnapshot {
 /// ```
 #[derive(Debug)]
 pub struct RankSim {
-    timing: ProtocolTiming,
+    pub(crate) timing: ProtocolTiming,
     banks: Vec<BankState>,
     /// Earliest time the shared command/data bus accepts a column command.
     bus_free_at: f64,
@@ -359,13 +352,13 @@ impl RankSim {
     /// activate, issue the column command, and schedule the bank's
     /// auto-precharge (earliest tRAS + tRP after the ACT). Returns the
     /// clock advance (completion − previous completion), which exceeds
-    /// the raw access latency exactly when bank interlocks stall the
-    /// access.
+    /// `access_ns` exactly when bank interlocks stall the access.
     ///
-    /// A fresh-bank read completes in tRCD + CL (= the coarse
-    /// `row_read_ns`) and a fresh-bank write in tRCD + tWR (= the coarse
-    /// `row_write_ns`); `extra_ns` extends the access for periphery work
-    /// that overlaps the row cycle (row-wide popcount, GDL crossings).
+    /// `access_ns` is the access latency once the bank is ready: tRCD +
+    /// CL (the coarse `row_read_ns`) for a read and tRCD + tWR (the
+    /// coarse `row_write_ns`) for a write, plus any periphery work that
+    /// overlaps the row cycle (row-wide popcount, GDL crossings); `write`
+    /// picks the column command counted.
     ///
     /// # Errors
     ///
@@ -374,7 +367,7 @@ impl RankSim {
         &mut self,
         bank_idx: usize,
         write: bool,
-        extra_ns: f64,
+        access_ns: f64,
     ) -> Result<f64, ProtocolError> {
         let t = self.timing;
         let bank = self
@@ -390,8 +383,6 @@ impl RankSim {
             self.counters.precharges += 1;
         }
         let start = self.now.max(bank.ready_at);
-        let column_ns = if write { t.t_wr_ns } else { t.cl_ns };
-        let access_ns = t.t_rcd_ns + column_ns + extra_ns;
         let done = start + access_ns;
         // Auto-precharge as soon as tRAS allows; the bank re-opens tRP later.
         bank.opened_at = start;
@@ -409,6 +400,71 @@ impl RankSim {
         let delta = done - self.now;
         self.now = done;
         Ok(delta)
+    }
+
+    /// `count` back-to-back closed-page cycles round-robin from
+    /// `first_bank`, priced in closed form when none of them can stall.
+    /// Each cycle takes `access_ns` once its bank is ready and leaves the
+    /// bank busy for `recovery_ns` from its start: max(`access_ns`,
+    /// tRAS) + tRP for a row access, tRAS + tRP for an
+    /// activate–precharge pair. No cycle stalls when
+    ///
+    /// * the i-th bank of the first lap is closed and ready by
+    ///   `now + i · access_ns`, and
+    /// * a bank touched again one lap later has recovered by then:
+    ///   `banks · access_ns ≥ recovery_ns` whenever `count > banks`.
+    ///
+    /// Then the clock advances by `count · access_ns`, and only the last
+    /// lap's banks are written (every earlier write is overwritten a lap
+    /// later) — the state a one-by-one [`RankSim::row_cycle`] /
+    /// [`RankSim::activate_precharge_cycle`] replay leaves whenever the
+    /// clock arithmetic is exact (times in multiples of a power of two,
+    /// as both timing presets are). Counts no commands: the caller knows
+    /// which it issued. Returns `false`, changing nothing, when a cycle
+    /// could stall; the caller then replays.
+    pub(crate) fn try_stream_cycles(
+        &mut self,
+        first_bank: usize,
+        count: usize,
+        access_ns: f64,
+        recovery_ns: f64,
+    ) -> bool {
+        let nbanks = self.banks.len();
+        if first_bank >= nbanks || (count > nbanks && (nbanks as f64) * access_ns < recovery_ns) {
+            return false;
+        }
+        let now = self.now;
+        let lap = count.min(nbanks);
+        let ready = |banks: &[BankState], first: usize| {
+            banks
+                .iter()
+                .zip(first..)
+                .all(|(b, i)| b.open_row.is_none() && b.ready_at <= now + i as f64 * access_ns)
+        };
+        let (to_end, wrapped) = ring(first_bank, lap, nbanks);
+        let split = to_end.len();
+        if !(ready(&self.banks[to_end], 0) && ready(&self.banks[wrapped], split)) {
+            return false;
+        }
+        let skip = count - lap;
+        let last_lap = if skip == 0 {
+            first_bank
+        } else {
+            (first_bank + skip) % nbanks
+        };
+        let (to_end, wrapped) = ring(last_lap, lap, nbanks);
+        let split = to_end.len();
+        for (banks, first) in [(to_end, skip), (wrapped, skip + split)] {
+            for (b, i) in self.banks[banks].iter_mut().zip(first..) {
+                let start = now + i as f64 * access_ns;
+                b.opened_at = start;
+                b.open_row = None;
+                b.fresh = false;
+                b.ready_at = start + recovery_ns;
+            }
+        }
+        self.now = now + count as f64 * access_ns;
+        true
     }
 
     /// One activate–precharge pair with no column access (the analog
@@ -464,17 +520,6 @@ impl RankSim {
         self.banks.iter().map(|b| b.ready_at).fold(0.0f64, f64::max)
     }
 
-    /// Point-in-time state of every bank (open row + next-ready time).
-    pub fn bank_snapshots(&self) -> Vec<BankSnapshot> {
-        self.banks
-            .iter()
-            .map(|b| BankSnapshot {
-                open_row: b.open_row,
-                ready_at_ns: b.ready_at,
-            })
-            .collect()
-    }
-
     /// Replays a streaming read of `bursts` column reads per row across
     /// `rows` rows, round-robin over all banks with the next row's
     /// activation issued ahead of time (the §III interleaving that lets
@@ -519,6 +564,17 @@ impl RankSim {
         }
         let total_bytes = (rows * bursts * bytes_per_burst) as f64;
         Ok(total_bytes / self.now_ns())
+    }
+}
+
+/// The `len ≤ n` banks of a round-robin over `n` banks from `first < n`,
+/// as the run up to the last bank and the run wrapped around to bank 0.
+fn ring(first: usize, len: usize, n: usize) -> (Range<usize>, Range<usize>) {
+    let end = first + len;
+    if end <= n {
+        (first..end, 0..0)
+    } else {
+        (first..n, 0..end - n)
     }
 }
 
@@ -670,9 +726,9 @@ mod tests {
     fn fresh_row_cycle_costs_exactly_the_coarse_latencies() {
         let coarse = DramTiming::ddr4_default();
         let mut sim = RankSim::new(ProtocolTiming::from_coarse(&coarse), 2);
-        let rd = sim.row_cycle(0, false, 0.0).unwrap();
+        let rd = sim.row_cycle(0, false, coarse.row_read_ns).unwrap();
         assert_eq!(rd, coarse.row_read_ns);
-        let wr = sim.row_cycle(1, true, 0.0).unwrap();
+        let wr = sim.row_cycle(1, true, coarse.row_write_ns).unwrap();
         assert_eq!(wr, coarse.row_write_ns);
         let s = *sim.counters();
         assert_eq!((s.activations, s.precharges), (2, 2));
@@ -684,17 +740,59 @@ mod tests {
         let t = timing();
         let coarse = DramTiming::ddr4_default();
         let mut sim = RankSim::new(t, 2);
-        sim.row_cycle(0, false, 0.0).unwrap();
+        let rd = coarse.row_read_ns;
+        sim.row_cycle(0, false, rd).unwrap();
         // Re-activating the same bank waits for its tRAS + tRP recovery.
-        let second = sim.row_cycle(0, false, 0.0).unwrap();
+        let second = sim.row_cycle(0, false, rd).unwrap();
         assert!(
             second >= t.t_ras_ns + t.t_rp_ns - 1e-9,
             "stalled access took {second}"
         );
         assert!(second > coarse.row_read_ns);
         // A different bank is fully recovered and pays no stall.
-        let other = sim.row_cycle(1, false, 0.0).unwrap();
+        let other = sim.row_cycle(1, false, rd).unwrap();
         assert_eq!(other, coarse.row_read_ns);
+    }
+
+    #[test]
+    fn closed_form_stream_leaves_the_replayed_state() {
+        let t = timing();
+        let rd = DramTiming::ddr4_default().row_read_ns;
+        let recovery = rd.max(t.t_ras_ns) + t.t_rp_ns;
+        let (mut replay, mut closed) = (RankSim::new(t, 3), RankSim::new(t, 3));
+        for bank in (2..10).map(|i| i % 3) {
+            replay.row_cycle(bank, false, rd).unwrap();
+        }
+        replay.counters = TimingCounters::default();
+        assert!(closed.try_stream_cycles(2, 8, rd, recovery));
+        assert_eq!(closed.now, replay.now);
+        for (c, r) in closed.banks.iter().zip(&replay.banks) {
+            assert_eq!((c.ready_at, c.opened_at), (r.ready_at, r.opened_at));
+            assert!(c.open_row.is_none() && !c.fresh);
+        }
+        assert!(closed.counters.is_empty(), "the caller counts");
+    }
+
+    #[test]
+    fn closed_form_stream_refuses_cycles_that_can_stall() {
+        let t = timing();
+        let rd = DramTiming::ddr4_default().row_read_ns;
+        let recovery = rd.max(t.t_ras_ns) + t.t_rp_ns;
+        // An open row must be precharged first.
+        let mut open = RankSim::new(t, 4);
+        open.issue(Command::Activate { bank: 2, row: 0 }).unwrap();
+        assert!(!open.try_stream_cycles(0, 4, rd, recovery));
+        // A bank still recovering from the previous access.
+        let mut busy = RankSim::new(t, 4);
+        busy.row_cycle(0, false, rd).unwrap();
+        assert!(!busy.try_stream_cycles(0, 1, rd, recovery));
+        assert!(busy.try_stream_cycles(1, 3, rd, recovery));
+        // One bank cannot hide its own recovery.
+        let mut one = RankSim::new(t, 1);
+        assert!(one.try_stream_cycles(0, 1, rd, recovery));
+        assert!(!one.try_stream_cycles(0, 2, rd, recovery));
+        // A refusal changes nothing.
+        assert_eq!(one.now, rd);
     }
 
     #[test]
@@ -714,10 +812,10 @@ mod tests {
         let mut sim = RankSim::new(timing(), 2);
         sim.issue(Command::Activate { bank: 0, row: 0 }).unwrap();
         sim.issue(Command::Read { bank: 0 }).unwrap();
-        assert!(sim.bank_snapshots()[0].open_row.is_some());
+        assert!(sim.banks[0].open_row.is_some());
         let drained = sim.drain_open_rows();
         assert!(drained > 0.0);
-        assert!(sim.bank_snapshots().iter().all(|b| b.open_row.is_none()));
+        assert!(sim.banks.iter().all(|b| b.open_row.is_none()));
         assert_eq!(sim.drain_open_rows(), 0.0);
     }
 

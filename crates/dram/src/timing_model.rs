@@ -16,21 +16,31 @@
 //! its commands against the live bank state exactly once, and the time
 //! it returns *includes* any interlock stalls — there is no
 //! side-effect-free latency query that could disagree with the state it
-//! mutated. Long charges replay a bounded command prefix and
-//! extrapolate the steady-state tail deterministically, advancing the
-//! FSM clock past the tail so later charges observe it. The commands a
-//! charge issues stay pending until the caller drains them with
-//! [`TimingModel::take_counters`].
+//! mutated. The commands a charge issues stay pending until the caller
+//! drains them with [`TimingModel::take_counters`].
 //!
-//! With at least two banks and the default DDR4 parameters, a
-//! [`RowPattern::Streaming`] access pattern (fresh rows round-robin
-//! across banks) never stalls: each closed-page read costs exactly
-//! tRCD + CL = `row_read_ns` and each write tRCD + tWR = `row_write_ns`,
-//! so the FSM agrees with the closed form to the last bit at zero
-//! contention. Under [`RowPattern::Thrashing`] (every access re-opens a
-//! row in one bank) the tRAS + tRP recovery lands on the critical path
-//! and the FSM is strictly slower — the fidelity gap the backend exists
-//! to expose.
+//! Each row access takes the closed form's own per-access latency `a`
+//! (`row_read_ns` = tRCD + CL or `row_write_ns` = tRCD + tWR, plus any
+//! overlapping periphery time) once its bank is ready, and leaves the
+//! bank recovering until `max(a, tRAS) + tRP` after it started. A
+//! [`RowPattern::Streaming`] charge of `n` accesses (fresh rows
+//! round-robin across banks) cannot stall when every bank of its first
+//! lap is closed and ready by the time its access starts, and, if `n`
+//! exceeds the bank count, one lap of accesses covers a bank's
+//! recovery. Such a charge is priced in closed form: it returns `n · a`,
+//! bit-identical to [`TimingBackend::Analytical`] under any finite
+//! timing, counts its commands in one step and writes only the last
+//! lap's bank state. Every other charge — [`RowPattern::Thrashing`]
+//! (every access re-opens a row in one bank, so the tRAS + tRP recovery
+//! lands on the critical path), or a streaming charge whose first lap
+//! meets a recovering bank — is replayed access by access. Long replays
+//! stop after `ROW_REPLAY_CAP` accesses and extrapolate the
+//! steady-state tail, advancing the FSM clock past it so later charges
+//! observe it; the closed form leaves the clock, the round-robin cursor
+//! and every bank where that replay would, whenever the clock
+//! arithmetic is exact (timings in multiples of a power of two, as both
+//! presets are). Activate–precharge pairs follow the same two paths.
+//! Copies and UPMEM bursts always replay a bounded window of commands.
 
 use crate::protocol::{ProtocolTiming, RankSim, TimingCounters};
 use crate::timing::DramTiming;
@@ -165,8 +175,8 @@ impl TimingModel {
                 reads as f64 * self.timing.row_read_ns + writes as f64 * self.timing.row_write_ns
             }
             Some(f) => {
-                f.run_accesses(reads, false, 0.0, pattern)
-                    + f.run_accesses(writes, true, 0.0, pattern)
+                f.run_accesses(reads, false, self.timing.row_read_ns, pattern)
+                    + f.run_accesses(writes, true, self.timing.row_write_ns, pattern)
             }
         }
     }
@@ -176,7 +186,7 @@ impl TimingModel {
     pub fn charge_rows_extra(&mut self, reads: u64, extra_ns: f64, pattern: RowPattern) -> f64 {
         match &mut self.fsm {
             None => reads as f64 * (self.timing.row_read_ns + extra_ns),
-            Some(f) => f.run_accesses(reads, false, extra_ns, pattern),
+            Some(f) => f.run_accesses(reads, false, self.timing.row_read_ns + extra_ns, pattern),
         }
     }
 
@@ -207,8 +217,9 @@ impl TimingModel {
                     + rows_out * (gdl_ns + self.timing.row_write_ns)
             }
             Some(f) => {
-                f.run_accesses(rows_in as u64, false, gdl_ns, pattern)
-                    + f.run_accesses(rows_out as u64, true, gdl_ns, pattern)
+                let t = &self.timing;
+                f.run_accesses(rows_in as u64, false, t.row_read_ns + gdl_ns, pattern)
+                    + f.run_accesses(rows_out as u64, true, gdl_ns + t.row_write_ns, pattern)
             }
         }
     }
@@ -321,12 +332,76 @@ impl BankFsm {
         }
     }
 
-    /// Issues `n` closed-page row accesses (bounded replay +
-    /// extrapolated steady-state tail) and returns the elapsed time.
-    fn run_accesses(&mut self, n: u64, write: bool, extra_ns: f64, pattern: RowPattern) -> f64 {
+    /// Issues `n` closed-page row accesses of `access_ns` each and
+    /// returns the elapsed time: in closed form, `n · access_ns`, when
+    /// no access can stall, otherwise by [`BankFsm::replay_accesses`].
+    fn run_accesses(&mut self, n: u64, write: bool, access_ns: f64, pattern: RowPattern) -> f64 {
         if n == 0 {
             return 0.0;
         }
+        let t = self.sim.timing;
+        let recovery_ns = access_ns.max(t.t_ras_ns) + t.t_rp_ns;
+        if pattern == RowPattern::Streaming && self.stream(n, access_ns, recovery_ns) {
+            self.count_accesses(n, write);
+            return n as f64 * access_ns;
+        }
+        self.replay_accesses(n, write, access_ns, pattern)
+    }
+
+    /// Issues `pairs` activate–precharge pairs round-robin and returns
+    /// the elapsed time: in closed form when no pair can stall, otherwise
+    /// by [`BankFsm::replay_activate_precharge`].
+    fn run_activate_precharge(&mut self, pairs: u64) -> f64 {
+        if pairs == 0 {
+            return 0.0;
+        }
+        let t = self.sim.timing;
+        let cycle_ns = t.t_ras_ns + t.t_rp_ns;
+        if self.stream(pairs, cycle_ns, cycle_ns) {
+            self.sim.counters.activations += pairs;
+            self.sim.counters.precharges += pairs;
+            return pairs as f64 * cycle_ns;
+        }
+        self.replay_activate_precharge(pairs)
+    }
+
+    /// The closed form of a streaming charge of `n` cycles: the bank
+    /// state and clock the bounded replay of its first
+    /// `min(n, ROW_REPLAY_CAP)` cycles leaves, then the extrapolated
+    /// tail. Returns `false`, changing nothing, when a cycle could stall.
+    fn stream(&mut self, n: u64, access_ns: f64, recovery_ns: f64) -> bool {
+        let replay = n.min(ROW_REPLAY_CAP) as usize;
+        if !self
+            .sim
+            .try_stream_cycles(self.cursor, replay, access_ns, recovery_ns)
+        {
+            return false;
+        }
+        let next = self.cursor + replay;
+        let banks = self.sim.banks();
+        self.cursor = if next < banks { next } else { next % banks };
+        self.sim.advance((n - replay as u64) as f64 * access_ns);
+        true
+    }
+
+    /// Counts `n` closed-page row accesses: one ACT, one PRE and one
+    /// row-missing column command each.
+    fn count_accesses(&mut self, n: u64, write: bool) {
+        let c = &mut self.sim.counters;
+        c.activations += n;
+        c.precharges += n;
+        c.row_misses += n;
+        if write {
+            c.writes += n;
+        } else {
+            c.reads += n;
+        }
+    }
+
+    /// Replays `n` closed-page row accesses one by one (bounded replay +
+    /// extrapolated steady-state tail) and returns the elapsed time,
+    /// stalls included.
+    fn replay_accesses(&mut self, n: u64, write: bool, access_ns: f64, pattern: RowPattern) -> f64 {
         let replay = n.min(ROW_REPLAY_CAP);
         let mut elapsed = 0.0;
         let mut last = 0.0;
@@ -334,7 +409,7 @@ impl BankFsm {
             let bank = self.pick_bank(pattern);
             last = self
                 .sim
-                .row_cycle(bank, write, extra_ns)
+                .row_cycle(bank, write, access_ns)
                 .expect("bank cursor stays in range");
             elapsed += last;
         }
@@ -344,25 +419,14 @@ impl BankFsm {
             let tail_ns = tail as f64 * last;
             self.sim.advance(tail_ns);
             elapsed += tail_ns;
-            let c = &mut self.sim.counters;
-            c.activations += tail;
-            c.precharges += tail;
-            c.row_misses += tail;
-            if write {
-                c.writes += tail;
-            } else {
-                c.reads += tail;
-            }
+            self.count_accesses(tail, write);
         }
         elapsed
     }
 
-    /// Issues `pairs` activate–precharge pairs round-robin (bounded
-    /// replay + extrapolated tail) and returns the elapsed time.
-    fn run_activate_precharge(&mut self, pairs: u64) -> f64 {
-        if pairs == 0 {
-            return 0.0;
-        }
+    /// Replays `pairs` activate–precharge pairs round-robin one by one
+    /// (bounded replay + extrapolated tail) and returns the elapsed time.
+    fn replay_activate_precharge(&mut self, pairs: u64) -> f64 {
         let replay = pairs.min(ROW_REPLAY_CAP);
         let mut elapsed = 0.0;
         let mut last = 0.0;
@@ -570,6 +634,227 @@ mod tests {
         }
         assert_eq!(once.take_counters(), sum);
         assert!(once.take_counters().is_empty(), "a second drain is empty");
+    }
+
+    /// Deterministic SplitMix64 stream.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A multiple of 0.25 ns in `[lo, hi)`.
+        fn quarters(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + self.below(((hi - lo) * 4.0) as u64) as f64 * 0.25
+        }
+
+        /// A value in `[lo, hi)` using the whole mantissa, so that sums
+        /// of it round.
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        }
+
+        fn pattern(&mut self) -> RowPattern {
+            if self.below(4) == 0 {
+                RowPattern::Thrashing
+            } else {
+                RowPattern::Streaming
+            }
+        }
+
+        /// An access count: mostly short, sometimes past the replay cap.
+        fn count(&mut self) -> u64 {
+            match self.below(8) {
+                0 => ROW_REPLAY_CAP - 2 + self.below(ROW_REPLAY_CAP + 4),
+                1 => self.below(4),
+                _ => self.below(300),
+            }
+        }
+    }
+
+    const ROW_BYTES: u64 = 1024;
+    const BURST_GBS: f64 = 25.6;
+
+    /// One charge of every kind a shard makes.
+    #[derive(Debug, Clone, Copy)]
+    enum Charge {
+        Rows(u64, u64, RowPattern),
+        RowsExtra(u64, f64, RowPattern),
+        Walker(u64, u64, f64, RowPattern),
+        ActivatePrecharge(u64),
+        Burst(u64),
+        Copy(u64),
+    }
+
+    impl Charge {
+        fn random(rng: &mut SplitMix64, extra_ns: impl Fn(&mut SplitMix64) -> f64) -> Charge {
+            match rng.below(6) {
+                0 => Charge::Rows(rng.count(), rng.count(), rng.pattern()),
+                1 => Charge::RowsExtra(rng.count(), extra_ns(rng), rng.pattern()),
+                2 => Charge::Walker(rng.count(), rng.count(), extra_ns(rng), rng.pattern()),
+                3 => Charge::ActivatePrecharge(rng.count()),
+                4 => Charge::Burst(rng.below(200 * ROW_BYTES)),
+                _ => Charge::Copy(rng.below(200 * ROW_BYTES)),
+            }
+        }
+
+        fn streaming(self) -> Charge {
+            use RowPattern::Streaming as S;
+            match self {
+                Charge::Rows(r, w, _) => Charge::Rows(r, w, S),
+                Charge::RowsExtra(r, x, _) => Charge::RowsExtra(r, x, S),
+                Charge::Walker(i, o, g, _) => Charge::Walker(i, o, g, S),
+                other => other,
+            }
+        }
+
+        /// Charges `m`; a copy returns its achieved bandwidth.
+        fn on(self, m: &mut TimingModel) -> f64 {
+            match self {
+                Charge::Rows(r, w, p) => m.charge_rows(r, w, p),
+                Charge::RowsExtra(r, x, p) => m.charge_rows_extra(r, x, p),
+                Charge::Walker(i, o, g, p) => m.charge_walker_rows(i as f64, o as f64, g, p),
+                Charge::ActivatePrecharge(n) => m.charge_activate_precharge(n),
+                Charge::Burst(b) => m.charge_burst(b as f64, BURST_GBS),
+                Charge::Copy(b) => m.copy_replay(b, false).map_or(-1.0, |c| c.achieved_gbs),
+            }
+        }
+
+        /// The same charge with every row access replayed one by one.
+        fn replayed(self, f: &mut BankFsm, t: &DramTiming) -> f64 {
+            match self {
+                Charge::Rows(r, w, p) => {
+                    f.replay_accesses(r, false, t.row_read_ns, p)
+                        + f.replay_accesses(w, true, t.row_write_ns, p)
+                }
+                Charge::RowsExtra(r, x, p) => f.replay_accesses(r, false, t.row_read_ns + x, p),
+                Charge::Walker(i, o, g, p) => {
+                    f.replay_accesses(i, false, t.row_read_ns + g, p)
+                        + f.replay_accesses(o, true, g + t.row_write_ns, p)
+                }
+                Charge::ActivatePrecharge(n) => f.replay_activate_precharge(n),
+                Charge::Burst(b) => {
+                    if b > 0 {
+                        f.run_burst(b, ROW_BYTES);
+                    }
+                    b as f64 / BURST_GBS
+                }
+                Charge::Copy(b) => f.run_burst(b, ROW_BYTES),
+            }
+        }
+    }
+
+    /// DDR4, HBM2, and random timings in multiples of 0.25 ns, under
+    /// which the clock arithmetic is exact.
+    fn dyadic_timings(rng: &mut SplitMix64) -> Vec<DramTiming> {
+        let mut all = vec![DramTiming::ddr4_default(), DramTiming::hbm2_default()];
+        for _ in 0..4 {
+            // Even quarters, so that tRCD = row_read_ns / 2 is one too.
+            let row_read_ns = 2.0 * rng.quarters(2.0, 32.0);
+            all.push(DramTiming {
+                row_read_ns,
+                row_write_ns: rng.quarters(row_read_ns / 2.0 + 0.25, 96.0),
+                t_ccd_ns: rng.quarters(0.25, 8.0),
+                t_ras_ns: rng.quarters(row_read_ns / 2.0, 96.0),
+                t_rp_ns: rng.quarters(0.25, 40.0),
+                ..DramTiming::ddr4_default()
+            });
+        }
+        all
+    }
+
+    #[test]
+    fn closed_form_charges_match_a_full_replay_bit_for_bit() {
+        let mut rng = SplitMix64(0x5eed_f5a1);
+        for timing in dyadic_timings(&mut rng) {
+            ProtocolTiming::from_coarse_checked(&timing).expect("valid timing");
+            for banks in [1, 2, 3, 16, 128] {
+                let mut model = TimingModel::new(TimingBackend::BankFsm, &timing, banks, ROW_BYTES);
+                let mut replay = BankFsm::new(&timing, banks);
+                for step in 0..120 {
+                    let charge = Charge::random(&mut rng, |r| r.quarters(0.0, 16.0));
+                    let ns = charge.on(&mut model);
+                    let want = charge.replayed(&mut replay, &timing);
+                    let f = model.fsm.as_ref().expect("bank FSM");
+                    let ctx = format!("{timing:?} banks={banks} step={step} {charge:?}");
+                    assert_eq!(ns.to_bits(), want.to_bits(), "ns: {ctx}");
+                    assert_eq!(
+                        f.sim.now_ns().to_bits(),
+                        replay.sim.now_ns().to_bits(),
+                        "now: {ctx}"
+                    );
+                    assert_eq!(
+                        f.sim.latest_ready_ns().to_bits(),
+                        replay.sim.latest_ready_ns().to_bits(),
+                        "ready: {ctx}"
+                    );
+                    assert_eq!(f.cursor, replay.cursor, "cursor: {ctx}");
+                    assert_eq!(model.take_counters(), replay.sim.take_counters(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_fsm_matches_the_closed_form_under_any_timing() {
+        let mut rng = SplitMix64(0x0dd_71de);
+        // Summing per-access clock deltas rounds on the first set; in
+        // the second, tRCD + tWR rounds away from `row_write_ns`.
+        let mut timings = vec![
+            DramTiming {
+                row_read_ns: 28.3,
+                row_write_ns: 43.7,
+                t_rp_ns: 13.1,
+                t_ras_ns: 32.2,
+                ..DramTiming::ddr4_default()
+            },
+            DramTiming {
+                row_read_ns: 10.1,
+                row_write_ns: 13.1,
+                t_rp_ns: 13.1,
+                t_ras_ns: 32.2,
+                ..DramTiming::ddr4_default()
+            },
+        ];
+        for _ in 0..8 {
+            let row_read_ns = rng.uniform(5.0, 64.0);
+            timings.push(DramTiming {
+                row_read_ns,
+                row_write_ns: rng.uniform(row_read_ns / 2.0 + 0.1, 96.0),
+                t_ccd_ns: rng.uniform(0.1, 8.0),
+                t_ras_ns: rng.uniform(row_read_ns / 2.0, 96.0),
+                t_rp_ns: rng.uniform(0.1, 40.0),
+                ..DramTiming::ddr4_default()
+            });
+        }
+        for timing in timings {
+            ProtocolTiming::from_coarse_checked(&timing).expect("valid timing");
+            let mut closed = TimingModel::new(TimingBackend::Analytical, &timing, 128, ROW_BYTES);
+            let mut fsm = TimingModel::new(TimingBackend::BankFsm, &timing, 128, ROW_BYTES);
+            for step in 0..350 {
+                let charge = Charge::random(&mut rng, |r| r.uniform(0.0, 16.0)).streaming();
+                let fsm_ns = charge.on(&mut fsm);
+                fsm.take_counters();
+                if matches!(charge, Charge::Copy(_)) {
+                    continue;
+                }
+                let closed_ns = charge.on(&mut closed);
+                assert_eq!(
+                    fsm_ns.to_bits(),
+                    closed_ns.to_bits(),
+                    "{timing:?} step={step} {charge:?}: {fsm_ns} vs {closed_ns}"
+                );
+            }
+        }
     }
 
     #[test]
