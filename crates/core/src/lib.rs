@@ -98,3 +98,18 @@ pub use pim_dram::exec;
 // Re-export substrate crates for downstream users.
 pub use pim_dram;
 pub use pim_microcode;
+
+/// Deterministic SplitMix64 stream for the unit tests' generated cases.
+#[cfg(test)]
+pub(crate) struct SplitMix64(pub u64);
+
+#[cfg(test)]
+impl SplitMix64 {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+}

@@ -245,23 +245,10 @@ mod tests {
         assert!(ResourceManager::new(u64::MAX, 1).is_ok());
     }
 
-    /// Deterministic SplitMix64 stream for the churn schedule.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-    }
-
     #[test]
     fn interleaved_churn_keeps_accounting_exact_and_peak_monotone() {
         let mut rm = Rm::new();
-        let mut rng = Rng(0xC0FFEE);
+        let mut rng = crate::SplitMix64(0xC0FFEE);
         let mut live: Vec<(ObjId, u64)> = Vec::new();
         let mut expected_in_use = 0u64;
         let mut last_peak = 0u64;

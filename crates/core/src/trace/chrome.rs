@@ -7,8 +7,19 @@
 //! *threads* so the lanes stay visually separate. Command and copy spans
 //! are complete events (`ph: "X"`) with microsecond `ts`/`dur` on the
 //! simulated clock; lifecycle events are instants (`ph: "i"`).
+//!
+//! Rendering: one writer appends every entry straight into the document
+//! buffer. Static JSON pieces are copied in; integers go through a
+//! digit writer; strings that need no escape are copied between quotes,
+//! the rest go through [`Quoted`]. Floats go through a small memo keyed
+//! by their bit pattern: a miss formats the value with [`Num`], the
+//! `Display` behind [`json::num`](super::json::num), and keeps those
+//! bytes; a hit copies them again. A run repeats few durations and
+//! energies, so most numbers are hits, and every number reads exactly as
+//! `json::num` renders it. The buffer starts with the document head, and
+//! [`ChromeTraceBuilder::finish`] appends the tail and returns the
+//! buffer without copying it.
 
-use std::fmt::{self, Write as _};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -28,65 +39,81 @@ const HEAD: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
 /// Closes the trace document.
 const TAIL: &str = "\n]}\n";
 
+/// Buffer bytes reserved per event of a run: a command span with its
+/// arguments renders to about 185 bytes.
+const BYTES_PER_EVENT: usize = 192;
+
 /// Accumulates events from one or more runs into a single trace file.
 /// Every entry is rendered straight into one buffer as it is added.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ChromeTraceBuilder {
-    /// The rendered entries, separated by `",\n"`.
-    out: String,
+    /// The document so far: the head, then the entries.
+    out: Out,
     entries: usize,
     next_pid: u32,
+}
+
+impl Default for ChromeTraceBuilder {
+    fn default() -> Self {
+        ChromeTraceBuilder::new()
+    }
 }
 
 impl ChromeTraceBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        ChromeTraceBuilder::default()
+        let mut out = Out::new();
+        out.raw(HEAD);
+        ChromeTraceBuilder {
+            out,
+            entries: 0,
+            next_pid: 0,
+        }
     }
 
-    /// Appends one entry, rendered by `write`, after the separator.
-    fn entry(&mut self, write: impl FnOnce(&mut String) -> fmt::Result) {
+    /// Starts one entry after the separator and returns the writer.
+    fn entry(&mut self) -> &mut Out {
         if self.entries > 0 {
-            self.out.push_str(",\n");
+            self.out.raw(",\n");
         }
         self.entries += 1;
-        write(&mut self.out).expect("writing to a String cannot fail");
+        &mut self.out
+    }
+
+    /// A metadata entry (`"process_name"` or `"thread_name"`) naming
+    /// lane `pid`/`tid`.
+    fn name_entry(&mut self, kind: &str, pid: u32, tid: u32, name: &str) {
+        self.entry()
+            .raw("{\"name\":\"")
+            .raw(kind)
+            .raw("\",\"ph\":\"M\"")
+            .lane(pid, tid)
+            .raw("\"name\":")
+            .string(name)
+            .raw("}}");
     }
 
     /// Starts a new process named `label` and returns its pid.
     fn process(&mut self, label: &str) -> u32 {
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.entry(|o| {
-            write!(
-                o,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":{}}}}}",
-                Quoted(label)
-            )
-        });
+        self.name_entry("process_name", pid, 0, label);
         pid
     }
 
     /// Adds one run's events as a new process named `label`.
     pub fn add_run(&mut self, label: &str, events: &[TraceEvent]) {
+        self.out.text.reserve(events.len() * BYTES_PER_EVENT);
         let pid = self.process(label);
         for (tid, name) in [
             (TID_CMDS, "pim commands"),
             (TID_COPY, "data movement"),
             (TID_HOST, "host"),
         ] {
-            self.entry(|o| {
-                write!(
-                    o,
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}}}",
-                    Quoted(name)
-                )
-            });
+            self.name_entry("thread_name", pid, tid, name);
         }
         for event in events {
-            self.entry(|o| render(o, pid, event));
+            self.entry().event(pid, event);
         }
     }
 
@@ -105,27 +132,26 @@ impl ChromeTraceBuilder {
         }
         let pid = self.process(label);
         for bin in 0..profile.bins {
-            let ts = us(bin as f64 * profile.bin_ms);
-            self.entry(|o| {
-                write!(
-                    o,
-                    "{{\"name\":\"shard busy\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{"
-                )?;
-                for (shard, bins) in profile.shard_busy.iter().enumerate() {
-                    let sep = if shard > 0 { "," } else { "" };
-                    write!(o, "{sep}\"shard{shard}\":{}", Num(bins[bin]))?;
-                }
-                o.write_str("}}")
-            });
-            self.entry(|o| {
-                write!(
-                    o,
-                    "{{\"name\":\"interconnect bytes\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\
-                     \"tid\":0,\"args\":{{\"bytes\":{}}}}}",
-                    profile.interconnect_bytes[bin]
-                )
-            });
+            let ts_ms = bin as f64 * profile.bin_ms;
+            let o = self
+                .entry()
+                .raw("{\"name\":\"shard busy\",\"ph\":\"C\",")
+                .ts(ts_ms)
+                .lane(pid, 0);
+            for (shard, bins) in profile.shard_busy.iter().enumerate() {
+                o.raw(if shard > 0 { ",\"shard" } else { "\"shard" })
+                    .uint(shard as u64)
+                    .raw("\":")
+                    .num(bins[bin]);
+            }
+            o.raw("}}");
+            self.entry()
+                .raw("{\"name\":\"interconnect bytes\",\"ph\":\"C\",")
+                .ts(ts_ms)
+                .lane(pid, 0)
+                .raw("\"bytes\":")
+                .uint(profile.interconnect_bytes[bin])
+                .raw("}}");
         }
     }
 
@@ -139,13 +165,10 @@ impl ChromeTraceBuilder {
         self.entries == 0
     }
 
-    /// Renders the complete trace document.
-    pub fn finish(&self) -> String {
-        let mut doc = String::with_capacity(HEAD.len() + self.out.len() + TAIL.len());
-        doc.push_str(HEAD);
-        doc.push_str(&self.out);
-        doc.push_str(TAIL);
-        doc
+    /// The complete trace document: the buffer itself, closed.
+    pub fn finish(mut self) -> String {
+        self.out.raw(TAIL);
+        String::from_utf8(self.out.text).expect("the trace is written from str pieces")
     }
 
     /// Writes the trace document to `path`.
@@ -155,8 +178,7 @@ impl ChromeTraceBuilder {
     /// Propagates filesystem errors.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let mut f = std::fs::File::create(path)?;
-        f.write_all(HEAD.as_bytes())?;
-        f.write_all(self.out.as_bytes())?;
+        f.write_all(&self.out.text)?;
         f.write_all(TAIL.as_bytes())
     }
 }
@@ -168,170 +190,309 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     b.finish()
 }
 
-/// Simulated-clock milliseconds → trace microseconds.
-fn us(ms: f64) -> Num {
-    Num(ms * 1000.0)
+/// Number-memo slots (a power of two): 24 KiB of memo.
+const MEMO_BITS: u32 = 9;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+/// Longest number text a memo slot keeps. Longer texts (magnitudes far
+/// from 1) are formatted every time.
+const MEMO_TEXT: usize = 38;
+
+/// One memoized number: the bits of the value and its rendered text.
+/// An empty slot has `len == 0`; no number renders to nothing.
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot {
+    bits: u64,
+    len: u8,
+    text: [u8; MEMO_TEXT],
 }
 
-fn render(o: &mut String, pid: u32, event: &TraceEvent) -> fmt::Result {
-    match event {
-        TraceEvent::DeviceCreated {
-            at_ms,
-            target,
-            cores,
-            ranks,
-        } => write!(
-            o,
-            "{{\"name\":\"device created\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"p\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\
-             \"args\":{{\"target\":{},\"cores\":{cores},\"ranks\":{ranks}}}}}",
-            us(*at_ms),
-            Quoted(target.name())
-        ),
-        TraceEvent::Alloc {
-            at_ms,
-            id,
-            count,
-            dtype,
-            cores_used,
-            rows_per_core,
-        } => write!(
-            o,
-            "{{\"name\":\"alloc #{id}\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\
-             \"args\":{{\"count\":{count},\"dtype\":{},\"cores_used\":{cores_used},\
-             \"rows_per_core\":{rows_per_core}}}}}",
-            us(*at_ms),
-            Quoted(dtype.short_name())
-        ),
-        TraceEvent::Free { at_ms, id } => write!(
-            o,
-            "{{\"name\":\"free #{id}\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\"args\":{{}}}}",
-            us(*at_ms)
-        ),
-        TraceEvent::Cmd {
-            name,
-            category,
-            start_ms,
-            time_ms,
-            energy_mj,
-            cores_used,
-            micro,
-        } => {
-            write!(
-                o,
-                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{TID_CMDS},\
-                 \"args\":{{\"energy_mj\":{},\"cores_used\":{cores_used}",
-                Quoted(name),
-                Quoted(category),
-                us(*start_ms),
-                us(*time_ms),
-                Num(*energy_mj)
-            )?;
-            if let Some(m) = micro {
-                write!(
-                    o,
-                    ",\"row_reads\":{},\"row_writes\":{},\"logic_ops\":{},\
-                     \"popcount_reads\":{},\"aap_ops\":{},\"tra_ops\":{}",
-                    m.row_reads, m.row_writes, m.logic_ops, m.popcount_reads, m.aap_ops, m.tra_ops
-                )?;
-            }
-            o.write_str("}}")
+impl MemoSlot {
+    const EMPTY: MemoSlot = MemoSlot {
+        bits: 0,
+        len: 0,
+        text: [0; MEMO_TEXT],
+    };
+}
+
+/// The slot of a value's bit pattern (Fibonacci hashing: round values
+/// have all-zero low bits, so the high bits of the product pick).
+fn memo_slot(bits: u64) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
+}
+
+/// The document buffer and the writers every entry is rendered with.
+/// Each writer returns the buffer so an entry reads as one chain.
+#[derive(Debug)]
+struct Out {
+    /// UTF-8 by construction: every byte comes from a `str`.
+    text: Vec<u8>,
+    memo: Box<[MemoSlot; MEMO_SLOTS]>,
+}
+
+impl Out {
+    fn new() -> Self {
+        Out {
+            text: Vec::new(),
+            memo: Box::new([MemoSlot::EMPTY; MEMO_SLOTS]),
         }
-        TraceEvent::Copy {
-            direction,
-            bytes,
-            start_ms,
-            time_ms,
-            energy_mj,
-            protocol,
-        } => {
-            write!(
-                o,
-                "{{\"name\":{},\"cat\":\"copy\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{TID_COPY},\
-                 \"args\":{{\"bytes\":{bytes},\"energy_mj\":{}",
-                Quoted(direction.label()),
-                us(*start_ms),
-                us(*time_ms),
-                Num(*energy_mj)
-            )?;
-            if let Some(p) = protocol {
-                let c = &p.counters;
-                write!(
-                    o,
-                    ",\"activations\":{},\"reads\":{},\"writes\":{},\"precharges\":{},\
-                     \"row_hits\":{},\"row_misses\":{},\"achieved_gbs\":{}",
-                    c.activations,
-                    c.reads,
-                    c.writes,
-                    c.precharges,
-                    c.row_hits,
-                    c.row_misses,
-                    Num(p.achieved_gbs)
-                )?;
+    }
+
+    /// A static piece of JSON.
+    fn raw(&mut self, piece: &str) -> &mut Self {
+        self.text.extend_from_slice(piece.as_bytes());
+        self
+    }
+
+    /// An unsigned integer in decimal.
+    fn uint(&mut self, mut v: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
-            o.write_str("}}")
         }
-        TraceEvent::HostPhase { start_ms, time_ms } => write!(
-            o,
-            "{{\"name\":\"host phase\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{pid},\"tid\":{TID_HOST},\"args\":{{}}}}",
-            us(*start_ms),
-            us(*time_ms)
-        ),
-        TraceEvent::StreamFlush {
-            at_ms,
-            recorded,
-            executed,
-            fused_scaled_add,
-            fused_cmp_select,
-            dead_writes_eliminated,
-        } => write!(
-            o,
-            "{{\"name\":\"stream flush\",\"cat\":\"stream\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\
-             \"args\":{{\"recorded\":{recorded},\"executed\":{executed},\
-             \"fused_scaled_add\":{fused_scaled_add},\"fused_cmp_select\":{fused_cmp_select},\
-             \"dead_writes_eliminated\":{dead_writes_eliminated}}}}}",
-            us(*at_ms)
-        ),
-        TraceEvent::Interconnect {
-            kind,
-            bytes,
-            shards,
-            at_ms,
-            time_ms,
-            energy_mj,
-        } => write!(
-            o,
-            "{{\"name\":\"interconnect {}\",\"cat\":\"interconnect\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{TID_COPY},\
-             \"args\":{{\"bytes\":{bytes},\"shards\":{shards},\"time_ms\":{},\"energy_mj\":{}}}}}",
-            kind.label(),
-            us(*at_ms),
-            Num(*time_ms),
-            Num(*energy_mj)
-        ),
-        TraceEvent::Dropped {
-            at_ms,
-            dropped,
-            capacity,
-        } => write!(
-            o,
-            "{{\"name\":\"trace events dropped\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"p\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{TID_CMDS},\
-             \"args\":{{\"dropped\":{dropped},\"capacity\":{capacity}}}}}",
-            us(*at_ms)
-        ),
+        self.text.extend_from_slice(&digits[start..]);
+        self
+    }
+
+    /// Integer fields, each key piece with its punctuation.
+    fn uints<const N: usize>(&mut self, fields: [(&str, u64); N]) -> &mut Self {
+        for (key, v) in fields {
+            self.raw(key).uint(v);
+        }
+        self
+    }
+
+    /// A quoted JSON string, byte-identical to [`Quoted`].
+    fn string(&mut self, s: &str) -> &mut Self {
+        if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+            self.text.push(b'"');
+            self.text.extend_from_slice(s.as_bytes());
+            self.text.push(b'"');
+        } else {
+            write!(self.text, "{}", Quoted(s)).expect("writing to a Vec cannot fail");
+        }
+        self
+    }
+
+    /// A JSON number, byte-identical to [`Num`].
+    fn num(&mut self, v: f64) -> &mut Self {
+        let bits = v.to_bits();
+        let slot = &mut self.memo[memo_slot(bits)];
+        if slot.len > 0 && slot.bits == bits {
+            self.text
+                .extend_from_slice(&slot.text[..usize::from(slot.len)]);
+        } else {
+            let start = self.text.len();
+            write!(self.text, "{}", Num(v)).expect("writing to a Vec cannot fail");
+            let text = &self.text[start..];
+            if text.len() <= MEMO_TEXT {
+                slot.bits = bits;
+                slot.len = text.len() as u8;
+                slot.text[..text.len()].copy_from_slice(text);
+            }
+        }
+        self
+    }
+
+    /// `"ts":` and a simulated-clock time in trace microseconds.
+    fn ts(&mut self, ms: f64) -> &mut Self {
+        self.raw("\"ts\":").num(ms * 1000.0)
+    }
+
+    /// `,"dur":` and a span length in trace microseconds.
+    fn dur(&mut self, ms: f64) -> &mut Self {
+        self.raw(",\"dur\":").num(ms * 1000.0)
+    }
+
+    /// The lane fields, opening the `args` object.
+    fn lane(&mut self, pid: u32, tid: u32) -> &mut Self {
+        self.raw(",\"pid\":")
+            .uint(pid.into())
+            .raw(",\"tid\":")
+            .uint(tid.into())
+            .raw(",\"args\":{")
+    }
+
+    /// One event of process `pid`.
+    fn event(&mut self, pid: u32, event: &TraceEvent) {
+        match *event {
+            TraceEvent::DeviceCreated {
+                at_ms,
+                target,
+                cores,
+                ranks,
+            } => self
+                .raw("{\"name\":\"device created\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"p\",")
+                .ts(at_ms)
+                .lane(pid, TID_CMDS)
+                .raw("\"target\":")
+                .string(target.name())
+                .raw(",\"cores\":")
+                .uint(cores as u64)
+                .raw(",\"ranks\":")
+                .uint(ranks as u64),
+            TraceEvent::Alloc {
+                at_ms,
+                id,
+                count,
+                dtype,
+                cores_used,
+                rows_per_core,
+            } => self
+                .raw("{\"name\":\"alloc #")
+                .uint(id)
+                .raw("\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",")
+                .ts(at_ms)
+                .lane(pid, TID_CMDS)
+                .raw("\"count\":")
+                .uint(count)
+                .raw(",\"dtype\":")
+                .string(dtype.short_name())
+                .raw(",\"cores_used\":")
+                .uint(cores_used as u64)
+                .raw(",\"rows_per_core\":")
+                .uint(rows_per_core),
+            TraceEvent::Free { at_ms, id } => self
+                .raw("{\"name\":\"free #")
+                .uint(id)
+                .raw("\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",")
+                .ts(at_ms)
+                .lane(pid, TID_CMDS),
+            TraceEvent::Cmd {
+                ref name,
+                category,
+                start_ms,
+                time_ms,
+                energy_mj,
+                cores_used,
+                micro,
+            } => {
+                self.raw("{\"name\":")
+                    .string(name)
+                    .raw(",\"cat\":")
+                    .string(category)
+                    .raw(",\"ph\":\"X\",")
+                    .ts(start_ms)
+                    .dur(time_ms)
+                    .lane(pid, TID_CMDS)
+                    .raw("\"energy_mj\":")
+                    .num(energy_mj)
+                    .raw(",\"cores_used\":")
+                    .uint(cores_used as u64);
+                if let Some(m) = micro {
+                    self.uints([
+                        (",\"row_reads\":", m.row_reads),
+                        (",\"row_writes\":", m.row_writes),
+                        (",\"logic_ops\":", m.logic_ops),
+                        (",\"popcount_reads\":", m.popcount_reads),
+                        (",\"aap_ops\":", m.aap_ops),
+                        (",\"tra_ops\":", m.tra_ops),
+                    ]);
+                }
+                self
+            }
+            TraceEvent::Copy {
+                direction,
+                bytes,
+                start_ms,
+                time_ms,
+                energy_mj,
+                protocol,
+            } => {
+                self.raw("{\"name\":")
+                    .string(direction.label())
+                    .raw(",\"cat\":\"copy\",\"ph\":\"X\",")
+                    .ts(start_ms)
+                    .dur(time_ms)
+                    .lane(pid, TID_COPY)
+                    .raw("\"bytes\":")
+                    .uint(bytes)
+                    .raw(",\"energy_mj\":")
+                    .num(energy_mj);
+                if let Some(p) = protocol {
+                    let c = &p.counters;
+                    self.uints([
+                        (",\"activations\":", c.activations),
+                        (",\"reads\":", c.reads),
+                        (",\"writes\":", c.writes),
+                        (",\"precharges\":", c.precharges),
+                        (",\"row_hits\":", c.row_hits),
+                        (",\"row_misses\":", c.row_misses),
+                    ])
+                    .raw(",\"achieved_gbs\":")
+                        .num(p.achieved_gbs);
+                }
+                self
+            }
+            TraceEvent::HostPhase { start_ms, time_ms } => self
+                .raw("{\"name\":\"host phase\",\"cat\":\"host\",\"ph\":\"X\",")
+                .ts(start_ms)
+                .dur(time_ms)
+                .lane(pid, TID_HOST),
+            TraceEvent::StreamFlush {
+                at_ms,
+                recorded,
+                executed,
+                fused_scaled_add,
+                fused_cmp_select,
+                dead_writes_eliminated,
+            } => self
+                .raw("{\"name\":\"stream flush\",\"cat\":\"stream\",\"ph\":\"i\",\"s\":\"t\",")
+                .ts(at_ms)
+                .lane(pid, TID_CMDS)
+                .uints([
+                    ("\"recorded\":", recorded),
+                    (",\"executed\":", executed),
+                    (",\"fused_scaled_add\":", fused_scaled_add),
+                    (",\"fused_cmp_select\":", fused_cmp_select),
+                    (",\"dead_writes_eliminated\":", dead_writes_eliminated),
+                ]),
+            TraceEvent::Interconnect {
+                kind,
+                bytes,
+                shards,
+                at_ms,
+                time_ms,
+                energy_mj,
+            } => self
+                .raw("{\"name\":\"interconnect ")
+                .raw(kind.label())
+                .raw("\",\"cat\":\"interconnect\",\"ph\":\"i\",\"s\":\"t\",")
+                .ts(at_ms)
+                .lane(pid, TID_COPY)
+                .raw("\"bytes\":")
+                .uint(bytes)
+                .raw(",\"shards\":")
+                .uint(shards as u64)
+                .raw(",\"time_ms\":")
+                .num(time_ms)
+                .raw(",\"energy_mj\":")
+                .num(energy_mj),
+            TraceEvent::Dropped {
+                at_ms,
+                dropped,
+                capacity,
+            } => self
+                .raw("{\"name\":\"trace events dropped\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"p\",")
+                .ts(at_ms)
+                .lane(pid, TID_CMDS)
+                .raw("\"dropped\":")
+                .uint(dropped)
+                .raw(",\"capacity\":")
+                .uint(capacity as u64),
+        }
+        .raw("}}");
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::json::Json;
+    use super::super::json::{self, Json};
     use super::super::{CopyDirection, InterconnectKind};
     use super::*;
     use crate::config::PimTarget;
@@ -540,6 +701,131 @@ mod tests {
 {"name":"interconnect bytes","ph":"C","ts":500,"pid":2,"tid":0,"args":{"bytes":4096}}
 ]}
 "##;
+
+    /// The bytes `write` appends to `out`'s buffer.
+    fn piece(out: &mut Out, write: impl FnOnce(&mut Out)) -> String {
+        let start = out.text.len();
+        write(out);
+        String::from_utf8(out.text[start..].to_vec()).unwrap()
+    }
+
+    /// A generated `f64`: any bit pattern, a subnormal, an integer, a
+    /// trace-like microsecond value, or one of the edge cases.
+    fn generated_f64(rng: &mut crate::SplitMix64) -> f64 {
+        const EDGES: [f64; 14] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1e-7,
+            1e16,
+            1.5e17,
+            -9007199254740993.0,
+            1.0 / 3.0,
+            0.1 + 0.2,
+        ];
+        let sign = if rng.next() & 1 == 0 { 1.0 } else { -1.0 };
+        match rng.next() % 6 {
+            0 => f64::from_bits(rng.next()),
+            1 => sign * f64::from_bits(rng.next() & ((1 << 52) - 1)),
+            2 => sign * (rng.next() >> (rng.next() % 64)) as f64,
+            3 => (rng.next() % 100_000_000) as f64 * 1e-6 * 1000.0,
+            4 => sign * (rng.next() % 1000) as f64 * 10f64.powi((rng.next() % 40) as i32 - 20),
+            _ => EDGES[(rng.next() % EDGES.len() as u64) as usize],
+        }
+    }
+
+    #[test]
+    fn memoized_numbers_match_json_num() {
+        let mut rng = crate::SplitMix64(0x5EED);
+        let mut out = Out::new();
+        let mut seen = Vec::new();
+        for _ in 0..50_000 {
+            // Replay an earlier value half the time, so hits are common.
+            let v = if !seen.is_empty() && rng.next() & 1 == 0 {
+                seen[(rng.next() % seen.len() as u64) as usize]
+            } else {
+                generated_f64(&mut rng)
+            };
+            seen.push(v);
+            assert_eq!(piece(&mut out, |o| _ = o.num(v)), json::num(v), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn memo_slot_collisions_replace_and_replay_exactly() {
+        // Values sharing one slot evict each other; each must still read
+        // as its own text, whether it is a hit or a miss. One rival
+        // differs from `v` only in its lowest mantissa bits.
+        let mut rng = crate::SplitMix64(0xC011);
+        let mut out = Out::new();
+        for _ in 0..200 {
+            let v = generated_f64(&mut rng);
+            let slot = memo_slot(v.to_bits());
+            let near = (1..)
+                .map(|k| f64::from_bits(v.to_bits() ^ k))
+                .find(|w| memo_slot(w.to_bits()) == slot)
+                .unwrap();
+            let mut rivals = vec![v, near];
+            while rivals.len() < 4 {
+                let w = generated_f64(&mut rng);
+                if memo_slot(w.to_bits()) == slot && w.to_bits() != v.to_bits() {
+                    rivals.push(w);
+                }
+            }
+            for _ in 0..3 {
+                for &x in &rivals {
+                    for _ in 0..2 {
+                        assert_eq!(piece(&mut out, |o| _ = o.num(x)), json::num(x), "{x:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strings_match_the_quoted_escaper() {
+        const ALPHABET: [char; 16] = [
+            'a', 'Z', '7', ' ', '#', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+            '€', '😀',
+        ];
+        let mut rng = crate::SplitMix64(0x57A7);
+        let mut out = Out::new();
+        for _ in 0..20_000 {
+            let len = rng.next() % 12;
+            // Half the strings draw from the plain letters only, so the
+            // no-escape path runs as often as the fallback.
+            let pool = if rng.next() & 1 == 0 {
+                5
+            } else {
+                ALPHABET.len()
+            };
+            let s: String = (0..len)
+                .map(|_| ALPHABET[(rng.next() % pool as u64) as usize])
+                .collect();
+            assert_eq!(
+                piece(&mut out, |o| _ = o.string(&s)),
+                json::string(&s),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn integers_match_display() {
+        let mut rng = crate::SplitMix64(0x1);
+        let mut out = Out::new();
+        for v in [0, 1, 9, 10, 99, 100, u64::MAX, u64::MAX / 10]
+            .into_iter()
+            .chain((0..10_000).map(|_| rng.next() >> (rng.next() % 64)))
+        {
+            assert_eq!(piece(&mut out, |o| _ = o.uint(v)), v.to_string());
+        }
+    }
 
     #[test]
     fn counter_tracks_render_per_bin_series() {

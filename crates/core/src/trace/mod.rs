@@ -90,8 +90,9 @@ impl InterconnectKind {
 
 /// One timeline event. Timestamps (`at_ms`, `start_ms`) are simulated
 /// milliseconds since device creation; durations are the modeled cost of
-/// the step.
-#[derive(Debug, Clone, PartialEq)]
+/// the step. Events are plain `Copy` records: the ring [`Recorder`]
+/// stores and drains them by copying.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A device came up.
     DeviceCreated {
@@ -219,6 +220,10 @@ pub enum TraceEvent {
     },
 }
 
+// Every ring slot holds one event: a new field must not silently widen
+// them all.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 128);
+
 impl TraceEvent {
     /// The span duration, or 0 for instantaneous events.
     pub fn duration_ms(&self) -> f64 {
@@ -301,16 +306,6 @@ impl Recorder {
         }
     }
 
-    /// The synthesized [`TraceEvent::Dropped`] marker for the current
-    /// drop count, if any drops happened since the last drain.
-    fn drop_marker(&self, oldest: Option<&TraceEvent>) -> Option<TraceEvent> {
-        (self.dropped > self.dropped_reported).then(|| TraceEvent::Dropped {
-            at_ms: oldest.map(TraceEvent::timestamp_ms).unwrap_or(0.0),
-            dropped: self.dropped,
-            capacity: self.capacity,
-        })
-    }
-
     /// Events dropped after the ring filled.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -328,22 +323,30 @@ impl Recorder {
 
     /// Drains the recorder, returning events oldest-first. If the ring
     /// overwrote events since the last drain, a synthesized
-    /// [`TraceEvent::Dropped`] marker leads the result.
+    /// [`TraceEvent::Dropped`] marker leads the result, stamped with the
+    /// oldest retained event's time.
     pub fn take(&mut self) -> Vec<TraceEvent> {
-        let mut out = self.events.split_off(self.head);
-        out.append(&mut self.events);
+        let (newer, older) = self.events.split_at(self.head);
+        let marker = (self.dropped > self.dropped_reported).then(|| TraceEvent::Dropped {
+            // A wrapped ring is full, so its older half is never empty.
+            at_ms: older.first().map_or(0.0, TraceEvent::timestamp_ms),
+            dropped: self.dropped,
+            capacity: self.capacity,
+        });
+        let mut out = Vec::with_capacity(usize::from(marker.is_some()) + self.events.len());
+        out.extend(marker);
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
+        self.events.clear();
         self.head = 0;
-        if let Some(marker) = self.drop_marker(out.first()) {
-            self.dropped_reported = self.dropped;
-            out.insert(0, marker);
-        }
+        self.dropped_reported = self.dropped;
         out
     }
 }
 
 impl TraceSink for Recorder {
     fn record(&mut self, event: &TraceEvent) {
-        self.push(event.clone());
+        self.push(*event);
     }
 }
 
@@ -480,6 +483,45 @@ mod tests {
         // No new drops: the next drain has no marker.
         r.record(&cmd(9));
         assert!(matches!(r.take()[0], TraceEvent::Free { .. }));
+    }
+
+    #[test]
+    fn recorder_matches_a_deque_model() {
+        // Generated push/take sequences against the obvious model: a
+        // deque that drops its front when full, and a marker leading each
+        // drain that follows new drops, stamped at the oldest kept event.
+        let mut rng = crate::SplitMix64(0x217);
+        for capacity in 1..=5 {
+            for _ in 0..100 {
+                let mut r = Recorder::with_capacity(capacity);
+                let mut model = std::collections::VecDeque::new();
+                let (mut dropped, mut reported, mut next) = (0u64, 0u64, 0u64);
+                for _ in 0..30 {
+                    if rng.next().is_multiple_of(4) {
+                        let mut want = Vec::new();
+                        if dropped > reported {
+                            want.push(TraceEvent::Dropped {
+                                at_ms: model.front().map_or(0.0, TraceEvent::timestamp_ms),
+                                dropped,
+                                capacity,
+                            });
+                            reported = dropped;
+                        }
+                        want.extend(model.drain(..));
+                        assert_eq!(r.take(), want);
+                    } else {
+                        r.record(&cmd(next));
+                        if model.len() == capacity {
+                            model.pop_front();
+                            dropped += 1;
+                        }
+                        model.push_back(cmd(next));
+                        next += 1;
+                    }
+                    assert_eq!((r.len(), r.dropped()), (model.len(), dropped));
+                }
+            }
+        }
     }
 
     #[test]

@@ -331,9 +331,11 @@ impl RankSim {
         Ok(())
     }
 
-    /// The simulated clock: completion time of the last access-level
-    /// operation, or issue time of the last raw command, including the
-    /// CAS latency of the last column command (ns).
+    /// The simulated clock (ns): the later of the last command's issue
+    /// time (for an access-level operation, its completion time) and the
+    /// end of the last column command's tCCD slot on the data bus.
+    /// [`RankSim::issue`] charges no CAS latency (CL) or write recovery
+    /// (tWR), so neither is included.
     pub fn now_ns(&self) -> f64 {
         self.now.max(self.bus_free_at)
     }
