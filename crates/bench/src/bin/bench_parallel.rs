@@ -68,9 +68,20 @@ fn engine_runs(threads: usize, out: &mut Vec<ParallelRun>) {
             bench_throughput("red_sum", N, || dev.red_sum(a).unwrap()),
         );
         record(
+            "red_max",
+            bench_throughput("red_max", N, || dev.red_max(a).unwrap()),
+        );
+        record(
             "copy_to_device",
             bench_throughput("copy_to_device", N, || {
                 dev.copy_to_device(&host, dst).unwrap()
+            }),
+        );
+        let mut back = vec![0i32; N as usize];
+        record(
+            "copy_to_host",
+            bench_throughput("copy_to_host", N, || {
+                dev.copy_to_host(a, &mut back).unwrap()
             }),
         );
 

@@ -15,7 +15,7 @@ use std::ops::{Deref, DerefMut};
 use pim_dram::exec;
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
-use crate::dtype::DataType;
+use crate::dtype::{DataType, Elem};
 use crate::object::ObjId;
 use crate::ops::OpKind;
 
@@ -243,52 +243,6 @@ pub fn eval(kind: OpKind, dtype: DataType, inputs: &[i64]) -> i64 {
 pub fn exec_into(kind: OpKind, dtype: DataType, ins: &[&[i64]], out: &mut [i64]) {
     debug_assert_eq!(ins.len(), kind.input_operands() as usize);
     dispatch(kind, dtype, Slices { ins, out });
-}
-
-/// A dtype's canonical form, resolved once per command.
-#[derive(Clone, Copy)]
-struct Elem {
-    /// All-ones mask of the low `bits` bits.
-    mask: i64,
-    /// The sign bit for signed types, 0 for unsigned ones.
-    sign: i64,
-    /// `i64::MIN` for unsigned types, so that comparing `x ^ flip` as
-    /// signed is the unsigned order; 0 for signed ones.
-    flip: i64,
-}
-
-impl Elem {
-    fn of(dtype: DataType) -> Elem {
-        let bits = dtype.bits();
-        let mask = pim_microcode::encode::mask(bits) as i64;
-        if dtype.is_signed() {
-            Elem {
-                mask,
-                sign: 1i64.wrapping_shl(bits - 1),
-                flip: 0,
-            }
-        } else {
-            Elem {
-                mask,
-                sign: 0,
-                flip: i64::MIN,
-            }
-        }
-    }
-
-    /// Truncates `v` to the canonical stored value: keep the low bits,
-    /// then sign-extend them when the type is signed. Branch-free and
-    /// bit-identical to [`DataType::truncate`] for widths 1..=64.
-    #[inline(always)]
-    fn trunc(self, v: i64) -> i64 {
-        ((v & self.mask) ^ self.sign).wrapping_sub(self.sign)
-    }
-
-    /// `x < y` under the type's signedness.
-    #[inline(always)]
-    fn lt(self, x: i64, y: i64) -> bool {
-        (x ^ self.flip) < (y ^ self.flip)
-    }
 }
 
 /// Where a dispatch arm's element function runs: over whole slices

@@ -792,6 +792,8 @@ impl Device {
                         .then(|| model::micro_cost(&self.config, kind, dtype, &layout))
                         .flatten(),
                 });
+                // One UTF-8 check per charge: every view below takes the `&str`.
+                let name = name.as_str();
                 pim_trace!(
                     "cmd {name}: {:.6} ms on {} cores",
                     cost.time_ms,
@@ -799,9 +801,9 @@ impl Device {
                 );
                 self.stats.dram_protocol.merge(&dram);
                 self.stats
-                    .record_cmd(&name, category, cost, layout.cores_used);
+                    .record_cmd(name, category, cost, layout.cores_used);
                 if let Some(m) = metrics {
-                    m.record_cmd(&name, category.label(), cost.time_ms, cost.energy_mj);
+                    m.record_cmd(name, category.label(), cost.time_ms, cost.energy_mj);
                     self.system.split_time(costed, cost.time_ms, |s, busy| {
                         m.record_shard_busy(s, start_ms, cost.time_ms, busy);
                     });

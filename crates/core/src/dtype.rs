@@ -68,16 +68,70 @@ impl DataType {
 
     /// Truncates a raw `i64` to this type's canonical stored value.
     pub fn truncate(&self, v: i64) -> i64 {
-        pim_microcode::encode::truncate(v, self.bits(), self.is_signed())
+        Elem::of(*self).trunc(v)
     }
 
     /// Compares two canonical stored values respecting signedness.
     pub fn compare(&self, a: i64, b: i64) -> std::cmp::Ordering {
-        if self.is_signed() {
-            a.cmp(&b)
+        let e = Elem::of(*self);
+        e.key(a).cmp(&e.key(b))
+    }
+}
+
+/// A dtype's canonical form, resolved once per call so that the
+/// per-element loops of the data path (element-wise commands, uploads,
+/// reductions) run without re-deciding the dtype: the per-element
+/// methods are branch-free. [`DataType::truncate`] and
+/// [`DataType::compare`] are the one-value forms.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Elem {
+    /// All-ones mask of the low `bits` bits.
+    pub(crate) mask: i64,
+    /// The sign bit for signed types, 0 for unsigned ones.
+    sign: i64,
+    /// `i64::MIN` for unsigned types, so that comparing `x ^ flip` as
+    /// signed is the unsigned order; 0 for signed ones.
+    pub(crate) flip: i64,
+}
+
+impl Elem {
+    pub(crate) fn of(dtype: DataType) -> Elem {
+        let bits = dtype.bits();
+        let mask = pim_microcode::encode::mask(bits) as i64;
+        if dtype.is_signed() {
+            Elem {
+                mask,
+                sign: 1i64.wrapping_shl(bits - 1),
+                flip: 0,
+            }
         } else {
-            (a as u64).cmp(&(b as u64))
+            Elem {
+                mask,
+                sign: 0,
+                flip: i64::MIN,
+            }
         }
+    }
+
+    /// Truncates `v` to the canonical stored value: keep the low bits,
+    /// then sign-extend them when the type is signed. Bit-identical to
+    /// `pim_microcode::encode::truncate` for widths 1..=64.
+    #[inline(always)]
+    pub(crate) fn trunc(self, v: i64) -> i64 {
+        ((v & self.mask) ^ self.sign).wrapping_sub(self.sign)
+    }
+
+    /// The order key of a canonical value: keys compare as signed
+    /// `i64`s in the type's order.
+    #[inline(always)]
+    pub(crate) fn key(self, v: i64) -> i64 {
+        v ^ self.flip
+    }
+
+    /// `x < y` under the type's signedness.
+    #[inline(always)]
+    pub(crate) fn lt(self, x: i64, y: i64) -> bool {
+        self.key(x) < self.key(y)
     }
 }
 
@@ -153,6 +207,52 @@ impl PimScalar for bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const DTYPES: [DataType; 9] = [
+        DataType::Bool,
+        DataType::Int8,
+        DataType::Int16,
+        DataType::Int32,
+        DataType::Int64,
+        DataType::UInt8,
+        DataType::UInt16,
+        DataType::UInt32,
+        DataType::UInt64,
+    ];
+
+    #[test]
+    fn canonical_form_matches_the_scalar_definitions() {
+        let mut rng = crate::SplitMix64(0xE1E7);
+        let mut values = vec![0, 1, -1, 2, i64::MIN, i64::MAX];
+        for bits in [1, 8, 16, 32, 63] {
+            let top = 1i64 << (bits - 1);
+            values.extend([
+                top,
+                top - 1,
+                -top,
+                -top - 1,
+                top << 1,
+                (top << 1).wrapping_sub(1),
+            ]);
+        }
+        values.extend((0..2000).map(|_| rng.next() as i64));
+        for d in DTYPES {
+            let canon: Vec<i64> = values.iter().map(|&v| d.truncate(v)).collect();
+            for (&v, &t) in values.iter().zip(&canon) {
+                let want = pim_microcode::encode::truncate(v, d.bits(), d.is_signed());
+                assert_eq!(t, want, "{d} truncate({v})");
+            }
+            for pair in canon.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                let want = if d.is_signed() {
+                    a.cmp(&b)
+                } else {
+                    (a as u64).cmp(&(b as u64))
+                };
+                assert_eq!(d.compare(a, b), want, "{d} compare({a}, {b})");
+            }
+        }
+    }
 
     #[test]
     fn bits_and_signedness() {

@@ -40,7 +40,7 @@ use pim_dram::exec;
 use pim_dram::{CopyReplay, TimingCounters, TimingModel};
 
 use crate::config::{DeviceConfig, ShardPolicy, SimMode};
-use crate::dtype::{DataType, PimScalar};
+use crate::dtype::{DataType, Elem, PimScalar};
 use crate::error::{PimError, Result};
 use crate::model::{self, OpCost};
 use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
@@ -360,29 +360,38 @@ fn split_even(total: usize, n: usize, i: usize) -> usize {
     total / n + usize::from(i < total % n)
 }
 
-/// Chunked parallel widening sum; per-chunk partials fold in chunk
-/// order (`i128` addition is associative, so this is bit-identical to
-/// the sequential sum at every thread count and every shard split).
+/// Chunked parallel exact sum of canonical `dtype` values; per-chunk
+/// partials fold in chunk order (`i128` addition is associative, so this
+/// is bit-identical to the sequential sum at every thread count and
+/// every shard split).
 pub(crate) fn par_sum(data: &[i64], dtype: DataType) -> i128 {
-    let signed = dtype.is_signed();
-    let mask = pim_microcode::encode::mask(dtype.bits());
     exec::par_fold(
         data.len(),
-        |r| {
-            data[r]
-                .iter()
-                .map(|&v| {
-                    if signed {
-                        v as i128
-                    } else {
-                        ((v as u64) & mask) as i128
-                    }
-                })
-                .sum::<i128>()
-        },
+        |r| chunk_sum(&data[r], dtype, SUM_BLOCK),
         |x, y| x + y,
     )
     .unwrap_or(0)
+}
+
+/// Elements per `i64` block of a narrow sum. Canonical values of at
+/// most 32 bits lie in `[-2³¹, 2³² - 1]`, so a block of 2³¹ of them sums
+/// to less than 2³¹ · (2³² − 1) < 2⁶³ in magnitude: exact in `i64`.
+const SUM_BLOCK: usize = 1 << 31;
+
+/// The exact sum of canonical `dtype` values, with the dtype resolved
+/// once: types of 32 bits or fewer sum in `i64` lanes, `block` elements
+/// at a time, each block sum widened to `i128` and folded in order;
+/// 64-bit types widen every element.
+fn chunk_sum(data: &[i64], dtype: DataType, block: usize) -> i128 {
+    if dtype.bits() <= 32 {
+        data.chunks(block)
+            .map(|b| i128::from(b.iter().sum::<i64>()))
+            .sum()
+    } else if dtype.is_signed() {
+        data.iter().map(|&v| i128::from(v)).sum()
+    } else {
+        data.iter().map(|&v| i128::from(v as u64)).sum()
+    }
 }
 
 /// Shards holding at least one element of an object mapped by `map`,
@@ -776,6 +785,7 @@ impl PimSystem {
         if !self.functional {
             return;
         }
+        let e = Elem::of(dtype);
         let Object { map, parts, .. } = &mut self.objects[slot.0];
         for r in map.ranges.iter() {
             let ls = r.local_start as usize;
@@ -783,7 +793,7 @@ impl PimSystem {
             exec::par_map_into(
                 [&data[r.start as usize..r.end as usize]],
                 &mut parts[r.shard].data[ls..ls + len],
-                |[v]| dtype.truncate(v.to_device()),
+                |[v]| e.trunc(v.to_device()),
             );
         }
     }
@@ -881,7 +891,7 @@ impl PimSystem {
         });
     }
 
-    /// Widening reduction sum across all shards (0 in model-only mode).
+    /// Exact reduction sum across all shards (0 in model-only mode).
     /// Per-range partials accumulate in ascending global order; `i128`
     /// addition is associative so the result is bit-identical to the
     /// unsharded sum.
@@ -891,46 +901,32 @@ impl PimSystem {
     }
 
     /// Reduction extreme (`min` when `want_min`, else `max`) across all
-    /// shards, 0 in model-only mode. Per-range partials fold in
-    /// ascending global order with keep-first tie-breaking — exactly a
-    /// sequential scan's semantics, so sharding cannot change the
-    /// result.
+    /// shards, 0 in model-only mode: a native signed `max` over each
+    /// element's order key, flipped back at the end. Flipping every key
+    /// bit as well turns the `max` into the type's `min` (`!` reverses
+    /// the signed order). Canonical values that tie are bit-equal, so
+    /// the result is a sequential scan's keep-first pick at any chunk
+    /// and shard split.
     pub(crate) fn red_extreme(&self, slot: Slot, dtype: DataType, want_min: bool) -> i64 {
         if !self.functional {
             return 0;
         }
-        let keep_first = |x: i64, y: i64| {
-            let ord = dtype.compare(x, y);
-            if if want_min { ord.is_le() } else { ord.is_ge() } {
-                x
-            } else {
-                y
-            }
-        };
+        let flip = Elem::of(dtype).flip ^ if want_min { !0 } else { 0 };
         let entry = &self.objects[slot.0];
-        let mut best: Option<i64> = None;
+        let mut best = None;
         for r in entry.map.ranges.iter() {
             let ls = r.local_start as usize;
             let len = (r.end - r.start) as usize;
             let seg = &entry.parts[r.shard].data[ls..ls + len];
             let part = exec::par_fold(
                 seg.len(),
-                |rr| {
-                    seg[rr]
-                        .iter()
-                        .copied()
-                        .reduce(keep_first)
-                        .expect("chunks are non-empty")
-                },
-                keep_first,
+                |rr| seg[rr].iter().fold(i64::MIN, |m, &v| m.max(v ^ flip)),
+                i64::max,
             );
-            best = match (best, part) {
-                (Some(x), Some(y)) => Some(keep_first(x, y)),
-                (None, p) => p,
-                (b, None) => b,
-            };
+            // `None` orders below every `Some`.
+            best = best.max(part);
         }
-        best.unwrap_or(0)
+        best.map_or(0, |k| k ^ flip)
     }
 
     /// Ranged reduction sum over global elements `[start, end)`
@@ -1090,6 +1086,49 @@ impl PimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `i64`-lane sum equals an `i128` scalar fold at every block
+    /// length, on both sides of each block boundary, with every element
+    /// at the extreme that grows a block sum fastest.
+    #[test]
+    fn narrow_block_sums_match_a_widening_fold() {
+        let mut rng = crate::SplitMix64(0xB10C);
+        for dtype in [
+            DataType::Bool,
+            DataType::Int8,
+            DataType::Int32,
+            DataType::UInt16,
+            DataType::UInt32,
+            DataType::Int64,
+            DataType::UInt64,
+        ] {
+            let wide = |v: i64| {
+                if dtype.is_signed() {
+                    i128::from(v)
+                } else {
+                    i128::from(v as u64)
+                }
+            };
+            let top = 1i64 << (dtype.bits() - 1);
+            let (min, max) = if dtype.is_signed() {
+                (dtype.truncate(top), dtype.truncate(!top))
+            } else {
+                (0, dtype.truncate(-1))
+            };
+            for fill in [Some(min), Some(max), None] {
+                let data: Vec<i64> = (0..40)
+                    .map(|_| fill.unwrap_or_else(|| dtype.truncate(rng.next() as i64)))
+                    .collect();
+                for block in [1, 2, 3, 7, 8, 9, 39, 40, 41] {
+                    for len in [0, 1, block - 1, block, block + 1, 2 * block, data.len()] {
+                        let d = &data[..len.min(data.len())];
+                        let want: i128 = d.iter().map(|&v| wide(v)).sum();
+                        assert_eq!(chunk_sum(d, dtype, block), want, "{dtype} block {block}");
+                    }
+                }
+            }
+        }
+    }
 
     fn assert_partition(map: &ShardMap, count: u64) {
         let mut next = 0u64;
