@@ -71,21 +71,6 @@ impl std::fmt::Display for PimTarget {
     }
 }
 
-/// How a [`crate::PimSystem`] partitions an object's elements across
-/// shards (§ "Sharded execution" in DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ShardPolicy {
-    /// Each shard owns one contiguous element range, sized by its share
-    /// of the modeled cores. Preserves global element order, so every
-    /// reduction re-aggregates in the unsharded order (the default).
-    #[default]
-    Contiguous,
-    /// Allocation units (rows or stripes) deal out round-robin across
-    /// shards. Spreads narrow objects more evenly but fragments the
-    /// element ranges.
-    RoundRobin,
-}
-
 /// Whether operations execute functionally or only through the models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
@@ -210,8 +195,6 @@ pub struct DeviceConfig {
     /// monolithic single-shard behavior; results are bit-identical at
     /// any shard count, only the interconnect accounting changes.
     pub shards: usize,
-    /// Element-partitioning policy across shards.
-    pub shard_policy: ShardPolicy,
     /// The backend each shard's [`pim_dram::TimingModel`] prices row
     /// and burst traffic with: the closed-form `Analytical` math (the default,
     /// bit-identical to the paper's model) or the stateful `BankFsm`.
@@ -237,7 +220,6 @@ impl DeviceConfig {
             mode: SimMode::Functional,
             decimation: 1,
             shards: 1,
-            shard_policy: ShardPolicy::Contiguous,
             timing_backend: TimingBackend::Analytical,
             row_pattern: RowPattern::Streaming,
         }
@@ -293,13 +275,6 @@ impl DeviceConfig {
     pub fn sharded_per_rank(self) -> Self {
         let ranks = self.geometry.ranks;
         self.with_shards(ranks)
-    }
-
-    /// Sets the element-partitioning policy across shards.
-    #[must_use]
-    pub fn with_shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
-        self
     }
 
     /// Number of *modeled* PIM cores for the configured target:

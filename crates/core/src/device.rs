@@ -686,8 +686,8 @@ impl Device {
     /// Runs a validated command's functional semantics (a no-op for
     /// element-wise data in model-only mode), split across shards by
     /// the destination's shard map. Reductions combine per-shard
-    /// partials in ascending global element order; operands whose map
-    /// differs from the destination's are realigned through the
+    /// partials in ascending global element order; a `select` condition
+    /// whose map differs from the destination's is realigned through the
     /// interconnect first.
     pub(crate) fn exec_cmd(&mut self, command: &PimCommand, ops: &Operands) -> CmdValue {
         let sys = &mut self.system;
@@ -702,9 +702,7 @@ impl Device {
                 CmdValue::Int(sys.red_extreme(a, sys.get(a).dtype, want_min))
             }
             OpKind::Copy => {
-                let dst = ops.dst.expect("copy writes");
-                let realigned = sys.copy_data(ops.inputs()[0], dst);
-                self.charge_interconnect(InterconnectKind::Realign, realigned, realigned);
+                sys.copy_data(ops.inputs()[0], ops.dst.expect("copy writes"));
                 CmdValue::Unit
             }
             OpKind::Broadcast(value) => {

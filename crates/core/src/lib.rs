@@ -69,7 +69,7 @@ pub mod system;
 pub mod trace;
 
 pub use cmd::{CmdValue, PimCommand};
-pub use config::{DeviceConfig, PeParams, PimTarget, ShardPolicy, SimMode};
+pub use config::{DeviceConfig, PeParams, PimTarget, SimMode};
 pub use device::Device;
 pub use dtype::{DataType, PimScalar};
 pub use error::{PimError, Result};
@@ -86,7 +86,7 @@ pub use stats::{
     ShardResourceStats, SimStats,
 };
 pub use stream::{CommandStream, FlushSummary};
-pub use system::{InterconnectModel, PimSystem, ShardMap, ShardRange};
+pub use system::{InterconnectModel, PimSystem, ShardMap};
 pub use trace::{CopyDirection, InterconnectKind, Recorder, TraceEvent, TraceSink, Tracer};
 
 /// Std-only parallel execution engine the functional hot paths run on

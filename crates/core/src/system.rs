@@ -6,13 +6,14 @@
 //! table holding every object's global layout, [`ShardMap`], and
 //! per-shard layouts and functional buffers. The device keeps the one
 //! statistics ledger ([`crate::SimStats`]). Each object's [`ShardMap`]
-//! describes which contiguous element ranges live on which shard;
-//! every command entering
+//! gives every shard one contiguous, unit-aligned span of its elements,
+//! in shard order; every command entering
 //! [`crate::Device::issue`] is split by that map, executed per shard
 //! (shards are the *outer* parallelism unit; the `exec` worker pool is
 //! divided among them), and re-aggregated. Cross-shard data movement —
-//! host⇄rank scatter/gather and inter-shard realignment for misaligned
-//! operands — is charged through an [`InterconnectModel`] with per-rank
+//! host⇄rank scatter/gather, the realignment of a `select` condition
+//! whose dtype packs rows differently from the operands', and reduction
+//! combines — is charged through an [`InterconnectModel`] with per-rank
 //! DDR channel bandwidth from [`pim_dram::DramTiming`].
 //!
 //! # Correctness contract
@@ -23,7 +24,7 @@
 //! * element-wise ops are positionwise, so splitting by element range
 //!   cannot change any output element;
 //! * the widening `i128` reduction sum is associative and commutative;
-//! * min/max reductions fold per-range partials in ascending global
+//! * min/max reductions fold per-span partials in ascending global
 //!   element order with the same keep-first tie-breaking as a
 //!   sequential scan (all buffer values are canonical via
 //!   `DataType::truncate`, so ties are bit-equal anyway);
@@ -39,7 +40,7 @@
 use pim_dram::exec;
 use pim_dram::{CopyReplay, TimingCounters, TimingModel};
 
-use crate::config::{DeviceConfig, ShardPolicy, SimMode};
+use crate::config::{DeviceConfig, SimMode};
 use crate::dtype::{DataType, Elem, PimScalar};
 use crate::error::{PimError, Result};
 use crate::model::{self, OpCost};
@@ -47,29 +48,16 @@ use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
 use crate::resource::ResourceManager;
 use crate::stats::{ResourceStats, ShardResourceStats};
 
-/// One contiguous run of global element indices resident on one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRange {
-    /// First global element index covered (inclusive).
-    pub start: u64,
-    /// One past the last global element index covered.
-    pub end: u64,
-    /// Index of the shard holding this range.
-    pub shard: usize,
-    /// Offset of `start` inside the shard-local buffer.
-    pub local_start: u64,
-}
-
 /// How one object's elements are divided across shards.
 ///
-/// Ranges are stored in ascending global-element order and partition
-/// `[0, count)` exactly; each shard's local buffer is the concatenation
-/// of its ranges in that same order. Splits happen only on *unit*
-/// boundaries (rows for horizontal layouts, stripes for vertical ones)
-/// so no DRAM row ever straddles two shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Shard *s* holds the one contiguous span of `counts()[s]` elements
+/// that starts where shard *s − 1*'s ends, so each shard's local buffer
+/// is a slice of the global element order, and two maps with equal
+/// counts place every element on the same shard at the same offset.
+/// Spans split only on *unit* boundaries (rows for horizontal layouts,
+/// stripes for vertical ones) so no DRAM row ever straddles two shards.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardMap {
-    ranges: Few<ShardRange>,
     counts: Few<u64>,
 }
 
@@ -77,82 +65,34 @@ impl ShardMap {
     /// Computes the element → shard assignment for `count` elements
     /// packed `elems_per_unit` to a row/stripe, split across
     /// `weights.len()` shards proportionally to `weights` (the modeled
-    /// core count of each shard).
-    ///
-    /// [`ShardPolicy::Contiguous`] hands shard *s* the unit range
-    /// `[⌊U·W_{<s}/W⌋, ⌊U·W_{≤s}/W⌋)`; [`ShardPolicy::RoundRobin`]
-    /// deals units out cyclically (adjacent same-shard units coalesce,
-    /// so with one shard both policies produce the identical map).
-    pub fn compute(
-        count: u64,
-        elems_per_unit: u64,
-        weights: &[u64],
-        policy: ShardPolicy,
-    ) -> ShardMap {
-        let n = weights.len().max(1);
+    /// core count of each shard): shard *s* gets the unit range
+    /// `[⌊U·W_{<s}/W⌋, ⌊U·W_{≤s}/W⌋)`.
+    pub fn compute(count: u64, elems_per_unit: u64, weights: &[u64]) -> ShardMap {
         let epu = elems_per_unit.max(1);
         let units_total = count.div_ceil(epu);
+        let w_total: u128 = weights.iter().map(|&w| w as u128).sum::<u128>().max(1);
         let mut counts = Few::default();
-        for _ in 0..n {
-            counts.push(0u64);
+        let mut cum: u128 = 0;
+        let mut start = 0u64;
+        for &w in weights {
+            cum += w as u128;
+            let b = ((units_total as u128 * cum) / w_total) as u64;
+            let end = b.saturating_mul(epu).min(count);
+            counts.push(end - start);
+            start = end;
         }
-        let mut ranges = Few::default();
-        match policy {
-            ShardPolicy::Contiguous => {
-                let w_total: u128 = weights.iter().map(|&w| w as u128).sum::<u128>().max(1);
-                let mut cum: u128 = 0;
-                let mut prev_b = 0u64;
-                for (s, &w) in weights.iter().enumerate() {
-                    cum += w as u128;
-                    let b = ((units_total as u128 * cum) / w_total) as u64;
-                    let start = prev_b.saturating_mul(epu).min(count);
-                    let end = b.saturating_mul(epu).min(count);
-                    prev_b = b;
-                    if start >= end {
-                        continue;
-                    }
-                    counts[s] = end - start;
-                    ranges.push(ShardRange {
-                        start,
-                        end,
-                        shard: s,
-                        local_start: 0,
-                    });
-                }
-            }
-            ShardPolicy::RoundRobin => {
-                for j in 0..units_total {
-                    let s = (j % n as u64) as usize;
-                    let start = j * epu;
-                    let end = ((j + 1) * epu).min(count);
-                    if start >= end {
-                        continue;
-                    }
-                    let len = end - start;
-                    if let Some(last) = ranges.last_mut() {
-                        let last: &mut ShardRange = last;
-                        if last.shard == s && last.end == start {
-                            last.end = end;
-                            counts[s] += len;
-                            continue;
-                        }
-                    }
-                    ranges.push(ShardRange {
-                        start,
-                        end,
-                        shard: s,
-                        local_start: counts[s],
-                    });
-                    counts[s] += len;
-                }
-            }
-        }
-        ShardMap { ranges, counts }
+        ShardMap { counts }
     }
 
-    /// The ranges, in ascending global-element order.
-    pub fn ranges(&self) -> &[ShardRange] {
-        &self.ranges
+    /// The non-empty spans as `(shard, start, len)`: shard, first global
+    /// element, element count. Ascending in shard and element order.
+    pub fn spans(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let mut start = 0;
+        self.counts.iter().enumerate().filter_map(move |(s, &c)| {
+            let span = (s, start, c as usize);
+            start += c as usize;
+            (c > 0).then_some(span)
+        })
     }
 
     /// Per-shard element counts (index = shard).
@@ -163,11 +103,6 @@ impl ShardMap {
     /// Elements resident on shard `s`.
     pub fn count_on(&self, s: usize) -> u64 {
         self.counts.get(s).copied().unwrap_or(0)
-    }
-
-    /// Number of shards this map was computed for (including empty ones).
-    pub fn shard_count(&self) -> usize {
-        self.counts.len()
     }
 }
 
@@ -295,9 +230,8 @@ struct Shard {
 struct Part {
     /// The shard-local placement; `None` on shards holding no element.
     layout: Option<ObjectLayout>,
-    /// The piece's canonical values in shard-local order: the
-    /// concatenation of the object's ranges on this shard. Empty in
-    /// model-only mode.
+    /// The canonical values of the object's span on this shard, in
+    /// global element order. Empty in model-only mode.
     data: Vec<i64>,
 }
 
@@ -394,31 +328,12 @@ fn chunk_sum(data: &[i64], dtype: DataType, block: usize) -> i128 {
     }
 }
 
-/// Shards holding at least one element of an object mapped by `map`,
-/// ascending; shard 0 alone when the device has one shard (whole-device
-/// attribution).
-fn holders(map: &ShardMap, shards: usize) -> impl Iterator<Item = usize> + '_ {
-    let counts: &[u64] = if shards > 1 && map.counts.iter().any(|&c| c > 0) {
-        &map.counts
-    } else {
-        &[1]
-    };
-    counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(s, _)| s)
-}
-
 /// An object's full canonical buffer in global element order, gathered
 /// from its per-shard pieces (functional mode only).
 fn gather_full(entry: &Object) -> Vec<i64> {
     let mut out = vec![0i64; entry.obj.count as usize];
-    for r in entry.map.ranges.iter() {
-        let data = &entry.parts[r.shard].data;
-        let ls = r.local_start as usize;
-        let len = (r.end - r.start) as usize;
-        out[r.start as usize..r.end as usize].copy_from_slice(&data[ls..ls + len]);
+    for (s, start, len) in entry.map.spans() {
+        out[start..start + len].copy_from_slice(&entry.parts[s].data);
     }
     out
 }
@@ -444,7 +359,6 @@ pub struct PimSystem {
     shards: Vec<Shard>,
     /// The shards' modeled core counts: every object's map weights.
     weights: Vec<u64>,
-    policy: ShardPolicy,
     interconnect: InterconnectModel,
     functional: bool,
 }
@@ -483,7 +397,6 @@ impl PimSystem {
             catalog,
             weights: shards.iter().map(|s| s.cores as u64).collect(),
             shards,
-            policy: config.shard_policy,
             interconnect: InterconnectModel::from_config(config),
             functional: matches!(config.mode, SimMode::Functional),
         })
@@ -553,7 +466,7 @@ impl PimSystem {
         // Map weights are ALWAYS the shards' modeled-core split — never
         // cores_cap — so every object of the same count and dtype gets
         // the identical map and element-wise operands stay aligned.
-        let map = ShardMap::compute(count, layout.elems_per_unit, &self.weights, self.policy);
+        let map = ShardMap::compute(count, layout.elems_per_unit, &self.weights);
         // rows_per_core = units_per_core × rows_per_unit, exactly.
         let rows_per_unit = layout.rows_per_core / layout.units_per_core.max(1);
         let budget_total = cores_cap.unwrap_or_else(|| config.core_count()).max(1);
@@ -650,10 +563,7 @@ impl PimSystem {
             }
         }
         entry.parts = Few::default();
-        entry.map = ShardMap {
-            ranges: Few::default(),
-            counts: Few::default(),
-        };
+        entry.map = ShardMap::default();
         self.vacant.push(slot);
         Ok(())
     }
@@ -760,13 +670,10 @@ impl PimSystem {
             ));
         }
         let entry = &self.objects[slot.0];
-        for r in entry.map.ranges.iter() {
-            let data = &entry.parts[r.shard].data;
-            let ls = r.local_start as usize;
-            let len = (r.end - r.start) as usize;
+        for (s, start, len) in entry.map.spans() {
             exec::par_map_into(
-                [&data[ls..ls + len]],
-                &mut out[r.start as usize..r.end as usize],
+                [entry.parts[s].data.as_slice()],
+                &mut out[start..start + len],
                 |[v]| T::from_device(v),
             );
         }
@@ -787,23 +694,20 @@ impl PimSystem {
         }
         let e = Elem::of(dtype);
         let Object { map, parts, .. } = &mut self.objects[slot.0];
-        for r in map.ranges.iter() {
-            let ls = r.local_start as usize;
-            let len = (r.end - r.start) as usize;
-            exec::par_map_into(
-                [&data[r.start as usize..r.end as usize]],
-                &mut parts[r.shard].data[ls..ls + len],
-                |[v]| e.trunc(v.to_device()),
-            );
+        for (s, start, len) in map.spans() {
+            exec::par_map_into([&data[start..start + len]], &mut parts[s].data, |[v]| {
+                e.trunc(v.to_device())
+            });
         }
     }
 
-    /// Element-wise execution across shards. Operands whose shard map
-    /// differs from the destination's (e.g. a `select` condition of a
-    /// narrower dtype on a horizontal target) are realigned first:
-    /// their bytes are counted as interconnect realignment traffic and,
-    /// in functional mode, their values are re-dealt by the
-    /// destination's map. Returns the realigned byte total.
+    /// Element-wise execution across shards. Every operand pair but a
+    /// `select` condition has equal count and dtype, and so the
+    /// destination's map. A condition of a dtype that packs rows
+    /// differently (on horizontal targets) may be mapped differently: it
+    /// is realigned, its bytes counted as interconnect realignment
+    /// traffic and, in functional mode, its gathered values sliced by
+    /// each destination span. Returns the realigned byte total.
     pub(crate) fn exec_elementwise(
         &mut self,
         kind: crate::ops::OpKind,
@@ -812,70 +716,47 @@ impl PimSystem {
         dst: Slot,
     ) -> u64 {
         let dst_map = &self.objects[dst.0].map;
-        let mut realign_bytes = 0u64;
-        // `(input index, per-shard pieces)` for every input re-dealt by
-        // the destination's map. Stays empty, and so allocates nothing,
-        // when every operand is aligned with the destination.
-        let mut realigned: Vec<(usize, Vec<Vec<i64>>)> = Vec::new();
-        for (j, &slot) in inputs.iter().enumerate() {
-            let entry = &self.objects[slot.0];
-            if entry.map == *dst_map {
-                continue;
-            }
-            realign_bytes += entry.obj.bytes();
-            if self.functional {
-                let full = gather_full(entry);
-                let mut per_shard: Vec<Vec<i64>> = vec![Vec::new(); self.shards.len()];
-                for r in dst_map.ranges.iter() {
-                    per_shard[r.shard].extend_from_slice(&full[r.start as usize..r.end as usize]);
-                }
-                realigned.push((j, per_shard));
-            }
-        }
+        debug_assert!(inputs
+            .iter()
+            .skip(1)
+            .all(|slot| self.objects[slot.0].map == *dst_map));
+        let misaligned = inputs
+            .first()
+            .map(|slot| &self.objects[slot.0])
+            .filter(|cond| cond.map != *dst_map);
+        let realign_bytes = misaligned.map_or(0, |cond| cond.obj.bytes());
         if !self.functional {
             return realign_bytes;
         }
+        let cond = misaligned.map(gather_full);
         let aliased = inputs.contains(&dst);
         self.write_dst(dst, aliased, |s, objects, out| {
-            out.resize(objects[dst.0].map.count_on(s) as usize, 0);
+            let map = &objects[dst.0].map;
+            let len = map.count_on(s) as usize;
+            out.resize(len, 0);
             let mut ins: [&[i64]; 4] = [&[]; 4];
             for (j, &slot) in inputs.iter().enumerate() {
-                ins[j] = match realigned.iter().find(|(k, _)| *k == j) {
-                    Some((_, per)) => &per[s],
-                    None => &objects[slot.0].parts[s].data,
-                };
+                ins[j] = &objects[slot.0].parts[s].data;
+            }
+            if let Some(cond) = &cond {
+                let start = map.counts[..s].iter().sum::<u64>() as usize;
+                ins[0] = &cond[start..start + len];
             }
             crate::cmd::exec_into(kind, dtype, &ins[..inputs.len()], out);
         });
         realign_bytes
     }
 
-    /// Device-to-device copy. Aligned maps copy shard-locally; a
-    /// misaligned pair (possible only through dtype-chained
-    /// associations) gathers and re-deals, returning the object's bytes
-    /// as interconnect realignment traffic.
-    pub(crate) fn copy_data(&mut self, src: Slot, dst: Slot) -> u64 {
-        if self.objects[src.0].map == self.objects[dst.0].map {
-            if self.functional && src != dst {
-                self.write_dst(dst, false, |s, objects, out| {
-                    out.clear();
-                    out.extend_from_slice(&objects[src.0].parts[s].data);
-                });
-            }
-            return 0;
+    /// Device-to-device copy, shard-locally: a copy's operands have equal
+    /// count and dtype, and so equal maps.
+    pub(crate) fn copy_data(&mut self, src: Slot, dst: Slot) {
+        debug_assert!(self.objects[src.0].map == self.objects[dst.0].map);
+        if self.functional && src != dst {
+            self.write_dst(dst, false, |s, objects, out| {
+                out.clear();
+                out.extend_from_slice(&objects[src.0].parts[s].data);
+            });
         }
-        let bytes = self.objects[src.0].obj.bytes();
-        if self.functional {
-            let full = gather_full(&self.objects[src.0]);
-            let Object { map, parts, .. } = &mut self.objects[dst.0];
-            for r in map.ranges.iter() {
-                let ls = r.local_start as usize;
-                let len = (r.end - r.start) as usize;
-                parts[r.shard].data[ls..ls + len]
-                    .copy_from_slice(&full[r.start as usize..r.end as usize]);
-            }
-        }
-        bytes
     }
 
     /// Fills every shard-local piece of `dst` with `value` truncated to
@@ -892,7 +773,7 @@ impl PimSystem {
     }
 
     /// Exact reduction sum across all shards (0 in model-only mode).
-    /// Per-range partials accumulate in ascending global order; `i128`
+    /// Per-span partials accumulate in ascending global order; `i128`
     /// addition is associative so the result is bit-identical to the
     /// unsharded sum.
     pub(crate) fn red_sum(&self, slot: Slot, dtype: DataType) -> i128 {
@@ -914,10 +795,8 @@ impl PimSystem {
         let flip = Elem::of(dtype).flip ^ if want_min { !0 } else { 0 };
         let entry = &self.objects[slot.0];
         let mut best = None;
-        for r in entry.map.ranges.iter() {
-            let ls = r.local_start as usize;
-            let len = (r.end - r.start) as usize;
-            let seg = &entry.parts[r.shard].data[ls..ls + len];
+        for (s, _, _) in entry.map.spans() {
+            let seg = &entry.parts[s].data;
             let part = exec::par_fold(
                 seg.len(),
                 |rr| seg[rr].iter().fold(i64::MIN, |m, &v| m.max(v ^ flip)),
@@ -930,22 +809,21 @@ impl PimSystem {
     }
 
     /// Ranged reduction sum over global elements `[start, end)`
-    /// (bounds already validated), intersected with each shard range.
+    /// (bounds already validated), intersected with each shard span.
     /// 0 in model-only mode.
     pub(crate) fn red_sum_range(&self, slot: Slot, dtype: DataType, start: u64, end: u64) -> i128 {
         if !self.functional {
             return 0;
         }
         let entry = &self.objects[slot.0];
+        let (start, end) = (start as usize, end as usize);
         let mut total = 0i128;
-        for r in entry.map.ranges.iter() {
-            let s = start.max(r.start);
-            let e = end.min(r.end);
-            if s >= e {
-                continue;
+        for (s, first, len) in entry.map.spans() {
+            let lo = start.max(first);
+            let hi = end.min(first + len);
+            if lo < hi {
+                total += par_sum(&entry.parts[s].data[lo - first..hi - first], dtype);
             }
-            let ls = (r.local_start + (s - r.start)) as usize;
-            total += par_sum(&entry.parts[r.shard].data[ls..ls + (e - s) as usize], dtype);
         }
         total
     }
@@ -971,7 +849,7 @@ impl PimSystem {
     {
         let mut agg: Option<OpCost> = None;
         let mut dram = TimingCounters::default();
-        for s in holders(&self.objects[costed.0].map, self.shards.len()) {
+        for (s, _, _) in self.objects[costed.0].map.spans() {
             let timing = &mut self.shards[s].timing;
             let cost = price(timing);
             dram.merge(&timing.take_counters());
@@ -1003,7 +881,7 @@ impl PimSystem {
         let mut time_ms: Option<f64> = None;
         let mut replay: Option<CopyReplay> = None;
         let mut dram = TimingCounters::default();
-        for s in holders(&self.objects[slot.0].map, self.shards.len()) {
+        for (s, _, _) in self.objects[slot.0].map.spans() {
             let timing = &mut self.shards[s].timing;
             let t = timing.charge_host_copy(represented_bytes, ranks);
             time_ms = Some(time_ms.map_or(t, |prev| prev.max(t)));
@@ -1131,71 +1009,63 @@ mod tests {
     }
 
     fn assert_partition(map: &ShardMap, count: u64) {
-        let mut next = 0u64;
-        let mut local_next = vec![0u64; map.shard_count()];
-        for r in map.ranges() {
-            assert_eq!(r.start, next, "ranges must tile [0, count) in order");
-            assert!(r.end > r.start);
-            assert_eq!(r.local_start, local_next[r.shard]);
-            local_next[r.shard] += r.end - r.start;
-            next = r.end;
+        let mut next = 0;
+        for (s, start, len) in map.spans() {
+            assert_eq!(start, next, "spans must tile [0, count) in shard order");
+            assert!(len > 0);
+            assert_eq!(len as u64, map.count_on(s));
+            next += len;
         }
-        assert_eq!(next, count);
-        for (s, &c) in map.counts().iter().enumerate() {
-            assert_eq!(c, local_next[s], "counts must match range coverage");
-        }
-        assert_eq!(map.counts().iter().sum::<u64>(), count);
+        assert_eq!(next as u64, count);
     }
 
     #[test]
     fn contiguous_map_partitions_on_unit_boundaries() {
-        let map = ShardMap::compute(1000, 32, &[4, 4, 4, 4], ShardPolicy::Contiguous);
+        let map = ShardMap::compute(1000, 32, &[4, 4, 4, 4]);
         assert_partition(&map, 1000);
-        for r in &map.ranges()[..map.ranges().len() - 1] {
-            assert_eq!(r.start % 32, 0, "splits must land on unit boundaries");
-            assert_eq!(r.end % 32, 0, "splits must land on unit boundaries");
+        let spans: Vec<_> = map.spans().collect();
+        for &(_, start, len) in &spans[..spans.len() - 1] {
+            assert_eq!(start % 32, 0, "splits must land on unit boundaries");
+            assert_eq!((start + len) % 32, 0, "splits must land on unit boundaries");
         }
     }
 
     #[test]
     fn contiguous_map_respects_weights() {
-        let map = ShardMap::compute(64, 1, &[3, 1], ShardPolicy::Contiguous);
+        let map = ShardMap::compute(64, 1, &[3, 1]);
         assert_partition(&map, 64);
         assert_eq!(map.count_on(0), 48);
         assert_eq!(map.count_on(1), 16);
     }
 
     #[test]
-    fn round_robin_deals_units_cyclically() {
-        let map = ShardMap::compute(100, 10, &[1, 1, 1], ShardPolicy::RoundRobin);
-        assert_partition(&map, 100);
-        // 10 units of 10 elements: shards get 4, 3, 3 units.
-        assert_eq!(map.count_on(0), 40);
-        assert_eq!(map.count_on(1), 30);
-        assert_eq!(map.count_on(2), 30);
-    }
-
-    #[test]
-    fn both_policies_coincide_for_one_shard() {
-        let contiguous = ShardMap::compute(12345, 64, &[8], ShardPolicy::Contiguous);
-        let rr = ShardMap::compute(12345, 64, &[8], ShardPolicy::RoundRobin);
-        assert_eq!(contiguous, rr);
-        assert_eq!(contiguous.ranges().len(), 1);
-        assert_eq!(contiguous.count_on(0), 12345);
+    fn seven_shards_split_units_unevenly_and_leave_some_empty() {
+        // 10 units of 10 elements over 7 equal shards: boundaries at
+        // ⌊10·k/7⌋ = 1, 2, 4, 5, 7, 8, 10 units, so shards get 1 or 2
+        // units each; 3 units over 7 shards leave four shards empty.
+        let map = ShardMap::compute(95, 10, &[1; 7]);
+        assert_partition(&map, 95);
+        assert_eq!(map.counts(), &[10, 10, 20, 10, 20, 10, 15]);
+        let map = ShardMap::compute(25, 10, &[1; 7]);
+        assert_partition(&map, 25);
+        assert_eq!(map.counts(), &[0, 0, 10, 0, 10, 0, 5]);
+        let spans: Vec<_> = map.spans().collect();
+        assert_eq!(spans, [(2, 0, 10), (4, 10, 10), (6, 20, 5)]);
+        // One shard holds everything in one span.
+        let map = ShardMap::compute(12345, 64, &[8]);
+        assert_eq!(map.spans().collect::<Vec<_>>(), [(0, 0, 12345)]);
     }
 
     #[test]
     fn tiny_objects_leave_trailing_shards_empty() {
-        let map = ShardMap::compute(5, 32, &[2, 2, 2, 2], ShardPolicy::Contiguous);
+        let map = ShardMap::compute(5, 32, &[2, 2, 2, 2]);
         assert_partition(&map, 5);
-        assert_eq!(map.ranges().len(), 1, "one unit cannot split");
-        let nonempty = map.counts().iter().filter(|&&c| c > 0).count();
-        assert_eq!(nonempty, 1);
+        assert_eq!(map.spans().count(), 1, "one unit cannot split");
     }
 
     #[test]
     fn partial_final_unit_is_clamped_to_count() {
-        let map = ShardMap::compute(65, 32, &[1, 1], ShardPolicy::Contiguous);
+        let map = ShardMap::compute(65, 32, &[1, 1]);
         assert_partition(&map, 65);
         // 3 units; shard 0 gets ⌊3·1/2⌋ = 1 unit, shard 1 the rest.
         assert_eq!(map.count_on(0), 32);

@@ -11,8 +11,8 @@
 //! Rendering: one writer appends every entry straight into the document
 //! buffer. Static JSON pieces are copied in; integers go through a
 //! digit writer; strings that need no escape are copied between quotes,
-//! the rest go through [`Quoted`]. Floats go through a small memo keyed
-//! by their bit pattern: a miss formats the value with [`Num`], the
+//! the rest go through `Quoted`. Floats go through a small memo keyed
+//! by their bit pattern: a miss formats the value with `Num`, the
 //! `Display` behind [`json::num`](super::json::num), and keeps those
 //! bytes; a hit copies them again. A run repeats few durations and
 //! energies, so most numbers are hits, and every number reads exactly as
