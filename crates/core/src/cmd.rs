@@ -230,41 +230,45 @@ pub fn eval(kind: OpKind, dtype: DataType, inputs: &[i64]) -> i64 {
 }
 
 /// Runs an element-wise `kind` over whole operand slices:
-/// `out[i] = eval(kind, dtype, [ins[0][i], ins[1][i], …])`.
+/// `out[i] = eval(kind, dtype, [ins[0][i], ins[1][i], …])`. An input
+/// given as `None` is the destination itself: it reads `out[i]` before
+/// `out[i]` is written, so a command like `add(a, acc, acc)` updates
+/// `acc` in place.
 ///
 /// `kind` and `dtype` are resolved once per call, so each command runs
-/// as one monomorphized loop through [`exec::par_map_into`] (which fans
-/// out across the pool above `2 × MIN_CHUNK` elements).
+/// as one monomorphized loop through [`exec::par_map_into`] (or
+/// [`exec::par_map_in_place`] when an input is `None`), which fans out
+/// across the pool above `2 × MIN_CHUNK` elements.
 ///
 /// # Panics
 ///
-/// On reduction kinds, and if `ins` does not hold one slice per input
-/// operand, each as long as `out`.
-pub fn exec_into(kind: OpKind, dtype: DataType, ins: &[&[i64]], out: &mut [i64]) {
+/// On reduction kinds, and if `ins` does not hold one entry per input
+/// operand, each slice as long as `out`.
+pub fn exec_into(kind: OpKind, dtype: DataType, ins: &[Option<&[i64]>], out: &mut [i64]) {
     debug_assert_eq!(ins.len(), kind.input_operands() as usize);
     dispatch(kind, dtype, Slices { ins, out });
 }
 
 /// Where a dispatch arm's element function runs: over whole slices
-/// through the pool ([`Slices`]) or on one element ([`One`]). Each
-/// method takes the arm's own closure, so every arm monomorphizes.
+/// through the pool ([`Slices`]) or on one element ([`One`]). `map`
+/// takes the arm's own closure, so every arm monomorphizes.
 trait Lanes {
-    fn fill(self, v: i64);
     fn map<const N: usize>(self, f: impl Fn([i64; N]) -> i64 + Sync);
 }
 
 struct Slices<'a> {
-    ins: &'a [&'a [i64]],
+    ins: &'a [Option<&'a [i64]>],
     out: &'a mut [i64],
 }
 
 impl Lanes for Slices<'_> {
-    fn fill(self, v: i64) {
-        self.out.fill(v);
-    }
-
     fn map<const N: usize>(self, f: impl Fn([i64; N]) -> i64 + Sync) {
-        exec::par_map_into(std::array::from_fn(|k| self.ins[k]), self.out, f);
+        let ins: [Option<&[i64]>; N] = std::array::from_fn(|k| self.ins[k]);
+        if ins.iter().all(Option::is_some) {
+            exec::par_map_into(ins.map(Option::unwrap_or_default), self.out, f);
+        } else {
+            exec::par_map_in_place(ins, self.out, f);
+        }
     }
 }
 
@@ -274,10 +278,6 @@ struct One<'a> {
 }
 
 impl Lanes for One<'_> {
-    fn fill(self, v: i64) {
-        *self.out = v;
-    }
-
     fn map<const N: usize>(self, f: impl Fn([i64; N]) -> i64 + Sync) {
         *self.out = f(std::array::from_fn(|k| self.args[k]));
     }
@@ -386,7 +386,10 @@ fn dispatch(kind: OpKind, dtype: DataType, lanes: impl Lanes) {
         OpKind::FusedCmpSelect(c) => {
             each_cmp!(c, e, |p| lanes.map(move |[a, b, x, y]| pick(p(a, b), x, y)))
         }
-        OpKind::Broadcast(v) => lanes.fill(e.trunc(v)),
+        OpKind::Broadcast(v) => {
+            let v = e.trunc(v);
+            lanes.map(move |[]| v)
+        }
         OpKind::RedSum | OpKind::RedMin | OpKind::RedMax => {
             unreachable!("reductions fold across elements; eval is per-element")
         }

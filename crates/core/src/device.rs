@@ -684,11 +684,9 @@ impl Device {
     }
 
     /// Runs a validated command's functional semantics (a no-op for
-    /// element-wise data in model-only mode), split across shards by
-    /// the destination's shard map. Reductions combine per-shard
-    /// partials in ascending global element order; a `select` condition
-    /// whose map differs from the destination's is realigned through the
-    /// interconnect first.
+    /// element-wise data in model-only mode) over the objects' whole
+    /// buffers. A `select` condition whose map differs from the
+    /// destination's is charged as interconnect realignment traffic.
     pub(crate) fn exec_cmd(&mut self, command: &PimCommand, ops: &Operands) -> CmdValue {
         let sys = &mut self.system;
         match command.kind {
@@ -700,15 +698,6 @@ impl Device {
                 let a = ops.inputs()[0];
                 let want_min = command.kind == OpKind::RedMin;
                 CmdValue::Int(sys.red_extreme(a, sys.get(a).dtype, want_min))
-            }
-            OpKind::Copy => {
-                sys.copy_data(ops.inputs()[0], ops.dst.expect("copy writes"));
-                CmdValue::Unit
-            }
-            OpKind::Broadcast(value) => {
-                let dst = ops.dst.expect("broadcast writes");
-                sys.broadcast_value(dst, value, sys.get(dst).dtype);
-                CmdValue::Unit
             }
             kind => {
                 let dst = ops.dst.expect("element-wise commands write");

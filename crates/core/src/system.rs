@@ -3,34 +3,29 @@
 //! A [`PimSystem`] owns `N` shards — one per rank by default (see
 //! [`crate::DeviceConfig::sharded_per_rank`]) — each with its own row
 //! accounting ([`ResourceManager`]) and timing model, and one object
-//! table holding every object's global layout, [`ShardMap`], and
-//! per-shard layouts and functional buffers. The device keeps the one
+//! table holding every object's global layout, [`ShardMap`], per-shard
+//! layouts and one functional buffer. The device keeps the one
 //! statistics ledger ([`crate::SimStats`]). Each object's [`ShardMap`]
 //! gives every shard one contiguous, unit-aligned span of its elements,
-//! in shard order; every command entering
-//! [`crate::Device::issue`] is split by that map, executed per shard
-//! (shards are the *outer* parallelism unit; the `exec` worker pool is
-//! divided among them), and re-aggregated. Cross-shard data movement —
-//! host⇄rank scatter/gather, the realignment of a `select` condition
-//! whose dtype packs rows differently from the operands', and reduction
-//! combines — is charged through an [`InterconnectModel`] with per-rank
-//! DDR channel bandwidth from [`pim_dram::DramTiming`].
+//! in shard order, and a shard's piece of the data is that span's slice
+//! of the object's buffer. Every command entering
+//! [`crate::Device::issue`] is priced on the shards holding its costed
+//! object and re-aggregated, and runs its functional semantics once over
+//! the whole buffer (the `exec` pool splits that loop by element, not by
+//! shard). Cross-shard data movement — host⇄rank scatter/gather, the
+//! realignment of a `select` condition whose dtype packs rows
+//! differently from the operands', and reduction combines — is charged
+//! through an [`InterconnectModel`] with per-rank DDR channel bandwidth
+//! from [`pim_dram::DramTiming`].
 //!
 //! # Correctness contract
 //!
 //! Results are bit-identical between `shards = 1` and `shards = N` for
-//! every target and dtype:
-//!
-//! * element-wise ops are positionwise, so splitting by element range
-//!   cannot change any output element;
-//! * the widening `i128` reduction sum is associative and commutative;
-//! * min/max reductions fold per-span partials in ascending global
-//!   element order with the same keep-first tie-breaking as a
-//!   sequential scan (all buffer values are canonical via
-//!   `DataType::truncate`, so ties are bit-equal anyway);
-//! * `shards = 1` runs the exact same code path as the unsharded
-//!   device did — the single shard's layout reproduces the global
-//!   [`ObjectLayout`] bit for bit.
+//! every target and dtype: the functional data is one buffer in global
+//! element order at every shard count, and every loop over it is the
+//! same. `shards = 1` runs the exact same code path as the unsharded
+//! device did — the single shard's layout reproduces the global
+//! [`ObjectLayout`] bit for bit.
 //!
 //! Compute cost stays additive across shards (the per-shard busy shares
 //! the metrics registry records sum to the aggregate kernel time) while
@@ -51,8 +46,8 @@ use crate::stats::{ResourceStats, ShardResourceStats};
 /// How one object's elements are divided across shards.
 ///
 /// Shard *s* holds the one contiguous span of `counts()[s]` elements
-/// that starts where shard *s − 1*'s ends, so each shard's local buffer
-/// is a slice of the global element order, and two maps with equal
+/// that starts where shard *s − 1*'s ends, so each shard's piece is a
+/// slice of the object's buffer, and two maps with equal
 /// counts place every element on the same shard at the same offset.
 /// Spans split only on *unit* boundaries (rows for horizontal layouts,
 /// stripes for vertical ones) so no DRAM row ever straddles two shards.
@@ -150,7 +145,7 @@ impl InterconnectModel {
 
 /// A short list kept inline while it holds at most one element and on
 /// the heap from the second: the shape of every per-shard list, so a
-/// one-shard object's map and pieces cost no allocation. Compares and
+/// one-shard object's map and layouts cost no allocation. Compares and
 /// dereferences as a slice.
 #[derive(Debug, Clone)]
 enum Few<T> {
@@ -190,15 +185,6 @@ impl<T> std::ops::Deref for Few<T> {
     }
 }
 
-impl<T> std::ops::DerefMut for Few<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        match self {
-            Few::One(one) => one,
-            Few::Many(many) => many,
-        }
-    }
-}
-
 impl<T: PartialEq> PartialEq for Few<T> {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
@@ -212,27 +198,10 @@ impl<T: Eq> Eq for Few<T> {}
 #[derive(Debug)]
 struct Shard {
     rm: ResourceManager,
-    /// Modeled cores assigned to this shard (decimation-adjusted).
-    cores: usize,
     /// This shard's timing model. Each shard owns its rank's banks, so
     /// FSM state never crosses shards and re-aggregation (ascending
     /// shard order) stays deterministic at every shard count.
     timing: TimingModel,
-    /// The buffer a command computes into before it is swapped with the
-    /// destination's (see [`PimSystem::write_dst`]). Kept between
-    /// commands only while its capacity is below `2 × exec::MIN_CHUNK`
-    /// elements, so it costs at most 128 KiB.
-    spare: Vec<i64>,
-}
-
-/// An object's piece on one shard.
-#[derive(Debug, Default)]
-struct Part {
-    /// The shard-local placement; `None` on shards holding no element.
-    layout: Option<ObjectLayout>,
-    /// The canonical values of the object's span on this shard, in
-    /// global element order. Empty in model-only mode.
-    data: Vec<i64>,
 }
 
 /// One object-table entry: everything the system knows about a live
@@ -242,8 +211,12 @@ struct Object {
     /// The global view the cost model charges against.
     obj: PimObject,
     map: ShardMap,
-    /// Index = shard.
-    parts: Few<Part>,
+    /// The canonical values in global element order: shard *s*'s piece
+    /// is the slice of its span. Empty in model-only mode.
+    data: Vec<i64>,
+    /// The shard-local placements (index = shard); `None` on shards
+    /// holding no element.
+    parts: Few<Option<ObjectLayout>>,
 }
 
 /// A live object's position in the object table, resolved from its id
@@ -328,16 +301,6 @@ fn chunk_sum(data: &[i64], dtype: DataType, block: usize) -> i128 {
     }
 }
 
-/// An object's full canonical buffer in global element order, gathered
-/// from its per-shard pieces (functional mode only).
-fn gather_full(entry: &Object) -> Vec<i64> {
-    let mut out = vec![0i64; entry.obj.count as usize];
-    for (s, start, len) in entry.map.spans() {
-        out[start..start + len].copy_from_slice(&entry.parts[s].data);
-    }
-    out
-}
-
 /// The sharded execution substrate behind [`crate::Device`].
 ///
 /// Owns the object table, the row accounting of the whole device (the
@@ -384,9 +347,7 @@ impl PimSystem {
                     config.rows_per_core(),
                     split_even(physical, n, i) as u64,
                 )?,
-                cores: split_even(modeled, n, i),
                 timing: model::timing_model(config, config.timing_backend),
-                spare: Vec::new(),
             });
         }
         Ok(PimSystem {
@@ -395,8 +356,8 @@ impl PimSystem {
             vacant: Vec::new(),
             next_id: 0,
             catalog,
-            weights: shards.iter().map(|s| s.cores as u64).collect(),
             shards,
+            weights: (0..n).map(|i| split_even(modeled, n, i) as u64).collect(),
             interconnect: InterconnectModel::from_config(config),
             functional: matches!(config.mode, SimMode::Functional),
         })
@@ -443,10 +404,10 @@ impl PimSystem {
 
     /// Two-phase sharded allocation: computes the global layout, runs
     /// every capacity check (catalog first, then each shard) in the
-    /// legacy error order, and only then commits the object under the
-    /// next id. Besides the table's own slots, the only heap
-    /// allocations are the zeroed functional buffers (and, with several
-    /// shards, the map's and pieces' lists).
+    /// legacy error order, and only then allocates and commits the object
+    /// under the next id. Besides the table's own slots, the only heap
+    /// allocations are the zeroed functional buffer (and, with several
+    /// shards, the map's and layouts' lists).
     ///
     /// # Errors
     ///
@@ -470,33 +431,49 @@ impl PimSystem {
         // rows_per_core = units_per_core × rows_per_unit, exactly.
         let rows_per_unit = layout.rows_per_core / layout.units_per_core.max(1);
         let budget_total = cores_cap.unwrap_or_else(|| config.core_count()).max(1);
-        let mut parts: Few<Part> = Few::default();
-        for (s, shard) in self.shards.iter().enumerate() {
+        // Shard `s`'s placement of its span; `None` when the span is empty.
+        let local = |s: usize| -> Result<Option<ObjectLayout>> {
             let c = map.count_on(s);
-            let mut part = Part::default();
-            if c > 0 {
-                let local_units = c.div_ceil(layout.elems_per_unit.max(1));
-                let budget = split_even(budget_total, n, s).max(1) as u64;
-                let lcores = local_units.min(budget).max(1) as usize;
-                let lupc = local_units.div_ceil(lcores as u64);
-                let lrows = lupc.checked_mul(rows_per_unit).ok_or_else(|| {
-                    PimError::InvalidArg("object layout overflows u64 row arithmetic".into())
-                })?;
-                let lelems = lupc
-                    .checked_mul(layout.elems_per_unit)
-                    .map_or(c, |padded| padded.min(c));
-                let local = ObjectLayout {
-                    layout: layout.layout,
-                    cores_used: lcores,
-                    elems_per_core: lelems,
-                    rows_per_core: lrows,
-                    elems_per_unit: layout.elems_per_unit,
-                    units_per_core: lupc,
-                };
-                shard.rm.check(&local)?;
-                part.layout = Some(local);
+            if c == 0 {
+                return Ok(None);
             }
-            parts.push(part);
+            let local_units = c.div_ceil(layout.elems_per_unit.max(1));
+            let budget = split_even(budget_total, n, s).max(1) as u64;
+            let lcores = local_units.min(budget).max(1) as usize;
+            let lupc = local_units.div_ceil(lcores as u64);
+            let lrows = lupc.checked_mul(rows_per_unit).ok_or_else(|| {
+                PimError::InvalidArg("object layout overflows u64 row arithmetic".into())
+            })?;
+            let lelems = lupc
+                .checked_mul(layout.elems_per_unit)
+                .map_or(c, |padded| padded.min(c));
+            Ok(Some(ObjectLayout {
+                layout: layout.layout,
+                cores_used: lcores,
+                elems_per_core: lelems,
+                rows_per_core: lrows,
+                elems_per_unit: layout.elems_per_unit,
+                units_per_core: lupc,
+            }))
+        };
+        for (s, shard) in self.shards.iter().enumerate() {
+            if let Some(local) = local(s)? {
+                shard.rm.check(&local)?;
+            }
+        }
+        // The buffer comes after every check and before the layouts'
+        // list. With the list allocated first, a process that builds and
+        // drops many 4-shard devices (`bench_e2e`'s `bulk-sweep`) had
+        // glibc give each run's buffers back to the OS and fault them in
+        // again, with ten times the minor faults of this order.
+        let data = if self.functional {
+            vec![0; count as usize]
+        } else {
+            Vec::new()
+        };
+        let mut parts = Few::default();
+        for s in 0..n {
+            parts.push(local(s)?);
         }
         let obj = PimObject {
             id: ObjId(self.next_id),
@@ -506,15 +483,17 @@ impl PimSystem {
         };
         self.next_id += 1;
         self.catalog.claim(&layout);
-        for (s, (shard, part)) in self.shards.iter_mut().zip(parts.iter_mut()).enumerate() {
-            if let Some(local) = &part.layout {
+        for (shard, local) in self.shards.iter_mut().zip(parts.iter()) {
+            if let Some(local) = local {
                 shard.rm.claim(local);
-                if self.functional {
-                    part.data = vec![0; map.count_on(s) as usize];
-                }
             }
         }
-        let entry = Object { obj, map, parts };
+        let entry = Object {
+            obj,
+            map,
+            data,
+            parts,
+        };
         let slot = match self.vacant.pop() {
             Some(slot) => {
                 self.objects[slot.0] = entry;
@@ -548,7 +527,7 @@ impl PimSystem {
     }
 
     /// Frees an object: returns its rows to the catalog and to every
-    /// shard holding a piece, and drops its buffers.
+    /// shard holding a piece, and drops its buffer.
     ///
     /// # Errors
     ///
@@ -557,11 +536,12 @@ impl PimSystem {
         let slot = self.index.remove(&id).ok_or(PimError::UnknownObject(id))?;
         let entry = &mut self.objects[slot.0];
         self.catalog.release(&entry.obj.layout);
-        for (shard, part) in self.shards.iter_mut().zip(entry.parts.iter()) {
-            if let Some(local) = &part.layout {
+        for (shard, local) in self.shards.iter_mut().zip(entry.parts.iter()) {
+            if let Some(local) = local {
                 shard.rm.release(local);
             }
         }
+        entry.data = Vec::new();
         entry.parts = Few::default();
         entry.map = ShardMap::default();
         self.vacant.push(slot);
@@ -569,96 +549,11 @@ impl PimSystem {
     }
 
     // ------------------------------------------------------------------
-    // Per-shard execution
+    // Functional execution
     // ------------------------------------------------------------------
 
-    /// Runs `f` once per shard.
-    ///
-    /// `work` is the number of elements the call touches (the
-    /// destination's element count). Below `2 × exec::MIN_CHUNK` (the
-    /// floor `exec` applies to every element loop) or with one shard, the
-    /// shards run inline on the calling thread, in shard order, and a
-    /// multi-shard call counts one sequential run in the pool profile.
-    /// Otherwise they go through the persistent pool at item granularity
-    /// ([`exec::par_each_mut`]): shards are claimed one chunk at a time
-    /// from the fan-out's shared counter, so a worker that finishes a
-    /// light shard takes the next one, and element-level fan-outs
-    /// *inside* a shard are ordinary nested pool jobs that idle workers
-    /// can help with.
-    fn on_shards<F>(shards: &mut [Shard], work: usize, f: F)
-    where
-        F: Fn(usize, &mut Shard) + Sync,
-    {
-        if shards.len() > 1 {
-            if work >= 2 * exec::MIN_CHUNK {
-                exec::par_each_mut(shards, |i, shard| f(i, shard));
-                return;
-            }
-            exec::pool::note_sequential();
-        }
-        for (i, shard) in shards.iter_mut().enumerate() {
-            f(i, shard);
-        }
-    }
-
-    /// Rewrites `dst`'s piece on every shard holding one:
-    /// `f(shard, objects, out)` fills `out` with the shard's new piece,
-    /// reading any object (including `dst`) through `objects`. `out` is
-    /// the shard's spare buffer; afterwards it is swapped with the
-    /// piece. When no input aliases the destination (`aliased` false),
-    /// the piece is first swapped *into* the spare, so the command
-    /// writes over the destination's own allocation and the spare is
-    /// left as it was. An aliased command's displaced piece becomes the
-    /// spare, and is dropped instead when it holds `2 × MIN_CHUNK`
-    /// elements or more.
-    fn write_dst<F>(&mut self, dst: Slot, aliased: bool, f: F)
-    where
-        F: Fn(usize, &[Object], &mut Vec<i64>) + Sync,
-    {
-        if aliased {
-            // Size the spares here, not on a pool worker: the displaced
-            // pieces are freed on this thread, and freeing buffers other
-            // threads allocated raised `bulk-sweep`'s peak RSS by 1 MB.
-            let map = &self.objects[dst.0].map;
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let n = map.count_on(s) as usize;
-                shard
-                    .spare
-                    .reserve_exact(n.saturating_sub(shard.spare.len()));
-            }
-        } else {
-            self.swap_spares(dst);
-        }
-        let objects = &self.objects;
-        let map = &objects[dst.0].map;
-        let work = objects[dst.0].obj.count as usize;
-        Self::on_shards(&mut self.shards, work, |s, shard| {
-            if map.count_on(s) > 0 {
-                f(s, objects, &mut shard.spare);
-            }
-        });
-        self.swap_spares(dst);
-        if aliased {
-            for shard in &mut self.shards {
-                if shard.spare.capacity() >= 2 * exec::MIN_CHUNK {
-                    shard.spare = Vec::new();
-                }
-            }
-        }
-    }
-
-    /// Swaps every shard's spare buffer with `dst`'s piece on it.
-    fn swap_spares(&mut self, dst: Slot) {
-        let parts = self.objects[dst.0].parts.iter_mut();
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            if part.layout.is_some() {
-                std::mem::swap(&mut shard.spare, &mut part.data);
-            }
-        }
-    }
-
-    /// Converts an object's sharded contents into a host buffer
-    /// (`pimCopyDeviceToHost` under sharding).
+    /// Converts an object's contents into a host buffer
+    /// (`pimCopyDeviceToHost`).
     ///
     /// # Errors
     ///
@@ -669,20 +564,13 @@ impl PimSystem {
                 "copy_to_host in model-only mode".into(),
             ));
         }
-        let entry = &self.objects[slot.0];
-        for (s, start, len) in entry.map.spans() {
-            exec::par_map_into(
-                [entry.parts[s].data.as_slice()],
-                &mut out[start..start + len],
-                |[v]| T::from_device(v),
-            );
-        }
+        let data = self.objects[slot.0].data.as_slice();
+        exec::par_map_into([data], out, |[v]| T::from_device(v));
         Ok(())
     }
 
-    /// Packs a host buffer into per-shard canonical buffers
-    /// (`pimCopyHostToDevice` under sharding), in place. No-op in
-    /// model-only mode.
+    /// Packs a host buffer into an object's canonical buffer
+    /// (`pimCopyHostToDevice`), in place. No-op in model-only mode.
     pub(crate) fn scatter_to_device<T: PimScalar>(
         &mut self,
         data: &[T],
@@ -693,21 +581,21 @@ impl PimSystem {
             return;
         }
         let e = Elem::of(dtype);
-        let Object { map, parts, .. } = &mut self.objects[slot.0];
-        for (s, start, len) in map.spans() {
-            exec::par_map_into([&data[start..start + len]], &mut parts[s].data, |[v]| {
-                e.trunc(v.to_device())
-            });
-        }
+        exec::par_map_into([data], &mut self.objects[slot.0].data, |[v]| {
+            e.trunc(v.to_device())
+        });
     }
 
-    /// Element-wise execution across shards. Every operand pair but a
-    /// `select` condition has equal count and dtype, and so the
-    /// destination's map. A condition of a dtype that packs rows
-    /// differently (on horizontal targets) may be mapped differently: it
-    /// is realigned, its bytes counted as interconnect realignment
-    /// traffic and, in functional mode, its gathered values sliced by
-    /// each destination span. Returns the realigned byte total.
+    /// Element-wise execution, copies and broadcasts: one
+    /// [`crate::cmd::exec_into`] over the destination's whole buffer,
+    /// which an input that is the destination itself reads in place.
+    /// Every operand pair but a `select` condition has equal count and
+    /// dtype, and so the destination's map. A condition of a dtype that
+    /// packs rows differently (on horizontal targets) may be mapped
+    /// differently: its shards must ship it to the destination's, so its
+    /// bytes count as interconnect realignment traffic, but its buffer is
+    /// already in global element order and is read in place. Returns the
+    /// realigned byte total.
     pub(crate) fn exec_elementwise(
         &mut self,
         kind: crate::ops::OpKind,
@@ -720,112 +608,60 @@ impl PimSystem {
             .iter()
             .skip(1)
             .all(|slot| self.objects[slot.0].map == *dst_map));
-        let misaligned = inputs
+        let realign_bytes = inputs
             .first()
             .map(|slot| &self.objects[slot.0])
-            .filter(|cond| cond.map != *dst_map);
-        let realign_bytes = misaligned.map_or(0, |cond| cond.obj.bytes());
+            .filter(|cond| cond.map != *dst_map)
+            .map_or(0, |cond| cond.obj.bytes());
         if !self.functional {
             return realign_bytes;
         }
-        let cond = misaligned.map(gather_full);
-        let aliased = inputs.contains(&dst);
-        self.write_dst(dst, aliased, |s, objects, out| {
-            let map = &objects[dst.0].map;
-            let len = map.count_on(s) as usize;
-            out.resize(len, 0);
-            let mut ins: [&[i64]; 4] = [&[]; 4];
-            for (j, &slot) in inputs.iter().enumerate() {
-                ins[j] = &objects[slot.0].parts[s].data;
-            }
-            if let Some(cond) = &cond {
-                let start = map.counts[..s].iter().sum::<u64>() as usize;
-                ins[0] = &cond[start..start + len];
-            }
-            crate::cmd::exec_into(kind, dtype, &ins[..inputs.len()], out);
-        });
+        let mut out = std::mem::take(&mut self.objects[dst.0].data);
+        let mut ins: [Option<&[i64]>; 4] = [None; 4];
+        for (j, &slot) in inputs.iter().enumerate() {
+            ins[j] = (slot != dst).then(|| self.objects[slot.0].data.as_slice());
+        }
+        crate::cmd::exec_into(kind, dtype, &ins[..inputs.len()], &mut out);
+        self.objects[dst.0].data = out;
         realign_bytes
     }
 
-    /// Device-to-device copy, shard-locally: a copy's operands have equal
-    /// count and dtype, and so equal maps.
-    pub(crate) fn copy_data(&mut self, src: Slot, dst: Slot) {
-        debug_assert!(self.objects[src.0].map == self.objects[dst.0].map);
-        if self.functional && src != dst {
-            self.write_dst(dst, false, |s, objects, out| {
-                out.clear();
-                out.extend_from_slice(&objects[src.0].parts[s].data);
-            });
-        }
-    }
-
-    /// Fills every shard-local piece of `dst` with `value` truncated to
-    /// `dtype`. No-op in model-only mode.
-    pub(crate) fn broadcast_value(&mut self, dst: Slot, value: i64, dtype: DataType) {
-        if !self.functional {
-            return;
-        }
-        let v = dtype.truncate(value);
-        self.write_dst(dst, false, |s, objects, out| {
-            out.resize(objects[dst.0].map.count_on(s) as usize, 0);
-            out.fill(v);
-        });
-    }
-
-    /// Exact reduction sum across all shards (0 in model-only mode).
-    /// Per-span partials accumulate in ascending global order; `i128`
-    /// addition is associative so the result is bit-identical to the
-    /// unsharded sum.
+    /// Exact reduction sum (0 in model-only mode).
     pub(crate) fn red_sum(&self, slot: Slot, dtype: DataType) -> i128 {
         let count = self.get(slot).count;
         self.red_sum_range(slot, dtype, 0, count)
     }
 
-    /// Reduction extreme (`min` when `want_min`, else `max`) across all
-    /// shards, 0 in model-only mode: a native signed `max` over each
-    /// element's order key, flipped back at the end. Flipping every key
-    /// bit as well turns the `max` into the type's `min` (`!` reverses
-    /// the signed order). Canonical values that tie are bit-equal, so
-    /// the result is a sequential scan's keep-first pick at any chunk
-    /// and shard split.
+    /// Reduction extreme (`min` when `want_min`, else `max`), 0 in
+    /// model-only mode: a native signed `max` over each element's order
+    /// key, flipped back at the end. Flipping every key bit as well turns
+    /// the `max` into the type's `min` (`!` reverses the signed order).
+    /// Canonical values that tie are bit-equal, so the result is a
+    /// sequential scan's keep-first pick at any chunk split.
     pub(crate) fn red_extreme(&self, slot: Slot, dtype: DataType, want_min: bool) -> i64 {
         if !self.functional {
             return 0;
         }
         let flip = Elem::of(dtype).flip ^ if want_min { !0 } else { 0 };
-        let entry = &self.objects[slot.0];
-        let mut best = None;
-        for (s, _, _) in entry.map.spans() {
-            let seg = &entry.parts[s].data;
-            let part = exec::par_fold(
-                seg.len(),
-                |rr| seg[rr].iter().fold(i64::MIN, |m, &v| m.max(v ^ flip)),
-                i64::max,
-            );
-            // `None` orders below every `Some`.
-            best = best.max(part);
-        }
-        best.map_or(0, |k| k ^ flip)
+        let data = &self.objects[slot.0].data;
+        exec::par_fold(
+            data.len(),
+            |r| data[r].iter().fold(i64::MIN, |m, &v| m.max(v ^ flip)),
+            i64::max,
+        )
+        .map_or(0, |k| k ^ flip)
     }
 
-    /// Ranged reduction sum over global elements `[start, end)`
-    /// (bounds already validated), intersected with each shard span.
-    /// 0 in model-only mode.
+    /// Ranged reduction sum over global elements `[start, end)` (bounds
+    /// already validated). 0 in model-only mode.
     pub(crate) fn red_sum_range(&self, slot: Slot, dtype: DataType, start: u64, end: u64) -> i128 {
         if !self.functional {
             return 0;
         }
-        let entry = &self.objects[slot.0];
-        let (start, end) = (start as usize, end as usize);
-        let mut total = 0i128;
-        for (s, first, len) in entry.map.spans() {
-            let lo = start.max(first);
-            let hi = end.min(first + len);
-            if lo < hi {
-                total += par_sum(&entry.parts[s].data[lo - first..hi - first], dtype);
-            }
-        }
-        total
+        par_sum(
+            &self.objects[slot.0].data[start as usize..end as usize],
+            dtype,
+        )
     }
 
     // ------------------------------------------------------------------

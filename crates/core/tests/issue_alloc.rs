@@ -10,22 +10,20 @@
 //! inputs inline, aligned operands are read shard-locally, results are
 //! written into the destination's existing buffer, and statistics names
 //! are built on the stack. Commands whose destination is also an input
-//! compute into the shard's spare buffer, which is then swapped with the
-//! destination's.
+//! update it in place.
 //!
 //! The same holds on a four-shard device with the metrics registry on:
-//! commands below the pool's work floor run their shards inline (no
-//! pool fan-out, no per-shard result slots) and the registry builds its
-//! instrument keys on the stack. It also holds for element-wise commands
-//! long enough to fan out to the pool: the job lives on the caller's
-//! stack and claims its chunks from one counter. Above the floor an
-//! aliased command computes into a fresh buffer, since the spare is
-//! kept only below it to bound its memory; those commands are left out
-//! of that case.
+//! commands below the pool's work floor run inline (no pool fan-out, no
+//! result slots) and the registry builds its instrument keys on the
+//! stack. It also holds for element-wise commands long enough to fan out
+//! to the pool: the job lives on the caller's stack and claims its
+//! chunks from one counter.
 //!
 //! Commands, copies and UPMEM bursts priced by the bank FSM allocate
 //! nothing either, and a warm `alloc_associated` + `free` pair on one shard
 //! allocates exactly its zeroed buffer, traced into a full ring or not.
+//! On several shards it adds only the map's and layouts' lists: an object
+//! is one buffer, not one per shard.
 //!
 //! This file is its own test binary so the allocator hook sees nothing
 //! but this test.
@@ -219,8 +217,9 @@ fn issue_eager(dev: &mut Device, a: ObjId, b: ObjId, mask: ObjId, dst: ObjId, sm
 ///
 /// Reductions are left out once `n` is long enough to fan out:
 /// `exec::par_chunks` collects one partials `Vec` per fan-out, so each
-/// such reduction allocates exactly once. So are aliased commands, which
-/// keep no spare buffer above the floor.
+/// such reduction allocates exactly once. So are aliased commands, whose
+/// results above the floor `aliased_commands_above_the_floor_match_one_shard`
+/// checks.
 fn warm_reissue_allocations(dev: &mut Device, n: i32) -> u64 {
     let small = (n as usize) < 2 * exec::MIN_CHUNK;
     let data: Vec<i32> = (0..n).map(|i| i * 7919 - 1_000_000).collect();
@@ -231,8 +230,8 @@ fn warm_reissue_allocations(dev: &mut Device, n: i32) -> u64 {
     let mask = dev.alloc_vec(&bits).unwrap();
     let dst = dev.alloc_associated(a, DataType::Int32).unwrap();
 
-    // Warm-up: first-seen statistics names, instrument keys, cost memo
-    // entries and spare buffers.
+    // Warm-up: first-seen statistics names, instrument keys and cost
+    // memo entries.
     for cmd in command_set(a, b, mask, dst, small) {
         dev.issue(cmd).unwrap();
     }
@@ -313,12 +312,19 @@ fn warm_sharded_metered_issue_performs_no_heap_allocation() {
     }
 }
 
-/// Heap allocations of one warm `alloc_associated` + `free` pair on a
-/// one-shard device, after `setup` ran on the fresh device.
-fn warm_alloc_free_allocations(target: PimTarget, setup: fn(&mut Device)) -> u64 {
-    let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(1)).unwrap();
+/// Heap allocations of one warm `alloc_associated` + `free` pair of an
+/// `n`-element object on a `shards`-shard device, after `setup` ran on
+/// the fresh device.
+fn warm_alloc_free_allocations(
+    target: PimTarget,
+    shards: usize,
+    n: usize,
+    setup: fn(&mut Device),
+) -> u64 {
+    let mut dev = Device::new(DeviceConfig::new(target, 1).with_shards(shards)).unwrap();
+    assert_eq!(dev.system().shard_count(), shards, "{target}");
     setup(&mut dev);
-    let a = dev.alloc_vec(&[1i32; 300]).unwrap();
+    let a = dev.alloc_vec(&vec![1i32; n]).unwrap();
     for _ in 0..2 {
         let tmp = dev.alloc_associated(a, DataType::Int32).unwrap();
         dev.free(tmp).unwrap();
@@ -332,7 +338,7 @@ fn warm_alloc_free_allocations(target: PimTarget, setup: fn(&mut Device)) -> u64
 #[test]
 fn warm_alloc_associated_and_free_allocate_only_the_buffer() {
     for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
-        let allocated = warm_alloc_free_allocations(target, |_| {});
+        let allocated = warm_alloc_free_allocations(target, 1, 300, |_| {});
         assert_eq!(
             allocated, 1,
             "{target}: a warm alloc_associated + free made {allocated} heap allocation(s), \
@@ -341,12 +347,31 @@ fn warm_alloc_associated_and_free_allocate_only_the_buffer() {
     }
 }
 
+/// One zeroed buffer per object at any shard count, plus the map's and
+/// layouts' lists, which grow by doubling from two entries: two
+/// allocations each at 4 shards, three each at 7.
+#[test]
+fn warm_sharded_alloc_associated_and_free_allocate_one_buffer() {
+    // Uploading 100 000 elements fans out.
+    let _serial = FANOUTS.lock().unwrap_or_else(|e| e.into_inner());
+    for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
+        for (shards, want) in [(4, 5), (7, 7)] {
+            let allocated = warm_alloc_free_allocations(target, shards, 100_000, |_| {});
+            assert_eq!(
+                allocated, want,
+                "{target}, {shards} shards: a warm alloc_associated + free made \
+                 {allocated} heap allocation(s)"
+            );
+        }
+    }
+}
+
 #[test]
 fn warm_traced_alloc_associated_and_free_allocate_only_the_buffer() {
     // The warm-up fills the 4-event ring, so the recorder overwrites in
     // place: the alloc and free events themselves must not allocate.
     for target in [PimTarget::Fulcrum, PimTarget::BitSerial] {
-        let allocated = warm_alloc_free_allocations(target, |dev| {
+        let allocated = warm_alloc_free_allocations(target, 1, 300, |dev| {
             dev.enable_tracing_with_capacity(4);
         });
         assert_eq!(

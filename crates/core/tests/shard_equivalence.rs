@@ -237,9 +237,9 @@ fn shard_equivalence_holds_under_both_timing_backends() {
 
 #[test]
 fn shard_equivalence_holds_at_every_pool_thread_count() {
-    // Commands touching fewer than `2 * MIN_CHUNK` elements run their
-    // shards inline; larger ones ride the pool, where which worker
-    // claims a shard must never leak into results. The
+    // Commands touching fewer than `2 * MIN_CHUNK` elements run on the
+    // calling thread; larger ones ride the pool, where which worker
+    // claims a chunk must never leak into results. The
     // sizes straddle that gate so both paths meet the unsharded device.
     // One representative target/dtype keeps this fast.
     let floor = 2 * pimeval::exec::MIN_CHUNK;
@@ -320,8 +320,15 @@ fn misaligned_select_condition_is_realigned_across_shards() {
     // shard map differs from theirs at every shard count under test.
     // The select must realign the condition by the destination's map,
     // eager and streamed alike, and charge exactly its bytes to the
-    // interconnect ledger.
-    let n = 3000usize;
+    // interconnect ledger. The second count is above the pool's floor,
+    // so the select fans out over element chunks at 2 threads; writing
+    // into `x` also makes the write aliased.
+    for n in [3000usize, 2 * pimeval::exec::MIN_CHUNK + 257] {
+        pimeval::exec::with_thread_count(2, || check_misaligned_select(n));
+    }
+}
+
+fn check_misaligned_select(n: usize) {
     let (xs, ys) = data::<i32>(n, 0x5E1EC7);
     let mut rng = Rng(0xC0DE);
     let cond: Vec<i8> = (0..n).map(|_| (rng.next_u64() & 1) as i8).collect();
@@ -339,32 +346,40 @@ fn misaligned_select_condition_is_realigned_across_shards() {
     ] {
         for shards in [2usize, 4, 7] {
             for streamed in [false, true] {
-                let ctx = format!("{target:?} shards={shards} streamed={streamed}");
-                let cfg = DeviceConfig::new(target, 1).with_shards(shards);
-                let mut dev = Device::new(cfg).unwrap();
-                assert_eq!(dev.system().shard_count(), shards, "{ctx}");
-                let x = dev.alloc_vec(&xs).unwrap();
-                let y = dev.alloc_vec(&ys).unwrap();
-                let c = dev.alloc_vec(&cond).unwrap();
-                let out = dev.alloc_associated(x, DataType::Int32).unwrap();
-                assert_ne!(
-                    dev.system().shard_map(c),
-                    dev.system().shard_map(out),
-                    "{ctx}: the condition must be misaligned"
-                );
-                if streamed {
-                    let mut stream = dev.stream();
-                    stream.select(c, x, y, out);
-                    stream.flush().unwrap();
-                } else {
-                    dev.select(c, x, y, out).unwrap();
+                for into_x in [false, true] {
+                    let ctx = format!(
+                        "{target:?} n={n} shards={shards} streamed={streamed} into_x={into_x}"
+                    );
+                    let cfg = DeviceConfig::new(target, 1).with_shards(shards);
+                    let mut dev = Device::new(cfg).unwrap();
+                    assert_eq!(dev.system().shard_count(), shards, "{ctx}");
+                    let x = dev.alloc_vec(&xs).unwrap();
+                    let y = dev.alloc_vec(&ys).unwrap();
+                    let c = dev.alloc_vec(&cond).unwrap();
+                    let out = if into_x {
+                        x
+                    } else {
+                        dev.alloc_associated(x, DataType::Int32).unwrap()
+                    };
+                    assert_ne!(
+                        dev.system().shard_map(c),
+                        dev.system().shard_map(out),
+                        "{ctx}: the condition must be misaligned"
+                    );
+                    if streamed {
+                        let mut stream = dev.stream();
+                        stream.select(c, x, y, out);
+                        stream.flush().unwrap();
+                    } else {
+                        dev.select(c, x, y, out).unwrap();
+                    }
+                    assert_eq!(dev.to_vec::<i32>(out).unwrap(), want, "{ctx}");
+                    assert_eq!(
+                        dev.stats().interconnect.realign_bytes,
+                        n as u64,
+                        "{ctx}: realign traffic must be the condition's bytes"
+                    );
                 }
-                assert_eq!(dev.to_vec::<i32>(out).unwrap(), want, "{ctx}");
-                assert_eq!(
-                    dev.stats().interconnect.realign_bytes,
-                    n as u64,
-                    "{ctx}: realign traffic must be the condition's bytes"
-                );
             }
         }
     }

@@ -13,8 +13,9 @@
 //!
 //! Workers are spawned once (on the first fan-out that needs them) and
 //! then parked on a condvar between jobs; steady-state fan-outs spawn
-//! zero OS threads, and [`par_map_into`] allocates nothing. Each fan-out
-//! splits its index space into up to [`CHUNKS_PER_WORKER`] chunks per
+//! zero OS threads, and [`par_map_into`] and [`par_map_in_place`]
+//! allocate nothing. Each fan-out splits its index space into up to
+//! [`CHUNKS_PER_WORKER`] chunks per
 //! worker, and every participant claims the next chunk id from one
 //! shared counter until none are left, so a participant whose chunks
 //! ran fast takes more of them instead of idling. The caller always
@@ -204,10 +205,8 @@ pub mod pool {
     }
 
     /// Counts one loop that stayed on the calling thread (a no-op
-    /// unless profiling is [`enable`]d). Callers that gate their own
-    /// fan-out, like the shard loop in `pimeval`, call this on their
-    /// inline path so the profile counts them like the primitives here.
-    pub fn note_sequential() {
+    /// unless profiling is [`enable`]d).
+    pub(crate) fn note_sequential() {
         if enabled() {
             state().sequential_runs += 1;
         }
@@ -769,45 +768,6 @@ pub fn par_fold<R: Send>(
     par_chunks(len, map).into_iter().reduce(fold)
 }
 
-/// Runs `f(i, &mut items[i])` for every item, in parallel at item
-/// granularity (no [`MIN_CHUNK`] floor — items are assumed coarse, e.g.
-/// execution shards), returning the results in item order. Items are
-/// oversubscribed like any fan-out's chunks, so a participant that
-/// finishes a light item claims the next one, which keeps uneven
-/// `ShardMap`s from idling workers.
-pub fn par_each_mut<T: Send, R: Send>(
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) -> R + Sync,
-) -> Vec<R> {
-    let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let lanes = thread_count().min(len).min(pool::MAX_LANES);
-    if lanes <= 1 {
-        pool::note_sequential();
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunks = (lanes * CHUNKS_PER_WORKER).min(len);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(len);
-    slots.resize_with(len, || None);
-    let out = SharedSlice::new(&mut slots);
-    let data = SharedSlice::new(items);
-    pool::run(len, lanes, chunks, &|_, r| {
-        for i in r {
-            // SAFETY: chunk ranges partition 0..len, so item `i` and
-            // slot `i` are each touched by exactly one participant.
-            let item = unsafe { data.index_mut(i) };
-            let v = f(i, item);
-            unsafe { *out.index_mut(i) = Some(v) };
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item visited"))
-        .collect()
-}
-
 /// `out[i] = f([ins[0][i], …, ins[N - 1][i]])` in parallel over disjoint
 /// chunks: the one element-wise map, for every input arity.
 ///
@@ -824,17 +784,58 @@ pub fn par_map_into<S: Copy + Sync, T: Send, const N: usize>(
         ins.iter().all(|s| s.len() == len),
         "par_map_into length mismatch"
     );
+    for_chunks_mut(out, |r, oc| map_chunk(ins.map(|s| &s[r.clone()]), oc, &f));
+}
+
+/// [`par_map_into`] for a map whose output is also one of its inputs:
+/// each `None` in `ins` reads `out[i]` itself, before `out[i]` is
+/// written. The map is positionwise, so updating in place needs no
+/// second buffer, only a stack copy of each block of 64 old values for
+/// the vectorized loop to read.
+///
+/// # Panics
+///
+/// Panics if an input's length differs from `out`'s.
+pub fn par_map_in_place<S: Copy + Default + Send + Sync, const N: usize>(
+    ins: [Option<&[S]>; N],
+    out: &mut [S],
+    f: impl Fn([S; N]) -> S + Sync,
+) {
+    let len = out.len();
+    assert!(
+        ins.iter().flatten().all(|s| s.len() == len),
+        "par_map_in_place length mismatch"
+    );
+    for_chunks_mut(out, |r, oc| {
+        let mut old = [S::default(); IN_PLACE_BLOCK];
+        for (b, block) in oc.chunks_mut(IN_PLACE_BLOCK).enumerate() {
+            let (start, n) = (r.start + b * IN_PLACE_BLOCK, block.len());
+            old[..n].copy_from_slice(block);
+            let ins = ins.map(|s| s.map_or(&old[..n], |s| &s[start..start + n]));
+            map_chunk(ins, block, &f);
+        }
+    });
+}
+
+/// Elements per stack copy in [`par_map_in_place`] (512 bytes of `i64`).
+const IN_PLACE_BLOCK: usize = 64;
+
+/// Runs `body(r, &mut out[r])` over chunks `r` that partition
+/// `0..out.len()`: as one chunk on the calling thread below the fan-out
+/// floor, through the pool above it.
+fn for_chunks_mut<T: Send>(out: &mut [T], body: impl Fn(Range<usize>, &mut [T]) + Sync) {
+    let len = out.len();
     let (lanes, chunks) = plan(len);
     if lanes <= 1 {
         pool::note_sequential();
-        return map_chunk(ins, out, &f);
+        return body(0..len, out);
     }
     let dst = SharedSlice::new(out);
     pool::run(len, lanes, chunks, &|_, r| {
         // SAFETY: chunk ranges partition 0..len; each output index is
         // written by exactly one participant.
         let oc = unsafe { dst.slice_mut(r.clone()) };
-        map_chunk(ins.map(|s| &s[r.clone()]), oc, &f);
+        body(r, oc);
     });
 }
 
@@ -934,6 +935,27 @@ mod tests {
         assert_eq!(par3, seq3);
     }
 
+    /// In-place maps read each old value before overwriting it, across
+    /// stack-block and chunk boundaries, with the output in any operand
+    /// position and in several at once.
+    #[test]
+    fn par_map_in_place_reads_old_values() {
+        let block = IN_PLACE_BLOCK;
+        for len in [0, 1, block - 1, block, block + 1, 2 * MIN_CHUNK + 300] {
+            let a: Vec<i64> = (0..len as i64).map(|i| i * 7 - 3).collect();
+            let b: Vec<i64> = (0..len as i64).map(|i| i % 5).collect();
+            for threads in [1, 3] {
+                let mut out = a.clone();
+                with_thread_count(threads, || {
+                    par_map_in_place([Some(&b[..]), None], &mut out, |[y, x]| x * 10 + y);
+                    par_map_in_place([None, Some(&b[..]), None], &mut out, |[x, y, z]| x - y + z);
+                });
+                let want: Vec<i64> = a.iter().zip(&b).map(|(x, y)| 20 * x + y).collect();
+                assert_eq!(out, want, "len={len} threads={threads}");
+            }
+        }
+    }
+
     #[test]
     fn par_fold_is_chunk_ordered() {
         let len = 60_000;
@@ -946,22 +968,6 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(order, sorted, "chunks returned in ascending order");
-    }
-
-    #[test]
-    fn par_each_mut_visits_every_item_in_order() {
-        for threads in [1, 3, 8] {
-            let mut items: Vec<i64> = (0..23).collect();
-            let out = with_thread_count(threads, || {
-                par_each_mut(&mut items, |i, v| {
-                    *v += 100;
-                    (i, *v)
-                })
-            });
-            let expect: Vec<(usize, i64)> = (0..23).map(|i| (i, i as i64 + 100)).collect();
-            assert_eq!(out, expect, "threads={threads}");
-            assert_eq!(items, (100..123).collect::<Vec<i64>>());
-        }
     }
 
     #[test]
