@@ -90,18 +90,8 @@ fn check_histogram(c: &mut Checker, h: &Json, path: &str) {
     }
 }
 
-/// One `InstrumentsSnapshot`: counters/gauges numeric maps, histogram
-/// map of quantile summaries.
+/// One `InstrumentsSnapshot`: a map of histogram quantile summaries.
 fn check_instruments(c: &mut Checker, v: &Json, path: &str) {
-    for section in ["counters", "gauges"] {
-        if let Some(obj) = c.require_object(v, path, section) {
-            for (k, val) in obj.as_object().expect("checked above") {
-                if val.as_f64().is_none() {
-                    c.fail(&format!("{path}.{section}.{k}"), "non-numeric value");
-                }
-            }
-        }
-    }
     if let Some(hists) = c.require_object(v, path, "histograms") {
         for (k, h) in hists.as_object().expect("checked above") {
             check_histogram(c, h, &format!("{path}.histograms.{k}"));

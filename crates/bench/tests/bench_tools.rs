@@ -152,7 +152,7 @@ fn schema_check_rejects_a_newer_metrics_version() {
     let snap = |v: u32| {
         format!(
             r#"{{"schema_version":{v},"clock_ms":1,"per_shard":[],
-            "aggregate":{{"counters":{{}},"gauges":{{}},"histograms":{{}}}}}}"#
+            "aggregate":{{"histograms":{{}}}}}}"#
         )
     };
     let metrics = |doc_v: u32, run_v: u32| {

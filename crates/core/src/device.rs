@@ -154,12 +154,17 @@ impl Device {
     }
 
     /// Clears all statistics and resets every shard's timing model
-    /// (objects stay allocated; the resource snapshot is refreshed). The
-    /// simulated clock, the metrics registry and the trace keep running.
+    /// (objects stay allocated; the resource snapshot is refreshed). An
+    /// enabled metrics registry starts afresh with the same `profile`
+    /// setting, so statistics and metrics always cover one window. The
+    /// simulated clock and the trace keep running.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new();
         self.system.reset_timing();
         self.sync_resources();
+        if let Some(m) = &mut self.metrics {
+            **m = MetricsRegistry::new(self.system.shard_count(), m.profiling());
+        }
     }
 
     /// The timing backend actually in effect (after any `PIM_TIMING`
@@ -251,13 +256,15 @@ impl Device {
     // Metrics
     // ------------------------------------------------------------------
 
-    /// Enables the metrics registry: aggregate counters, gauges and
-    /// latency/size histograms recorded on every charge (a device starts
-    /// without one, so the hot path is instrument-free). With `profile`
-    /// the registry additionally retains occupancy spans for the
-    /// time-binned utilization series. Replaces any existing
-    /// registry, so instruments restart from zero; the clock they are
-    /// stamped with is the device's, which keeps counting from creation.
+    /// Enables the metrics registry: latency and size histograms and
+    /// each shard's busy share, recorded on every charge (a device starts
+    /// without one, so the hot path is instrument-free). Counts and
+    /// totals stay in [`SimStats`]. With `profile` the registry
+    /// additionally retains occupancy spans for the time-binned
+    /// utilization series. Replaces any existing registry, so histograms
+    /// restart from zero, as they do at [`Device::reset_stats`]; the
+    /// clock they are stamped with is the device's, which keeps counting
+    /// from creation.
     pub fn enable_metrics(&mut self, profile: bool) {
         self.metrics = Some(Box::new(MetricsRegistry::new(
             self.system.shard_count(),
@@ -272,15 +279,9 @@ impl Device {
 
     /// Freezes the metrics registry into a [`MetricsSnapshot`] (see
     /// [`MetricsRegistry::snapshot`] for the deterministic-merge
-    /// contract). `None` when metrics are disabled. The snapshot also
-    /// carries the tracer's dropped-event count.
-    pub fn metrics_snapshot(&mut self) -> Option<MetricsSnapshot> {
-        let dropped = self.tracer.dropped();
-        let m = self.metrics.as_mut()?;
-        if dropped > 0 {
-            m.record_trace_dropped(dropped);
-        }
-        Some(m.snapshot(self.clock_ms))
+    /// contract). `None` when metrics are disabled.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        Some(self.metrics.as_ref()?.snapshot(self.clock_ms))
     }
 
     /// Events the ring-buffer trace recorder has overwritten so far (0
@@ -790,7 +791,7 @@ impl Device {
                 self.stats
                     .record_cmd(name, category, cost, layout.cores_used);
                 if let Some(m) = metrics {
-                    m.record_cmd(name, category.label(), cost.time_ms, cost.energy_mj);
+                    m.record_cmd(name, cost.time_ms);
                     self.system.split_time(costed, cost.time_ms, |s, busy| {
                         m.record_shard_busy(s, start_ms, cost.time_ms, busy);
                     });
@@ -819,7 +820,7 @@ impl Device {
                 self.stats.dram_protocol.merge(&dram);
                 self.stats.record_copy(bytes, direction, time_ms, energy_mj);
                 if let Some(m) = metrics {
-                    m.record_copy(direction, bytes, time_ms, energy_mj);
+                    m.record_copy(bytes, time_ms);
                 }
             }
             Charge::Interconnect { kind, bytes, cost } => {
@@ -843,16 +844,13 @@ impl Device {
                 ic.time_ms += time_ms;
                 ic.energy_mj += energy_mj;
                 if let Some(m) = metrics {
-                    m.record_interconnect(kind, start_ms, bytes, time_ms, energy_mj);
+                    m.record_interconnect(start_ms, bytes);
                 }
             }
             Charge::Host { time_ms } => {
                 self.tracer
                     .emit_with(|| TraceEvent::HostPhase { start_ms, time_ms });
                 self.stats.record_host_ms(time_ms);
-                if let Some(m) = metrics {
-                    m.record_host(time_ms);
-                }
             }
             Charge::Flush(summary) => {
                 self.tracer.emit_with(|| TraceEvent::StreamFlush {
@@ -878,9 +876,6 @@ impl Device {
                 f.fused_cmp_select += summary.fused_cmp_select;
                 f.dead_writes_eliminated += summary.dead_writes_eliminated;
                 self.stats.optimizer.cse_hits += summary.cse_hits;
-                if let Some(m) = metrics {
-                    m.record_flush();
-                }
             }
         }
     }

@@ -74,8 +74,8 @@ pub use device::Device;
 pub use dtype::{DataType, PimScalar};
 pub use error::{PimError, Result};
 pub use metrics::{
-    Histogram, HistogramSnapshot, InstrumentSet, InstrumentsSnapshot, MetricsRegistry,
-    MetricsSnapshot, ProfileSnapshot,
+    Histogram, HistogramSnapshot, InstrumentsSnapshot, MetricsRegistry, MetricsSnapshot,
+    ProfileSnapshot,
 };
 pub use model::OpCost;
 pub use object::{DataLayout, ObjId, ObjectLayout, PimObject};

@@ -1,33 +1,31 @@
 //! Std-only metrics registry and utilization profiler.
 //!
-//! The trace subsystem records a *timeline* of discrete events; this
-//! module records *aggregates* — the shapes the capacity-planning
-//! questions need ("what is p99 op latency?", "how busy is shard 3 over
-//! time?", "how many bytes crossed the interconnect in each window?").
+//! The trace subsystem records a *timeline* of discrete events and
+//! [`crate::SimStats`] keeps the run's counts and sums; this module
+//! records what neither holds — the *distributions* the
+//! capacity-planning questions need ("what is p99 op latency?", "how
+//! busy is shard 3 over time?", "how many bytes crossed the
+//! interconnect in each window?"). A count or a total lives in one
+//! place: the stats ledger, or a histogram's `count` and `sum`.
 //!
-//! # Instrument taxonomy
+//! # Histograms
 //!
-//! * **Counters** — monotonically increasing `u64` values (command
-//!   counts, bytes moved). Merge by summation.
-//! * **Gauges** — last-written `f64` values (dropped-event counts,
-//!   accumulated energy). Merge by maximum, so a merged snapshot never
-//!   under-reports a peak.
-//! * **Histograms** — log-bucketed distributions with `p50`/`p90`/`p99`
-//!   and exact `min`/`max`/`sum`/`count`. Values are bucketed by the
-//!   bit position of the value scaled by 2²⁰, so latencies down to
-//!   microseconds and sizes up to terabytes land in distinct buckets.
-//!   Merge by bucket-wise summation.
+//! Log-bucketed distributions with `p50`/`p90`/`p99` and exact
+//! `min`/`max`/`sum`/`count`. Values are bucketed by the bit position
+//! of the value scaled by 2²⁰, so latencies down to microseconds and
+//! sizes up to terabytes land in distinct buckets. The registry keeps
+//! op latency (overall and per command name), copy sizes and latencies,
+//! interconnect transfer sizes, and one `busy_ms` histogram per
+//! execution shard.
 //!
-//! # Sharding and deterministic merge
+//! # Deterministic merge
 //!
-//! A [`MetricsRegistry`] owns one [`InstrumentSet`] per execution shard
-//! plus one device-level set, so hot-path increments never contend: each
-//! recording site writes plain (non-atomic) storage owned by the device.
-//! [`MetricsRegistry::snapshot`] merges the per-shard sets into the
-//! aggregate view **in ascending shard order**, which — together with
-//! the fact that every recorded quantity derives from the *modeled*
-//! simulated clock, never wall time — makes snapshots bit-identical at
-//! any `PIM_THREADS` worker count.
+//! Each recording site writes plain (non-atomic) storage owned by the
+//! device. [`MetricsRegistry::snapshot`] merges the per-shard `busy_ms`
+//! histograms into the aggregate **in ascending shard order**, which —
+//! together with the fact that every recorded quantity derives from the
+//! *modeled* simulated clock, never wall time — makes snapshots
+//! bit-identical at any `PIM_THREADS` worker count.
 //!
 //! # Utilization profiler
 //!
@@ -42,7 +40,6 @@
 use std::collections::BTreeMap;
 
 use crate::trace::json::{num, string};
-use crate::trace::{CopyDirection, InterconnectKind};
 
 /// Fixed-point scale for histogram bucketing: values are multiplied by
 /// `2^20` before taking the bit position, so sub-millisecond latencies
@@ -58,11 +55,12 @@ pub const DEFAULT_PROFILE_BINS: usize = 32;
 
 /// Version stamp of the metrics snapshot JSON layout.
 ///
-/// Version 2 removed the per-shard `kernel_busy_fraction` gauge (and so
-/// its maximum in the aggregate gauges): it equals
-/// `per_shard[i].histograms.busy_ms.sum / clock_ms`, both of which the
-/// snapshot already carries.
-pub const METRICS_SCHEMA_VERSION: u32 = 2;
+/// Version 2 removed the per-shard `kernel_busy_fraction` gauge: it
+/// equals `per_shard[i].histograms.busy_ms.sum / clock_ms`, both of
+/// which the snapshot already carries. Version 3 removed every counter
+/// and gauge (the `"counters"` and `"gauges"` objects): each repeated a
+/// histogram's `count` or `sum` or a [`crate::SimStats`] field.
+pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// A log-bucketed distribution with quantile estimation.
 ///
@@ -208,160 +206,30 @@ impl HistogramSnapshot {
     }
 }
 
-/// Calls `f` with the instrument key `prefix.suffix`, joined in a stack
-/// buffer so that recording into an existing instrument allocates
-/// nothing. A key too long for the buffer is joined on the heap.
-fn with_key<R>(prefix: &str, suffix: &str, f: impl FnOnce(&str) -> R) -> R {
-    let mut buf = [0u8; 64];
-    let len = prefix.len() + 1 + suffix.len();
-    let Some(key) = buf.get_mut(..len) else {
-        return f(&format!("{prefix}.{suffix}"));
-    };
-    let (head, tail) = key.split_at_mut(prefix.len());
-    head.copy_from_slice(prefix.as_bytes());
-    tail[0] = b'.';
-    tail[1..].copy_from_slice(suffix.as_bytes());
-    f(std::str::from_utf8(key).expect("joined from str pieces"))
-}
-
-/// One named collection of typed instruments. Instruments are created
-/// lazily on first use; names sort deterministically in every export
-/// (`BTreeMap` storage).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct InstrumentSet {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl InstrumentSet {
-    /// Adds `delta` to the named monotonic counter.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                self.counters.insert(name.to_owned(), delta);
-            }
-        }
-    }
-
-    /// Sets the named gauge to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Adds `delta` to the named gauge (starting from 0).
-    pub fn gauge_add(&mut self, name: &str, delta: f64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g += delta,
-            // `0.0 + delta` keeps a first `-0.0` delta stored as `0.0`.
-            None => {
-                self.gauges.insert(name.to_owned(), 0.0 + delta);
-            }
-        }
-    }
-
-    /// Records one observation into the named histogram.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                self.histograms.insert(name.to_owned(), h);
-            }
-        }
-    }
-
-    /// The named counter's value (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named gauge's value, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// True if no instrument was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Merges another set in: counters sum, gauges take the maximum,
-    /// histograms merge bucket-wise. Callers merge shards in ascending
-    /// order so float sums re-associate identically on every run.
-    pub fn merge_from(&mut self, other: &InstrumentSet) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            self.gauges
-                .entry(name.clone())
-                .and_modify(|g| *g = g.max(*v))
-                .or_insert(*v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge_from(h);
-        }
-    }
-
-    /// Freezes the set into an exported snapshot.
-    pub fn snapshot(&self) -> InstrumentsSnapshot {
-        InstrumentsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// Exported view of one [`InstrumentSet`].
+/// Exported histograms of one scope (the device aggregate or one
+/// shard), by name. Names sort deterministically in every export.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstrumentsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl InstrumentsSnapshot {
+    /// Adds `h` under `name` if it recorded anything: an instrument
+    /// appears in an export only once it has an observation.
+    fn put(&mut self, name: &str, h: &Histogram) {
+        if h.count > 0 {
+            self.histograms.insert(name.to_owned(), h.snapshot());
+        }
+    }
+
     fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("{}: {v}", string(k)))
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("{}: {}", string(k), num(*v)))
-            .collect();
         let hists: Vec<String> = self
             .histograms
             .iter()
             .map(|(k, h)| format!("{}: {}", string(k), h.to_json()))
             .collect();
-        format!(
-            "{{\"counters\": {{{}}}, \"gauges\": {{{}}}, \"histograms\": {{{}}}}}",
-            counters.join(", "),
-            gauges.join(", "),
-            hists.join(", ")
-        )
+        format!("{{\"histograms\": {{{}}}}}", hists.join(", "))
     }
 }
 
@@ -425,17 +293,23 @@ impl ProfileSnapshot {
     }
 }
 
-/// The sharded metrics registry a [`crate::Device`] records into.
+/// The metrics registry a [`crate::Device`] records into.
 ///
-/// See the module docs for the instrument taxonomy and the determinism
-/// contract. All quantities are modeled (simulated-clock) values; the
-/// registry never reads wall time. It keeps no clock of its own: the
-/// device owns the only simulated clock and passes its position in
-/// (span starts, sample stamps, and the snapshot window).
+/// See the module docs for what it keeps and the determinism contract.
+/// All quantities are modeled (simulated-clock) values; the registry
+/// never reads wall time. It keeps no clock of its own: the device owns
+/// the only simulated clock and passes its position in (span starts,
+/// sample stamps, and the snapshot window).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
-    device: InstrumentSet,
-    shards: Vec<InstrumentSet>,
+    op_latency_ms: Histogram,
+    /// One latency histogram per command name (`add.int32`, ...).
+    op_latency_by_name: BTreeMap<String, Histogram>,
+    copy_bytes: Histogram,
+    copy_latency_ms: Histogram,
+    interconnect_bytes: Histogram,
+    /// Each shard's busy share per command (index = shard).
+    busy_ms: Vec<Histogram>,
     profile: Option<ProfileRecorder>,
 }
 
@@ -444,8 +318,12 @@ impl MetricsRegistry {
     /// keeps the raw occupancy spans for [`ProfileSnapshot`] binning.
     pub fn new(shards: usize, profile: bool) -> Self {
         MetricsRegistry {
-            device: InstrumentSet::default(),
-            shards: vec![InstrumentSet::default(); shards.max(1)],
+            op_latency_ms: Histogram::default(),
+            op_latency_by_name: BTreeMap::new(),
+            copy_bytes: Histogram::default(),
+            copy_latency_ms: Histogram::default(),
+            interconnect_bytes: Histogram::default(),
+            busy_ms: vec![Histogram::default(); shards.max(1)],
             profile: profile.then(ProfileRecorder::default),
         }
     }
@@ -455,32 +333,29 @@ impl MetricsRegistry {
         self.profile.is_some()
     }
 
-    /// Records one PIM command's device-level instruments:
-    /// `time_ms`/`energy_mj` are the aggregate modeled cost. Each shard's
-    /// part follows through [`MetricsRegistry::record_shard_busy`].
-    ///
-    /// Device-level and per-shard sets use distinct counter keys
-    /// (`cmds` vs `shard_cmds`) so the merged aggregate keeps `cmds`
-    /// as the true command count — invariant across shard counts —
-    /// while `shard_cmds` counts command-shard occurrences.
-    pub fn record_cmd(&mut self, name: &str, category: &str, time_ms: f64, energy_mj: f64) {
-        let d = &mut self.device;
-        d.counter_add("cmds", 1);
-        with_key("cmds", category, |k| d.counter_add(k, 1));
-        d.gauge_add("kernel_energy_mj", energy_mj);
-        d.observe("op_latency_ms", time_ms);
-        with_key("op_latency_ms", name, |k| d.observe(k, time_ms));
+    /// Records one PIM command's modeled latency, overall and under its
+    /// statistics name. Each shard's part follows through
+    /// [`MetricsRegistry::record_shard_busy`].
+    pub fn record_cmd(&mut self, name: &str, time_ms: f64) {
+        self.op_latency_ms.record(time_ms);
+        match self.op_latency_by_name.get_mut(name) {
+            Some(h) => h.record(time_ms),
+            None => {
+                let mut h = Histogram::default();
+                h.record(time_ms);
+                self.op_latency_by_name.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// Records one shard's part of a command: during the command window
     /// `[start_ms, start_ms + dur_ms)` on the device clock the shard was
     /// busy for `busy_ms`. Out-of-range shards are ignored.
     pub fn record_shard_busy(&mut self, shard: usize, start_ms: f64, dur_ms: f64, busy_ms: f64) {
-        let Some(s) = self.shards.get_mut(shard) else {
+        let Some(h) = self.busy_ms.get_mut(shard) else {
             return;
         };
-        s.counter_add("shard_cmds", 1);
-        s.observe("busy_ms", busy_ms);
+        h.record(busy_ms);
         if let Some(p) = &mut self.profile {
             p.spans.push(ShardSpan {
                 shard,
@@ -491,79 +366,55 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one host↔device (or device↔device) copy.
-    pub fn record_copy(
-        &mut self,
-        direction: CopyDirection,
-        bytes: u64,
-        time_ms: f64,
-        energy_mj: f64,
-    ) {
-        let d = &mut self.device;
-        d.counter_add("copies", 1);
-        with_key("copies", direction.label(), |k| d.counter_add(k, 1));
-        d.counter_add("copy_bytes", bytes);
-        d.gauge_add("copy_energy_mj", energy_mj);
-        d.observe("copy_bytes", bytes as f64);
-        d.observe("copy_latency_ms", time_ms);
+    /// Records one host↔device (or device↔device) copy's size and
+    /// modeled latency.
+    pub fn record_copy(&mut self, bytes: u64, time_ms: f64) {
+        self.copy_bytes.record(bytes as f64);
+        self.copy_latency_ms.record(time_ms);
     }
 
-    /// Records one cross-shard interconnect transfer at `at_ms` on the
-    /// device clock. Interconnect time is ledgered separately from
-    /// kernel time (matching [`crate::stats::InterconnectStats`]).
-    pub fn record_interconnect(
-        &mut self,
-        kind: InterconnectKind,
-        at_ms: f64,
-        bytes: u64,
-        time_ms: f64,
-        energy_mj: f64,
-    ) {
-        let d = &mut self.device;
-        d.counter_add("interconnect.transfers", 1);
-        with_key("interconnect_bytes", kind.label(), |k| {
-            d.counter_add(k, bytes)
-        });
-        d.counter_add("interconnect_bytes", bytes);
-        d.gauge_add("interconnect_ms", time_ms);
-        d.gauge_add("interconnect_energy_mj", energy_mj);
-        d.observe("interconnect_bytes_hist", bytes as f64);
+    /// Records one cross-shard interconnect transfer of `bytes` at
+    /// `at_ms` on the device clock.
+    pub fn record_interconnect(&mut self, at_ms: f64, bytes: u64) {
+        self.interconnect_bytes.record(bytes as f64);
         if let Some(p) = &mut self.profile {
             p.interconnect.push(ByteSample { at_ms, bytes });
         }
     }
 
-    /// Records one modeled host-execution phase.
-    pub fn record_host(&mut self, time_ms: f64) {
-        self.device.counter_add("host_phases", 1);
-        self.device.gauge_add("host_ms", time_ms);
-    }
-
-    /// Records one command-stream flush.
-    pub fn record_flush(&mut self) {
-        self.device.counter_add("stream_flushes", 1);
-    }
-
-    /// Records how many trace events the ring-buffer recorder dropped.
-    pub fn record_trace_dropped(&mut self, dropped: u64) {
-        self.device
-            .gauge_set("trace_dropped_events", dropped as f64);
-    }
-
-    /// Freezes the registry at `clock_ms` on the device clock: per-shard
-    /// sets are merged into the aggregate **in ascending shard order**
-    /// (the deterministic-merge contract), raw profile spans are binned
-    /// into occupancy series over `[0, clock_ms)`.
+    /// Freezes the registry at `clock_ms` on the device clock: the
+    /// per-shard `busy_ms` histograms are merged into the aggregate **in
+    /// ascending shard order** (the deterministic-merge contract), and
+    /// raw profile spans are binned into occupancy series over
+    /// `[0, clock_ms)`.
     pub fn snapshot(&self, clock_ms: f64) -> MetricsSnapshot {
-        let mut aggregate = self.device.clone();
-        for shard in &self.shards {
-            aggregate.merge_from(shard);
+        let mut busy = Histogram::default();
+        for h in &self.busy_ms {
+            busy.merge_from(h);
         }
+        let mut aggregate = InstrumentsSnapshot::default();
+        aggregate.put("busy_ms", &busy);
+        aggregate.put("copy_bytes", &self.copy_bytes);
+        aggregate.put("copy_latency_ms", &self.copy_latency_ms);
+        aggregate.put("interconnect_bytes_hist", &self.interconnect_bytes);
+        aggregate.put("op_latency_ms", &self.op_latency_ms);
+        for (name, h) in &self.op_latency_by_name {
+            aggregate.put(&format!("op_latency_ms.{name}"), h);
+        }
+        let per_shard = self
+            .busy_ms
+            .iter()
+            .map(|h| {
+                let mut shard = InstrumentsSnapshot::default();
+                shard.put("busy_ms", h);
+                shard
+            })
+            .collect();
         MetricsSnapshot {
             schema_version: METRICS_SCHEMA_VERSION,
             clock_ms,
-            aggregate: aggregate.snapshot(),
-            per_shard: self.shards.iter().map(InstrumentSet::snapshot).collect(),
+            aggregate,
+            per_shard,
             profile: self.profile.as_ref().map(|p| self.bin_profile(p, clock_ms)),
         }
     }
@@ -573,13 +424,13 @@ impl MetricsRegistry {
             return ProfileSnapshot {
                 bin_ms: 0.0,
                 bins: 0,
-                shard_busy: vec![Vec::new(); self.shards.len()],
+                shard_busy: vec![Vec::new(); self.busy_ms.len()],
                 interconnect_bytes: Vec::new(),
             };
         }
         let bins = DEFAULT_PROFILE_BINS;
         let bin_ms = clock_ms / bins as f64;
-        let mut shard_busy = vec![vec![0.0f64; bins]; self.shards.len()];
+        let mut shard_busy = vec![vec![0.0f64; bins]; self.busy_ms.len()];
         for span in &p.spans {
             if span.shard >= shard_busy.len() {
                 continue;
@@ -627,10 +478,10 @@ pub struct MetricsSnapshot {
     /// The device's simulated clock at snapshot time (ms since device
     /// creation, also when metrics were enabled later).
     pub clock_ms: f64,
-    /// Device-level instruments merged with every shard's, in ascending
-    /// shard order.
+    /// Device-level histograms, plus `busy_ms` merged over every shard
+    /// in ascending shard order.
     pub aggregate: InstrumentsSnapshot,
-    /// Each shard's own instruments (index = shard id).
+    /// Each shard's own `busy_ms` histogram (index = shard id).
     pub per_shard: Vec<InstrumentsSnapshot>,
     /// Binned occupancy series (present only with profiling enabled).
     pub profile: Option<ProfileSnapshot>,
@@ -669,7 +520,7 @@ mod tests {
 
     /// Records a command as `Device::charge` does.
     fn cmd(r: &mut MetricsRegistry, name: &str, start: f64, time: f64, shares: &[(usize, f64)]) {
-        r.record_cmd(name, name.split('.').next().unwrap(), time, 0.0);
+        r.record_cmd(name, time);
         for &(shard, busy_ms) in shares {
             r.record_shard_busy(shard, start, time, busy_ms);
         }
@@ -724,10 +575,15 @@ mod tests {
         cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.5), (1, 0.5)]);
         cmd(&mut r, "mul.int32", 2.0, 1.0, &[(1, 1.0)]);
         let snap = r.snapshot(3.0);
-        assert_eq!(snap.aggregate.counters["cmds"], 2); // true command count
-        assert_eq!(snap.aggregate.counters["shard_cmds"], 3); // shard occurrences
-        assert_eq!(snap.per_shard[0].counters["shard_cmds"], 1);
-        assert_eq!(snap.per_shard[1].counters["shard_cmds"], 2);
+        let count = |i: &InstrumentsSnapshot, name: &str| i.histograms[name].count;
+        assert_eq!(count(&snap.aggregate, "op_latency_ms"), 2); // true command count
+        assert_eq!(count(&snap.aggregate, "busy_ms"), 3); // shard occurrences
+        assert_eq!(count(&snap.per_shard[0], "busy_ms"), 1);
+        assert_eq!(count(&snap.per_shard[1], "busy_ms"), 2);
+        let mut merged = Histogram::default();
+        merged.merge_from(&r.busy_ms[0]);
+        merged.merge_from(&r.busy_ms[1]);
+        assert_eq!(snap.aggregate.histograms["busy_ms"], merged.snapshot());
         let busy = &snap.aggregate.histograms["busy_ms"];
         assert_eq!(busy.count, 3);
         assert!((busy.sum - 3.0).abs() < 1e-12);
@@ -738,9 +594,8 @@ mod tests {
     fn snapshot_json_is_parseable_and_stable() {
         let mut r = MetricsRegistry::new(1, true);
         cmd(&mut r, "add.int32", 0.0, 1.0, &[(0, 1.0)]);
-        r.record_copy(CopyDirection::HostToDevice, 4096, 0.5, 0.01);
-        r.record_interconnect(InterconnectKind::Scatter, 1.5, 1024, 0.1, 0.001);
-        r.record_host(0.25);
+        r.record_copy(4096, 0.5);
+        r.record_interconnect(1.5, 1024);
         let s1 = r.snapshot(1.75);
         let s2 = r.snapshot(1.75);
         assert_eq!(s1, s2);
@@ -751,14 +606,18 @@ mod tests {
             METRICS_SCHEMA_VERSION
         );
         let agg = doc.get("aggregate").unwrap();
-        assert!(agg.get("counters").unwrap().get("cmds").is_some());
-        assert!(agg
-            .get("histograms")
-            .unwrap()
-            .get("op_latency_ms")
-            .unwrap()
-            .get("p99")
-            .is_some());
+        assert!(agg.get("counters").is_none() && agg.get("gauges").is_none());
+        let hists = agg.get("histograms").unwrap();
+        for name in [
+            "busy_ms",
+            "copy_bytes",
+            "copy_latency_ms",
+            "interconnect_bytes_hist",
+            "op_latency_ms",
+            "op_latency_ms.add.int32",
+        ] {
+            assert!(hists.get(name).unwrap().get("p99").is_some(), "{name}");
+        }
         let profile = doc.get("profile").unwrap();
         assert_eq!(
             profile.get("bins").unwrap().as_f64().unwrap() as usize,
@@ -789,7 +648,7 @@ mod tests {
     fn interconnect_samples_land_in_bins() {
         let mut r = MetricsRegistry::new(2, true);
         cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.0), (1, 1.0)]);
-        r.record_interconnect(InterconnectKind::Scatter, 2.0, 512, 0.1, 0.0);
+        r.record_interconnect(2.0, 512);
         let p = r.snapshot(2.0).profile.unwrap();
         let total: u64 = p.interconnect_bytes.iter().sum();
         assert_eq!(total, 512);

@@ -66,16 +66,19 @@ impl ShardMap {
         let epu = elems_per_unit.max(1);
         let units_total = count.div_ceil(epu);
         let w_total: u128 = weights.iter().map(|&w| w as u128).sum::<u128>().max(1);
-        let mut counts = Few::default();
         let mut cum: u128 = 0;
         let mut start = 0u64;
-        for &w in weights {
-            cum += w as u128;
-            let b = ((units_total as u128 * cum) / w_total) as u64;
-            let end = b.saturating_mul(epu).min(count);
-            counts.push(end - start);
-            start = end;
-        }
+        let counts = weights
+            .iter()
+            .map(|&w| {
+                cum += w as u128;
+                let b = ((units_total as u128 * cum) / w_total) as u64;
+                let end = b.saturating_mul(epu).min(count);
+                let c = end - start;
+                start = end;
+                c
+            })
+            .collect();
         ShardMap { counts }
     }
 
@@ -156,6 +159,24 @@ enum Few<T> {
 impl<T> Default for Few<T> {
     fn default() -> Self {
         Few::Many(Vec::new())
+    }
+}
+
+/// Sized once: a list of two or more takes one allocation of the
+/// iterator's stated length.
+impl<T> FromIterator<T> for Few<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Few::default();
+        };
+        let Some(second) = iter.next() else {
+            return Few::One([first]);
+        };
+        let mut vs = Vec::with_capacity(2 + iter.size_hint().0);
+        vs.extend([first, second]);
+        vs.extend(iter);
+        Few::Many(vs)
     }
 }
 
@@ -462,10 +483,13 @@ impl PimSystem {
             }
         }
         // The buffer comes after every check and before the layouts'
-        // list. With the list allocated first, a process that builds and
-        // drops many 4-shard devices (`bench_e2e`'s `bulk-sweep`) had
-        // glibc give each run's buffers back to the OS and fault them in
-        // again, with ten times the minor faults of this order.
+        // list, and the list grows one shard at a time rather than being
+        // sized once like the map's. Either way round (the list first, or
+        // a list sized once, which reuses the one a free just released),
+        // nothing new lands on the heap above the buffer, so a process
+        // that builds and drops many 4-shard devices (`bench_e2e`'s
+        // `bulk-sweep`) had glibc give each run's buffers back to the OS
+        // and fault them in again, with ten times the minor faults.
         let data = if self.functional {
             vec![0; count as usize]
         } else {

@@ -130,7 +130,7 @@ fn check_shard_equivalence<T: PimScalar + PartialEq + std::fmt::Debug>(
     let (base, base_dev) = run_program(DeviceConfig::new(target, 1), &xs, &ys);
     let mut sharded_dev = Device::new(DeviceConfig::new(target, 1).with_shards(shards)).unwrap();
     sharded_dev.enable_metrics(false);
-    let (sharded, mut dev) = run_on(sharded_dev, &xs, &ys);
+    let (sharded, dev) = run_on(sharded_dev, &xs, &ys);
 
     // Bit-identical functional contract.
     assert_eq!(sharded, base, "{ctx}");

@@ -11,7 +11,9 @@
 //! `PIM_TEST_RANKS` env var (comma list).
 
 use pimeval::exec;
-use pimeval::{Device, DeviceConfig, MetricsSnapshot, PimTarget, TraceEvent};
+use pimeval::{
+    DataType, Device, DeviceConfig, InstrumentsSnapshot, MetricsSnapshot, PimTarget, TraceEvent,
+};
 
 /// Shard counts under test: `PIM_TEST_RANKS=1,4` style override, else `{1, 4}`.
 fn shard_counts() -> Vec<usize> {
@@ -36,8 +38,8 @@ fn run_traced(shards: usize, profile: bool) -> Device {
     let ys: Vec<i32> = (0..600).map(|i| 7 - i).collect();
     let x = dev.alloc_vec(&xs).unwrap();
     let y = dev.alloc_vec(&ys).unwrap();
-    let t = dev.alloc_associated(x, pimeval::DataType::Int32).unwrap();
-    let m = dev.alloc_associated(x, pimeval::DataType::Int32).unwrap();
+    let t = dev.alloc_associated(x, DataType::Int32).unwrap();
+    let m = dev.alloc_associated(x, DataType::Int32).unwrap();
     dev.mul_scalar(x, 5, t).unwrap();
     dev.add(t, y, t).unwrap();
     dev.lt(x, t, m).unwrap();
@@ -48,8 +50,14 @@ fn run_traced(shards: usize, profile: bool) -> Device {
     dev
 }
 
-fn snapshot(dev: &mut Device) -> MetricsSnapshot {
+fn snapshot(dev: &Device) -> MetricsSnapshot {
     dev.metrics_snapshot().expect("metrics were enabled")
+}
+
+/// Commands a shard's `busy_ms` histogram recorded (0 if it never
+/// worked).
+fn busy_count(shard: &InstrumentsSnapshot) -> u64 {
+    shard.histograms.get("busy_ms").map_or(0, |h| h.count)
 }
 
 #[test]
@@ -108,14 +116,10 @@ fn interconnect_events_only_on_multi_shard_devices() {
 
 #[test]
 fn per_shard_metrics_cover_every_shard_that_worked() {
-    let mut dev = run_traced(4, true);
-    let snap = snapshot(&mut dev);
+    let dev = run_traced(4, true);
+    let snap = snapshot(&dev);
     assert_eq!(snap.per_shard.len(), 4);
-    let active = snap
-        .per_shard
-        .iter()
-        .filter(|s| s.counters.get("shard_cmds").copied().unwrap_or(0) > 0)
-        .count();
+    let active = snap.per_shard.iter().filter(|s| busy_count(s) > 0).count();
     assert!(
         active >= 2,
         "a 600-element object split over 4 shards must occupy several \
@@ -123,16 +127,12 @@ fn per_shard_metrics_cover_every_shard_that_worked() {
     );
     // Each command is counted once per shard it ran on, so the shard
     // occurrences are at least the device-level command count (every
-    // command reached at least one shard) and their merged total lands
-    // in the aggregate under the distinct `shard_cmds` key.
-    let shard_cmds: u64 = snap
-        .per_shard
-        .iter()
-        .map(|s| s.counters.get("shard_cmds").copied().unwrap_or(0))
-        .sum();
-    assert_eq!(snap.aggregate.counters["shard_cmds"], shard_cmds);
+    // command reached at least one shard) and their merged total is the
+    // aggregate `busy_ms` count.
+    let shard_cmds: u64 = snap.per_shard.iter().map(busy_count).sum();
+    assert_eq!(snap.aggregate.histograms["busy_ms"].count, shard_cmds);
     assert!(
-        shard_cmds >= snap.aggregate.counters["cmds"],
+        shard_cmds >= snap.aggregate.histograms["op_latency_ms"].count,
         "commands lost in shard accounting"
     );
     // The profile series covers all shards over the full window.
@@ -152,8 +152,8 @@ fn per_shard_metrics_cover_every_shard_that_worked() {
 fn metrics_snapshots_are_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         exec::with_thread_count(threads, || {
-            let mut dev = run_traced(4, true);
-            let snap = snapshot(&mut dev);
+            let dev = run_traced(4, true);
+            let snap = snapshot(&dev);
             (snap.clone(), snap.to_json())
         })
     };
@@ -167,19 +167,20 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() {
 fn kernel_aggregates_are_invariant_across_shard_counts() {
     // Compute is charged once from the global layout, so the kernel-side
     // aggregates (command counts, op-latency histograms, copy traffic)
-    // must not move with the shard count. Interconnect counters and the
+    // must not move with the shard count. Interconnect traffic and the
     // per-shard breakdown legitimately differ and are excluded.
     let mut base: Option<MetricsSnapshot> = None;
     for shards in shard_counts() {
-        let mut dev = run_traced(shards, false);
-        let snap = snapshot(&mut dev);
+        let dev = run_traced(shards, false);
+        let snap = snapshot(&dev);
         let Some(b) = &base else {
             base = Some(snap);
             continue;
         };
+        let hist = |s: &MetricsSnapshot, name: &str| s.aggregate.histograms.get(name).cloned();
         assert_eq!(
-            b.aggregate.counters.get("cmds"),
-            snap.aggregate.counters.get("cmds"),
+            hist(b, "op_latency_ms").map(|h| h.count),
+            hist(&snap, "op_latency_ms").map(|h| h.count),
             "shards={shards}: command count moved"
         );
         assert_eq!(
@@ -188,13 +189,65 @@ fn kernel_aggregates_are_invariant_across_shard_counts() {
             "shards={shards}: op latency histogram moved"
         );
         assert_eq!(
-            b.aggregate.counters.get("copy_bytes"),
-            snap.aggregate.counters.get("copy_bytes"),
+            hist(b, "copy_bytes").map(|h| h.sum),
+            hist(&snap, "copy_bytes").map(|h| h.sum),
             "shards={shards}: copy traffic moved"
         );
         assert!(
             (b.clock_ms - snap.clock_ms).abs() <= 1e-12 * b.clock_ms.abs().max(1.0),
             "shards={shards}: metrics clock moved"
         );
+    }
+}
+
+#[test]
+fn metrics_and_stats_share_the_reset_window() {
+    // `reset_stats` opens one window for both ledgers: afterwards the
+    // histograms count exactly the commands and copies the statistics
+    // do, and the shards' busy time partitions the kernel time.
+    for shards in shard_counts() {
+        for streamed in [false, true] {
+            let ctx = format!("shards={shards} streamed={streamed}");
+            let mut dev = run_traced(shards, true);
+            dev.reset_stats();
+            let xs: Vec<i32> = (0..600).map(|i| 5 - i).collect();
+            let x = dev.alloc_vec(&xs).unwrap();
+            let t = dev.alloc_associated(x, DataType::Int32).unwrap();
+            let m = dev.alloc_associated(x, DataType::Int32).unwrap();
+            if streamed {
+                let mut s = dev.stream();
+                s.mul_scalar(x, 3, t).add(t, x, t).copy_object(t, m);
+                s.flush().unwrap();
+            } else {
+                dev.mul_scalar(x, 3, t).unwrap();
+                dev.add(t, x, t).unwrap();
+                dev.copy_object(t, m).unwrap();
+            }
+            let _ = dev.red_sum(m).unwrap();
+            let out = dev.to_vec::<i32>(m).unwrap();
+            assert_eq!(out[1], 4 * 4, "{ctx}");
+            // The upload, the device-to-device copy and the download.
+            let copies = 3;
+
+            let snap = snapshot(&dev);
+            let stats = dev.stats();
+            let hist = |name: &str| snap.aggregate.histograms[name].clone();
+            assert_eq!(hist("op_latency_ms").count, stats.total_ops(), "{ctx}");
+            assert_eq!(hist("copy_bytes").count, copies, "{ctx}");
+            let c = &stats.copy;
+            let bytes = c.host_to_device_bytes + c.device_to_host_bytes + c.device_to_device_bytes;
+            assert_eq!(hist("copy_bytes").sum, bytes as f64, "{ctx}");
+            let busy_ms: f64 = snap
+                .per_shard
+                .iter()
+                .map(|s| s.histograms.get("busy_ms").map_or(0.0, |h| h.sum))
+                .sum();
+            let kernel_ms = stats.kernel_time_ms();
+            assert!(
+                (busy_ms - kernel_ms).abs() <= 1e-9 * busy_ms.abs().max(kernel_ms.abs()),
+                "{ctx}: per-shard busy sum {busy_ms} != kernel {kernel_ms} ms"
+            );
+            assert!(snap.profile.is_some(), "{ctx}: reset kept the profile flag");
+        }
     }
 }

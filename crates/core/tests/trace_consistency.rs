@@ -240,7 +240,7 @@ fn trace_enabled_mid_run_stays_on_the_device_clock() {
     // stood, however much was charged while tracing was off.
     let mut dev = Device::new(DeviceConfig::new(PimTarget::Fulcrum, 2)).unwrap();
     dev.enable_metrics(false);
-    let clock = |dev: &mut Device| dev.metrics_snapshot().unwrap().clock_ms;
+    let clock = |dev: &Device| dev.metrics_snapshot().unwrap().clock_ms;
     let a = dev.alloc_vec(&[3i32, -1, 4, 1, 5, 9, 2, 6]).unwrap();
     let b = dev.alloc_associated(a, DataType::Int32).unwrap();
     let (mut events, mut starts) = (Vec::new(), Vec::new());
@@ -251,7 +251,7 @@ fn trace_enabled_mid_run_stays_on_the_device_clock() {
         let _ = dev.to_vec::<i32>(b).unwrap();
         dev.record_host_ms(0.125);
         for _ in 0..3 {
-            starts.extend(traced.then(|| clock(&mut dev)));
+            starts.extend(traced.then(|| clock(&dev)));
             dev.add(a, b, b).unwrap();
         }
         if traced {

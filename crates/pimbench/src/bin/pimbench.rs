@@ -20,8 +20,8 @@
 //! diagnostics on stderr.
 //!
 //! `--metrics-json <file>` turns on the metrics registry and writes
-//! one deterministic snapshot per run (counters, gauges, latency
-//! histograms with p50/p90/p99, per-shard breakdowns). `--profile`
+//! one deterministic snapshot per run (latency and size histograms
+//! with p50/p90/p99, each shard's busy time). `--profile`
 //! additionally records the time-binned utilization profile — emitted
 //! as Perfetto counter tracks when combined with `--trace`, and as a
 //! `"profile"` section in the metrics JSON — plus a wall-clock
