@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use pimeval::trace::json::{num, stats_to_json, string};
+use pimeval::trace::json::{stats_fields, JsonWriter};
 use pimeval::TimingCounters;
 
 use crate::SuiteRecord;
@@ -26,38 +26,32 @@ pub const BENCH_SCHEMA_NOTE: &str = "removed: the optimizer section (stream leve
      fanout_overhead sections (pool-only microbenchmarks whose baselines, the \
      chunks-per-worker knob and a scoped-spawn replica, are gone)";
 
-/// Renders one run record as a JSON object, embedding the full
-/// Listing-3 statistics plus the baseline comparisons the figures plot.
-pub fn record_to_json(r: &SuiteRecord) -> String {
-    format!(
-        "{{\"benchmark\":{},\"target\":{},\
-         \"pim_total_ms\":{},\"pim_kernel_ms\":{},\
-         \"cpu_ms\":{},\"gpu_ms\":{},\
-         \"cpu_energy_mj\":{},\"gpu_energy_mj\":{},\
-         \"speedup_cpu_total\":{},\"speedup_cpu_kernel\":{},\"speedup_gpu\":{},\
-         \"energy_reduction_cpu\":{},\"energy_reduction_gpu\":{},\
-         \"stats\":{}}}",
-        string(&r.name),
-        string(&r.target.to_string()),
-        num(r.pim_total_ms()),
-        num(r.pim_kernel_ms()),
-        num(r.cpu_ms),
-        num(r.gpu_ms),
-        num(r.cpu_energy_mj),
-        num(r.gpu_energy_mj),
-        num(r.speedup_cpu_total()),
-        num(r.speedup_cpu_kernel()),
-        num(r.speedup_gpu()),
-        num(r.energy_reduction_cpu()),
-        num(r.energy_reduction_gpu()),
-        stats_to_json(&r.stats, &r.config),
-    )
-}
-
-/// Renders a whole figure's records as `{"runs": [...]}`.
+/// Renders a whole figure's records as `{"runs": [...]}` at depth 4:
+/// each record embeds the full Listing-3 statistics plus the baseline
+/// comparisons the figures plot.
 pub fn records_to_json(records: &[SuiteRecord]) -> String {
-    let runs: Vec<String> = records.iter().map(record_to_json).collect();
-    format!("{{\"runs\":[\n{}\n]}}\n", runs.join(",\n"))
+    let mut w = JsonWriter::new(4);
+    w.arr("runs");
+    for r in records {
+        w.item_obj()
+            .field("benchmark", &r.name)
+            .field("target", r.target.name())
+            .field("pim_total_ms", r.pim_total_ms())
+            .field("pim_kernel_ms", r.pim_kernel_ms())
+            .field("cpu_ms", r.cpu_ms)
+            .field("gpu_ms", r.gpu_ms)
+            .field("cpu_energy_mj", r.cpu_energy_mj)
+            .field("gpu_energy_mj", r.gpu_energy_mj)
+            .field("speedup_cpu_total", r.speedup_cpu_total())
+            .field("speedup_cpu_kernel", r.speedup_cpu_kernel())
+            .field("speedup_gpu", r.speedup_gpu())
+            .field("energy_reduction_cpu", r.energy_reduction_cpu())
+            .field("energy_reduction_gpu", r.energy_reduction_gpu());
+        stats_fields(w.obj("stats"), &r.stats, &r.config, None, 0);
+        w.end().end();
+    }
+    w.end();
+    w.finish() + "\n"
 }
 
 /// The `--stats-json <file>` argument, if present on the command line.
@@ -111,17 +105,14 @@ impl ParallelRun {
         self.elems as f64 / (self.min_ns as f64 / 1e9) / 1e6
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"threads\":{},\"elems\":{},\
-             \"mean_ns\":{},\"min_ns\":{},\"melem_per_s\":{}}}",
-            string(&self.name),
-            self.threads,
-            self.elems,
-            self.mean_ns,
-            self.min_ns,
-            num(self.melem_per_s()),
-        )
+    /// Writes the row's members and closes its object.
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("name", &self.name)
+            .field("threads", self.threads)
+            .field("elems", self.elems)
+            .field("mean_ns", self.mean_ns)
+            .field("min_ns", self.min_ns)
+            .field("melem_per_s", self.melem_per_s());
     }
 }
 
@@ -172,26 +163,19 @@ impl StreamVsEager {
         self.stream_modeled_ms / self.eager_modeled_ms
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"threads\":{},\"elems\":{},\
-             \"eager_mean_ns\":{},\"eager_min_ns\":{},\
-             \"stream_mean_ns\":{},\"stream_min_ns\":{},\
-             \"wall_speedup\":{},\
-             \"eager_modeled_ms\":{},\"stream_modeled_ms\":{},\
-             \"modeled_cost_ratio\":{}}}",
-            string(&self.name),
-            self.threads,
-            self.elems,
-            self.eager_mean_ns,
-            self.eager_min_ns,
-            self.stream_mean_ns,
-            self.stream_min_ns,
-            num(self.wall_speedup()),
-            num(self.eager_modeled_ms),
-            num(self.stream_modeled_ms),
-            num(self.modeled_cost_ratio()),
-        )
+    /// Writes the row's members and closes its object.
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("name", &self.name)
+            .field("threads", self.threads)
+            .field("elems", self.elems)
+            .field("eager_mean_ns", self.eager_mean_ns)
+            .field("eager_min_ns", self.eager_min_ns)
+            .field("stream_mean_ns", self.stream_mean_ns)
+            .field("stream_min_ns", self.stream_min_ns)
+            .field("wall_speedup", self.wall_speedup())
+            .field("eager_modeled_ms", self.eager_modeled_ms)
+            .field("stream_modeled_ms", self.stream_modeled_ms)
+            .field("modeled_cost_ratio", self.modeled_cost_ratio());
     }
 }
 
@@ -229,21 +213,17 @@ impl RankScalingRun {
         self.elems as f64 / (self.min_ns as f64 / 1e9) / 1e6
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"ranks\":{},\"elems\":{},\
-             \"mean_ns\":{},\"min_ns\":{},\"melem_per_s\":{},\
-             \"kernel_ms\":{},\"interconnect_ms\":{},\"interconnect_bytes\":{}}}",
-            string(&self.name),
-            self.ranks,
-            self.elems,
-            self.mean_ns,
-            self.min_ns,
-            num(self.melem_per_s()),
-            num(self.kernel_ms),
-            num(self.interconnect_ms),
-            self.interconnect_bytes,
-        )
+    /// Writes the row's members and closes its object.
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("name", &self.name)
+            .field("ranks", self.ranks)
+            .field("elems", self.elems)
+            .field("mean_ns", self.mean_ns)
+            .field("min_ns", self.min_ns)
+            .field("melem_per_s", self.melem_per_s())
+            .field("kernel_ms", self.kernel_ms)
+            .field("interconnect_ms", self.interconnect_ms)
+            .field("interconnect_bytes", self.interconnect_bytes);
     }
 }
 
@@ -293,24 +273,19 @@ impl FidelityRun {
         self.fsm_thrash_ms / self.analytical_ms
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"target\":{},\"elems\":{},\
-             \"analytical_ms\":{},\"fsm_ms\":{},\"fsm_thrash_ms\":{},\
-             \"delta_pct\":{},\"thrash_slowdown\":{},\
-             \"row_hits\":{},\"row_misses\":{},\"row_hit_rate\":{}}}",
-            string(&self.name),
-            string(&self.target),
-            self.elems,
-            num(self.analytical_ms),
-            num(self.fsm_ms),
-            num(self.fsm_thrash_ms),
-            num(self.delta_pct()),
-            num(self.thrash_slowdown()),
-            self.dram.row_hits,
-            self.dram.row_misses,
-            num(self.dram.hit_rate()),
-        )
+    /// Writes the row's members and closes its object.
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("name", &self.name)
+            .field("target", &self.target)
+            .field("elems", self.elems)
+            .field("analytical_ms", self.analytical_ms)
+            .field("fsm_ms", self.fsm_ms)
+            .field("fsm_thrash_ms", self.fsm_thrash_ms)
+            .field("delta_pct", self.delta_pct())
+            .field("thrash_slowdown", self.thrash_slowdown())
+            .field("row_hits", self.dram.row_hits)
+            .field("row_misses", self.dram.row_misses)
+            .field("row_hit_rate", self.dram.hit_rate());
     }
 }
 
@@ -331,8 +306,6 @@ pub fn parallel_runs_to_json(
     rank_scaling: &[RankScalingRun],
     fidelity: &[FidelityRun],
 ) -> String {
-    let measured: Vec<String> = runs.iter().map(ParallelRun::to_json).collect();
-    let mut speedups = Vec::new();
     // Pair each single-thread baseline with the widest measured count
     // the host's cores can run for the same op; `--threads 1,2,4` sweeps
     // therefore report the 4-thread speedup on a 4-core host even when
@@ -342,40 +315,47 @@ pub fn parallel_runs_to_json(
         .map(|r| r.threads)
         .filter(|&t| t > 1 && t <= host_cores)
         .max();
-    if let Some(top) = top {
-        for base in runs.iter().filter(|r| r.threads == 1) {
-            if let Some(par) = runs
-                .iter()
-                .find(|r| r.threads == top && r.name == base.name)
-            {
-                if par.min_ns > 0 {
-                    speedups.push(format!(
-                        "{{\"name\":{},\"threads\":{},\"speedup\":{}}}",
-                        string(&base.name),
-                        top,
-                        num(base.min_ns as f64 / par.min_ns as f64),
-                    ));
-                }
-            }
-        }
+    let speedups = runs.iter().filter(|r| r.threads == 1).filter_map(|base| {
+        let par = runs
+            .iter()
+            .find(|r| Some(r.threads) == top && r.name == base.name)?;
+        (par.min_ns > 0).then_some((base, par))
+    });
+    let mut w = JsonWriter::new(2);
+    w.field("schema_version", BENCH_SCHEMA_VERSION)
+        .field("schema_note", BENCH_SCHEMA_NOTE)
+        .field("threads_default", default_threads)
+        .field("host_cores", host_cores)
+        .arr("runs");
+    for r in runs {
+        r.json_fields(w.item_obj());
+        w.end();
     }
-    let compared: Vec<String> = stream.iter().map(StreamVsEager::to_json).collect();
-    let scaled: Vec<String> = rank_scaling.iter().map(RankScalingRun::to_json).collect();
-    let fidelity: Vec<String> = fidelity.iter().map(FidelityRun::to_json).collect();
-    format!(
-        "{{\"schema_version\":{BENCH_SCHEMA_VERSION},\"schema_note\":{},\
-         \"threads_default\":{},\"host_cores\":{},\"runs\":[\n{}\n],\"speedups\":[{}],\
-         \"stream_vs_eager\":[\n{}\n],\"rank_scaling\":[\n{}\n],\
-         \"fidelity\":[\n{}\n]}}\n",
-        string(BENCH_SCHEMA_NOTE),
-        default_threads,
-        host_cores,
-        measured.join(",\n"),
-        speedups.join(","),
-        compared.join(",\n"),
-        scaled.join(",\n"),
-        fidelity.join(",\n"),
-    )
+    w.end().arr("speedups");
+    for (base, par) in speedups {
+        w.item_obj()
+            .field("name", &base.name)
+            .field("threads", par.threads)
+            .field("speedup", base.min_ns as f64 / par.min_ns as f64)
+            .end();
+    }
+    w.end().arr("stream_vs_eager");
+    for r in stream {
+        r.json_fields(w.item_obj());
+        w.end();
+    }
+    w.end().arr("rank_scaling");
+    for r in rank_scaling {
+        r.json_fields(w.item_obj());
+        w.end();
+    }
+    w.end().arr("fidelity");
+    for r in fidelity {
+        r.json_fields(w.item_obj());
+        w.end();
+    }
+    w.end();
+    w.finish() + "\n"
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::trace::json::{num, string};
+use crate::trace::json::JsonWriter;
 
 /// Fixed-point scale for histogram bucketing: values are multiplied by
 /// `2^20` before taking the bit position, so sub-millisecond latencies
@@ -192,17 +192,14 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-            self.count,
-            num(self.sum),
-            num(self.min),
-            num(self.max),
-            num(self.p50),
-            num(self.p90),
-            num(self.p99)
-        )
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("count", self.count)
+            .field("sum", self.sum)
+            .field("min", self.min)
+            .field("max", self.max)
+            .field("p50", self.p50)
+            .field("p90", self.p90)
+            .field("p99", self.p99);
     }
 }
 
@@ -223,13 +220,13 @@ impl InstrumentsSnapshot {
         }
     }
 
-    fn to_json(&self) -> String {
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| format!("{}: {}", string(k), h.to_json()))
-            .collect();
-        format!("{{\"histograms\": {{{}}}}}", hists.join(", "))
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.obj("histograms");
+        for (name, h) in &self.histograms {
+            h.json_fields(w.obj(name));
+            w.end();
+        }
+        w.end();
     }
 }
 
@@ -273,23 +270,22 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .shard_busy
-            .iter()
-            .map(|bins| {
-                let vals: Vec<String> = bins.iter().map(|v| num(*v)).collect();
-                format!("[{}]", vals.join(","))
-            })
-            .collect();
-        let ic: Vec<String> = self.interconnect_bytes.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"bin_ms\": {}, \"bins\": {}, \"shard_busy\": [{}], \"interconnect_bytes\": [{}]}}",
-            num(self.bin_ms),
-            self.bins,
-            shards.join(","),
-            ic.join(",")
-        )
+    fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("bin_ms", self.bin_ms)
+            .field("bins", self.bins)
+            .arr("shard_busy");
+        for bins in &self.shard_busy {
+            w.item_arr();
+            for &v in bins {
+                w.item(v);
+            }
+            w.end();
+        }
+        w.end().arr("interconnect_bytes");
+        for &bytes in &self.interconnect_bytes {
+            w.item(bytes);
+        }
+        w.end();
     }
 }
 
@@ -470,7 +466,7 @@ impl MetricsRegistry {
 ///
 /// Every field is derived from modeled quantities, so two snapshots of
 /// the same workload are bit-identical at any worker-thread count
-/// (compare with `==` or via [`MetricsSnapshot::to_json`]).
+/// (compare with `==` or via [`MetricsSnapshot::json_fields`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Layout version of the JSON rendering.
@@ -488,28 +484,23 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as a JSON object. Key order and float
-    /// formatting are deterministic, so equal snapshots render to equal
-    /// strings.
-    pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .per_shard
-            .iter()
-            .map(InstrumentsSnapshot::to_json)
-            .collect();
-        let profile = match &self.profile {
-            Some(p) => format!(",\n  \"profile\": {}", p.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\n  \"schema_version\": {},\n  \"clock_ms\": {},\n  \"aggregate\": {},\n  \
-             \"per_shard\": [{}]{}\n}}",
-            self.schema_version,
-            num(self.clock_ms),
-            self.aggregate.to_json(),
-            shards.join(", "),
-            profile
-        )
+    /// Writes the snapshot's members into the open object of `w`. Key
+    /// order and float formatting are deterministic, so equal snapshots
+    /// render to equal text.
+    pub fn json_fields(&self, w: &mut JsonWriter) {
+        w.field("schema_version", self.schema_version)
+            .field("clock_ms", self.clock_ms);
+        self.aggregate.json_fields(w.obj("aggregate"));
+        w.end().arr("per_shard");
+        for shard in &self.per_shard {
+            shard.json_fields(w.item_obj());
+            w.end();
+        }
+        w.end();
+        if let Some(p) = &self.profile {
+            p.json_fields(w.obj("profile"));
+            w.end();
+        }
     }
 }
 
@@ -599,8 +590,13 @@ mod tests {
         let s1 = r.snapshot(1.75);
         let s2 = r.snapshot(1.75);
         assert_eq!(s1, s2);
-        assert_eq!(s1.to_json(), s2.to_json());
-        let doc = Json::parse(&s1.to_json()).expect("metrics JSON parses");
+        let render = |s: &MetricsSnapshot| {
+            let mut w = JsonWriter::new(1);
+            s.json_fields(&mut w);
+            w.finish()
+        };
+        assert_eq!(render(&s1), render(&s2));
+        let doc = Json::parse(&render(&s1)).expect("metrics JSON parses");
         assert_eq!(
             doc.get("schema_version").unwrap().as_f64().unwrap() as u32,
             METRICS_SCHEMA_VERSION

@@ -1,10 +1,23 @@
-//! Hand-rolled JSON support: a writer for machine-readable stats export
-//! and a small recursive-descent parser used by the golden tests (and by
-//! anyone post-processing exported files without external crates).
+//! Hand-rolled JSON support: one streaming writer for every exported
+//! document and a small recursive-descent parser used by the golden
+//! tests (and by anyone post-processing exported files without external
+//! crates).
 //!
-//! The writer emits numbers via Rust's shortest-round-trip `Display`
-//! for `f64`, which is always valid JSON (no exponent form, exact
-//! parse-back); non-finite values degrade to `null`.
+//! [`JsonWriter`] appends a document to one buffer in the order its
+//! members are written. Each member is one call that names its key next
+//! to its value; numbers and strings go straight into the buffer through
+//! the `Num` and `Quoted` forms. Numbers use Rust's shortest-round-trip
+//! `Display` for `f64`, which is always valid JSON (no exponent form,
+//! exact parse-back); non-finite values degrade to `null`.
+//!
+//! One layout rule covers every document: for the outer `depth` levels
+//! each member goes on its own line, indented two spaces per level;
+//! below that depth members go inline, separated by `", "`, with `": "`
+//! after each key. Empty containers print as `{}` and `[]`. Each
+//! document root passes its own `depth`.
+//!
+//! [`string`] and [`num`] render one value to a `String`; they remain
+//! for callers outside this workspace that build their own text.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -19,7 +32,7 @@ use crate::stats::SimStats;
 pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
-// Writer helpers
+// Writer
 // ---------------------------------------------------------------------
 
 /// Renders a quoted JSON string.
@@ -71,6 +84,164 @@ impl fmt::Display for Num {
     }
 }
 
+/// A value [`JsonWriter`] writes as one token: an integer, an `f64` (as
+/// [`num`] renders it), a `bool`, or a string (as [`string`] renders it).
+pub trait Scalar {
+    /// Appends the token to `out`.
+    fn write_to(self, out: &mut String);
+}
+
+macro_rules! display_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_to(self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_scalar!(u32, u64, u128, usize, bool);
+
+impl Scalar for f64 {
+    fn write_to(self, out: &mut String) {
+        let _ = write!(out, "{}", Num(self));
+    }
+}
+
+impl<S: AsRef<str> + ?Sized> Scalar for &S {
+    fn write_to(self, out: &mut String) {
+        let s = self.as_ref();
+        if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+            out.push('"');
+            out.push_str(s);
+            out.push('"');
+        } else {
+            let _ = write!(out, "{}", Quoted(s));
+        }
+    }
+}
+
+/// Streams one JSON document into a buffer, members in the order they
+/// are written, laid out by the module's one rule at the `depth` its
+/// root passes to [`JsonWriter::new`]. [`JsonWriter::obj`] and its
+/// siblings open a container; [`JsonWriter::end`] closes the innermost.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    depth: usize,
+    /// The closing bracket of each open container, innermost last.
+    closers: String,
+    /// True until the innermost open container has a member.
+    first: bool,
+}
+
+impl JsonWriter {
+    /// Starts a document by opening its root object.
+    pub fn new(depth: usize) -> Self {
+        let mut w = JsonWriter {
+            out: String::with_capacity(1024),
+            depth,
+            closers: String::new(),
+            first: true,
+        };
+        w.begin('{', '}');
+        w
+    }
+
+    /// Closes the root object and returns the document, without a
+    /// trailing newline.
+    pub fn finish(mut self) -> String {
+        self.end();
+        assert!(self.closers.is_empty(), "a JSON container was left open");
+        self.out
+    }
+
+    /// A member whose value is one token.
+    pub fn field(&mut self, key: &str, value: impl Scalar) -> &mut Self {
+        self.key(key);
+        value.write_to(&mut self.out);
+        self
+    }
+
+    /// Opens an object as member `key`.
+    pub fn obj(&mut self, key: &str) -> &mut Self {
+        self.key(key);
+        self.begin('{', '}')
+    }
+
+    /// Opens an array as member `key`.
+    pub fn arr(&mut self, key: &str) -> &mut Self {
+        self.key(key);
+        self.begin('[', ']')
+    }
+
+    /// An array element that is one token.
+    pub fn item(&mut self, value: impl Scalar) -> &mut Self {
+        self.member();
+        value.write_to(&mut self.out);
+        self
+    }
+
+    /// Opens an object as the next array element.
+    pub fn item_obj(&mut self) -> &mut Self {
+        self.member();
+        self.begin('{', '}')
+    }
+
+    /// Opens an array as the next array element.
+    pub fn item_arr(&mut self) -> &mut Self {
+        self.member();
+        self.begin('[', ']')
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        let close = self.closers.pop().expect("no JSON container is open");
+        if !self.first && self.closers.len() < self.depth {
+            self.line(self.closers.len());
+        }
+        self.first = false;
+        self.out.push(close);
+        self
+    }
+
+    fn key(&mut self, key: &str) {
+        self.member();
+        key.write_to(&mut self.out);
+        self.out.push_str(": ");
+    }
+
+    /// The separator before a member of the innermost open container:
+    /// a new line while that container is one of the outer `depth`
+    /// levels, `", "` below them.
+    fn member(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        if self.closers.len() <= self.depth {
+            self.line(self.closers.len());
+        } else if !self.first {
+            self.out.push(' ');
+        }
+        self.first = false;
+    }
+
+    fn begin(&mut self, open: char, close: char) -> &mut Self {
+        self.out.push(open);
+        self.closers.push(close);
+        self.first = true;
+        self
+    }
+
+    fn line(&mut self, indent: usize) {
+        self.out.push('\n');
+        for _ in 0..indent {
+            self.out.push_str("  ");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Stats rendering
 // ---------------------------------------------------------------------
@@ -86,164 +257,142 @@ pub fn stats_to_json(stats: &SimStats, config: &DeviceConfig) -> String {
 /// section (when a [`MetricsSnapshot`] is supplied) and a `"trace"`
 /// section carrying the ring-buffer recorder's dropped-event count
 /// (when non-zero). Both sections are additive — consumers of the base
-/// schema keep parsing unchanged.
+/// schema keep parsing unchanged. The document's depth is 1: one line
+/// per section.
 pub fn stats_to_json_full(
     stats: &SimStats,
     config: &DeviceConfig,
     metrics: Option<&MetricsSnapshot>,
     trace_dropped: u64,
 ) -> String {
-    use std::fmt::Write as _;
+    let mut w = JsonWriter::new(1);
+    stats_fields(&mut w, stats, config, metrics, trace_dropped);
+    w.finish()
+}
+
+/// Writes the members of [`stats_to_json_full`]'s object into the open
+/// object of `w`, for documents that embed a run's statistics.
+pub fn stats_fields(
+    w: &mut JsonWriter,
+    stats: &SimStats,
+    config: &DeviceConfig,
+    metrics: Option<&MetricsSnapshot>,
+    trace_dropped: u64,
+) {
     let g = &config.geometry;
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": {STATS_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"target\": {},", string(&config.target.to_string()));
-    let _ = writeln!(
-        out,
-        "  \"geometry\": {{\"ranks\": {}, \"banks_per_rank\": {}, \"subarrays_per_bank\": {}, \
-         \"rows_per_subarray\": {}, \"cols_per_row\": {}}},",
-        g.ranks, g.banks_per_rank, g.subarrays_per_bank, g.rows_per_subarray, g.cols_per_row
-    );
-    let _ = writeln!(
-        out,
-        "  \"cores\": {{\"count\": {}, \"rows_per_core\": {}, \"cols_per_core\": {}}},",
-        config.core_count(),
-        config.rows_per_core(),
-        config.cols_per_core()
-    );
-    let _ = writeln!(
-        out,
-        "  \"copy\": {{\"host_to_device_bytes\": {}, \"device_to_host_bytes\": {}, \
-         \"device_to_device_bytes\": {}, \"time_ms\": {}, \"energy_mj\": {}}},",
-        stats.copy.host_to_device_bytes,
-        stats.copy.device_to_host_bytes,
-        stats.copy.device_to_device_bytes,
-        num(stats.copy.time_ms),
-        num(stats.copy.energy_mj)
-    );
-    out.push_str("  \"cmds\": {");
-    for (i, (name, c)) in stats.cmds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {}: {{\"count\": {}, \"time_ms\": {}, \"energy_mj\": {}}}",
-            string(name),
-            c.count,
-            num(c.time_ms),
-            num(c.energy_mj)
-        );
+    w.field("schema_version", STATS_SCHEMA_VERSION)
+        .field("target", config.target.name());
+    w.obj("geometry")
+        .field("ranks", g.ranks)
+        .field("banks_per_rank", g.banks_per_rank)
+        .field("subarrays_per_bank", g.subarrays_per_bank)
+        .field("rows_per_subarray", g.rows_per_subarray)
+        .field("cols_per_row", g.cols_per_row)
+        .end();
+    w.obj("cores")
+        .field("count", config.core_count())
+        .field("rows_per_core", config.rows_per_core())
+        .field("cols_per_core", config.cols_per_core())
+        .end();
+    let c = &stats.copy;
+    w.obj("copy")
+        .field("host_to_device_bytes", c.host_to_device_bytes)
+        .field("device_to_host_bytes", c.device_to_host_bytes)
+        .field("device_to_device_bytes", c.device_to_device_bytes)
+        .field("time_ms", c.time_ms)
+        .field("energy_mj", c.energy_mj)
+        .end();
+    w.obj("cmds");
+    for (name, c) in &stats.cmds {
+        w.obj(name)
+            .field("count", c.count)
+            .field("time_ms", c.time_ms)
+            .field("energy_mj", c.energy_mj)
+            .end();
     }
-    out.push_str(if stats.cmds.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-    out.push_str("  \"categories\": {");
-    for (i, (cat, n)) in stats.categories.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{}: {}", string(cat.label()), n);
+    w.end().obj("categories");
+    for (cat, &n) in &stats.categories {
+        w.field(cat.label(), n);
     }
-    out.push_str("},\n");
-    let _ = writeln!(out, "  \"host_time_ms\": {},", num(stats.host_time_ms));
-    let _ = writeln!(out, "  \"max_cores_used\": {},", stats.max_cores_used);
+    w.end()
+        .field("host_time_ms", stats.host_time_ms)
+        .field("max_cores_used", stats.max_cores_used);
     let f = &stats.fusion;
-    let _ = writeln!(
-        out,
-        "  \"fusion\": {{\"flushes\": {}, \"recorded_commands\": {}, \
-         \"executed_commands\": {}, \"fused_scaled_add\": {}, \"fused_cmp_select\": {}, \
-         \"dead_writes_eliminated\": {}, \"batched_sweeps\": {}, \"batched_commands\": {}}},",
-        f.flushes,
-        f.recorded_commands,
-        f.executed_commands,
-        f.fused_scaled_add,
-        f.fused_cmp_select,
-        f.dead_writes_eliminated,
-        f.batched_sweeps,
-        f.batched_commands
-    );
+    w.obj("fusion")
+        .field("flushes", f.flushes)
+        .field("recorded_commands", f.recorded_commands)
+        .field("executed_commands", f.executed_commands)
+        .field("fused_scaled_add", f.fused_scaled_add)
+        .field("fused_cmp_select", f.fused_cmp_select)
+        .field("dead_writes_eliminated", f.dead_writes_eliminated)
+        .field("batched_sweeps", f.batched_sweeps)
+        .field("batched_commands", f.batched_commands)
+        .end();
     // Only streams populate the optimizer counters; the section is
     // omitted when they are all zero so eager-only goldens stay
     // byte-identical.
-    let opt = &stats.optimizer;
-    if !opt.is_empty() {
-        let _ = writeln!(out, "  \"optimizer\": {{\"cse_hits\": {}}},", opt.cse_hits);
+    if !stats.optimizer.is_empty() {
+        w.obj("optimizer")
+            .field("cse_hits", stats.optimizer.cse_hits)
+            .end();
     }
     let r = &stats.resources;
-    out.push_str("  \"resources\": {");
-    let _ = write!(
-        out,
-        "\"rows_in_use\": {}, \"peak_rows\": {}, \"rows_capacity\": {}, \
-         \"live_objects\": {}, \"shards\": {}, \"per_shard\": [",
-        r.rows_in_use, r.peak_rows, r.rows_capacity, r.live_objects, r.shards
-    );
-    for (i, s) in r.per_shard.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"rows_in_use\": {}, \"peak_rows\": {}, \"rows_capacity\": {}, \
-             \"live_objects\": {}}}",
-            s.rows_in_use, s.peak_rows, s.rows_capacity, s.live_objects
-        );
+    w.obj("resources")
+        .field("rows_in_use", r.rows_in_use)
+        .field("peak_rows", r.peak_rows)
+        .field("rows_capacity", r.rows_capacity)
+        .field("live_objects", r.live_objects)
+        .field("shards", r.shards)
+        .arr("per_shard");
+    for s in &r.per_shard {
+        w.item_obj()
+            .field("rows_in_use", s.rows_in_use)
+            .field("peak_rows", s.peak_rows)
+            .field("rows_capacity", s.rows_capacity)
+            .field("live_objects", s.live_objects)
+            .end();
     }
-    out.push_str("]},\n");
     let ic = &stats.interconnect;
-    let _ = writeln!(
-        out,
-        "  \"interconnect\": {{\"scatter_bytes\": {}, \"gather_bytes\": {}, \
-         \"realign_bytes\": {}, \"combine_bytes\": {}, \"transfers\": {}, \
-         \"time_ms\": {}, \"energy_mj\": {}}},",
-        ic.scatter_bytes,
-        ic.gather_bytes,
-        ic.realign_bytes,
-        ic.combine_bytes,
-        ic.transfers,
-        num(ic.time_ms),
-        num(ic.energy_mj)
-    );
+    w.end()
+        .end()
+        .obj("interconnect")
+        .field("scatter_bytes", ic.scatter_bytes)
+        .field("gather_bytes", ic.gather_bytes)
+        .field("realign_bytes", ic.realign_bytes)
+        .field("combine_bytes", ic.combine_bytes)
+        .field("transfers", ic.transfers)
+        .field("time_ms", ic.time_ms)
+        .field("energy_mj", ic.energy_mj)
+        .end();
     // DRAM protocol counters are populated only by the stateful bank-FSM
     // timing backend; the section is omitted entirely under the default
     // analytical backend so existing goldens stay byte-identical.
     let dp = &stats.dram_protocol;
     if !dp.is_empty() {
-        let _ = writeln!(
-            out,
-            "  \"dram_protocol\": {{\"activations\": {}, \"precharges\": {}, \
-             \"reads\": {}, \"writes\": {}, \"row_hits\": {}, \"row_misses\": {}, \
-             \"row_hit_rate\": {}}},",
-            dp.activations,
-            dp.precharges,
-            dp.reads,
-            dp.writes,
-            dp.row_hits,
-            dp.row_misses,
-            num(dp.hit_rate())
-        );
+        w.obj("dram_protocol")
+            .field("activations", dp.activations)
+            .field("precharges", dp.precharges)
+            .field("reads", dp.reads)
+            .field("writes", dp.writes)
+            .field("row_hits", dp.row_hits)
+            .field("row_misses", dp.row_misses)
+            .field("row_hit_rate", dp.hit_rate())
+            .end();
     }
     if trace_dropped > 0 {
-        let _ = writeln!(out, "  \"trace\": {{\"dropped_events\": {trace_dropped}}},");
+        w.obj("trace").field("dropped_events", trace_dropped).end();
     }
     if let Some(m) = metrics {
-        let _ = writeln!(out, "  \"metrics\": {},", m.to_json());
+        m.json_fields(w.obj("metrics"));
+        w.end();
     }
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"total_ops\": {}, \"kernel_time_ms\": {}, \"kernel_energy_mj\": {}, \
-         \"total_time_ms\": {}, \"total_energy_mj\": {}}}",
-        stats.total_ops(),
-        num(stats.kernel_time_ms()),
-        num(stats.kernel_energy_mj()),
-        num(stats.total_time_ms()),
-        num(stats.total_energy_mj(config))
-    );
-    out.push('}');
-    out
+    w.obj("totals")
+        .field("total_ops", stats.total_ops())
+        .field("kernel_time_ms", stats.kernel_time_ms())
+        .field("kernel_energy_mj", stats.kernel_energy_mj())
+        .field("total_time_ms", stats.total_time_ms())
+        .field("total_energy_mj", stats.total_energy_mj(config))
+        .end();
 }
 
 // ---------------------------------------------------------------------
@@ -550,6 +699,162 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    /// Every kind of member and token the writer has, nested three deep,
+    /// as a document of the given depth.
+    fn sample(depth: usize) -> String {
+        let mut w = JsonWriter::new(depth);
+        w.field("text", "q\"b\\s\u{1}\n\tµ→✓")
+            .field("neg_zero", -0.0)
+            .field("nan", f64::NAN)
+            .field("inf", f64::INFINITY)
+            .field("u64_max", u64::MAX)
+            .field("u128", u128::MAX)
+            .obj("nested")
+            .field("x", 1.5)
+            .obj("empty")
+            .end()
+            .arr("list")
+            .item(1u32)
+            .item_arr()
+            .end()
+            .item_obj()
+            .field("ok", true)
+            .end()
+            .end()
+            .end()
+            .arr("empty_list")
+            .end();
+        w.finish()
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_at_each_depth() {
+        const SCALARS: &str = "\"text\": \"q\\\"b\\\\s\\u0001\\n\\tµ→✓\"|\"neg_zero\": 0|\
+            \"nan\": null|\"inf\": null|\"u64_max\": 18446744073709551615|\
+            \"u128\": 340282366920938463463374607431768211455";
+        const LIST: &str = "\"list\": [1, [], {\"ok\": true}]";
+        let inline = SCALARS.replace('|', ", ");
+        let lines = SCALARS.replace('|', ",\n  ");
+        assert_eq!(
+            sample(0),
+            format!(
+                "{{{inline}, \"nested\": {{\"x\": 1.5, \"empty\": {{}}, {LIST}}}, \
+                 \"empty_list\": []}}"
+            )
+        );
+        assert_eq!(
+            sample(1),
+            format!(
+                "{{\n  {lines},\n  \"nested\": {{\"x\": 1.5, \"empty\": {{}}, {LIST}}},\n  \
+                 \"empty_list\": []\n}}"
+            )
+        );
+        assert_eq!(
+            sample(2),
+            format!(
+                "{{\n  {lines},\n  \"nested\": {{\n    \"x\": 1.5,\n    \"empty\": {{}},\n    \
+                 {LIST}\n  }},\n  \"empty_list\": []\n}}"
+            )
+        );
+        assert_eq!(JsonWriter::new(3).finish(), "{}");
+    }
+
+    /// A generated value: nested up to `levels` containers deep.
+    fn generated(rng: &mut crate::SplitMix64, levels: u32) -> Json {
+        const ALPHABET: [char; 10] = ['a', 'Z', ' ', '"', '\\', '\n', '\u{1}', 'é', '€', '😀'];
+        let text = |rng: &mut crate::SplitMix64| -> String {
+            (0..rng.next() % 6)
+                .map(|_| ALPHABET[(rng.next() % 10) as usize])
+                .collect()
+        };
+        match rng.next() % if levels == 0 { 4 } else { 6 } {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next() & 1 == 1),
+            2 => {
+                let x = f64::from_bits(rng.next());
+                Json::Num(if x.is_finite() {
+                    x
+                } else {
+                    (rng.next() % 1000) as f64
+                })
+            }
+            3 => Json::Str(text(rng)),
+            4 => Json::Arr(
+                (0..rng.next() % 4)
+                    .map(|_| generated(rng, levels - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.next() % 4)
+                    .map(|_| (text(rng), generated(rng, levels - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// A scalar [`Json`] as one writer token (`null` through NaN).
+    struct Token<'a>(&'a Json);
+
+    impl Scalar for Token<'_> {
+        fn write_to(self, out: &mut String) {
+            match self.0 {
+                Json::Null => f64::NAN.write_to(out),
+                Json::Bool(b) => b.write_to(out),
+                Json::Num(x) => x.write_to(out),
+                Json::Str(s) => s.write_to(out),
+                Json::Arr(_) | Json::Obj(_) => unreachable!("containers are not tokens"),
+            }
+        }
+    }
+
+    /// Writes `v` as member `key` of the open object, or as an element
+    /// of the open array when `key` is `None`.
+    fn put(w: &mut JsonWriter, key: Option<&str>, v: &Json) {
+        match (v, key) {
+            (Json::Obj(m), Some(k)) => members(w.obj(k), m),
+            (Json::Obj(m), None) => members(w.item_obj(), m),
+            (Json::Arr(a), Some(k)) => items(w.arr(k), a),
+            (Json::Arr(a), None) => items(w.item_arr(), a),
+            (_, Some(k)) => _ = w.field(k, Token(v)),
+            (_, None) => _ = w.item(Token(v)),
+        }
+    }
+
+    fn members(w: &mut JsonWriter, m: &BTreeMap<String, Json>) {
+        for (k, v) in m {
+            put(w, Some(k), v);
+        }
+        w.end();
+    }
+
+    fn items(w: &mut JsonWriter, a: &[Json]) {
+        for v in a {
+            put(w, None, v);
+        }
+        w.end();
+    }
+
+    #[test]
+    fn generated_documents_parse_back_at_any_depth() {
+        let mut rng = crate::SplitMix64(0x15_0B1E);
+        for _ in 0..2_000 {
+            let doc: BTreeMap<String, Json> = (0..rng.next() % 5)
+                .map(|i| (format!("k{i}"), generated(&mut rng, 4)))
+                .collect();
+            let depth = (rng.next() % 6) as usize;
+            let mut w = JsonWriter::new(depth);
+            for (k, v) in &doc {
+                put(&mut w, Some(k), v);
+            }
+            let text = w.finish();
+            assert_eq!(
+                Json::parse(&text),
+                Ok(Json::Obj(doc.clone())),
+                "depth {depth}: {text}"
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! `PIM_TEST_RANKS` env var (comma list).
 
 use pimeval::exec;
+use pimeval::trace::json::JsonWriter;
 use pimeval::{
     DataType, Device, DeviceConfig, InstrumentsSnapshot, MetricsSnapshot, PimTarget, TraceEvent,
 };
@@ -154,7 +155,9 @@ fn metrics_snapshots_are_bit_identical_across_thread_counts() {
         exec::with_thread_count(threads, || {
             let dev = run_traced(4, true);
             let snap = snapshot(&dev);
-            (snap.clone(), snap.to_json())
+            let mut w = JsonWriter::new(1);
+            snap.json_fields(&mut w);
+            (snap, w.finish())
         })
     };
     let (snap1, json1) = run(1);

@@ -150,25 +150,6 @@ pub mod pool {
         pub workers: Vec<WorkerSample>,
     }
 
-    impl PoolSnapshot {
-        /// Renders the snapshot as a JSON object (std-only writer).
-        pub fn to_json(&self) -> String {
-            let workers: Vec<String> = self
-                .workers
-                .iter()
-                .map(|w| format!("{{\"busy_ns\":{},\"chunks\":{}}}", w.busy_ns, w.chunks))
-                .collect();
-            format!(
-                "{{\"fanouts\":{},\"sequential_runs\":{},\"caller_wait_ns\":{},\
-                 \"workers\":[{}]}}",
-                self.fanouts,
-                self.sequential_runs,
-                self.caller_wait_ns,
-                workers.join(",")
-            )
-        }
-    }
-
     static ENABLED: AtomicBool = AtomicBool::new(false);
 
     fn state() -> MutexGuard<'static, PoolSnapshot> {
@@ -999,10 +980,6 @@ mod tests {
         // host) may claim every chunk — assert the total, not per-slot
         // distribution.
         assert!(snap.workers.iter().map(|w| w.chunks).sum::<u64>() >= 4);
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"fanouts\":"));
-        assert!(json.contains("\"sequential_runs\":"));
-        assert!(json.contains("\"workers\":[{\"busy_ns\":"));
 
         // Disabled runs record nothing, including the sequential path.
         pool::reset();

@@ -46,7 +46,7 @@
 use pimbench::{all_benchmarks, extension_benchmarks, Benchmark, Params};
 use pimeval::metrics::METRICS_SCHEMA_VERSION;
 use pimeval::trace::chrome::ChromeTraceBuilder;
-use pimeval::trace::json::stats_to_json_full;
+use pimeval::trace::json::{stats_fields, JsonWriter};
 use pimeval::{pim_info, Device, DeviceConfig, PimTarget, TimingBackend};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -207,8 +207,14 @@ fn main() -> ExitCode {
     }
     let mut failures = 0usize;
     let mut chrome = ChromeTraceBuilder::new();
-    let mut stats_runs: Vec<String> = Vec::new();
-    let mut metrics_runs: Vec<String> = Vec::new();
+    // Both documents are at depth 4: root, runs, run, and the run's
+    // statistics or metrics snapshot each put one member per line.
+    let mut stats_doc = JsonWriter::new(4);
+    stats_doc.arr("runs");
+    let mut metrics_doc = JsonWriter::new(4);
+    metrics_doc
+        .field("schema_version", METRICS_SCHEMA_VERSION)
+        .arr("runs");
     for target in &cli.targets {
         for bench in &benches {
             let mut config = DeviceConfig::new(*target, cli.ranks).with_timing_backend(cli.timing);
@@ -251,22 +257,17 @@ fn main() -> ExitCode {
                             chrome.add_counter_tracks(&label, snap);
                         }
                     }
+                    let name = bench.spec().name;
                     if cli.stats_json.is_some() {
-                        stats_runs.push(format!(
-                            "{{\"benchmark\":{},\"stats\":{}}}",
-                            pimeval::trace::json::string(bench.spec().name),
-                            stats_to_json_full(s, dev.config(), snap.as_ref(), dev.trace_dropped())
-                        ));
+                        let w = stats_doc.item_obj().field("benchmark", name).obj("stats");
+                        stats_fields(w, s, dev.config(), snap.as_ref(), dev.trace_dropped());
+                        w.end().end();
                     }
-                    if cli.metrics_json.is_some() {
-                        if let Some(snap) = &snap {
-                            metrics_runs.push(format!(
-                                "{{\"benchmark\":{},\"target\":{},\"metrics\":{}}}",
-                                pimeval::trace::json::string(bench.spec().name),
-                                pimeval::trace::json::string(&target.to_string()),
-                                snap.to_json()
-                            ));
-                        }
+                    if let (Some(_), Some(snap)) = (&cli.metrics_json, &snap) {
+                        let w = metrics_doc.item_obj();
+                        w.field("benchmark", name).field("target", target.name());
+                        snap.json_fields(w.obj("metrics"));
+                        w.end().end();
                     }
                 }
                 Err(e) => {
@@ -284,28 +285,35 @@ fn main() -> ExitCode {
         pim_info!("wrote Chrome trace to {}", path.display());
     }
     if let Some(path) = &cli.stats_json {
-        let doc = format!("{{\"runs\":[\n{}\n]}}\n", stats_runs.join(",\n"));
-        if let Err(e) = std::fs::write(path, doc) {
+        stats_doc.end();
+        if let Err(e) = std::fs::write(path, stats_doc.finish() + "\n") {
             eprintln!("error: cannot write stats {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
         pim_info!("wrote stats JSON to {}", path.display());
     }
     if let Some(path) = &cli.metrics_json {
-        // The wall-clock pool section is appended only under --profile
+        metrics_doc.end();
+        // The wall-clock pool section is written only under --profile
         // and is the single non-deterministic part of the document.
-        let pool = if cli.profile {
-            format!(",\"pool\":{}", pimeval::exec::pool::snapshot().to_json())
-        } else {
-            String::new()
-        };
-        let doc = format!(
-            "{{\"schema_version\":{},\"runs\":[\n{}\n]{}}}\n",
-            METRICS_SCHEMA_VERSION,
-            metrics_runs.join(",\n"),
-            pool
-        );
-        if let Err(e) = std::fs::write(path, doc) {
+        if cli.profile {
+            let pool = pimeval::exec::pool::snapshot();
+            metrics_doc
+                .obj("pool")
+                .field("fanouts", pool.fanouts)
+                .field("sequential_runs", pool.sequential_runs)
+                .field("caller_wait_ns", pool.caller_wait_ns)
+                .arr("workers");
+            for s in &pool.workers {
+                metrics_doc
+                    .item_obj()
+                    .field("busy_ns", s.busy_ns)
+                    .field("chunks", s.chunks)
+                    .end();
+            }
+            metrics_doc.end().end();
+        }
+        if let Err(e) = std::fs::write(path, metrics_doc.finish() + "\n") {
             eprintln!("error: cannot write metrics {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
