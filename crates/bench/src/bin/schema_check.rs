@@ -99,7 +99,7 @@ fn check_instruments(c: &mut Checker, v: &Json, path: &str) {
     }
 }
 
-/// One `MetricsSnapshot` object as produced by `MetricsSnapshot::to_json`.
+/// One `MetricsSnapshot` object as written by `MetricsSnapshot::json_fields`.
 fn check_metrics_snapshot(c: &mut Checker, m: &Json, path: &str) {
     c.require_version(m, path, METRICS_SCHEMA_VERSION);
     c.require_num(m, path, "clock_ms");

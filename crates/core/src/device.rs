@@ -163,7 +163,7 @@ impl Device {
         self.system.reset_timing();
         self.sync_resources();
         if let Some(m) = &mut self.metrics {
-            **m = MetricsRegistry::new(self.system.shard_count(), m.profiling());
+            **m = MetricsRegistry::new(self.system.shard_count(), m.profiling(), self.clock_ms);
         }
     }
 
@@ -264,11 +264,13 @@ impl Device {
     /// utilization series. Replaces any existing registry, so histograms
     /// restart from zero, as they do at [`Device::reset_stats`]; the
     /// clock they are stamped with is the device's, which keeps counting
-    /// from creation.
+    /// from creation, and the registry's window starts at its current
+    /// position.
     pub fn enable_metrics(&mut self, profile: bool) {
         self.metrics = Some(Box::new(MetricsRegistry::new(
             self.system.shard_count(),
             profile,
+            self.clock_ms,
         )));
     }
 

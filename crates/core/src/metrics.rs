@@ -56,10 +56,12 @@ pub const DEFAULT_PROFILE_BINS: usize = 32;
 /// Version stamp of the metrics snapshot JSON layout.
 ///
 /// Version 2 removed the per-shard `kernel_busy_fraction` gauge: it
-/// equals `per_shard[i].histograms.busy_ms.sum / clock_ms`, both of
-/// which the snapshot already carries. Version 3 removed every counter
-/// and gauge (the `"counters"` and `"gauges"` objects): each repeated a
-/// histogram's `count` or `sum` or a [`crate::SimStats`] field.
+/// equals `per_shard[i].histograms.busy_ms.sum / (clock_ms -
+/// window_start_ms)`, all of which the snapshot carries. Version 3
+/// removed every counter and gauge (the `"counters"` and `"gauges"`
+/// objects): each repeated a histogram's `count` or `sum` or a
+/// [`crate::SimStats`] field. The `window_start_ms` key is additive and
+/// did not bump the version.
 pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// A log-bucketed distribution with quantile estimation.
@@ -294,10 +296,12 @@ impl ProfileSnapshot {
 /// See the module docs for what it keeps and the determinism contract.
 /// All quantities are modeled (simulated-clock) values; the registry
 /// never reads wall time. It keeps no clock of its own: the device owns
-/// the only simulated clock and passes its position in (span starts,
-/// sample stamps, and the snapshot window).
+/// the only simulated clock and passes its position in (the registry's
+/// start, span starts, sample stamps, and the snapshot's end).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
+    /// The device clock when the registry started recording.
+    start_ms: f64,
     op_latency_ms: Histogram,
     /// One latency histogram per command name (`add.int32`, ...).
     op_latency_by_name: BTreeMap<String, Histogram>,
@@ -310,10 +314,12 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A registry for `shards` execution shards; `profile` additionally
-    /// keeps the raw occupancy spans for [`ProfileSnapshot`] binning.
-    pub fn new(shards: usize, profile: bool) -> Self {
+    /// A registry for `shards` execution shards that starts recording at
+    /// `start_ms` on the device clock; `profile` additionally keeps the
+    /// raw occupancy spans for [`ProfileSnapshot`] binning.
+    pub fn new(shards: usize, profile: bool, start_ms: f64) -> Self {
         MetricsRegistry {
+            start_ms,
             op_latency_ms: Histogram::default(),
             op_latency_by_name: BTreeMap::new(),
             copy_bytes: Histogram::default(),
@@ -381,8 +387,8 @@ impl MetricsRegistry {
     /// Freezes the registry at `clock_ms` on the device clock: the
     /// per-shard `busy_ms` histograms are merged into the aggregate **in
     /// ascending shard order** (the deterministic-merge contract), and
-    /// raw profile spans are binned into occupancy series over
-    /// `[0, clock_ms)`.
+    /// raw profile spans are binned into occupancy series over the
+    /// registry's window, `[start, clock_ms)`.
     pub fn snapshot(&self, clock_ms: f64) -> MetricsSnapshot {
         let mut busy = Histogram::default();
         for h in &self.busy_ms {
@@ -409,6 +415,7 @@ impl MetricsRegistry {
         MetricsSnapshot {
             schema_version: METRICS_SCHEMA_VERSION,
             clock_ms,
+            window_start_ms: self.start_ms,
             aggregate,
             per_shard,
             profile: self.profile.as_ref().map(|p| self.bin_profile(p, clock_ms)),
@@ -416,7 +423,8 @@ impl MetricsRegistry {
     }
 
     fn bin_profile(&self, p: &ProfileRecorder, clock_ms: f64) -> ProfileSnapshot {
-        if clock_ms <= 0.0 {
+        let window_ms = clock_ms - self.start_ms;
+        if window_ms <= 0.0 {
             return ProfileSnapshot {
                 bin_ms: 0.0,
                 bins: 0,
@@ -425,13 +433,14 @@ impl MetricsRegistry {
             };
         }
         let bins = DEFAULT_PROFILE_BINS;
-        let bin_ms = clock_ms / bins as f64;
+        let bin_ms = window_ms / bins as f64;
         let mut shard_busy = vec![vec![0.0f64; bins]; self.busy_ms.len()];
         for span in &p.spans {
             if span.shard >= shard_busy.len() {
                 continue;
             }
-            let (start, dur, busy) = (span.start_ms, span.dur_ms.max(0.0), span.busy_ms.max(0.0));
+            let start = span.start_ms - self.start_ms;
+            let (dur, busy) = (span.dur_ms.max(0.0), span.busy_ms.max(0.0));
             if dur <= 0.0 {
                 let bin = ((start / bin_ms) as usize).min(bins - 1);
                 shard_busy[span.shard][bin] += busy / bin_ms;
@@ -450,7 +459,7 @@ impl MetricsRegistry {
         }
         let mut interconnect_bytes = vec![0u64; bins];
         for s in &p.interconnect {
-            let bin = ((s.at_ms / bin_ms) as usize).min(bins - 1);
+            let bin = (((s.at_ms - self.start_ms) / bin_ms) as usize).min(bins - 1);
             interconnect_bytes[bin] += s.bytes;
         }
         ProfileSnapshot {
@@ -474,6 +483,11 @@ pub struct MetricsSnapshot {
     /// The device's simulated clock at snapshot time (ms since device
     /// creation, also when metrics were enabled later).
     pub clock_ms: f64,
+    /// The device clock when the registry started: at
+    /// [`crate::Device::enable_metrics`] or the last
+    /// [`crate::Device::reset_stats`]. Histograms and the profile cover
+    /// `[window_start_ms, clock_ms)`.
+    pub window_start_ms: f64,
     /// Device-level histograms, plus `busy_ms` merged over every shard
     /// in ascending shard order.
     pub aggregate: InstrumentsSnapshot,
@@ -489,7 +503,8 @@ impl MetricsSnapshot {
     /// render to equal text.
     pub fn json_fields(&self, w: &mut JsonWriter) {
         w.field("schema_version", self.schema_version)
-            .field("clock_ms", self.clock_ms);
+            .field("clock_ms", self.clock_ms)
+            .field("window_start_ms", self.window_start_ms);
         self.aggregate.json_fields(w.obj("aggregate"));
         w.end().arr("per_shard");
         for shard in &self.per_shard {
@@ -562,7 +577,7 @@ mod tests {
 
     #[test]
     fn registry_merges_shards_in_ascending_order() {
-        let mut r = MetricsRegistry::new(2, false);
+        let mut r = MetricsRegistry::new(2, false, 0.0);
         cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.5), (1, 0.5)]);
         cmd(&mut r, "mul.int32", 2.0, 1.0, &[(1, 1.0)]);
         let snap = r.snapshot(3.0);
@@ -583,7 +598,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_parseable_and_stable() {
-        let mut r = MetricsRegistry::new(1, true);
+        let mut r = MetricsRegistry::new(1, true, 0.0);
         cmd(&mut r, "add.int32", 0.0, 1.0, &[(0, 1.0)]);
         r.record_copy(4096, 0.5);
         r.record_interconnect(1.5, 1024);
@@ -623,7 +638,7 @@ mod tests {
 
     #[test]
     fn profile_bins_conserve_busy_time() {
-        let mut r = MetricsRegistry::new(2, true);
+        let mut r = MetricsRegistry::new(2, true, 0.0);
         // Two commands, each 4 ms long, split unevenly across 2 shards.
         cmd(&mut r, "add.int32", 0.0, 4.0, &[(0, 3.0), (1, 1.0)]);
         cmd(&mut r, "mul.int32", 4.0, 4.0, &[(0, 2.0), (1, 2.0)]);
@@ -642,7 +657,7 @@ mod tests {
 
     #[test]
     fn interconnect_samples_land_in_bins() {
-        let mut r = MetricsRegistry::new(2, true);
+        let mut r = MetricsRegistry::new(2, true, 0.0);
         cmd(&mut r, "add.int32", 0.0, 2.0, &[(0, 1.0), (1, 1.0)]);
         r.record_interconnect(2.0, 512);
         let p = r.snapshot(2.0).profile.unwrap();

@@ -120,9 +120,9 @@ impl ChromeTraceBuilder {
     /// Adds a metrics snapshot's profiler series as Perfetto *counter
     /// tracks* (`ph: "C"`) in a new process named `label`: one
     /// "shard busy" counter with one series per shard (busy fraction
-    /// per time bin) and one "interconnect bytes" counter. A no-op when
-    /// the snapshot carries no profile (profiling disabled or an empty
-    /// run).
+    /// per time bin) and one "interconnect bytes" counter, starting at
+    /// the snapshot's window start. A no-op when the snapshot carries no
+    /// profile (profiling disabled or an empty run).
     pub fn add_counter_tracks(&mut self, label: &str, snapshot: &MetricsSnapshot) {
         let Some(profile) = &snapshot.profile else {
             return;
@@ -132,7 +132,7 @@ impl ChromeTraceBuilder {
         }
         let pid = self.process(label);
         for bin in 0..profile.bins {
-            let ts_ms = bin as f64 * profile.bin_ms;
+            let ts_ms = snapshot.window_start_ms + bin as f64 * profile.bin_ms;
             let o = self
                 .entry()
                 .raw("{\"name\":\"shard busy\",\"ph\":\"C\",")
@@ -651,6 +651,7 @@ mod tests {
         let snapshot = MetricsSnapshot {
             schema_version: 1,
             clock_ms: 1.0,
+            window_start_ms: 0.0,
             aggregate: Default::default(),
             per_shard: Vec::new(),
             profile: Some(ProfileSnapshot {
@@ -830,7 +831,7 @@ mod tests {
     #[test]
     fn counter_tracks_render_per_bin_series() {
         use crate::metrics::{MetricsRegistry, DEFAULT_PROFILE_BINS};
-        let mut r = MetricsRegistry::new(2, true);
+        let mut r = MetricsRegistry::new(2, true, 0.0);
         r.record_cmd("add.int32", 4.0);
         r.record_shard_busy(0, 0.0, 4.0, 3.0);
         r.record_shard_busy(1, 0.0, 4.0, 1.0);

@@ -254,3 +254,39 @@ fn metrics_and_stats_share_the_reset_window() {
         }
     }
 }
+
+#[test]
+fn profile_bins_cover_the_window_after_a_reset() {
+    // The profile and the busy share cover the registry's window, which
+    // `reset_stats` restarts at the current device clock: a device busy
+    // through the whole window reads busy in every bin.
+    let cfg = DeviceConfig::new(PimTarget::Fulcrum, 1).with_shards(2);
+    let mut dev = Device::new(cfg).unwrap();
+    dev.enable_metrics(true);
+    let xs: Vec<i32> = (0..1 << 16).map(|i| i % 97 - 48).collect();
+    let x = dev.alloc_vec(&xs).unwrap();
+    let t = dev.alloc_associated(x, DataType::Int32).unwrap();
+    for _ in 0..20 {
+        dev.mul(x, x, t).unwrap();
+    }
+    dev.reset_stats();
+    for _ in 0..20 {
+        dev.mul(x, x, t).unwrap();
+    }
+    let snap = snapshot(&dev);
+    let window_ms = snap.clock_ms - snap.window_start_ms;
+    assert!(snap.window_start_ms > 0.0 && window_ms > 0.0);
+    let profile = snap.profile.as_ref().expect("profiling was enabled");
+    assert_eq!(profile.shard_busy.len(), 2);
+    for (shard, bins) in profile.shard_busy.iter().enumerate() {
+        for (bin, &busy) in bins.iter().enumerate() {
+            assert!(busy > 0.0, "shard {shard} bin {bin} reads no busy time");
+        }
+        let busy_ms = snap.per_shard[shard].histograms["busy_ms"].sum;
+        assert!(
+            busy_ms / window_ms <= 1.0 + 1e-12,
+            "shard {shard} busy share {} > 1",
+            busy_ms / window_ms
+        );
+    }
+}
