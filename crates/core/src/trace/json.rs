@@ -1,7 +1,7 @@
 //! Hand-rolled JSON support: one streaming writer for every exported
-//! document and a small recursive-descent parser used by the golden
-//! tests (and by anyone post-processing exported files without external
-//! crates).
+//! document except Chrome traces (`trace::chrome` keeps its own) and a
+//! small recursive-descent parser used by the golden tests (and by
+//! anyone post-processing exported files without external crates).
 //!
 //! [`JsonWriter`] appends a document to one buffer in the order its
 //! members are written. Each member is one call that names its key next
@@ -17,7 +17,7 @@
 //! document root passes its own `depth`.
 //!
 //! [`string`] and [`num`] render one value to a `String`; they remain
-//! for callers outside this workspace that build their own text.
+//! for the `e2e/` benchmark package, which renders its own reports.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -85,13 +85,13 @@ impl fmt::Display for Num {
 }
 
 /// A value [`JsonWriter`] writes as one token: an integer, an `f64` (as
-/// [`num`] renders it), a `bool`, or a string (as [`string`] renders it).
+/// [`num`] renders it), or a string (as [`string`] renders it).
 pub trait Scalar {
     /// Appends the token to `out`.
     fn write_to(self, out: &mut String);
 }
 
-macro_rules! display_scalar {
+macro_rules! integer_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             fn write_to(self, out: &mut String) {
@@ -101,7 +101,7 @@ macro_rules! display_scalar {
     )*};
 }
 
-display_scalar!(u32, u64, u128, usize, bool);
+integer_scalar!(u32, u64, u128, usize);
 
 impl Scalar for f64 {
     fn write_to(self, out: &mut String) {
@@ -111,14 +111,7 @@ impl Scalar for f64 {
 
 impl<S: AsRef<str> + ?Sized> Scalar for &S {
     fn write_to(self, out: &mut String) {
-        let s = self.as_ref();
-        if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-            out.push('"');
-            out.push_str(s);
-            out.push('"');
-        } else {
-            let _ = write!(out, "{}", Quoted(s));
-        }
+        let _ = write!(out, "{}", Quoted(self.as_ref()));
     }
 }
 
@@ -720,7 +713,7 @@ mod tests {
             .item_arr()
             .end()
             .item_obj()
-            .field("ok", true)
+            .field("ok", "yes")
             .end()
             .end()
             .end()
@@ -734,7 +727,7 @@ mod tests {
         const SCALARS: &str = "\"text\": \"q\\\"b\\\\s\\u0001\\n\\tµ→✓\"|\"neg_zero\": 0|\
             \"nan\": null|\"inf\": null|\"u64_max\": 18446744073709551615|\
             \"u128\": 340282366920938463463374607431768211455";
-        const LIST: &str = "\"list\": [1, [], {\"ok\": true}]";
+        const LIST: &str = "\"list\": [1, [], {\"ok\": \"yes\"}]";
         let inline = SCALARS.replace('|', ", ");
         let lines = SCALARS.replace('|', ",\n  ");
         assert_eq!(
@@ -769,10 +762,9 @@ mod tests {
                 .map(|_| ALPHABET[(rng.next() % 10) as usize])
                 .collect()
         };
-        match rng.next() % if levels == 0 { 4 } else { 6 } {
+        match rng.next() % if levels == 0 { 3 } else { 5 } {
             0 => Json::Null,
-            1 => Json::Bool(rng.next() & 1 == 1),
-            2 => {
+            1 => {
                 let x = f64::from_bits(rng.next());
                 Json::Num(if x.is_finite() {
                     x
@@ -780,8 +772,8 @@ mod tests {
                     (rng.next() % 1000) as f64
                 })
             }
-            3 => Json::Str(text(rng)),
-            4 => Json::Arr(
+            2 => Json::Str(text(rng)),
+            3 => Json::Arr(
                 (0..rng.next() % 4)
                     .map(|_| generated(rng, levels - 1))
                     .collect(),
@@ -794,17 +786,17 @@ mod tests {
         }
     }
 
-    /// A scalar [`Json`] as one writer token (`null` through NaN).
+    /// A generated scalar [`Json`] as one writer token (`null` through
+    /// NaN).
     struct Token<'a>(&'a Json);
 
     impl Scalar for Token<'_> {
         fn write_to(self, out: &mut String) {
             match self.0 {
                 Json::Null => f64::NAN.write_to(out),
-                Json::Bool(b) => b.write_to(out),
                 Json::Num(x) => x.write_to(out),
                 Json::Str(s) => s.write_to(out),
-                Json::Arr(_) | Json::Obj(_) => unreachable!("containers are not tokens"),
+                _ => unreachable!("the generator makes no other tokens"),
             }
         }
     }
