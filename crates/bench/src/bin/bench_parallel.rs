@@ -229,7 +229,7 @@ fn stream_vs_eager_runs(threads: usize, out: &mut Vec<StreamVsEager>) {
 }
 
 /// Sweeps the same op mix over rank-sharded devices: `ranks` DRAM
-/// ranks, one execution shard per rank. Each op is timed on the host
+/// ranks, one shard per rank. Each op is timed on the host
 /// and then run once instrumented so the export records the modeled
 /// kernel time alongside the (separately ledgered) cross-rank
 /// interconnect traffic.

@@ -190,12 +190,13 @@ pub struct DeviceConfig {
     /// they too report paper-scale values. `1` (the default) disables
     /// the mechanism entirely.
     pub decimation: u64,
-    /// Number of execution shards the [`crate::PimSystem`] splits the
-    /// device into (typically one per rank). `1` (the default) keeps the
-    /// monolithic single-shard behavior; results are bit-identical at
-    /// any shard count, only the interconnect accounting changes.
+    /// Number of shards the [`crate::PimSystem`] splits every object
+    /// into (typically one per rank): each shard holds one span of its
+    /// elements. `1` (the default) keeps each object in one span;
+    /// results and every statistic are identical at any shard count,
+    /// only the interconnect accounting changes.
     pub shards: usize,
-    /// The backend each shard's [`pim_dram::TimingModel`] prices row
+    /// The backend the device's [`pim_dram::TimingModel`] prices row
     /// and burst traffic with: the closed-form `Analytical` math (the default,
     /// bit-identical to the paper's model) or the stateful `BankFsm`.
     /// The `PIM_TIMING` environment variable overrides this at

@@ -1,22 +1,23 @@
 //! The PIM device: the simulator's public API surface (§V-B).
 //!
-//! A [`Device`] owns the statistics engine and a [`PimSystem`] — the
-//! sharded execution substrate holding the resource catalog and the
-//! functional state of every allocated object. Every API call validates
-//! its operands, executes functionally (unless the device is in
-//! model-only mode), charges the target's performance/energy model, and
-//! updates the per-command statistics. With more than one shard
-//! configured (see [`DeviceConfig::sharded_per_rank`]) each command is
-//! split by the destination's shard map, run per shard, and
-//! re-aggregated; cross-shard traffic is charged to the interconnect
-//! ledger separately from kernel time.
+//! A [`Device`] owns the statistics engine, the one timing model every
+//! command and copy is priced on, and a [`PimSystem`] — the object table
+//! holding the row ledger and the functional state of every allocated
+//! object. Every API call validates its operands, executes functionally
+//! (unless the device is in model-only mode), charges the target's
+//! performance/energy model, and updates the per-command statistics.
+//! With more than one shard configured (see
+//! [`DeviceConfig::sharded_per_rank`]) each object's elements are split
+//! into per-rank spans; the cross-shard traffic they imply is charged to
+//! the interconnect ledger separately from kernel time, and nothing else
+//! depends on the shard count.
 //!
 //! Every modeled cost is built once as a `Charge` and folded by one
 //! fan-out into the statistics ledger, metrics, trace and log. That
 //! fan-out alone writes the ledger and advances the device's simulated
 //! clock, the only one.
 
-use pim_dram::{CopyReplay, TimingCounters};
+use pim_dram::{CopyReplay, TimingCounters, TimingModel};
 use pim_microcode::gen::{BinaryOp, CmpOp};
 
 use crate::cmd::{CmdValue, PimCommand};
@@ -56,6 +57,9 @@ use crate::{pim_debug, pim_info, pim_trace};
 pub struct Device {
     config: DeviceConfig,
     system: PimSystem,
+    /// The one timing model every command and copy is priced on. Its
+    /// bank FSM, if any, holds the state of the device's banks.
+    timing: TimingModel,
     stats: SimStats,
     tracer: Tracer,
     metrics: Option<Box<MetricsRegistry>>,
@@ -69,8 +73,9 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// [`PimError::InvalidArg`] if the DRAM geometry is degenerate or
-    /// its row capacity overflows `u64`.
+    /// [`PimError::InvalidArg`] if the DRAM geometry is degenerate, its
+    /// row capacity overflows `u64`, or so does the decimation times the
+    /// modeled capacity in bits.
     pub fn new(mut config: DeviceConfig) -> Result<Device> {
         config
             .geometry
@@ -80,6 +85,24 @@ impl Device {
         // backend at device creation (unknown values are ignored).
         config.timing_backend = config.timing_backend.env_override();
         let system = PimSystem::new(&config)?;
+        // Copies and interconnect transfers charge their byte counts
+        // times the decimation. No count exceeds the modeled device's
+        // capacity in bits: an object fits on `core_count` cores of
+        // `rows_per_core` rows, each row holding at least one element
+        // (of at most 64 bits), and a `Bool` element moves one byte per
+        // one-bit cell. So this bound keeps every such product in `u64`.
+        let decimation = config.decimation.max(1);
+        let represented_bits = config
+            .rows_per_core()
+            .checked_mul(config.core_count() as u64)
+            .and_then(|rows| rows.checked_mul(config.cols_per_core().max(64) as u64))
+            .and_then(|bits| bits.checked_mul(decimation));
+        if represented_bits.is_none() {
+            return Err(PimError::InvalidArg(format!(
+                "decimation {decimation} times the modeled capacity in bits overflows u64"
+            )));
+        }
+        let timing = model::timing_model(&config, config.timing_backend);
         pim_info!(
             "device created: target={} cores={} ranks={} shards={}",
             config.target,
@@ -90,6 +113,7 @@ impl Device {
         let mut dev = Device {
             config,
             system,
+            timing,
             stats: SimStats::new(),
             tracer: Tracer::default(),
             metrics: None,
@@ -153,14 +177,14 @@ impl Device {
         &self.stats
     }
 
-    /// Clears all statistics and resets every shard's timing model
-    /// (objects stay allocated; the resource snapshot is refreshed). An
+    /// Clears all statistics and resets the timing model (objects stay
+    /// allocated; the resource snapshot is refreshed). An
     /// enabled metrics registry starts afresh with the same `profile`
     /// setting, so statistics and metrics always cover one window. The
     /// simulated clock and the trace keep running.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new();
-        self.system.reset_timing();
+        self.timing.reset();
         self.sync_resources();
         if let Some(m) = &mut self.metrics {
             **m = MetricsRegistry::new(self.system.shard_count(), m.profiling(), self.clock_ms);
@@ -204,8 +228,19 @@ impl Device {
     }
 
     /// Adds modeled host-side execution time (PIM + Host benchmarks).
-    pub fn record_host_ms(&mut self, ms: f64) {
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::InvalidArg`] for a negative or non-finite time, which
+    /// would poison the ledger's host time for the rest of the window.
+    pub fn record_host_ms(&mut self, ms: f64) -> Result<()> {
+        if !(ms.is_finite() && ms >= 0.0) {
+            return Err(PimError::InvalidArg(format!(
+                "host time must be finite and non-negative, got {ms} ms"
+            )));
+        }
         self.charge(Charge::Host { time_ms: ms });
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -394,20 +429,21 @@ impl Device {
     // Data movement
     // ------------------------------------------------------------------
 
-    /// Prices one host↔device copy through the holders' timing models
-    /// and charges it, then the interconnect scatter or gather it implies.
+    /// Prices one host↔device copy on the timing model (bandwidth-bound
+    /// in both backends) and charges it with its protocol replay, then
+    /// the interconnect scatter or gather it implies. The closed form
+    /// replays only for the trace, and its advisory replay never reaches
+    /// the ledger's DRAM counters.
     fn charge_copy(&mut self, obj: Slot, bytes: u64, direction: CopyDirection) {
         // Under decimation the functional buffer stands for `decimation`
         // times as much paper-scale data; charge transfer time/energy for
         // the represented bytes (recorded byte counts stay functional).
         let represented = bytes * self.config.decimation.max(1);
-        let (time_ms, replay, dram) = self.system.charge_copy_with_backends(
-            obj,
-            represented,
-            bytes,
-            self.config.geometry.ranks,
-            self.tracer.enabled(),
-        );
+        let time_ms = self
+            .timing
+            .charge_host_copy(represented, self.config.geometry.ranks);
+        let replay = self.timing.copy_replay(bytes, self.tracer.enabled());
+        let dram = self.timing.take_counters();
         let is_read = direction == CopyDirection::DeviceToHost;
         let energy_mj = self.config.power.transfer_energy_mj(time_ms, is_read);
         self.charge(Charge::Copy {
@@ -518,16 +554,18 @@ impl Device {
     // Internal plumbing
     // ------------------------------------------------------------------
 
-    /// Prices `kind` on the object at `costed` through the holders'
-    /// timing models and charges it. `covered` scales the cost to the
-    /// fraction of elements a ranged reduction spans; such a charge
-    /// carries no microcode counters.
+    /// Prices `kind` on the object at `costed` once, on the timing
+    /// model, and charges it with the DRAM commands that issued.
+    /// `covered` scales the cost to the fraction of elements a ranged
+    /// reduction spans; such a charge carries no microcode counters.
+    // Inlined into its callers: called out of line, `bench_e2e`'s
+    // `paper-figures` pass took about 19% longer in `wall_s` (6 of 6
+    // alternating pairs, 2-core x86-64 host).
+    #[inline]
     fn charge_op(&mut self, kind: OpKind, costed: Slot, covered: Option<f64>) {
         let PimObject { dtype, layout, .. } = *self.system.get(costed);
-        let config = &self.config;
-        let (full, dram) = self.system.price_with_backends(costed, |tm| {
-            model::op_cost_with(config, tm, kind, dtype, &layout)
-        });
+        let full = model::op_cost_with(&self.config, &mut self.timing, kind, dtype, &layout);
+        let dram = self.timing.take_counters();
         let cost = match covered {
             None => full,
             Some(frac) => OpCost {
@@ -756,7 +794,7 @@ impl Device {
         let start_ms = self.clock_ms;
         self.clock_ms += match &charge {
             Charge::Cmd { cost, .. } | Charge::Copy { cost, .. } => cost.time_ms.max(0.0),
-            Charge::Host { time_ms } => time_ms.max(0.0),
+            Charge::Host { time_ms } => *time_ms,
             Charge::Interconnect { .. } | Charge::Flush(_) => 0.0,
         };
         let metrics = self.metrics.as_deref_mut();
@@ -1298,7 +1336,7 @@ enum Charge {
         /// Whether the trace event carries microcode counters (ranged
         /// reductions do not).
         micro: bool,
-        /// DRAM commands the timing models issued.
+        /// DRAM commands the timing model issued.
         dram: TimingCounters,
     },
     /// One data movement.

@@ -82,8 +82,7 @@ pub use object::{DataLayout, ObjId, ObjectLayout, PimObject};
 pub use ops::{OpCategory, OpKind, StatName};
 pub use pim_dram::{RowPattern, TimingBackend, TimingCounters};
 pub use stats::{
-    CmdStat, CopyStats, FusionStats, InterconnectStats, OptimizerStats, ResourceStats,
-    ShardResourceStats, SimStats,
+    CmdStat, CopyStats, FusionStats, InterconnectStats, OptimizerStats, ResourceStats, SimStats,
 };
 pub use stream::{CommandStream, FlushSummary};
 pub use system::{InterconnectModel, PimSystem, ShardMap};

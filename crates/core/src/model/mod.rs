@@ -125,10 +125,9 @@ pub fn validate(
     Ok(())
 }
 
-/// The `backend` timing model for one shard of `config`: one rank's
-/// worth of banks (shards are the per-rank execution unit, so the FSM's
-/// bank state does not change shape with the shard count) and the
-/// geometry's row width.
+/// The `backend` timing model of a `config` device: one rank's worth of
+/// banks (ranks run a command in lockstep, so one rank's bank state
+/// stands for every rank's) and the geometry's row width.
 pub(crate) fn timing_model(config: &DeviceConfig, backend: TimingBackend) -> TimingModel {
     let row_bytes = (config.geometry.cols_per_row as u64 / 8).max(64);
     TimingModel::new(

@@ -2,8 +2,8 @@
 //! Resource Mgr").
 //!
 //! Objects themselves live in the [`crate::PimSystem`] object table;
-//! a manager only counts the rows they occupy. The system keeps one
-//! for the whole device (the catalog) and one per shard.
+//! the manager only counts the rows they occupy. The system keeps one
+//! for the whole device, whatever its shard count.
 
 use crate::error::{PimError, Result};
 use crate::object::ObjectLayout;
@@ -126,7 +126,7 @@ mod tests {
     use crate::system::PimSystem;
 
     /// A one-shard system: allocation goes through the object table and
-    /// these checks read the catalog's row accounting back.
+    /// these checks read the device's row accounting back.
     struct Rm {
         config: DeviceConfig,
         sys: PimSystem,

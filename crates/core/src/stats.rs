@@ -135,35 +135,20 @@ impl InterconnectStats {
     }
 }
 
-/// Row-capacity usage of one shard's resource manager.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardResourceStats {
-    /// Row-core units currently in use on this shard.
-    pub rows_in_use: u64,
-    /// High-water mark of row-core usage on this shard.
-    pub peak_rows: u64,
-    /// Row-core units this shard can hold.
-    pub rows_capacity: u64,
-    /// Live objects resident on this shard.
-    pub live_objects: u64,
-}
-
-/// Aggregate + per-shard resource-manager usage, re-snapshotted after
-/// every allocation and free.
+/// The device's row usage, re-snapshotted after every allocation and
+/// free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResourceStats {
-    /// Row-core units currently in use (aggregate).
+    /// Row-core units currently in use.
     pub rows_in_use: u64,
-    /// High-water mark of row-core usage (aggregate).
+    /// High-water mark of row-core usage.
     pub peak_rows: u64,
     /// Total row-core units the device can hold.
     pub rows_capacity: u64,
     /// Live objects.
     pub live_objects: u64,
-    /// Number of shards the device runs with.
+    /// Number of shards the device's objects are split into.
     pub shards: u64,
-    /// Per-shard breakdown; empty for single-shard devices.
-    pub per_shard: Vec<ShardResourceStats>,
 }
 
 /// Full statistics for a simulation run.
@@ -189,9 +174,9 @@ pub struct SimStats {
     pub optimizer: OptimizerStats,
     /// Cross-shard interconnect accounting (empty for single-shard runs).
     pub interconnect: InterconnectStats,
-    /// Resource-manager usage snapshot (aggregate + per-shard).
+    /// Resource-manager usage snapshot.
     pub resources: ResourceStats,
-    /// DRAM commands the timing models issued while pricing this
+    /// DRAM commands the timing model issued while pricing this
     /// ledger's commands and copies. Only the bank FSM issues any, so
     /// the counters can never disagree with the charged time (both come
     /// from the same command stream); empty under the default
@@ -446,13 +431,6 @@ impl SimStats {
         let _ = writeln!(out, "  Live objects     : {}", r.live_objects);
         if r.shards > 1 {
             let _ = writeln!(out, "  Shards           : {}", r.shards);
-            for (i, s) in r.per_shard.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "  Shard {:<10} : {} / {} rows (peak {}), {} object(s)",
-                    i, s.rows_in_use, s.rows_capacity, s.peak_rows, s.live_objects
-                );
-            }
         }
         if !self.interconnect.is_empty() {
             let ic = &self.interconnect;

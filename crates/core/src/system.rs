@@ -1,20 +1,23 @@
-//! Sharded PIM system: per-rank execution shards behind one device API.
+//! Sharded PIM system: one object table behind the device API, each
+//! object's elements split into per-rank spans.
 //!
-//! A [`PimSystem`] owns `N` shards — one per rank by default (see
-//! [`crate::DeviceConfig::sharded_per_rank`]) — each with its own row
-//! accounting ([`ResourceManager`]) and timing model, and one object
-//! table holding every object's global layout, [`ShardMap`], per-shard
-//! layouts and one functional buffer. The device keeps the one
-//! statistics ledger ([`crate::SimStats`]). Each object's [`ShardMap`]
-//! gives every shard one contiguous, unit-aligned span of its elements,
-//! in shard order, and a shard's piece of the data is that span's slice
-//! of the object's buffer. Every command entering
-//! [`crate::Device::issue`] is priced on the shards holding its costed
-//! object and re-aggregated, and runs its functional semantics once over
-//! the whole buffer (the `exec` pool splits that loop by element, not by
-//! shard). Cross-shard data movement — host⇄rank scatter/gather, the
+//! A [`PimSystem`] owns the object table, holding every object's global
+//! layout, functional buffer and [`ShardMap`], the device's one row
+//! ledger ([`ResourceManager`]) and the [`InterconnectModel`]. The
+//! device keeps the one statistics ledger ([`crate::SimStats`]) and the
+//! one timing model every command and copy is priced on, once.
+//!
+//! A shard is a span. An object's [`ShardMap`] gives every shard (one
+//! per rank by default, see [`crate::DeviceConfig::sharded_per_rank`])
+//! one contiguous, unit-aligned span of its elements, in shard order, and
+//! a shard's piece of the data is that span's slice of the object's
+//! buffer. A shard owns no buffer, no rows and no timing state. Every
+//! command runs its functional semantics once over the whole buffer (the
+//! `exec` pool splits that loop by element, not by shard). The spans
+//! drive only two views: the per-shard busy shares the metrics registry
+//! records, and cross-shard data movement (host⇄rank scatter/gather, the
 //! realignment of a `select` condition whose dtype packs rows
-//! differently from the operands', and reduction combines — is charged
+//! differently from the operands', and reduction combines), charged
 //! through an [`InterconnectModel`] with per-rank DDR channel bandwidth
 //! from [`pim_dram::DramTiming`].
 //!
@@ -23,25 +26,22 @@
 //! Results are bit-identical between `shards = 1` and `shards = N` for
 //! every target and dtype: the functional data is one buffer in global
 //! element order at every shard count, and every loop over it is the
-//! same. `shards = 1` runs the exact same code path as the unsharded
-//! device did — the single shard's layout reproduces the global
-//! [`ObjectLayout`] bit for bit.
+//! same. So is every statistic but the interconnect ledger and the shard
+//! count itself: kernel time, copy time and the DRAM protocol counters
+//! come from the one timing model, whatever the shard count.
 //!
-//! Compute cost stays additive across shards (the per-shard busy shares
-//! the metrics registry records sum to the aggregate kernel time) while
+//! The per-shard busy shares sum to the aggregate kernel time, while
 //! interconnect time/energy is accounted *separately* and never folded
 //! into kernel time.
 
 use pim_dram::exec;
-use pim_dram::{CopyReplay, TimingCounters, TimingModel};
 
 use crate::config::{DeviceConfig, SimMode};
 use crate::dtype::{DataType, Elem, PimScalar};
 use crate::error::{PimError, Result};
-use crate::model::{self, OpCost};
 use crate::object::{IdMap, ObjId, ObjectLayout, PimObject};
 use crate::resource::ResourceManager;
-use crate::stats::{ResourceStats, ShardResourceStats};
+use crate::stats::ResourceStats;
 
 /// How one object's elements are divided across shards.
 ///
@@ -68,17 +68,14 @@ impl ShardMap {
         let w_total: u128 = weights.iter().map(|&w| w as u128).sum::<u128>().max(1);
         let mut cum: u128 = 0;
         let mut start = 0u64;
-        let counts = weights
-            .iter()
-            .map(|&w| {
-                cum += w as u128;
-                let b = ((units_total as u128 * cum) / w_total) as u64;
-                let end = b.saturating_mul(epu).min(count);
-                let c = end - start;
-                start = end;
-                c
-            })
-            .collect();
+        let mut counts = Few::default();
+        for &w in weights {
+            cum += w as u128;
+            let b = ((units_total as u128 * cum) / w_total) as u64;
+            let end = b.saturating_mul(epu).min(count);
+            counts.push(end - start);
+            start = end;
+        }
         ShardMap { counts }
     }
 
@@ -147,9 +144,9 @@ impl InterconnectModel {
 }
 
 /// A short list kept inline while it holds at most one element and on
-/// the heap from the second: the shape of every per-shard list, so a
-/// one-shard object's map and layouts cost no allocation. Compares and
-/// dereferences as a slice.
+/// the heap from the second, growing by doubling: the shape of a shard
+/// map's counts, so a one-shard object's map costs no allocation.
+/// Compares and dereferences as a slice.
 #[derive(Debug, Clone)]
 enum Few<T> {
     One([T; 1]),
@@ -159,24 +156,6 @@ enum Few<T> {
 impl<T> Default for Few<T> {
     fn default() -> Self {
         Few::Many(Vec::new())
-    }
-}
-
-/// Sized once: a list of two or more takes one allocation of the
-/// iterator's stated length.
-impl<T> FromIterator<T> for Few<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let Some(first) = iter.next() else {
-            return Few::default();
-        };
-        let Some(second) = iter.next() else {
-            return Few::One([first]);
-        };
-        let mut vs = Vec::with_capacity(2 + iter.size_hint().0);
-        vs.extend([first, second]);
-        vs.extend(iter);
-        Few::Many(vs)
     }
 }
 
@@ -214,17 +193,6 @@ impl<T: PartialEq> PartialEq for Few<T> {
 
 impl<T: Eq> Eq for Few<T> {}
 
-/// One execution shard: a rank's worth of cores with its own row
-/// accounting and timing model.
-#[derive(Debug)]
-struct Shard {
-    rm: ResourceManager,
-    /// This shard's timing model. Each shard owns its rank's banks, so
-    /// FSM state never crosses shards and re-aggregation (ascending
-    /// shard order) stays deterministic at every shard count.
-    timing: TimingModel,
-}
-
 /// One object-table entry: everything the system knows about a live
 /// object.
 #[derive(Debug)]
@@ -235,9 +203,6 @@ struct Object {
     /// The canonical values in global element order: shard *s*'s piece
     /// is the slice of its span. Empty in model-only mode.
     data: Vec<i64>,
-    /// The shard-local placements (index = shard); `None` on shards
-    /// holding no element.
-    parts: Few<Option<ObjectLayout>>,
 }
 
 /// A live object's position in the object table, resolved from its id
@@ -324,10 +289,9 @@ fn chunk_sum(data: &[i64], dtype: DataType, block: usize) -> i128 {
 
 /// The sharded execution substrate behind [`crate::Device`].
 ///
-/// Owns the object table, the row accounting of the whole device (the
-/// catalog) and of each shard, the per-shard timing models, and the
-/// [`InterconnectModel`]. With `shards = 1` the system is an exact
-/// pass-through to the legacy single-manager device.
+/// Owns the object table, the device's row ledger, every object's shard
+/// map and the [`InterconnectModel`]. With `shards = 1` every map is one
+/// span and the interconnect is never charged.
 #[derive(Debug)]
 pub struct PimSystem {
     /// Id → slot in `objects`. Never iterated, and ids are never
@@ -339,54 +303,42 @@ pub struct PimSystem {
     objects: Vec<Object>,
     vacant: Vec<Slot>,
     next_id: u64,
-    catalog: ResourceManager,
-    shards: Vec<Shard>,
-    /// The shards' modeled core counts: every object's map weights.
+    rm: ResourceManager,
+    /// The shards' modeled core counts, one per shard: every object's
+    /// map weights.
     weights: Vec<u64>,
     interconnect: InterconnectModel,
     functional: bool,
 }
 
 impl PimSystem {
-    /// Builds the shard set for `config`: `config.shards` shards
-    /// (clamped to the modeled core count), each receiving an even
-    /// split of the modeled and physical cores.
+    /// Builds the system for `config`: `config.shards` shards (clamped
+    /// to the modeled core count), each weighted by an even split of the
+    /// modeled cores.
     ///
     /// # Errors
     ///
-    /// [`PimError::InvalidArg`] if any shard's row capacity overflows
+    /// [`PimError::InvalidArg`] if the device's row capacity overflows
     /// `u64`.
     pub(crate) fn new(config: &DeviceConfig) -> Result<PimSystem> {
         let modeled = config.core_count().max(1);
         let physical = config.physical_core_count().max(1);
         let n = config.shards.max(1).min(modeled);
-        let catalog = ResourceManager::new(config.rows_per_core(), physical as u64)?;
-        let mut shards = Vec::with_capacity(n);
-        for i in 0..n {
-            shards.push(Shard {
-                rm: ResourceManager::new(
-                    config.rows_per_core(),
-                    split_even(physical, n, i) as u64,
-                )?,
-                timing: model::timing_model(config, config.timing_backend),
-            });
-        }
         Ok(PimSystem {
             index: IdMap::default(),
             objects: Vec::new(),
             vacant: Vec::new(),
             next_id: 0,
-            catalog,
-            shards,
+            rm: ResourceManager::new(config.rows_per_core(), physical as u64)?,
             weights: (0..n).map(|i| split_even(modeled, n, i) as u64).collect(),
             interconnect: InterconnectModel::from_config(config),
             functional: matches!(config.mode, SimMode::Functional),
         })
     }
 
-    /// Number of execution shards.
+    /// Number of shards: the spans every object's map splits it into.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.weights.len()
     }
 
     /// The cross-shard interconnect cost model.
@@ -420,21 +372,20 @@ impl PimSystem {
     }
 
     // ------------------------------------------------------------------
-    // Sharded allocation
+    // Allocation
     // ------------------------------------------------------------------
 
-    /// Two-phase sharded allocation: computes the global layout, runs
-    /// every capacity check (catalog first, then each shard) in the
-    /// legacy error order, and only then allocates and commits the object
-    /// under the next id. Besides the table's own slots, the only heap
-    /// allocations are the zeroed functional buffer (and, with several
-    /// shards, the map's and layouts' lists).
+    /// Two-phase allocation: computes the global layout, checks it
+    /// against the row ledger, and only then allocates and commits the
+    /// object under the next id. Besides the table's own slots, the only
+    /// heap allocations are the zeroed functional buffer and, with
+    /// several shards, the map's list.
     ///
     /// # Errors
     ///
     /// [`PimError::InvalidArg`] for zero-element or overflowing
-    /// requests, [`PimError::OutOfMemory`] when the catalog or any
-    /// shard runs out of rows. Failure commits nothing.
+    /// requests, [`PimError::OutOfMemory`] when the device runs out of
+    /// rows. Failure commits nothing.
     pub(crate) fn alloc(
         &mut self,
         config: &DeviceConfig,
@@ -443,62 +394,24 @@ impl PimSystem {
         cores_cap: Option<usize>,
     ) -> Result<PimObject> {
         let layout = ObjectLayout::compute(config, count, dtype, cores_cap)?;
-        self.catalog.check(&layout)?;
-        let n = self.shards.len();
-        // Map weights are ALWAYS the shards' modeled-core split — never
-        // cores_cap — so every object of the same count and dtype gets
-        // the identical map and element-wise operands stay aligned.
-        let map = ShardMap::compute(count, layout.elems_per_unit, &self.weights);
-        // rows_per_core = units_per_core × rows_per_unit, exactly.
-        let rows_per_unit = layout.rows_per_core / layout.units_per_core.max(1);
-        let budget_total = cores_cap.unwrap_or_else(|| config.core_count()).max(1);
-        // Shard `s`'s placement of its span; `None` when the span is empty.
-        let local = |s: usize| -> Result<Option<ObjectLayout>> {
-            let c = map.count_on(s);
-            if c == 0 {
-                return Ok(None);
-            }
-            let local_units = c.div_ceil(layout.elems_per_unit.max(1));
-            let budget = split_even(budget_total, n, s).max(1) as u64;
-            let lcores = local_units.min(budget).max(1) as usize;
-            let lupc = local_units.div_ceil(lcores as u64);
-            let lrows = lupc.checked_mul(rows_per_unit).ok_or_else(|| {
-                PimError::InvalidArg("object layout overflows u64 row arithmetic".into())
-            })?;
-            let lelems = lupc
-                .checked_mul(layout.elems_per_unit)
-                .map_or(c, |padded| padded.min(c));
-            Ok(Some(ObjectLayout {
-                layout: layout.layout,
-                cores_used: lcores,
-                elems_per_core: lelems,
-                rows_per_core: lrows,
-                elems_per_unit: layout.elems_per_unit,
-                units_per_core: lupc,
-            }))
-        };
-        for (s, shard) in self.shards.iter().enumerate() {
-            if let Some(local) = local(s)? {
-                shard.rm.check(&local)?;
-            }
-        }
-        // The buffer comes after every check and before the layouts'
-        // list, and the list grows one shard at a time rather than being
-        // sized once like the map's. Either way round (the list first, or
-        // a list sized once, which reuses the one a free just released),
-        // nothing new lands on the heap above the buffer, so a process
-        // that builds and drops many 4-shard devices (`bench_e2e`'s
-        // `bulk-sweep`) had glibc give each run's buffers back to the OS
-        // and fault them in again, with ten times the minor faults.
+        self.rm.check(&layout)?;
+        // The buffer comes before the map's list, and the list grows one
+        // shard at a time rather than being sized once. Either way round
+        // (the list first, or a list sized once, which reuses the one a
+        // free just released), nothing new lands on the heap above the
+        // buffer, and in a process that builds and drops many 4-shard
+        // devices (`bench_e2e`'s `bulk-sweep`) glibc then gives each
+        // run's buffers back to the OS and faults them in again, with
+        // tens of times the minor faults.
         let data = if self.functional {
             vec![0; count as usize]
         } else {
             Vec::new()
         };
-        let mut parts = Few::default();
-        for s in 0..n {
-            parts.push(local(s)?);
-        }
+        // Map weights are ALWAYS the shards' modeled-core split — never
+        // cores_cap — so every object of the same count and dtype gets
+        // the identical map and element-wise operands stay aligned.
+        let map = ShardMap::compute(count, layout.elems_per_unit, &self.weights);
         let obj = PimObject {
             id: ObjId(self.next_id),
             dtype,
@@ -506,18 +419,8 @@ impl PimSystem {
             layout,
         };
         self.next_id += 1;
-        self.catalog.claim(&layout);
-        for (shard, local) in self.shards.iter_mut().zip(parts.iter()) {
-            if let Some(local) = local {
-                shard.rm.claim(local);
-            }
-        }
-        let entry = Object {
-            obj,
-            map,
-            data,
-            parts,
-        };
+        self.rm.claim(&layout);
+        let entry = Object { obj, map, data };
         let slot = match self.vacant.pop() {
             Some(slot) => {
                 self.objects[slot.0] = entry;
@@ -550,8 +453,8 @@ impl PimSystem {
         self.alloc(config, r.count, dtype, Some(r.layout.cores_used))
     }
 
-    /// Frees an object: returns its rows to the catalog and to every
-    /// shard holding a piece, and drops its buffer.
+    /// Frees an object: returns its rows to the ledger and drops its
+    /// buffer and map.
     ///
     /// # Errors
     ///
@@ -559,14 +462,8 @@ impl PimSystem {
     pub(crate) fn free(&mut self, id: ObjId) -> Result<()> {
         let slot = self.index.remove(&id).ok_or(PimError::UnknownObject(id))?;
         let entry = &mut self.objects[slot.0];
-        self.catalog.release(&entry.obj.layout);
-        for (shard, local) in self.shards.iter_mut().zip(entry.parts.iter()) {
-            if let Some(local) = local {
-                shard.rm.release(local);
-            }
-        }
+        self.rm.release(&entry.obj.layout);
         entry.data = Vec::new();
-        entry.parts = Few::default();
         entry.map = ShardMap::default();
         self.vacant.push(slot);
         Ok(())
@@ -689,70 +586,6 @@ impl PimSystem {
     }
 
     // ------------------------------------------------------------------
-    // Timing models
-    // ------------------------------------------------------------------
-
-    /// Prices one command through the timing models of every shard
-    /// holding `costed`, in ascending shard order (deterministic at any
-    /// thread count). Shards execute the broadcast in lockstep, so each
-    /// holder charges the full per-core demand and the aggregate is the
-    /// slowest holder — which keeps the aggregate shard-count-invariant.
-    /// The DRAM commands each holder issued are drained, merged and
-    /// returned for the device ledger.
-    pub(crate) fn price_with_backends<F>(
-        &mut self,
-        costed: Slot,
-        mut price: F,
-    ) -> (OpCost, TimingCounters)
-    where
-        F: FnMut(&mut TimingModel) -> OpCost,
-    {
-        let mut agg: Option<OpCost> = None;
-        let mut dram = TimingCounters::default();
-        for (s, _, _) in self.objects[costed.0].map.spans() {
-            let timing = &mut self.shards[s].timing;
-            let cost = price(timing);
-            dram.merge(&timing.take_counters());
-            agg = Some(match agg {
-                None => cost,
-                Some(prev) if cost.time_ms > prev.time_ms => cost,
-                Some(prev) => prev,
-            });
-        }
-        (agg.unwrap_or_default(), dram)
-    }
-
-    /// Charges one host↔device copy of `represented_bytes` through the
-    /// holders' timing models (bandwidth-bound in both backends; the
-    /// critical path is the same on every holder) and replays the
-    /// protocol stream. Returns the copy time in ms, the first holder's
-    /// replay for the trace (the bank FSM replays on every holder; the
-    /// closed form replays once, and only when `want_replay`), and the
-    /// drained DRAM commands for the device ledger (the closed form's
-    /// advisory replay never reaches it).
-    pub(crate) fn charge_copy_with_backends(
-        &mut self,
-        slot: Slot,
-        represented_bytes: u64,
-        functional_bytes: u64,
-        ranks: usize,
-        want_replay: bool,
-    ) -> (f64, Option<CopyReplay>, TimingCounters) {
-        let mut time_ms: Option<f64> = None;
-        let mut replay: Option<CopyReplay> = None;
-        let mut dram = TimingCounters::default();
-        for (s, _, _) in self.objects[slot.0].map.spans() {
-            let timing = &mut self.shards[s].timing;
-            let t = timing.charge_host_copy(represented_bytes, ranks);
-            time_ms = Some(time_ms.map_or(t, |prev| prev.max(t)));
-            let r = timing.copy_replay(functional_bytes, want_replay && replay.is_none());
-            dram.merge(&timing.take_counters());
-            replay = replay.or(r);
-        }
-        (time_ms.unwrap_or(0.0), replay, dram)
-    }
-
-    // ------------------------------------------------------------------
     // Per-shard time distribution
     // ------------------------------------------------------------------
 
@@ -763,7 +596,7 @@ impl PimSystem {
     /// `time_ms` up to float re-association. Single-shard devices put
     /// the whole time on shard 0.
     pub(crate) fn split_time(&self, slot: Slot, time_ms: f64, mut f: impl FnMut(usize, f64)) {
-        if self.shards.len() <= 1 {
+        if self.shard_count() <= 1 {
             return f(0, time_ms);
         }
         let counts = &self.objects[slot.0].map.counts;
@@ -790,34 +623,13 @@ impl PimSystem {
         (max_c * bpe, entry.obj.count * bpe)
     }
 
-    /// Writes the catalog-level and per-shard resource usage into
-    /// `stats`, reusing its per-shard list (per-shard rows are
-    /// populated only when more than one shard exists).
+    /// Writes the device's row usage and the shard count into `stats`.
     pub(crate) fn resource_stats_into(&self, stats: &mut ResourceStats) {
-        stats.rows_in_use = self.catalog.rows_in_use();
-        stats.peak_rows = self.catalog.peak_rows();
-        stats.rows_capacity = self.catalog.rows_capacity();
-        stats.live_objects = self.catalog.live_objects() as u64;
-        stats.shards = self.shards.len() as u64;
-        stats.per_shard.clear();
-        if self.shards.len() > 1 {
-            stats
-                .per_shard
-                .extend(self.shards.iter().map(|s| ShardResourceStats {
-                    rows_in_use: s.rm.rows_in_use(),
-                    peak_rows: s.rm.peak_rows(),
-                    rows_capacity: s.rm.rows_capacity(),
-                    live_objects: s.rm.live_objects() as u64,
-                }));
-        }
-    }
-
-    /// Resets every shard's timing model to a fresh (all-banks-closed)
-    /// state.
-    pub(crate) fn reset_timing(&mut self) {
-        for shard in &mut self.shards {
-            shard.timing.reset();
-        }
+        stats.rows_in_use = self.rm.rows_in_use();
+        stats.peak_rows = self.rm.peak_rows();
+        stats.rows_capacity = self.rm.rows_capacity();
+        stats.live_objects = self.rm.live_objects() as u64;
+        stats.shards = self.shard_count() as u64;
     }
 }
 

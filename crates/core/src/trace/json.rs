@@ -29,7 +29,7 @@ use crate::stats::SimStats;
 /// Version stamp of the stats-JSON layout. Bumped on any
 /// field-removing or field-renaming change; purely additive fields do
 /// not bump it (consumers must tolerate unknown keys).
-pub const STATS_SCHEMA_VERSION: u32 = 3;
+pub const STATS_SCHEMA_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------
 // Writer
@@ -336,19 +336,9 @@ pub fn stats_fields(
         .field("rows_capacity", r.rows_capacity)
         .field("live_objects", r.live_objects)
         .field("shards", r.shards)
-        .arr("per_shard");
-    for s in &r.per_shard {
-        w.item_obj()
-            .field("rows_in_use", s.rows_in_use)
-            .field("peak_rows", s.peak_rows)
-            .field("rows_capacity", s.rows_capacity)
-            .field("live_objects", s.live_objects)
-            .end();
-    }
+        .end();
     let ic = &stats.interconnect;
-    w.end()
-        .end()
-        .obj("interconnect")
+    w.obj("interconnect")
         .field("scatter_bytes", ic.scatter_bytes)
         .field("gather_bytes", ic.gather_bytes)
         .field("realign_bytes", ic.realign_bytes)

@@ -244,6 +244,47 @@ fn error_paths() {
     ));
 }
 
+#[test]
+fn a_decimation_whose_represented_bytes_overflow_is_rejected() {
+    // Copies charge their bytes times the decimation, and no byte count
+    // exceeds the modeled device's capacity in bits, which at these
+    // decimations is one core. The largest decimation whose product with
+    // that capacity fits builds, and copies at it charge without
+    // overflow; one more is an error, not a panic at the first copy.
+    for target in PimTarget::ALL {
+        let config = pimeval::DeviceConfig::new(target, 1);
+        let edge = u64::MAX / (config.rows_per_core() * config.cols_per_core() as u64);
+        let mut dev = Device::new(config.clone().with_decimation(edge)).unwrap();
+        assert_eq!(dev.config().core_count(), 1, "{target}");
+        let a = dev.alloc_vec(&[7i64; 300]).unwrap();
+        assert_eq!(dev.to_vec::<i64>(a).unwrap(), [7; 300], "{target}");
+        assert!(dev.stats().copy.time_ms > 0.0, "{target}");
+        for decimation in [edge + 1, u64::MAX] {
+            assert!(
+                matches!(
+                    Device::new(config.clone().with_decimation(decimation)),
+                    Err(PimError::InvalidArg(_))
+                ),
+                "{target}: decimation {decimation}"
+            );
+        }
+    }
+}
+
+#[test]
+fn host_time_must_be_finite_and_non_negative() {
+    let mut dev = Device::fulcrum(1).unwrap();
+    dev.record_host_ms(0.25).unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+        assert!(
+            matches!(dev.record_host_ms(bad), Err(PimError::InvalidArg(_))),
+            "{bad} ms"
+        );
+    }
+    dev.record_host_ms(0.0).unwrap();
+    assert_eq!(dev.stats().host_time_ms, 0.25);
+}
+
 /// Runs one misuse case, failing with its name on a panic or on any
 /// result other than `UnknownObject(dead)`.
 fn expect_unknown(case: &str, dead: ObjId, f: impl FnOnce() -> pimeval::Result<()>) {

@@ -15,7 +15,7 @@ fn traced_run(target: PimTarget) -> (Device, Vec<pimeval::TraceEvent>) {
     dev.mul(a, b, b).unwrap();
     let _ = dev.red_sum(b).unwrap();
     let _ = dev.to_vec::<i32>(b).unwrap();
-    dev.record_host_ms(0.5);
+    dev.record_host_ms(0.5).unwrap();
     let events = dev.take_trace();
     (dev, events)
 }

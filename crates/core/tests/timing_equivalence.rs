@@ -1,6 +1,6 @@
 //! Cross-backend timing agreement suite.
 //!
-//! Each shard's timing model has two backends: the stateless
+//! The device's timing model has two backends: the stateless
 //! closed-form `Analytical` model (the default) and the stateful
 //! `BankFsm` built on per-bank open-row state machines. Under the
 //! simulator's execute-once-and-stall semantics with closed-page

@@ -17,7 +17,7 @@ fn run_workload(dev: &mut Device) -> (SimStats, Vec<i32>) {
     let _ = dev.red_sum(c).unwrap();
     let _ = dev.red_sum_range(c, 2, 6).unwrap();
     dev.copy_object(a, b).unwrap();
-    dev.record_host_ms(0.125);
+    dev.record_host_ms(0.125).unwrap();
     let out = dev.to_vec::<i32>(c).unwrap();
     dev.free(a).unwrap();
     dev.free(b).unwrap();
@@ -249,7 +249,7 @@ fn trace_enabled_mid_run_stays_on_the_device_clock() {
             dev.enable_tracing();
         }
         let _ = dev.to_vec::<i32>(b).unwrap();
-        dev.record_host_ms(0.125);
+        dev.record_host_ms(0.125).unwrap();
         for _ in 0..3 {
             starts.extend(traced.then(|| clock(&dev)));
             dev.add(a, b, b).unwrap();

@@ -20,7 +20,7 @@
 //! * [`protocol::RankSim`] — a per-rank bank state machine (ACT/RD/WR/PRE
 //!   with tRCD/tRAS/tRP/tCCD interlocks) counting its commands in
 //!   [`TimingCounters`].
-//! * [`TimingModel`] — the one per-shard timing model: closed-form row
+//! * [`TimingModel`] — the device's one timing model: closed-form row
 //!   latencies, plus a [`protocol::RankSim`] under
 //!   [`TimingBackend::BankFsm`].
 //!

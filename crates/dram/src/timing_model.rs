@@ -3,8 +3,8 @@
 //! The paper's simulator charges closed-form latencies per row access;
 //! its §V-C limitation ("integration with DRAMsim3 has been left as
 //! future work") is exactly the gap between that closed form and a
-//! stateful bank FSM. One [`TimingModel`] per device shard prices every
-//! DRAM access, and [`TimingBackend`] selects how:
+//! stateful bank FSM. One [`TimingModel`] per device prices every DRAM
+//! access, and [`TimingBackend`] selects how:
 //!
 //! * [`TimingBackend::Analytical`] — the original closed-form math,
 //!   bit-identical to the paper's model and still the default;
@@ -121,7 +121,7 @@ pub struct CopyReplay {
     pub achieved_gbs: f64,
 }
 
-/// One shard's timing model: the closed-form latencies, plus bank state
+/// A device's timing model: the closed-form latencies, plus bank state
 /// machines when the backend is [`TimingBackend::BankFsm`].
 ///
 /// All `charge_*` methods return nanoseconds (except
@@ -138,10 +138,10 @@ pub struct TimingModel {
     banks: usize,
     row_bytes: u64,
     /// Bank state; present exactly under [`TimingBackend::BankFsm`].
-    /// Boxed so the closed-form model stays small: with the state
-    /// inline, a 4-shard device's shard table outgrew glibc's
-    /// thread-cache size classes and the `bulk-sweep` benchmark
-    /// page-faulted 4.5× as often.
+    /// Boxed so the closed-form model, which every device embeds, stays
+    /// small: with the state inline, a table of these models once
+    /// outgrew glibc's thread-cache size classes and the `bulk-sweep`
+    /// benchmark page-faulted 4.5× as often.
     fsm: Option<Box<BankFsm>>,
 }
 
@@ -684,7 +684,7 @@ mod tests {
     const ROW_BYTES: u64 = 1024;
     const BURST_GBS: f64 = 25.6;
 
-    /// One charge of every kind a shard makes.
+    /// One charge of every kind a device makes.
     #[derive(Debug, Clone, Copy)]
     enum Charge {
         Rows(u64, u64, RowPattern),

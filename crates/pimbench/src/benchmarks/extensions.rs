@@ -60,7 +60,7 @@ impl Benchmark for PrefixSum {
             dev.copy_to_device(&rot, shifted)?;
             let m: Vec<i32> = (0..n).map(|i| i32::from(i >= d)).collect();
             dev.copy_to_device(&m, mask)?;
-            charge_host(dev, &WorkloadProfile::new(n as f64, 8.0 * n as f64));
+            charge_host(dev, &WorkloadProfile::new(n as f64, 8.0 * n as f64))?;
 
             // PIM: acc = (i >= d) ? acc + shifted : acc.
             dev.add(acc, shifted, summed)?;
@@ -246,7 +246,7 @@ impl Benchmark for TransitiveClosure {
                 }
             }
             // Host pivot-column scan for this k.
-            charge_host(dev, &WorkloadProfile::new(nodes as f64, 8.0 * nodes as f64));
+            charge_host(dev, &WorkloadProfile::new(nodes as f64, 8.0 * nodes as f64))?;
         }
         let mut ok = true;
         for (i, row) in rows.iter().enumerate() {

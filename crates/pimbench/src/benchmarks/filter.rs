@@ -61,7 +61,7 @@ impl Benchmark for FilterByKey {
         charge_host(
             dev,
             &WorkloadProfile::new(n as f64, gather_bytes).with_efficiency(0.5),
-        );
+        )?;
 
         let expected = keys
             .iter()

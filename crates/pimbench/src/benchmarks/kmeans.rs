@@ -130,7 +130,7 @@ impl Benchmark for KMeans {
             cx = new_cx;
             cy = new_cy;
             // Host: centroid division (tiny, still charged).
-            charge_host(dev, &WorkloadProfile::new(Self::K as f64 * 4.0, 256.0));
+            charge_host(dev, &WorkloadProfile::new(Self::K as f64 * 4.0, 256.0))?;
 
             // Reference iteration.
             let assign = reference_assign(&xs, &ys, &rcx, &rcy);

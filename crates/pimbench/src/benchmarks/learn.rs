@@ -91,7 +91,7 @@ impl Benchmark for Knn {
         charge_host(
             dev,
             &WorkloadProfile::new(total * 8.0, total * 8.0).with_efficiency(0.4),
-        );
+        )?;
 
         dev.free(dx)?;
         dev.free(dy)?;
@@ -165,7 +165,7 @@ impl Benchmark for LinearRegression {
         dev.free(oy)?;
 
         // Host: closed-form slope/intercept (negligible, but charged).
-        charge_host(dev, &WorkloadProfile::new(10.0, 64.0));
+        charge_host(dev, &WorkloadProfile::new(10.0, 64.0))?;
         let nn = n as i128;
         let denom = nn * sum_xx - sum_x * sum_x;
         let slope_num = nn * sum_xy - sum_x * sum_y;

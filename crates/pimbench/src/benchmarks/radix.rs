@@ -81,7 +81,7 @@ impl Benchmark for RadixSort {
             charge_host(
                 dev,
                 &WorkloadProfile::new(2.0 * n as f64, 12.0 * n as f64).with_efficiency(0.3),
-            );
+            )?;
         }
 
         let mut expected = input;

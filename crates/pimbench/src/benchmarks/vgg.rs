@@ -362,7 +362,7 @@ impl Benchmark for Vgg {
         charge_host(
             dev,
             &WorkloadProfile::new((BATCH * CLASSES * 8) as f64, 4096.0),
-        );
+        )?;
         for (b, l) in logits.iter().enumerate() {
             // Reference dense path.
             let mut x = feat_per_img[b].clone();

@@ -203,10 +203,15 @@ pub trait Benchmark {
 
 /// Charges a host-side phase to the CPU model and records it on the
 /// device (PIM + Host benchmarks), returning the charged milliseconds.
-pub fn charge_host(dev: &mut Device, profile: &WorkloadProfile) -> f64 {
+///
+/// # Errors
+///
+/// [`PimError::InvalidArg`] when the profile prices a negative or
+/// non-finite time.
+pub fn charge_host(dev: &mut Device, profile: &WorkloadProfile) -> Result<f64, PimError> {
     let ms = ComputeModel::epyc_9124().runtime_ms(profile);
-    dev.record_host_ms(ms);
-    ms
+    dev.record_host_ms(ms)?;
+    Ok(ms)
 }
 
 /// Finishes a run: snapshots stats and packages the verification flag.
