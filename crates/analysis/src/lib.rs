@@ -34,6 +34,7 @@
 //! assert!(dendro.merges()[0].distance < dendro.merges().last().unwrap().distance);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

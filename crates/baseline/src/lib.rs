@@ -21,6 +21,7 @@
 //! assert!(cpu.runtime_ms(&p) > gpu.runtime_ms(&p) * 3.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A workload's resource demands, as seen by a roofline model.

@@ -6,6 +6,7 @@
 //! All binaries accept `--scale <f64>` (problem-size multiplier,
 //! default varies per figure) and `--seed <u64>`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;

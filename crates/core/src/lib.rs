@@ -51,6 +51,7 @@
 //! * Substrates: [`pim_dram`] (geometry/timing/Micron power model) and
 //!   [`pim_microcode`] (the DRAM-AP bit-serial VM).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cmd;

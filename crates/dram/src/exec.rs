@@ -88,8 +88,11 @@ pub mod pool {
     //! job only under the registry lock (where the caller also
     //! deregisters), and the caller returns only once every participant
     //! has left and every chunk has completed, so no reference can
-    //! dangle. Panics in chunk bodies are caught per chunk, the first
-    //! one is rethrown on the caller after the job drains.
+    //! dangle. A unit test checks the teardown half of that protocol
+    //! under test-only probes (`teardown_probe`) that hold each leaving
+    //! worker inside the race window a misordered `Job::leave` opens.
+    //! Panics in chunk bodies are caught per chunk, the first one is
+    //! rethrown on the caller after the job drains.
     //!
     //! # Profiling
     //!
@@ -291,6 +294,9 @@ pub mod pool {
         /// `participants == 0`.
         gate: Mutex<()>,
         cv: Condvar,
+        /// This job's id while [`teardown_probe`] watches it.
+        #[cfg(test)]
+        probe: Option<u64>,
     }
 
     impl Job {
@@ -343,8 +349,12 @@ pub mod pool {
             // first would let the caller observe `participants == 0`,
             // return from `run`, and pop the stack-allocated job while
             // this thread still needs its mutex and condvar.
+            #[cfg(test)]
+            let probe = self.probe;
             let _gate = self.gate.lock().expect("pool job gate poisoned");
             self.participants.fetch_sub(1, Ordering::AcqRel);
+            #[cfg(test)]
+            teardown_probe::after_leave_decrement(probe);
             self.cv.notify_all();
         }
     }
@@ -505,6 +515,8 @@ pub mod pool {
             panic: Mutex::new(None),
             gate: Mutex::new(()),
             cv: Condvar::new(),
+            #[cfg(test)]
+            probe: teardown_probe::register(),
         };
         let ex = executor();
         let registered = {
@@ -530,6 +542,8 @@ pub mod pool {
             }
             let wait0 = profiling.then(Instant::now);
             job.participants.fetch_sub(1, Ordering::AcqRel);
+            #[cfg(test)]
+            teardown_probe::before_caller_wait(job.probe, &job.participants);
             {
                 let mut gate = job.gate.lock().expect("pool job gate poisoned");
                 while job.completed.load(Ordering::Acquire) < chunks
@@ -542,6 +556,9 @@ pub mod pool {
                 record_caller_wait(t0.elapsed().as_nanos());
             }
         }
+        // From here on the caller may return and pop the job.
+        #[cfg(test)]
+        teardown_probe::unregister(job.probe);
         let payload = job
             .panic
             .lock()
@@ -549,6 +566,96 @@ pub mod pool {
             .take();
         if let Some(p) = payload {
             panic::resume_unwind(p);
+        }
+    }
+
+    /// Test-only probes at the job-teardown points. They widen the
+    /// window in which a participant could still touch a job its caller
+    /// has already popped, and count each time one did: before its
+    /// final wait the caller waits until every joined worker has made
+    /// its participant decrement in [`Job::leave`], and each of those
+    /// workers lingers right after the decrement until the caller could
+    /// have returned. Only jobs built inside [`teardown_probe::armed`]
+    /// are watched, so other tests run at full speed.
+    #[cfg(test)]
+    pub(super) mod teardown_probe {
+        use std::cell::Cell;
+        use std::collections::BTreeSet;
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        use std::sync::{Mutex, MutexGuard};
+        use std::time::{Duration, Instant};
+
+        /// How long a leaving worker lingers after its decrement, and
+        /// the longest a caller waits for the workers' decrements.
+        const LINGER: Duration = Duration::from_millis(5);
+
+        thread_local! {
+            static ARMED: Cell<bool> = const { Cell::new(false) };
+        }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        /// Ids of watched jobs whose caller has not passed its final wait.
+        static LIVE: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
+        /// Watched leaves that lingered.
+        pub static LEAVES: AtomicU64 = AtomicU64::new(0);
+        /// Watched leaves whose job was torn down before they finished.
+        pub static TORN_DOWN: AtomicU64 = AtomicU64::new(0);
+
+        fn live() -> MutexGuard<'static, BTreeSet<u64>> {
+            LIVE.lock().expect("teardown probe set poisoned")
+        }
+
+        /// Runs `f` with every job it starts on this thread watched.
+        pub fn armed<R>(f: impl FnOnce() -> R) -> R {
+            ARMED.with(|a| a.set(true));
+            let out = f();
+            ARMED.with(|a| a.set(false));
+            out
+        }
+
+        /// A fresh id for a job built on an armed thread.
+        pub(super) fn register() -> Option<u64> {
+            if !ARMED.with(Cell::get) {
+                return None;
+            }
+            let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+            live().insert(id);
+            Some(id)
+        }
+
+        /// The caller is past its final wait: the job may go away.
+        pub(super) fn unregister(id: Option<u64>) {
+            if let Some(id) = id {
+                live().remove(&id);
+            }
+        }
+
+        /// Holds the caller until `participants`, which no longer
+        /// counts it, reads 0: every worker that joined is then inside
+        /// `leave`, past its decrement.
+        pub(super) fn before_caller_wait(id: Option<u64>, participants: &AtomicUsize) {
+            if id.is_none() {
+                return;
+            }
+            let deadline = Instant::now() + LINGER;
+            while participants.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+
+        /// Lingers after a worker's participant decrement. A job gone
+        /// meanwhile would be touched after free by the rest of `leave`,
+        /// so the probe counts it and stops the worker here instead.
+        pub(super) fn after_leave_decrement(id: Option<u64>) {
+            let Some(id) = id else { return };
+            LEAVES.fetch_add(1, Ordering::Relaxed);
+            let deadline = Instant::now() + LINGER;
+            while Instant::now() < deadline {
+                if !live().contains(&id) {
+                    TORN_DOWN.fetch_add(1, Ordering::Relaxed);
+                    panic!("job {id} was torn down while a worker was still leaving it");
+                }
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -956,6 +1063,44 @@ mod tests {
         let caller = std::thread::current().id();
         let ids = with_thread_count(8, || par_chunks(100, |_| std::thread::current().id()));
         assert_eq!(ids, vec![caller]);
+    }
+
+    /// A worker's last touches of a job (its participant decrement, the
+    /// wake-up, the gate's release) must all happen before the caller
+    /// can return and pop the job. The probes hold every leaving worker
+    /// right after its decrement while the caller heads for its exit;
+    /// decrementing before taking the gate lets the caller return in
+    /// that window, which this test catches.
+    #[test]
+    fn leave_keeps_the_job_alive_until_the_caller_can_return() {
+        use pool::teardown_probe::{armed, LEAVES, TORN_DOWN};
+        let len = 4 * MIN_CHUNK;
+        let (leaves, torn) = (
+            LEAVES.load(Ordering::Relaxed),
+            TORN_DOWN.load(Ordering::Relaxed),
+        );
+        for _ in 0..40 {
+            let parts = with_thread_count(4, || {
+                armed(|| {
+                    par_chunks(len, |r| {
+                        // Slow chunks, so workers join before the caller
+                        // drains the job alone.
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                        r.len()
+                    })
+                })
+            });
+            assert_eq!(parts.iter().sum::<usize>(), len);
+        }
+        assert!(
+            LEAVES.load(Ordering::Relaxed) > leaves,
+            "no worker left a watched job: the probe saw nothing"
+        );
+        assert_eq!(
+            TORN_DOWN.load(Ordering::Relaxed),
+            torn,
+            "a job was torn down while a worker was still leaving it"
+        );
     }
 
     #[test]

@@ -40,9 +40,14 @@
 //! assert!(timing.row_write_ns > timing.row_read_ns);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
+// The persistent pool is the workspace's only `unsafe` library code:
+// every other module, and every other crate (`forbid`), is checked free
+// of it.
+#[allow(unsafe_code)]
 pub mod exec;
 pub mod geometry;
 pub mod power;

@@ -55,6 +55,7 @@
 //! assert_eq!(sum, vec![42, 3, 106]); // wrapping 8-bit arithmetic
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analog;

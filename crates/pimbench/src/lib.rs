@@ -33,6 +33,7 @@
 //! assert!(out.verified);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod benchmarks;
